@@ -121,7 +121,7 @@ def calibrate_threshold(cal_scores, alpha: float,
     if level > n:
         tau: float | _IncludeAll = INCLUDE_ALL
     else:
-        tau = float(np.sort(scores)[level - 1])
+        tau = float(np.partition(scores, level - 1)[level - 1])
     return ConformalThreshold(
         tau=tau,
         alpha=alpha,

@@ -61,13 +61,15 @@ def coverage_and_size(sets, labels) -> tuple[float, float]:
         raise ValidationError(
             f"got {len(sets)} sets for {labels.shape[0]} labels"
         )
-    covered = 0
-    total_size = 0
-    for ps, label in zip(sets, labels):
-        members = ps.members if hasattr(ps, "members") else np.asarray(ps)
-        covered += int(np.isin(label, members))
-        total_size += int(members.shape[0])
     n = labels.shape[0]
+    members = [ps.members if hasattr(ps, "members") else np.asarray(ps) for ps in sets]
+    sizes = np.asarray([m.shape[0] for m in members], dtype=np.int64)
+    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+    owner = np.repeat(np.arange(n), sizes)
+    hit = np.zeros(n, dtype=bool)
+    hit[owner[flat == labels[owner]]] = True
+    covered = int(np.count_nonzero(hit))
+    total_size = int(sizes.sum())
     return covered / n, total_size / n
 
 

@@ -155,16 +155,53 @@ def rank_row(probs: np.ndarray) -> RankedRow:
 
 def rank_matrix(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched rank_row: (sorted_probs, perm, rank_of), each n-by-K."""
+    sorted_probs, perm = sort_rows(probs)
+    rank_of = np.empty_like(perm)
+    n, k = perm.shape
+    np.put_along_axis(rank_of, perm, np.broadcast_to(np.arange(1, k + 1), (n, k)), axis=1)
+    return sorted_probs, perm, rank_of
+
+
+def sort_rows(probs: np.ndarray,
+              hint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of an n-by-K probability matrix sorted descending: (sorted_probs, perm).
+
+    Without a hint, perm is the stable argsort (ties by ascending class
+    index).  ``hint`` is a perm from an earlier call on the same rows: the
+    rows it still leaves non-increasing keep it, only the others are
+    argsorted, and the hint is updated in place and returned as perm.  A
+    non-increasing arrangement of a row holds the same values in the same
+    order as the sorted row, so sorted_probs never depends on the hint; only
+    the order of tied classes within perm may.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
     _check_normalized(p)
-    perm = np.argsort(-p, axis=1, kind="stable")
-    sorted_probs = np.take_along_axis(p, perm, axis=1)
-    rank_of = np.empty_like(perm)
-    n, k = p.shape
-    np.put_along_axis(rank_of, perm, np.broadcast_to(np.arange(1, k + 1), (n, k)), axis=1)
-    return sorted_probs, perm, rank_of
+    if hint is None:
+        perm = np.argsort(-p, axis=1, kind="stable")
+        return np.take_along_axis(p, perm, axis=1), perm
+    sorted_probs = np.take_along_axis(p, hint, axis=1)
+    stale = np.flatnonzero((sorted_probs[:, 1:] > sorted_probs[:, :-1]).any(axis=1))
+    if stale.size:
+        fresh = np.argsort(-p[stale], axis=1, kind="stable")
+        hint[stale] = fresh
+        sorted_probs[stale] = np.take_along_axis(p[stale], fresh, axis=1)
+    return sorted_probs, hint
+
+
+def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """1-indexed rank of each row's label, without sorting.
+
+    Counts #(p > p_y) + #(p == p_y and class < y), which is the label's
+    position in the stable descending argsort, so it equals
+    ``rank_matrix(probs)[2][rows, labels]`` ties and exact zeros included.
+    """
+    rows = np.arange(probs.shape[0])
+    p_y = probs[rows, labels][:, None]
+    classes = np.arange(probs.shape[1])
+    ahead = (probs > p_y) | ((probs == p_y) & (classes < labels[:, None]))
+    return np.count_nonzero(ahead, axis=1) + 1
 
 
 def _check_normalized(probs: np.ndarray) -> None:
@@ -231,18 +268,38 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     if p.ndim != 2 or labels.shape != (p.shape[0],):
         raise ValidationError("probs must be n-by-K with one label per row")
     u_eff = _check_u_array(spec, u, p.shape[0])
-    rows = np.arange(p.shape[0])
     if spec.kind == "lac":
-        return 1.0 - p[rows, labels]
-    sorted_probs, _, rank_of = rank_matrix(p)
-    ranks = rank_of[rows, labels]
+        return 1.0 - p[np.arange(p.shape[0]), labels]
+    sorted_probs, _ = sort_rows(p)
+    return label_scores_from_sorted(spec, p, sorted_probs, labels, u_eff)
+
+
+def label_scores_from_sorted(spec: ScoreSpec, probs: np.ndarray, sorted_probs: np.ndarray,
+                             labels: np.ndarray, u) -> np.ndarray:
+    """Cumulative score (aps, raps, saps) of each row's label.
+
+    ``sorted_probs`` is ``probs`` with each row in descending order, from
+    any sort; the label's rank comes from ``label_ranks``.  ``u`` holds one
+    draw per row, or 1.0 for a non-randomized score.
+    """
+    ranks = label_ranks(probs, labels)
+    rows = np.arange(probs.shape[0])
+    at = (rows, ranks - 1)
+    return _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at], sorted_probs[at],
+                             sorted_probs[:, 0], ranks, u)
+
+
+def _cumulative_score(spec: ScoreSpec, prefix, at_rank, p_max, ranks, u) -> np.ndarray:
+    """The aps/raps/saps formula for the class at 1-indexed rank ``ranks``.
+
+    ``prefix`` is the sum of the probabilities ranked at or above that
+    class, ``at_rank`` its own probability, ``p_max`` the row's largest one
+    and ``u`` the row's draw.  The arguments broadcast, so one call scores
+    either one class per row or every rank of every row.
+    """
     if spec.kind == "saps":
-        p_max = sorted_probs[:, 0]
-        deep = p_max + (ranks - 2 + u_eff) * spec.saps_lambda
-        return np.where(ranks == 1, u_eff * p_max, deep)
-    cumsum = np.cumsum(sorted_probs, axis=1)
-    at_rank = sorted_probs[rows, ranks - 1]
-    values = cumsum[rows, ranks - 1] - (1.0 - u_eff) * at_rank
+        return np.where(ranks == 1, u * p_max, p_max + (ranks - 2 + u) * spec.saps_lambda)
+    values = prefix - (1.0 - u) * at_rank
     if spec.kind == "raps":
         values = values + spec.raps_lambda * np.maximum(0, ranks - spec.raps_kreg)
     return values
@@ -266,22 +323,12 @@ def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:
 
 
 def _score_matrix_checked(spec: ScoreSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    n, k = p.shape
     if spec.kind == "lac":
         return 1.0 - p
-    sorted_probs, perm, _ = rank_matrix(p)
-    cumsum = np.cumsum(sorted_probs, axis=1)
-    u_col = u[:, None]
-    if spec.kind == "saps":
-        ranks = np.arange(1, k + 1)
-        p_max = sorted_probs[:, :1]
-        by_rank = p_max + (ranks - 2 + u_col) * spec.saps_lambda
-        by_rank[:, 0] = (u_col * p_max)[:, 0]
-    else:
-        by_rank = cumsum - (1.0 - u_col) * sorted_probs
-        if spec.kind == "raps":
-            penalty = spec.raps_lambda * np.maximum(0, np.arange(1, k + 1) - spec.raps_kreg)
-            by_rank = by_rank + penalty
+    sorted_probs, perm = sort_rows(p)
+    by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
+                                sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
+                                u[:, None])
     out = np.empty_like(by_rank)
     np.put_along_axis(out, perm, by_rank, axis=1)
     return out

@@ -7,6 +7,12 @@ second half, where s_i is the non-randomized aps score of the true
 label.  Randomized scores are deliberately excluded from the loss; they
 misestimate the gap.
 
+Each tuner call ranks each half once: the first loss evaluation argsorts
+every row, and later evaluations reuse that class order, re-sorting only
+the rows the current map reorders.  Any non-increasing arrangement of a
+row sums the same values in the same order, so the loss is bit-identical
+to sorting from scratch for every map kind.
+
 Temperature is one-dimensional, so it is minimized by a log-uniform grid
 followed by golden-section refinement (robust to the kinks that the
 order-statistic tau introduces; no gradients needed).  Platt and vector
@@ -26,7 +32,7 @@ from .data import LogitsDataset, SplitSpec, split_dataset
 from .engine import calibrate_threshold
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, true_label_scores
+from .scores import ScoreSpec, label_scores_from_sorted, sort_rows
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -53,6 +59,14 @@ class TuneConfig:
             raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max")
         if self.grid_points < 1 or self.gd_max_iters < 1:
             raise ValidationError("grid and iteration counts must be >= 1")
+        # `not (x > 0)` also rejects NaN.
+        for name in ("refine_tol", "gd_grad_eps", "gd_step"):
+            if not (getattr(self, name) > 0):
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.gd_max_halvings < 0:
+            raise ValidationError(f"gd_max_halvings must be >= 0, got {self.gd_max_halvings}")
+        if not (self.rel_tol >= 0):
+            raise ValidationError(f"rel_tol must be >= 0, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -73,15 +87,21 @@ def efficiency_gap(tau: float, score_true: float) -> float:
 
 
 def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
-                        d_loss: LogitsDataset, alpha: float) -> float:
+                        d_loss: LogitsDataset, alpha: float, *,
+                        order_hints: list | None = None) -> float:
     """Mean squared gap on d_loss, with tau recomputed on d_tau.
 
     Uses the non-randomized aps score of each true label on both halves.
+    ``order_hints`` is one tuner call's state: ``[tau_perm, loss_perm]``,
+    each half's class order from the previous evaluation (None before the
+    first).  The call reads and refreshes it, so every half is argsorted
+    once and later evaluations re-sort only the rows the map reorders.
+    The loss never depends on the hints.
     """
     if d_tau.k != d_loss.k:
         raise ValidationError("d_tau and d_loss class counts differ")
-    tau_probs = apply_map_dataset(cal_map, d_tau)
-    tau_scores = true_label_scores(_LOSS_SPEC, tau_probs, d_tau.labels)
+    hints = order_hints if order_hints is not None else [None, None]
+    tau_scores = _true_label_loss_scores(cal_map, d_tau, hints, 0)
     threshold = calibrate_threshold(tau_scores, alpha, score_spec=_LOSS_SPEC,
                                     cal_map=cal_map)
     if threshold.is_include_all:
@@ -89,10 +109,16 @@ def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
             "use a larger tau split"
         )
-    loss_probs = apply_map_dataset(cal_map, d_loss)
-    loss_scores = true_label_scores(_LOSS_SPEC, loss_probs, d_loss.labels)
+    loss_scores = _true_label_loss_scores(cal_map, d_loss, hints, 1)
     gaps = threshold.tau - loss_scores
     return float(np.mean(gaps * gaps))
+
+
+def _true_label_loss_scores(cal_map: CalibrationMap, ds: LogitsDataset,
+                            hints: list, half: int) -> np.ndarray:
+    probs = apply_map_dataset(cal_map, ds)
+    sorted_probs, hints[half] = sort_rows(probs, hints[half])
+    return label_scores_from_sorted(_LOSS_SPEC, probs, sorted_probs, ds.labels, 1.0)
 
 
 def split_validation(validation: LogitsDataset,
@@ -151,9 +177,11 @@ def tune_temperature(validation: LogitsDataset, alpha: float,
     """Temperature map minimizing the mean squared efficiency gap."""
     cfg = cfg or TuneConfig()
     d_tau, d_loss = split_validation(validation, cfg)
+    hints: list = [None, None]
 
     def objective(t: float) -> float:
-        return efficiency_gap_loss(CalibrationMap.temperature(t), d_tau, d_loss, alpha)
+        return efficiency_gap_loss(CalibrationMap.temperature(t), d_tau, d_loss, alpha,
+                                   order_hints=hints)
 
     t_best, f_best, evals = minimize_on_log_grid(
         objective, cfg.t_min, cfg.t_max, cfg.grid_points, cfg.refine_tol
@@ -191,8 +219,11 @@ def tune_map_on_split(d_tau: LogitsDataset, d_loss: LogitsDataset, alpha: float,
     else:
         raise ValidationError(f"tune_map supports platt or vector, got {map_kind!r}")
 
+    hints: list = [None, None]
+
     def objective(p: np.ndarray) -> float:
-        return efficiency_gap_loss(_map_from_params(map_kind, p, k), d_tau, d_loss, alpha)
+        return efficiency_gap_loss(_map_from_params(map_kind, p, k), d_tau, d_loss, alpha,
+                                   order_hints=hints)
 
     current = objective(params)
     iterations = 0

@@ -44,6 +44,22 @@ def test_half_coverage_example():
     assert cov == 0.5 and size == 1.0
 
 
+def test_coverage_and_size_match_per_row_membership():
+    rng = np.random.default_rng(0)
+    k = 7
+    member_lists = [sorted(rng.choice(k, size=rng.integers(0, k + 1), replace=False))
+                    for _ in range(200)]
+    member_lists[3] = [2, 2, 5]  # a duplicated member counts once for coverage
+    labels = rng.integers(0, k, size=len(member_lists))
+    covered = sum(bool(np.isin(y, m)) for m, y in zip(member_lists, labels))
+    total = sum(len(m) for m in member_lists)
+    expected = (covered / len(labels), total / len(labels))
+    assert coverage_and_size(make_sets(member_lists), labels) == expected
+    assert coverage_and_size([np.asarray(m, dtype=np.int64) for m in member_lists],
+                             labels) == expected
+    assert coverage_and_size(member_lists, labels) == expected
+
+
 def test_length_mismatch():
     with pytest.raises(ValidationError):
         coverage_and_size(make_sets([[0]]), [0, 1])

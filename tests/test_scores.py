@@ -13,7 +13,13 @@ from confsets import (
     score_all_classes,
     score_temperature_curve,
 )
-from confsets.scores import rank_matrix, score_matrix, true_label_scores
+from confsets.scores import (
+    label_ranks,
+    rank_matrix,
+    score_matrix,
+    sort_rows,
+    true_label_scores,
+)
 
 from oracles import oracle_score
 
@@ -73,6 +79,61 @@ def test_rank_matrix_matches_rank_row(probs):
         np.testing.assert_array_equal(sorted_probs[i], single.sorted_probs)
         np.testing.assert_array_equal(perm[i], single.perm)
         np.testing.assert_array_equal(rank_of[i], single.rank_of)
+
+
+@st.composite
+def tied_prob_matrices(draw):
+    """Small probability matrices with many ties and exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 8)), draw(st.integers(2, 7))
+    weights = rng.integers(0, 4, size=(n, k)).astype(float)
+    weights[:, 0] += 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@given(tied_prob_matrices())
+def test_label_ranks_match_rank_matrix(probs):
+    _, _, rank_of = rank_matrix(probs)
+    n, k = probs.shape
+    for y in range(k):
+        np.testing.assert_array_equal(label_ranks(probs, np.full(n, y)), rank_of[:, y])
+
+
+@given(tied_prob_matrices(), st.integers(0, 2**32 - 1))
+def test_sort_rows_with_any_hint_matches_stable_sort(probs, seed):
+    expected, _ = sort_rows(probs)
+    hint = np.argsort(np.random.default_rng(seed).random(probs.shape), axis=1)
+    sorted_probs, perm = sort_rows(probs, hint)
+    np.testing.assert_array_equal(sorted_probs, expected)
+    np.testing.assert_array_equal(np.take_along_axis(probs, perm, axis=1), expected)
+    assert perm is hint
+
+
+def _label_scores_via_rank_of(spec, probs, labels, u):
+    # the rank_matrix formulation: rank_of gather into the sorted cumsum
+    sorted_probs, _, rank_of = rank_matrix(probs)
+    rows = np.arange(probs.shape[0])
+    ranks = rank_of[rows, labels]
+    p_max = sorted_probs[:, 0]
+    if spec.kind == "saps":
+        return np.where(ranks == 1, u * p_max, p_max + (ranks - 2 + u) * spec.saps_lambda)
+    at_rank = sorted_probs[rows, ranks - 1]
+    values = np.cumsum(sorted_probs, axis=1)[rows, ranks - 1] - (1.0 - u) * at_rank
+    if spec.kind == "raps":
+        values = values + spec.raps_lambda * np.maximum(0, ranks - spec.raps_kreg)
+    return values
+
+
+@given(tied_prob_matrices(), spec_strategy(), st.integers(0, 2**32 - 1))
+def test_true_label_scores_match_rank_of_formulation(probs, spec, seed):
+    if spec.kind == "lac":
+        return
+    rng = np.random.default_rng(seed)
+    n, k = probs.shape
+    labels = rng.integers(0, k, size=n)
+    u = rng.random(n) if spec.uses_u else None
+    expected = _label_scores_via_rank_of(spec, probs, labels, u if u is not None else np.ones(n))
+    np.testing.assert_array_equal(true_label_scores(spec, probs, labels, u), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,18 @@ def test_tune_map_rejects_unknown_kind():
         tune_map(validation, 0.1, "temperature")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("refine_tol", 0.0),
+    ("gd_grad_eps", 0.0),
+    ("gd_step", 0.0),
+    ("gd_max_halvings", -1),
+    ("rel_tol", -1e-9),
+])
+def test_tune_config_rejects_values_that_break_the_optimizer(field, value):
+    with pytest.raises(ValidationError, match=field):
+        TuneConfig(**{field: value})
+
+
 def test_tune_report_round_trip(tmp_path):
     import json
 
