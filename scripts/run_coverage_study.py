@@ -44,7 +44,7 @@ def main():
                                 saps_lambda=base.saps_lambda, rng_seed=seed)
             result = cs.run_pipeline(cal, test, cs.CalibrationMap.identity(),
                                      spec, args.alpha)
-            cov, size = cs.coverage_and_size(result.sets, test.labels)
+            cov, size = cs.coverage_and_size(result.mask, test.labels)
             covs.append(cov)
             sizes.append(size)
         print(f"{name:<20} {np.mean(covs):>9.4f} {np.mean(sizes):>9.3f}")

@@ -33,7 +33,7 @@ def one_seed(seed, args):
                           ("tuned", tuned)):
         result = cs.run_pipeline(inner["conformal"], top["test"], cal_map,
                                  spec, args.alpha)
-        rows[name] = cs.coverage_and_size(result.sets, top["test"].labels)
+        rows[name] = cs.coverage_and_size(result.mask, top["test"].labels)
     return tuned.t, rows
 
 

@@ -26,7 +26,7 @@ def sweep(ds, grid, precision, alpha, seed):
         cal_map = cs.CalibrationMap.temperature(t)
         result = cs.run_pipeline(halves["cal"], halves["test"], cal_map, spec,
                                  alpha, precision=precision)
-        cov, size = cs.coverage_and_size(result.sets, halves["test"].labels)
+        cov, size = cs.coverage_and_size(result.mask, halves["test"].labels)
         frac, _ = cs.truncation_diagnostic(cal_map, halves["test"], precision=precision)
         print(f"{t:>6.3f} {cov:>9.4f} {size:>9.3f} {frac:>15.4f}")
     print()

@@ -7,12 +7,12 @@ vector scaling) to shrink those sets without giving up coverage.
 
 from .data import LogitsDataset, SplitSpec, load_dataset, save_dataset, split_dataset
 from .engine import (
-    INCLUDE_ALL,
     ConformalThreshold,
     PipelineResult,
     PredictionSet,
+    calibrate,
     calibrate_threshold,
-    predict_set,
+    predict,
     predict_sets,
     run_pipeline,
 )
@@ -26,16 +26,7 @@ from .metrics import (
     size_by_rank,
     truncation_diagnostic,
 )
-from .scores import (
-    RankedRow,
-    ScoreSpec,
-    draw_u,
-    draw_u_many,
-    rank_row,
-    score,
-    score_all_classes,
-    score_temperature_curve,
-)
+from .scores import ScoreSpec, draw_u_many
 from .synth import SynthSpec, generate, generate_paired_shifted
 from .tuning import (
     TuneConfig,
@@ -52,11 +43,9 @@ __all__ = [
     "CalibrationMap",
     "ConformalThreshold",
     "EvaluationReport",
-    "INCLUDE_ALL",
     "LogitsDataset",
     "PipelineResult",
     "PredictionSet",
-    "RankedRow",
     "ScoreSpec",
     "SplitSpec",
     "SynthSpec",
@@ -66,9 +55,9 @@ __all__ = [
     "apply_map",
     "apply_map_dataset",
     "build_report",
+    "calibrate",
     "calibrate_threshold",
     "coverage_and_size",
-    "draw_u",
     "draw_u_many",
     "efficiency_gap",
     "efficiency_gap_loss",
@@ -77,15 +66,11 @@ __all__ = [
     "generate_paired_shifted",
     "load_dataset",
     "load_map",
-    "predict_set",
+    "predict",
     "predict_sets",
-    "rank_row",
     "run_pipeline",
     "save_dataset",
     "save_map",
-    "score",
-    "score_all_classes",
-    "score_temperature_curve",
     "size_by_rank",
     "split_dataset",
     "truncation_diagnostic",

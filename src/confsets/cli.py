@@ -16,11 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data, engine, maps, metrics, synth, tuning
 from .errors import ValidationError
-from .scores import ScoreSpec, draw_u_many, true_label_scores
+from .scores import ScoreSpec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,32 +148,27 @@ def cmd_calibrate(args) -> None:
         raise ValidationError(f"--lambda is not valid for --score {args.score}")
     if args.score != "raps" and args.kreg is not None:
         raise ValidationError(f"--kreg is not valid for --score {args.score}")
-    spec = _score_spec_from_args(args)
-    probs = maps.apply_map_dataset(cal_map, ds)
-    u = draw_u_many(spec.rng_seed, np.arange(ds.n)) if spec.uses_u else None
-    scores = true_label_scores(spec, probs, ds.labels, u)
-    threshold = engine.calibrate_threshold(scores, args.alpha, score_spec=spec,
-                                           cal_map=cal_map)
+    threshold = engine.calibrate(ds, cal_map, _score_spec_from_args(args), args.alpha)
     engine.save_threshold(threshold, args.out)
 
 
 def cmd_predict(args) -> None:
-    ds = _load_dataset(args.input)
     threshold = engine.load_threshold(args.threshold)
-    probs = maps.apply_map_dataset(threshold.cal_map, ds)
-    u = None
-    if threshold.score_spec.uses_u:
-        u = draw_u_many(args.seed, threshold.n_cal + np.arange(ds.n))
-    sets = engine.predict_sets(threshold, probs, u)
-    engine.save_prediction_sets(sets, args.out)
+    if args.seed != threshold.score_spec.rng_seed:
+        raise ValidationError(
+            f"--seed {args.seed} differs from the threshold's calibration seed "
+            f"{threshold.score_spec.rng_seed}; predict draws u from the calibration seed"
+        )
+    ds = _load_dataset(args.input)
+    engine.save_prediction_sets(engine.predict(threshold, ds), args.out)
 
 
 def cmd_evaluate(args) -> None:
     ds = _load_dataset(args.input)
-    sets = engine.load_prediction_sets(args.sets)
-    if len(sets) != ds.n:
+    mask = engine.load_prediction_sets(args.sets, ds.k)
+    if mask.shape[0] != ds.n:
         raise ValidationError(
-            f"--sets has {len(sets)} entries but --in has {ds.n} rows"
+            f"--sets has {mask.shape[0]} entries but --in has {ds.n} rows"
         )
     alpha = None
     score_desc = None
@@ -187,7 +180,7 @@ def cmd_evaluate(args) -> None:
         cal_map = threshold.cal_map
     probs = maps.apply_map_dataset(cal_map, ds)
     bins = _parse_rank_bins(args.bins, ds.k)
-    report = metrics.build_report(sets, ds, probs, rank_bins=bins,
+    report = metrics.build_report(mask, ds, probs, rank_bins=bins,
                                   ece_bins=args.ece_bins, alpha=alpha,
                                   score=score_desc, map_desc=cal_map.to_json_dict())
     metrics.save_report(report, args.out)
@@ -211,7 +204,7 @@ def cmd_demo_precision(args) -> None:
         cal_map = maps.CalibrationMap.temperature(t)
         result = engine.run_pipeline(halves["cal"], halves["test"], cal_map, spec,
                                      args.alpha, precision=args.precision)
-        cov, avg_size = metrics.coverage_and_size(result.sets, halves["test"].labels)
+        cov, avg_size = metrics.coverage_and_size(result.mask, halves["test"].labels)
         fraction, _ = metrics.truncation_diagnostic(cal_map, halves["test"],
                                                     precision=args.precision)
         rows.append({"t": t, "coverage": cov, "average_size": avg_size,

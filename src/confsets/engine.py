@@ -3,8 +3,12 @@
 The threshold is the ceil((n+1)(1-alpha))-th smallest calibration score,
 computed with exact rational arithmetic (naive float evaluation of
 (n+1)*(1-alpha) can land on the wrong side of an integer).  When that
-level exceeds n the threshold is the INCLUDE_ALL sentinel and every
-prediction set is the full label set.
+level exceeds n the threshold is tau = +inf and every prediction set is
+the full label set; threshold files spell it "include_all".
+
+A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
+True when class k is in row i's set.  The JSONL sets file is converted
+to and from that mask only at the file edge.
 """
 
 from __future__ import annotations
@@ -19,49 +23,33 @@ import numpy as np
 from .data import LogitsDataset
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import (
-    ScoreSpec,
-    draw_u_many,
-    score_all_classes,
-    score_matrix,
-    true_label_scores,
-)
+from .scores import ScoreSpec, draw_u_many, score_matrix, true_label_scores
 
 
-class _IncludeAll:
-    """Sentinel: calibration size too small for the requested alpha."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INCLUDE_ALL"
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-INCLUDE_ALL = _IncludeAll()
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
 class ConformalThreshold:
-    """Calibrated tau plus everything needed to reproduce it."""
+    """Calibrated tau plus everything needed to reproduce it.
 
-    tau: float | _IncludeAll
+    ``tau`` is +inf when the calibration set is too small for alpha.
+    """
+
+    tau: float
     alpha: float
     n_cal: int
     score_spec: ScoreSpec
     cal_map: CalibrationMap
 
-    @property
-    def is_include_all(self) -> bool:
-        return self.tau is INCLUDE_ALL
-
     def to_json_dict(self) -> dict:
         return {
-            "tau": "include_all" if self.is_include_all else float(self.tau),
+            "tau": "include_all" if self.tau == math.inf else float(self.tau),
             "alpha": self.alpha,
             "n_cal": self.n_cal,
             "score": self.score_spec.to_json_dict(),
@@ -70,14 +58,26 @@ class ConformalThreshold:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ConformalThreshold":
+        if not isinstance(obj, dict):
+            raise ValidationError("threshold JSON must be an object")
         for key in ("tau", "alpha", "n_cal", "score", "map"):
             if key not in obj:
                 raise ValidationError(f"threshold JSON missing field {key!r}")
-        tau = INCLUDE_ALL if obj["tau"] == "include_all" else float(obj["tau"])
+        tau, alpha, n_cal = obj["tau"], obj["alpha"], obj["n_cal"]
+        if tau == "include_all":
+            tau = math.inf
+        elif not (_is_number(tau) and math.isfinite(tau)):
+            raise ValidationError(
+                f"threshold tau must be a finite number or 'include_all', got {tau!r}"
+            )
+        if not (_is_number(alpha) and 0.0 < alpha < 1.0):
+            raise ValidationError(f"threshold alpha must be in (0, 1), got {alpha!r}")
+        if not (_is_int(n_cal) and n_cal >= 1):
+            raise ValidationError(f"threshold n_cal must be an integer >= 1, got {n_cal!r}")
         return cls(
-            tau=tau,
-            alpha=float(obj["alpha"]),
-            n_cal=int(obj["n_cal"]),
+            tau=float(tau),
+            alpha=float(alpha),
+            n_cal=n_cal,
             score_spec=ScoreSpec.from_json_dict(obj["score"]),
             cal_map=CalibrationMap.from_json_dict(obj["map"]),
         )
@@ -85,16 +85,10 @@ class ConformalThreshold:
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Classes whose score fell at or below tau for one test sample."""
+    """One row of a prediction-set mask: the sample index and its member classes."""
 
     sample_index: int
     members: np.ndarray
-
-    def __contains__(self, label) -> bool:
-        return bool(np.isin(label, self.members))
-
-    def __len__(self) -> int:
-        return int(self.members.shape[0])
 
 
 def conformal_level(n: int, alpha: float) -> int:
@@ -108,7 +102,7 @@ def calibrate_threshold(cal_scores, alpha: float,
     """Order-statistic threshold over the calibration scores.
 
     Returns the smallest observed score s such that the fraction of
-    scores <= s reaches ceil((n+1)(1-alpha))/n, or INCLUDE_ALL when that
+    scores <= s reaches ceil((n+1)(1-alpha))/n, or tau = +inf when that
     level exceeds 1.
     """
     scores = np.asarray(cal_scores, dtype=np.float64)
@@ -119,7 +113,7 @@ def calibrate_threshold(cal_scores, alpha: float,
     n = scores.shape[0]
     level = conformal_level(n, alpha)
     if level > n:
-        tau: float | _IncludeAll = INCLUDE_ALL
+        tau = math.inf
     else:
         tau = float(np.partition(scores, level - 1)[level - 1])
     return ConformalThreshold(
@@ -131,74 +125,61 @@ def calibrate_threshold(cal_scores, alpha: float,
     )
 
 
-def predict_set(threshold: ConformalThreshold, probs_row: np.ndarray,
-                u: float | None = None, sample_index: int = 0) -> PredictionSet:
-    """Prediction set for one probability row under a calibrated threshold."""
-    p = np.asarray(probs_row, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValidationError("probs_row must be 1-d")
-    if threshold.is_include_all:
-        members = np.arange(p.shape[0])
-    else:
-        row_scores = score_all_classes(threshold.score_spec, p, u)
-        members = np.flatnonzero(row_scores <= threshold.tau)
-    return PredictionSet(sample_index=sample_index, members=members)
-
-
 def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
-                 u: np.ndarray | None = None,
-                 start_index: int = 0) -> list[PredictionSet]:
-    """Vectorized predict_set over a probability matrix."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValidationError("probs must be an n-by-K matrix")
-    n, k = p.shape
-    if threshold.is_include_all:
-        return [
-            PredictionSet(sample_index=start_index + i, members=np.arange(k))
-            for i in range(n)
-        ]
-    matrix = score_matrix(threshold.score_spec, p, u)
-    keep = matrix <= threshold.tau
-    return [
-        PredictionSet(sample_index=start_index + i, members=np.flatnonzero(keep[i]))
-        for i in range(n)
-    ]
+                 u: np.ndarray | None = None) -> np.ndarray:
+    """n-by-K boolean mask of the classes whose score is <= tau."""
+    return score_matrix(threshold.score_spec, probs, u) <= threshold.tau
+
+
+def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
+              alpha: float, precision: str = "f64") -> ConformalThreshold:
+    """Threshold over the true-label scores of ``ds`` under ``cal_map``.
+
+    Row i draws its u at sample index i under spec.rng_seed.
+    """
+    probs = apply_map_dataset(cal_map, ds, precision=precision)
+    u = draw_u_many(spec.rng_seed, np.arange(ds.n)) if spec.uses_u else None
+    scores = true_label_scores(spec, probs, ds.labels, u)
+    return calibrate_threshold(scores, alpha, score_spec=spec, cal_map=cal_map)
+
+
+def predict(threshold: ConformalThreshold, ds: LogitsDataset,
+            precision: str = "f64") -> np.ndarray:
+    """Prediction-set mask for ``ds`` under a calibrated threshold.
+
+    Row i draws its u at sample index n_cal + i under the threshold's
+    seed, so the test stream never overlaps the calibration stream.
+    """
+    spec = threshold.score_spec
+    probs = apply_map_dataset(threshold.cal_map, ds, precision=precision)
+    u = None
+    if spec.uses_u:
+        u = draw_u_many(spec.rng_seed, threshold.n_cal + np.arange(ds.n))
+    return predict_sets(threshold, probs, u)
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     threshold: ConformalThreshold
-    sets: list[PredictionSet]
+    mask: np.ndarray
+
+    @property
+    def sets(self) -> list[PredictionSet]:
+        """The mask as one PredictionSet per row, in row order."""
+        return [PredictionSet(sample_index=i, members=np.flatnonzero(row))
+                for i, row in enumerate(self.mask)]
 
 
 def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
                  cal_map: CalibrationMap, score_spec: ScoreSpec,
                  alpha: float, precision: str = "f64") -> PipelineResult:
-    """Calibrate on ``cal`` (true-label scores) and predict sets on ``test``.
-
-    Uniform draws use sample indices 0..n_cal-1 for calibration and
-    n_cal..n_cal+n_test-1 for test rows, under score_spec.rng_seed, so
-    the two streams are disjoint and reproducible.
-    """
+    """Calibrate on ``cal`` and predict sets on ``test``."""
     if cal.k != test.k:
         raise ValidationError(
             f"calibration and test class counts differ ({cal.k} vs {test.k})"
         )
-    cal_probs = apply_map_dataset(cal_map, cal, precision=precision)
-    u_cal = None
-    if score_spec.uses_u:
-        u_cal = draw_u_many(score_spec.rng_seed, np.arange(cal.n))
-    cal_scores = true_label_scores(score_spec, cal_probs, cal.labels, u_cal)
-    threshold = calibrate_threshold(cal_scores, alpha,
-                                    score_spec=score_spec, cal_map=cal_map)
-
-    test_probs = apply_map_dataset(cal_map, test, precision=precision)
-    u_test = None
-    if score_spec.uses_u:
-        u_test = draw_u_many(score_spec.rng_seed, cal.n + np.arange(test.n))
-    sets = predict_sets(threshold, test_probs, u_test)
-    return PipelineResult(threshold=threshold, sets=sets)
+    threshold = calibrate(cal, cal_map, score_spec, alpha, precision)
+    return PipelineResult(threshold=threshold, mask=predict(threshold, test, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +201,21 @@ def load_threshold(path) -> ConformalThreshold:
     return ConformalThreshold.from_json_dict(obj)
 
 
-def save_prediction_sets(sets: list[PredictionSet], path) -> None:
-    """One JSON object per line: {"index": int, "set": [int, ...]}."""
+def save_prediction_sets(mask: np.ndarray, path) -> None:
+    """One JSON object per mask row: {"index": int, "set": [int, ...]}."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for ps in sets:
-            fh.write(json.dumps({"index": ps.sample_index,
-                                 "set": [int(m) for m in ps.members]}))
+        for i, row in enumerate(mask):
+            fh.write(json.dumps({"index": i, "set": np.flatnonzero(row).tolist()}))
             fh.write("\n")
 
 
-def load_prediction_sets(path) -> list[PredictionSet]:
-    sets: list[PredictionSet] = []
+def load_prediction_sets(path, k: int) -> np.ndarray:
+    """The n-by-k mask of a sets file.
+
+    The i-th set (blank lines skipped) must carry "index": i and distinct
+    integer members in [0, k).
+    """
+    sets: list[list[int]] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -242,12 +227,28 @@ def load_prediction_sets(path) -> list[PredictionSet]:
                 raise ValidationError(
                     f"prediction-sets line {lineno}: invalid JSON ({exc})"
                 ) from exc
-            if "index" not in obj or "set" not in obj:
+            if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
                 raise ValidationError(
                     f"prediction-sets line {lineno}: missing 'index' or 'set'"
                 )
-            sets.append(PredictionSet(
-                sample_index=int(obj["index"]),
-                members=np.asarray(sorted(int(m) for m in obj["set"]), dtype=np.int64),
-            ))
-    return sets
+            index, members = obj["index"], obj["set"]
+            if not (_is_int(index) and index == len(sets)):
+                raise ValidationError(
+                    f"prediction-sets line {lineno}: index {index!r} is not the "
+                    f"row position {len(sets)}"
+                )
+            if not (isinstance(members, list) and all(_is_int(m) for m in members)):
+                raise ValidationError(
+                    f"prediction-sets line {lineno}: 'set' must be a list of integers"
+                )
+            if members and (min(members) < 0 or max(members) >= k):
+                raise ValidationError(
+                    f"prediction-sets line {lineno}: member outside [0, {k})"
+                )
+            if len(set(members)) != len(members):
+                raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
+            sets.append(members)
+    mask = np.zeros((len(sets), k), dtype=bool)
+    for i, members in enumerate(sets):
+        mask[i, members] = True
+    return mask

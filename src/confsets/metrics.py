@@ -1,6 +1,7 @@
 """Evaluation of prediction sets and probability calibration.
 
-Coverage and average size are exact ratios over the test set.  ECE uses
+Prediction sets arrive as one n-by-K boolean mask (row i holds sample
+i's set).  Coverage and average size are exact ratios over the test set.  ECE uses
 M equal-width bins over top-1 confidence, bin m = ((m-1)/M, m/M] with a
 confidence of 0 assigned to the first bin.  Adaptiveness is summarized
 by binning samples on the rank of their true label and averaging set
@@ -17,7 +18,7 @@ import numpy as np
 from .data import LogitsDataset
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import RankedRow, rank_matrix
+from .scores import label_ranks
 
 DEFAULT_ECE_BINS = 15
 
@@ -54,23 +55,17 @@ class EvaluationReport:
         }
 
 
-def coverage_and_size(sets, labels) -> tuple[float, float]:
+def coverage_and_size(mask: np.ndarray, labels) -> tuple[float, float]:
     """(fraction of sets containing the true label, mean set size)."""
+    mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(sets) != labels.shape[0]:
+    if mask.ndim != 2 or mask.shape[0] != labels.shape[0]:
         raise ValidationError(
-            f"got {len(sets)} sets for {labels.shape[0]} labels"
+            f"a set mask of shape {mask.shape} does not fit {labels.shape[0]} labels"
         )
     n = labels.shape[0]
-    members = [ps.members if hasattr(ps, "members") else np.asarray(ps) for ps in sets]
-    sizes = np.asarray([m.shape[0] for m in members], dtype=np.int64)
-    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
-    owner = np.repeat(np.arange(n), sizes)
-    hit = np.zeros(n, dtype=bool)
-    hit[owner[flat == labels[owner]]] = True
-    covered = int(np.count_nonzero(hit))
-    total_size = int(sizes.sum())
-    return covered / n, total_size / n
+    covered = int(np.count_nonzero(mask[np.arange(n), labels]))
+    return covered / n, int(np.count_nonzero(mask)) / n
 
 
 def expected_calibration_error(probs: np.ndarray, labels,
@@ -130,29 +125,27 @@ def _bin_label(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
-def size_by_rank(sets, ranked: list[RankedRow], labels,
+def size_by_rank(mask: np.ndarray, true_ranks,
                  bins: list[tuple[int, int]] | None = None) -> dict[str, tuple[int, float]]:
     """Per-difficulty-bin (count, mean set size), keyed by rank-range label.
 
-    ``ranked`` carries each row's rank map; a sample lands in the bin
-    containing the 1-indexed rank of its true label.
+    ``true_ranks`` holds the 1-indexed rank of each row's true label; a
+    sample lands in the bin containing it.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if not (len(sets) == len(ranked) == labels.shape[0]):
-        raise ValidationError("sets, ranked rows, and labels must align")
-    k = ranked[0].rank_of.shape[0]
+    mask = np.asarray(mask, dtype=bool)
+    true_ranks = np.asarray(true_ranks, dtype=np.int64)
+    if mask.ndim != 2 or true_ranks.shape != (mask.shape[0],):
+        raise ValidationError("the set mask and the true ranks must align")
+    k = mask.shape[1]
     if bins is None:
         bins = default_rank_bins(k)
     _validate_rank_bins(bins, k)
-    true_ranks = np.asarray(
-        [int(r.rank_of[label]) for r, label in zip(ranked, labels)]
-    )
-    sizes = np.asarray([len(ps.members) for ps in sets], dtype=np.float64)
+    sizes = mask.sum(axis=1).astype(np.float64)
     out: dict[str, tuple[int, float]] = {}
     for lo, hi in bins:
-        mask = (true_ranks >= lo) & (true_ranks <= hi)
-        count = int(mask.sum())
-        mean = float(sizes[mask].mean()) if count else 0.0
+        in_bin = (true_ranks >= lo) & (true_ranks <= hi)
+        count = int(in_bin.sum())
+        mean = float(sizes[in_bin].mean()) if count else 0.0
         out[_bin_label(lo, hi)] = (count, mean)
     return out
 
@@ -166,36 +159,29 @@ def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
     """
     if cal_map.kind != "temperature":
         raise ValidationError("truncation diagnostic requires a temperature map")
-    probs = apply_map_dataset(cal_map, ds, precision=precision)
+    return _zero_rows(apply_map_dataset(cal_map, ds, precision=precision))
+
+
+def _zero_rows(probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """(fraction of rows holding an exact zero, each row's count of zeros)."""
     zero_counts = (probs == 0.0).sum(axis=1)
     return float((zero_counts > 0).mean()), zero_counts
 
 
-def zero_tail_row_fraction(probs: np.ndarray) -> float:
-    """Fraction of probability rows containing an exact zero."""
-    p = np.asarray(probs)
-    return float(((p == 0.0).any(axis=1)).mean())
-
-
-def build_report(sets, ds: LogitsDataset, probs: np.ndarray,
+def build_report(mask: np.ndarray, ds: LogitsDataset, probs: np.ndarray,
                  rank_bins=None, ece_bins: int = DEFAULT_ECE_BINS,
                  alpha: float | None = None, score: dict | None = None,
                  map_desc: dict | None = None) -> EvaluationReport:
-    """Assemble the full evaluation report for one prediction-set batch."""
-    cov, avg_size = coverage_and_size(sets, ds.labels)
+    """Assemble the full evaluation report for one prediction-set mask."""
+    cov, avg_size = coverage_and_size(mask, ds.labels)
     ece = expected_calibration_error(probs, ds.labels, ece_bins)
-    sorted_probs, perm, rank_of = rank_matrix(probs)
-    ranked = [
-        RankedRow(sorted_probs=sorted_probs[i], perm=perm[i], rank_of=rank_of[i])
-        for i in range(ds.n)
-    ]
-    by_rank = size_by_rank(sets, ranked, ds.labels, bins=rank_bins)
+    by_rank = size_by_rank(mask, label_ranks(probs, ds.labels), bins=rank_bins)
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,
         ece=ece,
         size_by_rank_bin=by_rank,
-        truncated_row_fraction=zero_tail_row_fraction(probs),
+        truncated_row_fraction=_zero_rows(probs)[0],
         alpha=alpha,
         n_test=ds.n,
         score=score,

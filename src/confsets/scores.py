@@ -90,20 +90,6 @@ class ScoreSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RankedRow:
-    """One row's probabilities sorted descending, with both rank maps.
-
-    ``perm[j]`` is the class sitting at sorted position j; ``rank_of[k]``
-    is the 1-indexed position of class k.  Ties in probability are ordered
-    by ascending class index.
-    """
-
-    sorted_probs: np.ndarray
-    perm: np.ndarray
-    rank_of: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # counter-based uniform draws
 
@@ -114,18 +100,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def draw_u(seed: int, sample_index: int) -> float:
-    """Uniform draw in [0, 1), a pure function of (seed, sample_index).
+def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1), each a pure function of (seed, sample_index).
 
     SplitMix64-style finalizer on seed + (index+1) * golden gamma; the
     i-th draw never depends on any other index, so any evaluation order
     (or parallel schedule) reproduces the serial stream.
     """
-    return float(draw_u_many(seed, np.asarray([sample_index]))[0])
-
-
-def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
-    """Vectorized draw_u over an index array."""
     raw = np.asarray(sample_indices)
     if raw.size and int(raw.min()) < 0:
         raise ValidationError("sample indices must be non-negative")
@@ -139,27 +120,6 @@ def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # ranking
-
-
-def rank_row(probs: np.ndarray) -> RankedRow:
-    """Sort one probability row descending with the deterministic tie rule."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValidationError("probs must be a 1-d vector")
-    _check_normalized(p[None, :])
-    perm = np.argsort(-p, kind="stable")
-    rank_of = np.empty(p.shape[0], dtype=np.int64)
-    rank_of[perm] = np.arange(1, p.shape[0] + 1)
-    return RankedRow(sorted_probs=p[perm], perm=perm, rank_of=rank_of)
-
-
-def rank_matrix(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched rank_row: (sorted_probs, perm, rank_of), each n-by-K."""
-    sorted_probs, perm = sort_rows(probs)
-    rank_of = np.empty_like(perm)
-    n, k = perm.shape
-    np.put_along_axis(rank_of, perm, np.broadcast_to(np.arange(1, k + 1), (n, k)), axis=1)
-    return sorted_probs, perm, rank_of
 
 
 def sort_rows(probs: np.ndarray,
@@ -194,8 +154,8 @@ def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1-indexed rank of each row's label, without sorting.
 
     Counts #(p > p_y) + #(p == p_y and class < y), which is the label's
-    position in the stable descending argsort, so it equals
-    ``rank_matrix(probs)[2][rows, labels]`` ties and exact zeros included.
+    position in the stable descending argsort (ties and exact zeros
+    included).
     """
     rows = np.arange(probs.shape[0])
     p_y = probs[rows, labels][:, None]
@@ -215,39 +175,6 @@ def _check_normalized(probs: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # scoring
-
-
-def _check_u(spec: ScoreSpec, u: float | None) -> float:
-    if spec.kind == "lac":
-        return 1.0
-    if spec.randomized:
-        if u is None:
-            raise ValidationError("randomized score requires a uniform draw u")
-        if not (0.0 <= u <= 1.0):
-            raise ValidationError(f"u must be in [0, 1], got {u}")
-        return float(u)
-    if u is not None:
-        raise ValidationError("u must be absent for a non-randomized score")
-    return 1.0
-
-
-def score(spec: ScoreSpec, probs: np.ndarray, class_k: int,
-          u: float | None = None) -> float:
-    """Non-conformity score of one (row, class) pair."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValidationError("probs must be a 1-d vector")
-    if not (0 <= class_k < p.shape[0]):
-        raise ValidationError(f"class {class_k} not in [0, {p.shape[0]})")
-    return float(score_all_classes(spec, p, u)[class_k])
-
-
-def score_all_classes(spec: ScoreSpec, probs: np.ndarray,
-                      u: float | None = None) -> np.ndarray:
-    """Scores for every class of one row, sharing the same u draw."""
-    u_eff = _check_u(spec, u)
-    return _score_matrix_checked(spec, np.asarray(probs, dtype=np.float64)[None, :],
-                                 np.asarray([u_eff]))[0]
 
 
 def score_matrix(spec: ScoreSpec, probs: np.ndarray,
@@ -333,27 +260,3 @@ def _score_matrix_checked(spec: ScoreSpec, p: np.ndarray, u: np.ndarray) -> np.n
     np.put_along_axis(out, perm, by_rank, axis=1)
     return out
 
-
-def score_temperature_curve(logits_row: np.ndarray, class_k: int,
-                            t_grid) -> np.ndarray:
-    """Non-randomized aps score of one class across a temperature grid.
-
-    The grid must be sorted ascending with positive entries.  Because
-    temperature scaling preserves the probability order, the class rank
-    is the same at every grid point.
-    """
-    from .maps import CalibrationMap, apply_map
-
-    grid = np.asarray(t_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("t_grid must be a non-empty 1-d list")
-    if np.any(grid <= 0):
-        raise ValidationError("temperatures must be positive")
-    if np.any(np.diff(grid) < 0):
-        raise ValidationError("t_grid must be sorted ascending")
-    spec = ScoreSpec(kind="aps", randomized=False)
-    out = np.empty(grid.shape[0])
-    for j, t in enumerate(grid):
-        probs = apply_map(CalibrationMap.temperature(t), logits_row)
-        out[j] = score(spec, probs, class_k)
-    return out

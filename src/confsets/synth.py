@@ -39,13 +39,7 @@ class SynthSpec:
 
 def generate(spec: SynthSpec) -> LogitsDataset:
     """Deterministic-in-seed sample of the synthetic logits model."""
-    rng = np.random.default_rng(spec.seed)
-    labels = rng.integers(0, spec.k, size=spec.n)
-    noise = rng.standard_normal((spec.n, spec.k))
-    logits = spec.noise * noise
-    logits[np.arange(spec.n), labels] += spec.signal
-    logits *= spec.overconfidence
-    return LogitsDataset(logits, labels)
+    return _sample(spec, np.random.default_rng(spec.seed), spec.signal)
 
 
 def generate_paired_shifted(spec: SynthSpec, shift: float) -> tuple[LogitsDataset, LogitsDataset]:
@@ -54,12 +48,15 @@ def generate_paired_shifted(spec: SynthSpec, shift: float) -> tuple[LogitsDatase
         raise ValidationError(
             f"shift must be < signal ({spec.signal}), got {shift}"
         )
-    base = generate(spec)
     child_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
-    rng = np.random.default_rng(child_seed)
+    shifted = _sample(spec, np.random.default_rng(child_seed), spec.signal - shift)
+    return generate(spec), shifted
+
+
+def _sample(spec: SynthSpec, rng: np.random.Generator, signal: float) -> LogitsDataset:
     labels = rng.integers(0, spec.k, size=spec.n)
     noise = rng.standard_normal((spec.n, spec.k))
     logits = spec.noise * noise
-    logits[np.arange(spec.n), labels] += spec.signal - shift
+    logits[np.arange(spec.n), labels] += signal
     logits *= spec.overconfidence
-    return base, LogitsDataset(logits, labels)
+    return LogitsDataset(logits, labels)

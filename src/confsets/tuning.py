@@ -104,7 +104,7 @@ def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
     tau_scores = _true_label_loss_scores(cal_map, d_tau, hints, 0)
     threshold = calibrate_threshold(tau_scores, alpha, score_spec=_LOSS_SPEC,
                                     cal_map=cal_map)
-    if threshold.is_include_all:
+    if threshold.tau == math.inf:
         raise ValidationError(
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
             "use a larger tau split"

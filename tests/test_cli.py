@@ -184,3 +184,76 @@ def test_repeat_runs_byte_identical(tmp_path):
     files2 = run_chain(d2, seed=11, n=3000)
     for f1, f2 in zip(files1, files2):
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# artifacts that could void the coverage guarantee exit 1
+
+
+@pytest.fixture
+def predicted(tmp_path):
+    """Seed-7 randomized aps threshold on K=10 data and the sets it predicts."""
+    cal = synth_file(tmp_path, name="cal.bin", n=300, k=10, seed=7)
+    test = synth_file(tmp_path, name="test.bin", n=50, k=10, seed=8)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    threshold = tmp_path / "threshold.json"
+    assert run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--randomized", "true", "--params", str(params), "--seed", "7",
+                   "--out", str(threshold)) == 0
+    sets = tmp_path / "sets.jsonl"
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets)) == 0
+    return cal, test, threshold, sets
+
+
+def test_predict_seed_must_be_the_calibration_seed(tmp_path, predicted, capsys):
+    from confsets import CalibrationMap, ScoreSpec, load_dataset, run_pipeline
+    from confsets.engine import load_prediction_sets
+
+    cal, test, threshold, sets = predicted
+    expected = run_pipeline(load_dataset(cal, "binary"), load_dataset(test, "binary"),
+                            CalibrationMap.identity(),
+                            ScoreSpec(kind="aps", randomized=True, rng_seed=7), 0.1)
+    np.testing.assert_array_equal(load_prediction_sets(sets, 10), expected.mask)
+    code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "8", "--out", str(tmp_path / "other.jsonl"))
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", float("nan")), ("tau", float("inf")), ("tau", float("-inf")), ("tau", "all"),
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", 7), ("alpha", float("nan")),
+    ("n_cal", 0), ("n_cal", 2.5), ("n_cal", "300"), ("n_cal", True),
+])
+def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
+    _, test, threshold, _ = predicted
+    obj = json.loads(threshold.read_text())
+    obj[field] = value
+    bad = tmp_path / "bad_threshold.json"
+    bad.write_text(json.dumps(obj))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
+                   "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
+    assert code == 1
+
+
+@pytest.mark.parametrize("first_line", [
+    '{"index": 0, "set": [1.7]}',
+    '{"index": 0, "set": [true]}',
+    '{"index": 0, "set": [10]}',
+    '{"index": 0, "set": [99]}',
+    '{"index": 0, "set": [-1]}',
+    '{"index": 0, "set": [3, 3]}',
+    '{"index": 5, "set": [0]}',
+])
+def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, capsys):
+    _, test, threshold, sets = predicted
+    lines = sets.read_text().splitlines()
+    bad = tmp_path / "bad_sets.jsonl"
+    bad.write_text("\n".join([first_line] + lines[1:]) + "\n")
+    code = run_cli("evaluate", "--sets", str(bad), "--in", str(test), "--bins", "default",
+                   "--ece-bins", "15", "--threshold", str(threshold),
+                   "--out", str(tmp_path / "report.json"))
+    assert code == 1
+    assert "line 0" in capsys.readouterr().err

@@ -1,18 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from confsets import (
-    INCLUDE_ALL,
     CalibrationMap,
+    ConformalThreshold,
     ScoreSpec,
     SynthSpec,
     ValidationError,
     calibrate_threshold,
     coverage_and_size,
     generate,
-    predict_set,
     predict_sets,
     run_pipeline,
 )
@@ -40,8 +41,7 @@ alphas = st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9])
 def test_threshold_examples():
     assert calibrate_threshold([0.1 * i for i in range(1, 10)], 0.1).tau == pytest.approx(0.9)
     assert calibrate_threshold([0.01 * i for i in range(1, 20)], 0.1).tau == pytest.approx(0.18)
-    th = calibrate_threshold([0.1, 0.2, 0.3, 0.4, 0.5], 0.1)
-    assert th.is_include_all and th.tau is INCLUDE_ALL
+    assert calibrate_threshold([0.1, 0.2, 0.3, 0.4, 0.5], 0.1).tau == math.inf
 
 
 def test_threshold_rejects_bad_inputs():
@@ -65,7 +65,7 @@ def test_threshold_matches_scan_oracle(scores, alpha):
     expected = oracle_quantile(scores, alpha)
     got = calibrate_threshold(scores, alpha)
     if expected is None:
-        assert got.is_include_all
+        assert got.tau == math.inf
     else:
         assert got.tau == expected
 
@@ -74,36 +74,34 @@ def test_threshold_matches_scan_oracle(scores, alpha):
 # set construction
 
 
-def _sets_equal(ps, members):
-    return list(ps.members) == list(members)
+def _members(th, probs, u=None):
+    """The set of one probability row, built through the batched mask."""
+    u_arr = None if u is None else np.asarray([u])
+    return np.flatnonzero(predict_sets(th, np.asarray([probs], dtype=float), u_arr)[0]).tolist()
 
 
 def test_predict_set_example():
     th = calibrate_threshold([0.9], 0.5, score_spec=ScoreSpec(kind="aps"))
-    ps = predict_set(th, [0.6, 0.3, 0.1])
-    assert _sets_equal(ps, [0, 1])
+    assert _members(th, [0.6, 0.3, 0.1]) == [0, 1]
 
 
 def test_include_all_returns_full_label_set():
     th = calibrate_threshold([0.5] * 3, 0.1, score_spec=ScoreSpec(kind="aps"))
-    assert th.is_include_all
-    ps = predict_set(th, [0.6, 0.3, 0.1])
-    assert _sets_equal(ps, [0, 1, 2])
+    assert th.tau == math.inf
+    assert _members(th, [0.6, 0.3, 0.1]) == [0, 1, 2]
 
 
 def test_zero_tau_gives_empty_set():
     th = calibrate_threshold([0.0], 0.5, score_spec=ScoreSpec(kind="aps"))
     assert th.tau == 0.0
-    ps = predict_set(th, [0.6, 0.3, 0.1])
-    assert len(ps) == 0
+    assert _members(th, [0.6, 0.3, 0.1]) == []
 
 
 def test_raps_score_upper_bound_gives_full_set():
     lam, k = 0.1, 4
     spec = ScoreSpec(kind="raps", raps_lambda=lam, raps_kreg=1)
     th = calibrate_threshold([1.0 + lam * k], 0.5, score_spec=spec)
-    ps = predict_set(th, [0.4, 0.3, 0.2, 0.1])
-    assert _sets_equal(ps, [0, 1, 2, 3])
+    assert _members(th, [0.4, 0.3, 0.2, 0.1]) == [0, 1, 2, 3]
 
 
 def test_include_all_coverage_is_one():
@@ -111,20 +109,28 @@ def test_include_all_coverage_is_one():
     test = generate(SynthSpec(n=100, k=6, seed=1))
     result = run_pipeline(cal, test, CalibrationMap.identity(),
                           ScoreSpec(kind="aps"), alpha=0.1)
-    assert result.threshold.is_include_all
-    cov, size = coverage_and_size(result.sets, test.labels)
+    assert result.threshold.tau == math.inf
+    cov, size = coverage_and_size(result.mask, test.labels)
     assert cov == 1.0 and size == 6.0
 
 
+@st.composite
+def prob_matrices(draw):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    row = st.lists(st.integers(1, 50), min_size=k, max_size=k)
+    weights = np.asarray(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 @given(
-    st.lists(st.integers(1, 50), min_size=2, max_size=12),
+    prob_matrices(),
     st.sampled_from(["aps", "raps", "saps", "lac"]),
     st.booleans(),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.5),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    st.one_of(st.floats(0.0, 1.5), st.just(math.inf)),
 )
-def test_predict_matches_bruteforce_oracle(weights, kind, randomized, u, tau):
-    probs = np.asarray(weights, dtype=float) / sum(weights)
+def test_predict_matches_bruteforce_oracle(probs, kind, randomized, us, tau):
+    # every row of the mask is oracle_set of that row; tau = inf fills every row
     spec = ScoreSpec(
         kind=kind,
         randomized=randomized and kind != "lac",
@@ -132,13 +138,17 @@ def test_predict_matches_bruteforce_oracle(weights, kind, randomized, u, tau):
         raps_kreg=2 if kind == "raps" else None,
         saps_lambda=0.05 if kind == "saps" else None,
     )
-    th = calibrate_threshold([tau], 0.5, score_spec=spec)
-    assert th.tau == tau
-    u_arg = u if spec.uses_u else None
-    ps = predict_set(th, probs, u_arg)
-    expected = oracle_set(kind, list(probs), u if spec.uses_u else 1.0, tau,
-                          raps_lam=0.07, raps_kreg=2, saps_lam=0.05)
-    assert _sets_equal(ps, expected)
+    th = ConformalThreshold(tau=tau, alpha=0.5, n_cal=1, score_spec=spec,
+                            cal_map=CalibrationMap.identity())
+    u = np.asarray(us[:probs.shape[0]]) if spec.uses_u else np.ones(probs.shape[0])
+    mask = predict_sets(th, probs, u if spec.uses_u else None)
+    assert mask.shape == probs.shape and mask.dtype == bool
+    for row, u_i, got in zip(probs, u, mask):
+        expected = oracle_set(kind, list(row), float(u_i), tau,
+                              raps_lam=0.07, raps_kreg=2, saps_lam=0.05)
+        assert np.flatnonzero(got).tolist() == expected
+    if tau == math.inf:
+        assert mask.all()
 
 
 @given(st.lists(st.integers(1, 30), min_size=3, max_size=8), st.floats(0.0, 1.0))
@@ -149,7 +159,7 @@ def test_monotone_growth_in_tau(weights, u):
     previous: set = set()
     for tau in taus:
         th = calibrate_threshold([tau], 0.5, score_spec=spec)
-        members = set(predict_set(th, probs, u).members.tolist())
+        members = set(_members(th, probs, u))
         assert previous <= members
         previous = members
 
@@ -161,8 +171,7 @@ def test_nesting_in_alpha():
     strict = run_pipeline(cal, test, CalibrationMap.identity(), spec, alpha=0.05)
     loose = run_pipeline(cal, test, CalibrationMap.identity(), spec, alpha=0.2)
     assert strict.threshold.tau >= loose.threshold.tau
-    for tight, wide in zip(loose.sets, strict.sets):
-        assert set(tight.members.tolist()) <= set(wide.members.tolist())
+    assert not (loose.mask & ~strict.mask).any()
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +185,7 @@ def test_pipeline_identity_equals_temperature_one():
     a = run_pipeline(cal, test, CalibrationMap.identity(), spec, 0.1)
     b = run_pipeline(cal, test, CalibrationMap.temperature(1.0), spec, 0.1)
     assert a.threshold.tau == b.threshold.tau
-    for x, y in zip(a.sets, b.sets):
-        assert _sets_equal(x, y.members)
+    np.testing.assert_array_equal(a.mask, b.mask)
 
 
 def test_pipeline_k_mismatch():
@@ -192,7 +200,7 @@ def test_self_calibration_coverage_nonrandomized():
     ds = generate(SynthSpec(n=1000, k=10, seed=8))
     spec = ScoreSpec(kind="aps")
     result = run_pipeline(ds, ds, CalibrationMap.identity(), spec, alpha=0.1)
-    cov, _ = coverage_and_size(result.sets, ds.labels)
+    cov, _ = coverage_and_size(result.mask, ds.labels)
     assert cov >= 0.9
 
 
@@ -203,7 +211,7 @@ def test_pipeline_coverage_monte_carlo():
         test = generate(SynthSpec(n=10000, k=20, seed=2 * seed + 1, signal=2, noise=1))
         spec = ScoreSpec(kind="aps", randomized=True, rng_seed=seed)
         result = run_pipeline(cal, test, CalibrationMap.identity(), spec, 0.1)
-        cov, _ = coverage_and_size(result.sets, test.labels)
+        cov, _ = coverage_and_size(result.mask, test.labels)
         covs.append(cov)
     assert 0.90 <= np.mean(covs) <= 0.92
 
@@ -232,7 +240,7 @@ def test_include_all_serializes_as_string(tmp_path):
     path = tmp_path / "threshold.json"
     save_threshold(th, path)
     assert '"include_all"' in path.read_text()
-    assert load_threshold(path).is_include_all
+    assert load_threshold(path).tau == math.inf
 
 
 def test_prediction_sets_file_round_trip(tmp_path):
@@ -241,9 +249,12 @@ def test_prediction_sets_file_round_trip(tmp_path):
     result = run_pipeline(cal, test, CalibrationMap.identity(),
                           ScoreSpec(kind="aps", randomized=True), 0.1)
     path = tmp_path / "sets.jsonl"
-    save_prediction_sets(result.sets, path)
-    back = load_prediction_sets(path)
-    assert len(back) == len(result.sets)
-    for x, y in zip(result.sets, back):
-        assert x.sample_index == y.sample_index
-        np.testing.assert_array_equal(x.members, y.members)
+    save_prediction_sets(result.mask, path)
+    np.testing.assert_array_equal(load_prediction_sets(path, test.k), result.mask)
+    # the per-row records are the mask rows, in order
+    records = result.sets
+    assert len(records) == test.n
+    for i, (ps, row) in enumerate(zip(records, result.mask)):
+        assert ps.sample_index == i
+        assert ps.members.dtype.kind == "i"
+        np.testing.assert_array_equal(ps.members, np.flatnonzero(row))

@@ -6,22 +6,27 @@ from hypothesis import strategies as st
 from confsets import (
     CalibrationMap,
     LogitsDataset,
-    PredictionSet,
     SynthSpec,
     ValidationError,
+    build_report,
     coverage_and_size,
     expected_calibration_error,
     generate,
-    rank_row,
     size_by_rank,
     truncation_diagnostic,
 )
 from confsets.metrics import default_rank_bins
+from confsets.scores import label_ranks
+
+from oracles import oracle_order
 
 
-def make_sets(member_lists):
-    return [PredictionSet(sample_index=i, members=np.asarray(m, dtype=np.int64))
-            for i, m in enumerate(member_lists)]
+def make_sets(member_lists, k):
+    """The n-by-K set mask holding each row's member list."""
+    mask = np.zeros((len(member_lists), k), dtype=bool)
+    for i, members in enumerate(member_lists):
+        mask[i, np.asarray(members, dtype=np.int64)] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -29,18 +34,18 @@ def make_sets(member_lists):
 
 
 def test_full_sets_cover_everything():
-    sets = make_sets([[0, 1, 2]] * 4)
+    sets = make_sets([[0, 1, 2]] * 4, 3)
     cov, size = coverage_and_size(sets, [0, 1, 2, 0])
     assert cov == 1.0 and size == 3.0
 
 
 def test_empty_sets():
-    cov, size = coverage_and_size(make_sets([[], []]), [0, 1])
+    cov, size = coverage_and_size(make_sets([[], []], 2), [0, 1])
     assert cov == 0.0 and size == 0.0
 
 
 def test_half_coverage_example():
-    cov, size = coverage_and_size(make_sets([[0], [1]]), [0, 0])
+    cov, size = coverage_and_size(make_sets([[0], [1]], 2), [0, 0])
     assert cov == 0.5 and size == 1.0
 
 
@@ -49,20 +54,16 @@ def test_coverage_and_size_match_per_row_membership():
     k = 7
     member_lists = [sorted(rng.choice(k, size=rng.integers(0, k + 1), replace=False))
                     for _ in range(200)]
-    member_lists[3] = [2, 2, 5]  # a duplicated member counts once for coverage
     labels = rng.integers(0, k, size=len(member_lists))
     covered = sum(bool(np.isin(y, m)) for m, y in zip(member_lists, labels))
     total = sum(len(m) for m in member_lists)
     expected = (covered / len(labels), total / len(labels))
-    assert coverage_and_size(make_sets(member_lists), labels) == expected
-    assert coverage_and_size([np.asarray(m, dtype=np.int64) for m in member_lists],
-                             labels) == expected
-    assert coverage_and_size(member_lists, labels) == expected
+    assert coverage_and_size(make_sets(member_lists, k), labels) == expected
 
 
 def test_length_mismatch():
     with pytest.raises(ValidationError):
-        coverage_and_size(make_sets([[0]]), [0, 1])
+        coverage_and_size(make_sets([[0]], 2), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +103,8 @@ def test_ece_zero_confidence_goes_to_first_bin():
 # size by rank
 
 
-def rank_rows_for(probs):
-    return [rank_row(p) for p in probs]
+def rank_rows_for(probs, labels):
+    return label_ranks(np.asarray(probs), np.asarray(labels))
 
 
 def test_size_by_rank_basic_bins():
@@ -113,8 +114,8 @@ def test_size_by_rank_basic_bins():
         [0.7, 0.2, 0.06, 0.04],  # label 3 -> rank 4
     ])
     labels = [0, 1, 3]
-    sets = make_sets([[0], [0, 1], [0, 1, 2, 3]])
-    out = size_by_rank(sets, rank_rows_for(probs), labels)
+    sets = make_sets([[0], [0, 1], [0, 1, 2, 3]], 4)
+    out = size_by_rank(sets, rank_rows_for(probs, labels))
     assert out["1"] == (1, 1.0)
     assert out["2-3"] == (1, 2.0)
     assert out["4"] == (1, 4.0)
@@ -128,15 +129,15 @@ def test_default_bins_clip_to_k():
 
 def test_overlapping_bins_rejected():
     probs = np.array([[0.6, 0.4]])
-    sets = make_sets([[0]])
+    sets = make_sets([[0]], 2)
     with pytest.raises(ValidationError):
-        size_by_rank(sets, rank_rows_for(probs), [0], bins=[(1, 1), (1, 2)])
+        size_by_rank(sets, rank_rows_for(probs, [0]), bins=[(1, 1), (1, 2)])
 
 
 def test_all_rank_one_means():
     probs = np.tile([0.5, 0.3, 0.2], (6, 1))
-    sets = make_sets([[0, 1, 2]] * 6)
-    out = size_by_rank(sets, rank_rows_for(probs), [0] * 6)
+    sets = make_sets([[0, 1, 2]] * 6, 3)
+    out = size_by_rank(sets, rank_rows_for(probs, [0] * 6))
     assert out["1"] == (6, 3.0)
     assert out["2-3"] == (0, 0.0)
 
@@ -148,11 +149,33 @@ def test_rank_bin_means_reconstruct_average_size(seed):
     probs = rng.dirichlet(np.ones(k), size=n)
     labels = rng.integers(0, k, n)
     sets = make_sets([rng.choice(k, size=rng.integers(0, k), replace=False)
-                      for _ in range(n)])
-    out = size_by_rank(sets, rank_rows_for(probs), labels)
+                      for _ in range(n)], k)
+    out = size_by_rank(sets, rank_rows_for(probs, labels))
     _, avg_size = coverage_and_size(sets, labels)
     weighted = sum(count * mean for count, mean in out.values()) / n
     assert weighted == pytest.approx(avg_size, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_report_rank_bins_match_per_row_reference(seed):
+    # ties and exact zeros: each row's rank comes from oracle_order
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 30)), int(rng.integers(2, 15))
+    weights = rng.integers(0, 3, size=(n, k)).astype(float)
+    weights[:, 0] += 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    labels = rng.integers(0, k, n)
+    mask = rng.random((n, k)) < 0.4
+    ds = LogitsDataset(np.zeros((n, k)), labels)
+    got = build_report(mask, ds, probs).size_by_rank_bin
+    ranks = [oracle_order(list(row)).index(y) + 1 for row, y in zip(probs, labels)]
+    sizes = [int(row.sum()) for row in mask]
+    expected = {}
+    for lo, hi in default_rank_bins(k):
+        in_bin = [s for r, s in zip(ranks, sizes) if lo <= r <= hi]
+        label = str(lo) if lo == hi else f"{lo}-{hi}"
+        expected[label] = (len(in_bin), sum(in_bin) / len(in_bin) if in_bin else 0.0)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confsets import (
-    ScoreSpec,
-    ValidationError,
-    draw_u,
-    draw_u_many,
-    rank_row,
-    score,
-    score_all_classes,
-    score_temperature_curve,
-)
+from confsets import CalibrationMap, ScoreSpec, ValidationError, apply_map, draw_u_many
 from confsets.scores import (
     label_ranks,
-    rank_matrix,
     score_matrix,
     sort_rows,
     true_label_scores,
 )
 
-from oracles import oracle_score
+from oracles import oracle_order, oracle_score
 
 prob_rows = st.lists(st.integers(1, 50), min_size=2, max_size=10).map(
     lambda ws: (np.asarray(ws, dtype=float) / sum(ws))
@@ -40,45 +30,51 @@ def spec_strategy():
     ])
 
 
+def _row_scores(spec, probs, u=None):
+    """Scores of every class of one probability row, through score_matrix."""
+    u_arr = None if u is None else np.asarray([u])
+    return score_matrix(spec, np.asarray([probs], dtype=float), u_arr)[0]
+
+
+def _rank_one_row(probs):
+    """(sorted_probs, perm, rank_of) of one row from sort_rows and label_ranks."""
+    p = np.asarray([probs], dtype=float)
+    sorted_probs, perm = sort_rows(p)
+    k = p.shape[1]
+    rank_of = np.asarray([label_ranks(p, np.asarray([c]))[0] for c in range(k)])
+    return sorted_probs[0], perm[0], rank_of
+
+
 # ---------------------------------------------------------------------------
 # ranking
 
 
 def test_rank_row_basic():
-    ranked = rank_row([0.1, 0.6, 0.3])
-    np.testing.assert_array_equal(ranked.sorted_probs, [0.6, 0.3, 0.1])
-    np.testing.assert_array_equal(ranked.perm, [1, 2, 0])
-    assert ranked.rank_of[1] == 1
+    sorted_probs, perm, rank_of = _rank_one_row([0.1, 0.6, 0.3])
+    np.testing.assert_array_equal(sorted_probs, [0.6, 0.3, 0.1])
+    np.testing.assert_array_equal(perm, [1, 2, 0])
+    assert rank_of[1] == 1
 
 
 def test_rank_row_tie_goes_to_lower_class():
-    ranked = rank_row([0.5, 0.5])
-    np.testing.assert_array_equal(ranked.perm, [0, 1])
+    _, perm, rank_of = _rank_one_row([0.5, 0.5])
+    np.testing.assert_array_equal(perm, [0, 1])
+    np.testing.assert_array_equal(rank_of, [1, 2])
 
 
 def test_rank_row_uniform():
-    ranked = rank_row([0.25] * 4)
-    np.testing.assert_array_equal(ranked.perm, [0, 1, 2, 3])
+    _, perm, rank_of = _rank_one_row([0.25] * 4)
+    np.testing.assert_array_equal(perm, [0, 1, 2, 3])
+    np.testing.assert_array_equal(rank_of, [1, 2, 3, 4])
 
 
 @given(prob_rows)
 def test_rank_row_invariants(probs):
-    ranked = rank_row(probs)
-    assert (np.diff(ranked.sorted_probs) <= 0).all()
-    assert sorted(ranked.perm) == list(range(len(probs)))
+    sorted_probs, perm, rank_of = _rank_one_row(probs)
+    assert (np.diff(sorted_probs) <= 0).all()
+    assert sorted(perm) == list(range(len(probs)))
     for k in range(len(probs)):
-        assert ranked.perm[ranked.rank_of[k] - 1] == k
-
-
-@given(prob_rows)
-def test_rank_matrix_matches_rank_row(probs):
-    stacked = np.vstack([probs, probs[::-1].copy()])
-    sorted_probs, perm, rank_of = rank_matrix(stacked)
-    for i in range(2):
-        single = rank_row(stacked[i])
-        np.testing.assert_array_equal(sorted_probs[i], single.sorted_probs)
-        np.testing.assert_array_equal(perm[i], single.perm)
-        np.testing.assert_array_equal(rank_of[i], single.rank_of)
+        assert perm[rank_of[k] - 1] == k
 
 
 @st.composite
@@ -91,12 +87,22 @@ def tied_prob_matrices(draw):
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def _oracle_rank_of(probs):
+    """(perm, rank_of) of every row from oracles.oracle_order."""
+    perm = np.asarray([oracle_order(list(row)) for row in probs])
+    rank_of = np.empty_like(perm)
+    for i, order in enumerate(perm):
+        rank_of[i, order] = np.arange(1, probs.shape[1] + 1)
+    return perm, rank_of
+
+
 @given(tied_prob_matrices())
-def test_label_ranks_match_rank_matrix(probs):
-    _, _, rank_of = rank_matrix(probs)
+def test_label_ranks_match_oracle_order(probs):
+    perm, rank_of = _oracle_rank_of(probs)
     n, k = probs.shape
     for y in range(k):
         np.testing.assert_array_equal(label_ranks(probs, np.full(n, y)), rank_of[:, y])
+    np.testing.assert_array_equal(sort_rows(probs)[1], perm)
 
 
 @given(tied_prob_matrices(), st.integers(0, 2**32 - 1))
@@ -110,8 +116,9 @@ def test_sort_rows_with_any_hint_matches_stable_sort(probs, seed):
 
 
 def _label_scores_via_rank_of(spec, probs, labels, u):
-    # the rank_matrix formulation: rank_of gather into the sorted cumsum
-    sorted_probs, _, rank_of = rank_matrix(probs)
+    # the rank_of formulation: rank_of gather into the sorted cumsum
+    perm, rank_of = _oracle_rank_of(probs)
+    sorted_probs = np.take_along_axis(probs, perm, axis=1)
     rows = np.arange(probs.shape[0])
     ranks = rank_of[rows, labels]
     p_max = sorted_probs[:, 0]
@@ -143,38 +150,38 @@ def test_true_label_scores_match_rank_of_formulation(probs, spec, seed):
 def test_aps_nonrandomized_examples():
     spec = ScoreSpec(kind="aps")
     probs = [0.6, 0.3, 0.1]
-    assert score(spec, probs, 1) == pytest.approx(0.9, abs=1e-15)
-    assert score(spec, probs, 2) == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(score_all_classes(spec, probs), [0.6, 0.9, 1.0],
-                               atol=1e-15)
+    np.testing.assert_allclose(_row_scores(spec, probs), [0.6, 0.9, 1.0], atol=1e-15)
 
 
 def test_raps_penalty_example():
     spec = ScoreSpec(kind="raps", raps_lambda=0.1, raps_kreg=1, randomized=True)
-    assert score(spec, [0.6, 0.3, 0.1], 2, u=1.0) == pytest.approx(1.2, abs=1e-15)
+    assert _row_scores(spec, [0.6, 0.3, 0.1], u=1.0)[2] == pytest.approx(1.2, abs=1e-15)
 
 
 def test_saps_examples():
     spec = ScoreSpec(kind="saps", saps_lambda=0.02, randomized=True)
-    assert score(spec, [0.6, 0.3, 0.1], 0, u=0.5) == pytest.approx(0.30, abs=1e-15)
-    assert score(spec, [0.6, 0.3, 0.1], 2, u=0.5) == pytest.approx(0.63, abs=1e-15)
+    got = _row_scores(spec, [0.6, 0.3, 0.1], u=0.5)
+    assert got[0] == pytest.approx(0.30, abs=1e-15)
+    assert got[2] == pytest.approx(0.63, abs=1e-15)
 
 
 def test_lac_examples():
     spec = ScoreSpec(kind="lac")
-    np.testing.assert_allclose(score_all_classes(spec, [0.6, 0.3, 0.1]),
-                               [0.4, 0.7, 0.9], atol=1e-15)
+    np.testing.assert_allclose(_row_scores(spec, [0.6, 0.3, 0.1]), [0.4, 0.7, 0.9],
+                               atol=1e-15)
 
 
 def test_u_validation():
     rand = ScoreSpec(kind="aps", randomized=True)
     plain = ScoreSpec(kind="aps")
     with pytest.raises(ValidationError):
-        score(rand, [0.5, 0.5], 0)  # missing u
+        _row_scores(rand, [0.5, 0.5])  # missing u
     with pytest.raises(ValidationError):
-        score(rand, [0.5, 0.5], 0, u=1.5)
+        _row_scores(rand, [0.5, 0.5], u=1.5)
     with pytest.raises(ValidationError):
-        score(plain, [0.5, 0.5], 0, u=0.3)  # u forbidden
+        _row_scores(plain, [0.5, 0.5], u=0.3)  # u forbidden
+    with pytest.raises(ValidationError):
+        score_matrix(rand, np.full((2, 2), 0.5), np.asarray([0.5]))  # one u per row
 
 
 def test_missing_hyperparameters_rejected():
@@ -189,7 +196,7 @@ def test_missing_hyperparameters_rejected():
 @given(prob_rows, spec_strategy(), st.floats(0.0, 1.0))
 def test_scores_match_oracle(probs, spec, u):
     u_arg = u if spec.uses_u else None
-    got = score_all_classes(spec, probs, u_arg)
+    got = _row_scores(spec, probs, u_arg)
     for k in range(len(probs)):
         expected = oracle_score(
             spec.kind, list(probs), k,
@@ -205,8 +212,8 @@ def test_scores_match_oracle(probs, spec, u):
 def test_u_equal_one_matches_nonrandomized(probs, spec):
     if not spec.uses_u:
         return
-    with_u = score_all_classes(spec, probs, 1.0)
-    plain = score_all_classes(
+    with_u = _row_scores(spec, probs, 1.0)
+    plain = _row_scores(
         ScoreSpec(kind=spec.kind, randomized=False,
                   raps_lambda=spec.raps_lambda, raps_kreg=spec.raps_kreg,
                   saps_lambda=spec.saps_lambda),
@@ -219,15 +226,14 @@ def test_u_equal_one_matches_nonrandomized(probs, spec):
 def test_raps_zero_penalty_equals_aps(probs):
     raps = ScoreSpec(kind="raps", raps_lambda=0.0, raps_kreg=1)
     aps = ScoreSpec(kind="aps")
-    np.testing.assert_array_equal(score_all_classes(raps, probs),
-                                  score_all_classes(aps, probs))
+    np.testing.assert_array_equal(_row_scores(raps, probs), _row_scores(aps, probs))
 
 
 @given(prob_rows)
 def test_aps_sorted_scores_cumulative(probs):
     spec = ScoreSpec(kind="aps")
-    ranked = rank_row(probs)
-    values = score_all_classes(spec, probs)[ranked.perm]
+    _, perm, _ = _rank_one_row(probs)
+    values = _row_scores(spec, probs)[perm]
     assert (np.diff(values) >= -1e-15).all()
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -238,7 +244,7 @@ def test_batched_paths_match_scalar(probs, spec, u):
     matrix = np.tile(probs, (n, 1))
     u_arr = np.full(n, u) if spec.uses_u else None
     u_arg = u if spec.uses_u else None
-    per_row = score_all_classes(spec, probs, u_arg)
+    per_row = _row_scores(spec, probs, u_arg)
     batch = score_matrix(spec, matrix, u_arr)
     for i in range(n):
         np.testing.assert_array_equal(batch[i], per_row)
@@ -253,6 +259,9 @@ def test_batched_paths_match_scalar(probs, spec, u):
 
 
 def test_draw_u_deterministic():
+    def draw_u(seed, index):
+        return draw_u_many(seed, np.asarray([index]))[0]
+
     assert draw_u(7, 13) == draw_u(7, 13)
     assert draw_u(7, 13) != draw_u(7, 14)
     assert draw_u(8, 13) != draw_u(7, 13)
@@ -275,24 +284,26 @@ def test_draw_u_order_independent():
 # temperature curve
 
 
+def _temperature_curve(logits, class_k, grid):
+    """Non-randomized aps score of one class across a temperature grid."""
+    spec = ScoreSpec(kind="aps")
+    return np.asarray([
+        _row_scores(spec, apply_map(CalibrationMap.temperature(t), logits))[class_k]
+        for t in grid
+    ])
+
+
 def test_temperature_curve_example():
-    got = score_temperature_curve([2.0, 1.0, 0.0], 0, [0.5, 1.0])
+    got = _temperature_curve([2.0, 1.0, 0.0], 0, [0.5, 1.0])
     np.testing.assert_allclose(got, [0.866813, 0.665241], atol=5e-7)
     assert got[0] >= got[1]
 
 
 def test_temperature_curve_last_rank_is_one():
-    got = score_temperature_curve([2.0, 1.0, 0.0], 2, [0.5, 1.0, 2.0])
+    got = _temperature_curve([2.0, 1.0, 0.0], 2, [0.5, 1.0, 2.0])
     np.testing.assert_allclose(got, 1.0, atol=1e-12)
 
 
 def test_temperature_curve_uniform_logits():
-    got = score_temperature_curve([1.0, 1.0, 1.0], 1, [0.25, 1.0, 4.0])
+    got = _temperature_curve([1.0, 1.0, 1.0], 1, [0.25, 1.0, 4.0])
     np.testing.assert_allclose(got, got[0], atol=1e-12)
-
-
-def test_temperature_curve_validates_grid():
-    with pytest.raises(ValidationError):
-        score_temperature_curve([1.0, 0.0], 0, [1.0, 0.5])
-    with pytest.raises(ValidationError):
-        score_temperature_curve([1.0, 0.0], 0, [-1.0, 0.5])

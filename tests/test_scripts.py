@@ -1,0 +1,28 @@
+"""Smoke test: the experiment scripts run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import confsets
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_coverage_study.py", ["--seeds", "1", "--n-cal", "200", "--n-test", "500",
+                               "--k", "5"]),
+    ("run_efficiency_experiment.py", ["--seeds", "1", "--n", "4000", "--k", "10"]),
+    ("run_precision_sweep.py", []),
+])
+def test_script_runs(script, args):
+    src = str(Path(confsets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -108,6 +108,6 @@ def test_pipeline_coverage_on_split_halves():
         spec = ScoreSpec(kind="aps", randomized=True, rng_seed=seed)
         result = run_pipeline(halves["cal"], halves["test"],
                               CalibrationMap.identity(), spec, 0.1)
-        cov, _ = coverage_and_size(result.sets, halves["test"].labels)
+        cov, _ = coverage_and_size(result.mask, halves["test"].labels)
         covs.append(cov)
     assert 0.89 <= np.mean(covs) <= 0.92

@@ -16,11 +16,11 @@ from confsets import (
     efficiency_gap,
     efficiency_gap_loss,
     generate,
-    predict_set,
-    score,
+    predict_sets,
     tune_map,
     tune_temperature,
 )
+from confsets.scores import score_matrix
 from confsets.tuning import split_validation, tune_map_on_split
 
 
@@ -39,9 +39,9 @@ def test_gap_sign_law(weights, tau):
     probs = np.asarray(weights, dtype=float) / sum(weights)
     spec = ScoreSpec(kind="aps")
     label = len(probs) // 2
-    gap = efficiency_gap(tau, score(spec, probs, label))
+    gap = efficiency_gap(tau, score_matrix(spec, probs[None, :])[0, label])
     threshold = calibrate_threshold([tau], 0.5, score_spec=spec)
-    covered = label in predict_set(threshold, probs)
+    covered = predict_sets(threshold, probs[None, :])[0, label]
     assert (gap >= 0) == covered
 
 
@@ -101,7 +101,6 @@ def test_loss_never_draws_u(monkeypatch):
         raise AssertionError("the efficiency-gap loss must not draw u")
 
     monkeypatch.setattr(confsets.scores, "draw_u_many", boom)
-    monkeypatch.setattr(confsets.scores, "draw_u", boom)
     monkeypatch.setattr(confsets.engine, "draw_u_many", boom)
     d_tau, d_loss = _halves(seed=4)
     value = efficiency_gap_loss(CalibrationMap.temperature(0.9), d_tau, d_loss, 0.1)
@@ -153,7 +152,7 @@ def test_tuned_temperature_improves_heldout_size():
     sizes = {}
     for name, cal_map in (("identity", CalibrationMap.identity()), ("tuned", tuned)):
         result = run_pipeline(parts["conformal"], parts["test"], cal_map, spec, 0.1)
-        _, sizes[name] = coverage_and_size(result.sets, parts["test"].labels)
+        _, sizes[name] = coverage_and_size(result.mask, parts["test"].labels)
     assert sizes["tuned"] <= sizes["identity"]
 
 
