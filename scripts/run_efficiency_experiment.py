@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 import confsets as cs
-from confsets.tuning import TuneConfig, tune_temperature
+from confsets.tuning import TuneConfig, tune_map
 
 
 def one_seed(seed, args):
@@ -25,8 +25,8 @@ def one_seed(seed, args):
     inner = cs.split_dataset(top["calibration"],
                              cs.SplitSpec({"validation": 0.5, "conformal": 0.5},
                                           seed=seed + 1, shuffle=True))
-    tuned, report = tune_temperature(inner["validation"], args.alpha,
-                                     TuneConfig(seed=seed))
+    tuned, report = tune_map(inner["validation"], args.alpha, "temperature",
+                             TuneConfig(seed=seed))
     spec = cs.ScoreSpec(kind="aps", randomized=True, rng_seed=seed)
     rows = {}
     for name, cal_map in (("identity", cs.CalibrationMap.identity()),

@@ -34,7 +34,6 @@ from .tuning import (
     efficiency_gap,
     efficiency_gap_loss,
     tune_map,
-    tune_temperature,
 )
 
 __version__ = "0.1.0"
@@ -75,5 +74,4 @@ __all__ = [
     "split_dataset",
     "truncation_diagnostic",
     "tune_map",
-    "tune_temperature",
 ]

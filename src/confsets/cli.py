@@ -71,10 +71,10 @@ def _load_dataset(path) -> data.LogitsDataset:
     return data.load_dataset(path, data.sniff_format(path))
 
 
-def _parse_rank_bins(text: str, k: int):
+def _parse_rank_edges(text: str) -> tuple[int, ...]:
     """'default' or comma-separated upper edges such as '1,3,6,10,100'."""
     if text == "default":
-        return None
+        return metrics.DEFAULT_RANK_EDGES
     edges = []
     for v in text.split(","):
         try:
@@ -83,16 +83,7 @@ def _parse_rank_bins(text: str, k: int):
             raise ValidationError(f"--bins must be 'default' or integer edges, got {v!r}") from exc
     if edges != sorted(edges) or len(set(edges)) != len(edges) or edges[0] < 1:
         raise ValidationError("--bins edges must be strictly increasing and >= 1")
-    bins = []
-    lo = 1
-    for edge in edges:
-        if lo > k:
-            break
-        bins.append((lo, min(edge, k)))
-        lo = edge + 1
-    if lo <= k:
-        bins.append((lo, k))
-    return bins
+    return tuple(edges)
 
 
 def cmd_synth(args) -> None:
@@ -119,10 +110,7 @@ def cmd_tune(args) -> None:
     ds = _load_dataset(args.input)
     cfg = tuning.TuneConfig(grid_points=args.grid_points, t_min=args.t_min,
                             t_max=args.t_max, seed=args.seed)
-    if args.map == "temperature":
-        tuned, report = tuning.tune_temperature(ds, args.alpha, cfg)
-    else:
-        tuned, report = tuning.tune_map(ds, args.alpha, args.map, cfg)
+    tuned, report = tuning.tune_map(ds, args.alpha, args.map, cfg)
     maps.save_map(tuned, args.out)
     tuning.save_tune_report(report, Path(args.out).with_suffix(".report.json"))
 
@@ -179,7 +167,7 @@ def cmd_evaluate(args) -> None:
         score_desc = threshold.score_spec.to_json_dict()
         cal_map = threshold.cal_map
     probs = maps.apply_map_dataset(cal_map, ds)
-    bins = _parse_rank_bins(args.bins, ds.k)
+    bins = metrics.rank_bins(_parse_rank_edges(args.bins), ds.k)
     report = metrics.build_report(mask, ds, probs, rank_bins=bins,
                                   ece_bins=args.ece_bins, alpha=alpha,
                                   score=score_desc, map_desc=cal_map.to_json_dict())

@@ -21,17 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_number
 from .maps import CalibrationMap, apply_map_dataset
 from .scores import ScoreSpec, draw_u_many, score_matrix, true_label_scores
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +58,13 @@ class ConformalThreshold:
         tau, alpha, n_cal = obj["tau"], obj["alpha"], obj["n_cal"]
         if tau == "include_all":
             tau = math.inf
-        elif not (_is_number(tau) and math.isfinite(tau)):
+        elif not (is_number(tau) and math.isfinite(tau)):
             raise ValidationError(
                 f"threshold tau must be a finite number or 'include_all', got {tau!r}"
             )
-        if not (_is_number(alpha) and 0.0 < alpha < 1.0):
+        if not (is_number(alpha) and 0.0 < alpha < 1.0):
             raise ValidationError(f"threshold alpha must be in (0, 1), got {alpha!r}")
-        if not (_is_int(n_cal) and n_cal >= 1):
+        if not (is_int(n_cal) and n_cal >= 1):
             raise ValidationError(f"threshold n_cal must be an integer >= 1, got {n_cal!r}")
         return cls(
             tau=float(tau),
@@ -232,12 +224,12 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
                     f"prediction-sets line {lineno}: missing 'index' or 'set'"
                 )
             index, members = obj["index"], obj["set"]
-            if not (_is_int(index) and index == len(sets)):
+            if not (is_int(index) and index == len(sets)):
                 raise ValidationError(
                     f"prediction-sets line {lineno}: index {index!r} is not the "
                     f"row position {len(sets)}"
                 )
-            if not (isinstance(members, list) and all(_is_int(m) for m in members)):
+            if not (isinstance(members, list) and all(is_int(m) for m in members)):
                 raise ValidationError(
                     f"prediction-sets line {lineno}: 'set' must be a list of integers"
                 )

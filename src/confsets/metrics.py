@@ -22,9 +22,9 @@ from .scores import label_ranks
 
 DEFAULT_ECE_BINS = 15
 
-# Rank-bin template in the style of deep-classifier difficulty buckets;
-# clipped to [1, K] for small label spaces.
-_DEFAULT_RANK_BIN_TEMPLATE = ((1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, None))
+# Upper edges of the default rank bins, in the style of deep-classifier
+# difficulty buckets.
+DEFAULT_RANK_EDGES = (1, 3, 6, 10, 100)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,14 +95,20 @@ def expected_calibration_error(probs: np.ndarray, labels,
     return ece
 
 
-def default_rank_bins(k: int) -> list[tuple[int, int]]:
-    """Difficulty bins clipped to the label space [1, K]."""
+def rank_bins(edges, k: int) -> list[tuple[int, int]]:
+    """Rank bins [1, e1], [e1+1, e2], ..., then [e_last+1, K], clipped to [1, K].
+
+    ``edges`` are strictly increasing upper edges >= 1.
+    """
     bins: list[tuple[int, int]] = []
-    for lo, hi in _DEFAULT_RANK_BIN_TEMPLATE:
+    lo = 1
+    for edge in edges:
         if lo > k:
             break
-        top = k if hi is None else min(hi, k)
-        bins.append((lo, top))
+        bins.append((lo, min(edge, k)))
+        lo = edge + 1
+    if lo <= k:
+        bins.append((lo, k))
     return bins
 
 
@@ -138,7 +144,7 @@ def size_by_rank(mask: np.ndarray, true_ranks,
         raise ValidationError("the set mask and the true ranks must align")
     k = mask.shape[1]
     if bins is None:
-        bins = default_rank_bins(k)
+        bins = rank_bins(DEFAULT_RANK_EDGES, k)
     _validate_rank_bins(bins, k)
     sizes = mask.sum(axis=1).astype(np.float64)
     out: dict[str, tuple[int, float]] = {}

@@ -18,11 +18,12 @@ by (seed, sample_index), so parallel evaluation cannot change results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_number
 
 SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
@@ -43,24 +44,28 @@ class ScoreSpec:
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
             raise ValidationError(f"unknown score kind {self.kind!r}")
+        if not isinstance(self.randomized, bool):
+            raise ValidationError(f"randomized must be a boolean, got {self.randomized!r}")
         if self.kind == "raps":
             if self.raps_lambda is None or self.raps_kreg is None:
                 raise ValidationError("raps requires raps_lambda and raps_kreg")
-            if self.raps_lambda < 0:
-                raise ValidationError("raps_lambda must be >= 0")
-            if self.raps_kreg < 1:
-                raise ValidationError("raps_kreg must be a positive integer")
+            _check_lambda("raps_lambda", self.raps_lambda)
+            if not (is_int(self.raps_kreg) and self.raps_kreg >= 1):
+                raise ValidationError(
+                    f"raps_kreg must be a positive integer, got {self.raps_kreg!r}"
+                )
         elif self.raps_lambda is not None or self.raps_kreg is not None:
             raise ValidationError("raps parameters are only valid for kind='raps'")
         if self.kind == "saps":
             if self.saps_lambda is None:
                 raise ValidationError("saps requires saps_lambda")
-            if self.saps_lambda < 0:
-                raise ValidationError("saps_lambda must be >= 0")
+            _check_lambda("saps_lambda", self.saps_lambda)
         elif self.saps_lambda is not None:
             raise ValidationError("saps_lambda is only valid for kind='saps'")
-        if self.rng_seed < 0:
-            raise ValidationError("rng_seed must be a non-negative integer")
+        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise ValidationError(
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
+            )
 
     @property
     def uses_u(self) -> bool:
@@ -82,12 +87,17 @@ class ScoreSpec:
             raise ValidationError("score JSON must be an object with a 'kind' field")
         return cls(
             kind=obj["kind"],
-            randomized=bool(obj.get("randomized", False)),
+            randomized=obj.get("randomized", False),
             raps_lambda=obj.get("raps_lambda"),
             raps_kreg=obj.get("raps_kreg"),
             saps_lambda=obj.get("saps_lambda"),
-            rng_seed=int(obj.get("rng_seed", 0)),
+            rng_seed=obj.get("rng_seed", 0),
         )
+
+
+def _check_lambda(name: str, value) -> None:
+    if not (is_number(value) and math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ the rows the current map reorders.  Any non-increasing arrangement of a
 row sums the same values in the same order, so the loss is bit-identical
 to sorting from scratch for every map kind.
 
-Temperature is one-dimensional, so it is minimized by a log-uniform grid
-followed by golden-section refinement (robust to the kinks that the
-order-statistic tau introduces; no gradients needed).  Platt and vector
-maps use plain gradient descent with central-difference gradients and a
-backtracking line search.
+``tune_map`` is the one tuner for every map kind.  Temperature and Platt
+are the same one-parameter family: softmax ignores a shift shared by all
+classes, so Platt's b is pinned at 0 and its scale is a = 1/t.  Both are
+minimized over t by a log-uniform grid followed by golden-section
+refinement (robust to the kinks that the order-statistic tau introduces;
+no gradients needed).  Vector maps scale and shift each class on its own,
+which can reorder classes, so they use plain gradient descent with
+central-difference gradients and a backtracking line search.
 """
 
 from __future__ import annotations
@@ -172,59 +175,51 @@ def minimize_on_log_grid(fn, lo: float, hi: float, grid_points: int,
     return best_x, best_f, evals
 
 
-def tune_temperature(validation: LogitsDataset, alpha: float,
-                     cfg: TuneConfig | None = None) -> tuple[CalibrationMap, TuneReport]:
-    """Temperature map minimizing the mean squared efficiency gap."""
-    cfg = cfg or TuneConfig()
-    d_tau, d_loss = split_validation(validation, cfg)
-    hints: list = [None, None]
-
-    def objective(t: float) -> float:
-        return efficiency_gap_loss(CalibrationMap.temperature(t), d_tau, d_loss, alpha,
-                                   order_hints=hints)
-
-    t_best, f_best, evals = minimize_on_log_grid(
-        objective, cfg.t_min, cfg.t_max, cfg.grid_points, cfg.refine_tol
-    )
-    report = TuneReport(alpha=alpha, final_loss=f_best, iterations=evals)
-    return CalibrationMap.temperature(t_best), report
-
-
-def _map_from_params(map_kind: str, params: np.ndarray, k: int) -> CalibrationMap:
-    if map_kind == "platt":
-        return CalibrationMap.platt(params[0], params[1])
-    if map_kind == "vector":
-        return CalibrationMap.vector(params[:k], params[k:])
-    raise ValidationError(f"tune_map supports platt or vector, got {map_kind!r}")
+# The one-parameter families, indexed by temperature t.
+_SCALAR_MAPS = {
+    "temperature": CalibrationMap.temperature,
+    "platt": lambda t: CalibrationMap.platt(1.0 / t, 0.0),
+}
 
 
 def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
              cfg: TuneConfig | None = None) -> tuple[CalibrationMap, TuneReport]:
-    """Platt or vector map tuned by finite-difference gradient descent."""
+    """The map of ``map_kind`` minimizing the mean squared efficiency gap.
+
+    temperature and platt: log grid plus golden section over t in
+    [cfg.t_min, cfg.t_max]; ``iterations`` counts loss evaluations.
+    vector: finite-difference gradient descent from the identity map;
+    ``iterations`` counts accepted steps.
+    """
+    if map_kind not in (*_SCALAR_MAPS, "vector"):
+        raise ValidationError(
+            f"tune_map supports temperature, platt or vector, got {map_kind!r}"
+        )
     cfg = cfg or TuneConfig()
     d_tau, d_loss = split_validation(validation, cfg)
-    return tune_map_on_split(d_tau, d_loss, alpha, map_kind, cfg)
-
-
-def tune_map_on_split(d_tau: LogitsDataset, d_loss: LogitsDataset, alpha: float,
-                      map_kind: str,
-                      cfg: TuneConfig | None = None) -> tuple[CalibrationMap, TuneReport]:
-    """tune_map on pre-made halves (exposed for controlled experiments)."""
-    cfg = cfg or TuneConfig()
-    k = d_tau.k
-    if map_kind == "platt":
-        params = np.array([1.0, 0.0])
-    elif map_kind == "vector":
-        params = np.concatenate([np.ones(k), np.zeros(k)])
-    else:
-        raise ValidationError(f"tune_map supports platt or vector, got {map_kind!r}")
-
     hints: list = [None, None]
 
-    def objective(p: np.ndarray) -> float:
-        return efficiency_gap_loss(_map_from_params(map_kind, p, k), d_tau, d_loss, alpha,
-                                   order_hints=hints)
+    def loss(cal_map: CalibrationMap) -> float:
+        return efficiency_gap_loss(cal_map, d_tau, d_loss, alpha, order_hints=hints)
 
+    if map_kind in _SCALAR_MAPS:
+        scalar_map = _SCALAR_MAPS[map_kind]
+        t_best, f_best, evals = minimize_on_log_grid(
+            lambda t: loss(scalar_map(t)), cfg.t_min, cfg.t_max, cfg.grid_points,
+            cfg.refine_tol,
+        )
+        return scalar_map(t_best), TuneReport(alpha=alpha, final_loss=f_best,
+                                              iterations=evals)
+
+    k = d_tau.k
+
+    def vector(p: np.ndarray) -> CalibrationMap:
+        return CalibrationMap.vector(p[:k], p[k:])
+
+    def objective(p: np.ndarray) -> float:
+        return loss(vector(p))
+
+    params = np.concatenate([np.ones(k), np.zeros(k)])
     current = objective(params)
     iterations = 0
     stalled = False
@@ -247,10 +242,9 @@ def tune_map_on_split(d_tau: LogitsDataset, d_loss: LogitsDataset, alpha: float,
         params = candidate
         if abs(previous - current) < cfg.rel_tol * max(abs(previous), 1e-30):
             break
-    tuned = _map_from_params(map_kind, params, k)
     report = TuneReport(alpha=alpha, final_loss=current, iterations=iterations,
                         stalled=stalled)
-    return tuned, report
+    return vector(params), report
 
 
 def _central_difference_gradient(fn, params: np.ndarray, eps: float) -> np.ndarray:

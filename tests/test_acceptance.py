@@ -18,7 +18,7 @@ from confsets.tuning import (
     efficiency_gap_loss,
     minimize_on_log_grid,
     split_validation,
-    tune_temperature,
+    tune_map,
 )
 
 from oracles import oracle_quantile, oracle_set
@@ -206,7 +206,7 @@ def g3_results():
     for seed in range(20):
         validation, conformal, test = _g3_protocol(seed)
         cfg = TuneConfig(seed=seed)
-        tuned, _ = tune_temperature(validation, 0.1, cfg)
+        tuned, _ = tune_map(validation, 0.1, "temperature", cfg)
         rand_map = _tune_temperature_randomized_loss(validation, 0.1, cfg)
         spec = cs.ScoreSpec(kind="aps", randomized=True, rng_seed=seed)
         for name, cal_map in (("identity", cs.CalibrationMap.identity()),
@@ -245,7 +245,7 @@ def test_criterion_7_tuner_matches_dense_grid():
     validation = cs.generate(cs.SynthSpec(n=6000, k=10, seed=11,
                                           signal=0.04, noise=0.02))
     cfg = TuneConfig(seed=3)
-    tuned, _ = tune_temperature(validation, 0.1, cfg)
+    tuned, _ = tune_map(validation, 0.1, "temperature", cfg)
     d_tau, d_loss = split_validation(validation, cfg)
     dense = np.geomspace(cfg.t_min, cfg.t_max, 10 * cfg.grid_points)
     values = [efficiency_gap_loss(cs.CalibrationMap.temperature(t), d_tau, d_loss, 0.1)

@@ -78,6 +78,23 @@ def test_tune_writes_report_sibling(tmp_path):
     assert report["stalled"] is False
 
 
+def test_tune_platt_is_the_reciprocal_temperature(tmp_path):
+    # same flags, same grid over t: Platt's a is 1/t and its b stays 0
+    raw = synth_file(tmp_path, n=1200, k=8, signal=3.0, seed=12)
+    tuned = {}
+    for m in ("temperature", "platt"):
+        out = tmp_path / f"{m}.json"
+        assert run_cli("tune", "--in", str(raw), "--alpha", "0.1", "--map", m,
+                       "--seed", "12", "--out", str(out), "--t-min", "0.2",
+                       "--t-max", "3", "--grid-points", "16") == 0
+        tuned[m] = (json.loads(out.read_text())["params"],
+                    json.loads(out.with_suffix(".report.json").read_text()))
+    (temp, temp_report), (platt, platt_report) = tuned["temperature"], tuned["platt"]
+    assert platt == {"a": 1.0 / temp["t"], "b": 0.0}
+    assert platt_report["iterations"] == temp_report["iterations"]
+    assert platt_report["final_loss"] == pytest.approx(temp_report["final_loss"], rel=1e-12)
+
+
 def test_split_writes_named_parts(tmp_path):
     raw = synth_file(tmp_path, n=1000, k=4, seed=4)
     assert run_cli("split", "--in", str(raw), "--parts", "a:0.5,b:0.5",
@@ -236,6 +253,33 @@ def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
                    "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
     assert code == 1
+
+
+@pytest.mark.parametrize("score", [
+    {"randomized": "false"},
+    {"randomized": 1},
+    {"rng_seed": 7.9},
+    {"rng_seed": True},
+    {"rng_seed": "7"},
+    {"kind": "raps", "raps_lambda": 0.01, "raps_kreg": 2.5},
+    {"kind": "raps", "raps_lambda": 0.01, "raps_kreg": True},
+    {"kind": "raps", "raps_lambda": "0.01", "raps_kreg": 2},
+    {"kind": "raps", "raps_lambda": float("nan"), "raps_kreg": 2},
+    {"kind": "saps", "saps_lambda": "0.1"},
+    {"kind": "saps", "saps_lambda": float("inf")},
+], ids=["randomized-str", "randomized-int", "seed-float", "seed-bool", "seed-str",
+        "kreg-float", "kreg-bool", "raps-lambda-str", "raps-lambda-nan",
+        "saps-lambda-str", "saps-lambda-inf"])
+def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
+    _, test, threshold, _ = predicted
+    obj = json.loads(threshold.read_text())
+    obj["score"].update(score)
+    bad = tmp_path / "bad_threshold.json"
+    bad.write_text(json.dumps(obj))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
+                   "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("first_line", [

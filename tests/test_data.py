@@ -124,6 +124,21 @@ def test_binary_bad_magic(tmp_path):
         load_dataset(path, "binary")
 
 
+@pytest.mark.parametrize("labels, logits, message", [
+    ([0, 0], [[0.5], [1.0]], "class count must be >= 2, got 1"),
+    ([0, 3], [[0.5, 1.0, 2.0], [1.0, 0.0, 0.0]], r"label out of range in row 1: 3 not in \[0, 3\)"),
+    ([0, 1], [[0.5, 1.0], [np.inf, 0.0]], "non-finite logit in row 1"),
+])
+def test_binary_rejects_invalid_content(tmp_path, labels, logits, message):
+    logits = np.asarray(logits, dtype="<f8")
+    n, k = logits.shape
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"CPLG\x01" + n.to_bytes(8, "little") + k.to_bytes(4, "little")
+                     + np.asarray(labels, dtype="<u4").tobytes() + logits.tobytes())
+    with pytest.raises(ValidationError, match=message):
+        load_dataset(path, "binary")
+
+
 def test_save_to_unwritable_location(tmp_path):
     ds = make_ds(2, 2)
     with pytest.raises(OSError):

@@ -15,7 +15,7 @@ from confsets import (
     size_by_rank,
     truncation_diagnostic,
 )
-from confsets.metrics import default_rank_bins
+from confsets.metrics import DEFAULT_RANK_EDGES, rank_bins
 from confsets.scores import label_ranks
 
 from oracles import oracle_order
@@ -122,9 +122,19 @@ def test_size_by_rank_basic_bins():
 
 
 def test_default_bins_clip_to_k():
-    assert default_rank_bins(10) == [(1, 1), (2, 3), (4, 6), (7, 10)]
-    assert default_rank_bins(200) == [(1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, 200)]
-    assert default_rank_bins(2) == [(1, 1), (2, 2)]
+    def default(k):
+        return rank_bins(DEFAULT_RANK_EDGES, k)
+
+    assert default(10) == [(1, 1), (2, 3), (4, 6), (7, 10)]
+    assert default(200) == [(1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, 200)]
+    assert default(2) == [(1, 1), (2, 2)]
+    assert default(101) == [(1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, 101)]
+
+
+def test_custom_rank_edges():
+    assert rank_bins((2, 5), 10) == [(1, 2), (3, 5), (6, 10)]
+    assert rank_bins((2, 10), 10) == [(1, 2), (3, 10)]
+    assert rank_bins((4, 50), 3) == [(1, 3)]
 
 
 def test_overlapping_bins_rejected():
@@ -171,7 +181,7 @@ def test_report_rank_bins_match_per_row_reference(seed):
     ranks = [oracle_order(list(row)).index(y) + 1 for row, y in zip(probs, labels)]
     sizes = [int(row.sum()) for row in mask]
     expected = {}
-    for lo, hi in default_rank_bins(k):
+    for lo, hi in rank_bins(DEFAULT_RANK_EDGES, k):
         in_bin = [s for r, s in zip(ranks, sizes) if lo <= r <= hi]
         label = str(lo) if lo == hi else f"{lo}-{hi}"
         expected[label] = (len(in_bin), sum(in_bin) / len(in_bin) if in_bin else 0.0)

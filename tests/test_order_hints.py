@@ -21,7 +21,6 @@ from confsets import (
     efficiency_gap_loss,
     generate,
     tune_map,
-    tune_temperature,
 )
 from confsets.engine import conformal_level
 from confsets.maps import apply_map_dataset
@@ -172,7 +171,7 @@ def _counting(fn, counter):
 
 
 @pytest.mark.parametrize("run", [
-    lambda ds, cfg: tune_temperature(ds, ALPHA, cfg),
+    lambda ds, cfg: tune_map(ds, ALPHA, "temperature", cfg),
     lambda ds, cfg: tune_map(ds, ALPHA, "platt", cfg),
     lambda ds, cfg: tune_map(ds, ALPHA, "vector", TuneConfig(seed=cfg.seed, gd_max_iters=2)),
 ], ids=["temperature", "platt", "vector"])

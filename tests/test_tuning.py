@@ -18,10 +18,9 @@ from confsets import (
     generate,
     predict_sets,
     tune_map,
-    tune_temperature,
 )
 from confsets.scores import score_matrix
-from confsets.tuning import split_validation, tune_map_on_split
+from confsets.tuning import split_validation
 
 
 def test_efficiency_gap_examples():
@@ -112,7 +111,7 @@ def test_grid_minimizer_beats_t_equal_one():
     validation = generate(SynthSpec(n=4000, k=20, seed=5, signal=3.0, noise=1.0,
                                     overconfidence=3.0))
     cfg = TuneConfig(seed=5)
-    tuned, report = tune_temperature(validation, 0.1, cfg)
+    tuned, report = tune_map(validation, 0.1, "temperature", cfg)
     d_tau, d_loss = split_validation(validation, cfg)
     at_one = efficiency_gap_loss(CalibrationMap.temperature(1.0), d_tau, d_loss, 0.1)
     assert report.final_loss <= at_one
@@ -120,14 +119,14 @@ def test_grid_minimizer_beats_t_equal_one():
 
 
 # ---------------------------------------------------------------------------
-# tune_temperature
+# temperature and platt: one log-grid search over t
 
 
 def test_tune_temperature_deterministic():
     validation = generate(SynthSpec(n=3000, k=10, seed=6, signal=0.04, noise=0.02))
     cfg = TuneConfig(seed=6)
-    first, rep1 = tune_temperature(validation, 0.1, cfg)
-    second, rep2 = tune_temperature(validation, 0.1, cfg)
+    first, rep1 = tune_map(validation, 0.1, "temperature", cfg)
+    second, rep2 = tune_map(validation, 0.1, "temperature", cfg)
     assert first.t == second.t
     assert rep1.final_loss == rep2.final_loss
 
@@ -135,8 +134,8 @@ def test_tune_temperature_deterministic():
 def test_tune_threads_alpha_through():
     validation = generate(SynthSpec(n=6000, k=10, seed=11, signal=0.04, noise=0.02))
     cfg = TuneConfig(seed=3)
-    at_10, _ = tune_temperature(validation, 0.10, cfg)
-    at_05, _ = tune_temperature(validation, 0.05, cfg)
+    at_10, _ = tune_map(validation, 0.10, "temperature", cfg)
+    at_05, _ = tune_map(validation, 0.05, "temperature", cfg)
     assert at_10.t != at_05.t
 
 
@@ -147,7 +146,7 @@ def test_tuned_temperature_improves_heldout_size():
     ds = generate(SynthSpec(n=12000, k=20, seed=7, signal=1.0, noise=0.5))
     parts = split_dataset(ds, SplitSpec({"validation": 0.25, "conformal": 0.25,
                                          "test": 0.5}, seed=7))
-    tuned, _ = tune_temperature(parts["validation"], 0.1, TuneConfig(seed=7))
+    tuned, _ = tune_map(parts["validation"], 0.1, "temperature", TuneConfig(seed=7))
     spec = ScoreSpec(kind="aps", randomized=True, rng_seed=7)
     sizes = {}
     for name, cal_map in (("identity", CalibrationMap.identity()), ("tuned", tuned)):
@@ -156,8 +155,25 @@ def test_tuned_temperature_improves_heldout_size():
     assert sizes["tuned"] <= sizes["identity"]
 
 
+def test_platt_tunes_the_temperature_family():
+    # softmax ignores a shift shared by all classes, so b has no effect and
+    # Platt at a = 1/t is the temperature map t: the same grid finds it
+    validation = generate(SynthSpec(n=3000, k=10, seed=12, signal=2.4, noise=1.2))
+    cfg = TuneConfig(seed=12, t_min=0.4, t_max=5.0, grid_points=32)
+    temp_map, temp_report = tune_map(validation, 0.1, "temperature", cfg)
+    platt_map, platt_report = tune_map(validation, 0.1, "platt", cfg)
+    d_tau, d_loss = split_validation(validation, cfg)
+    shifted = CalibrationMap.platt(1.0 / temp_map.t, 3.7)
+    reproduced = efficiency_gap_loss(shifted, d_tau, d_loss, 0.1)
+    assert reproduced == pytest.approx(temp_report.final_loss, rel=1e-12)
+    assert platt_map.b == 0.0
+    assert platt_map.a == 1.0 / temp_map.t
+    assert platt_report.final_loss == pytest.approx(temp_report.final_loss, rel=1e-12)
+    assert platt_report.iterations == temp_report.iterations
+
+
 # ---------------------------------------------------------------------------
-# tune_map
+# vector: finite-difference descent
 
 
 def _mirrored_two_class(n_pairs, seed):
@@ -172,46 +188,39 @@ def _mirrored_two_class(n_pairs, seed):
 
 
 def test_vector_tuning_preserves_class_symmetry():
-    d_tau = _mirrored_two_class(400, seed=8)
-    d_loss = _mirrored_two_class(400, seed=9)
     cfg = TuneConfig(seed=8, gd_max_iters=40)
-    tuned, report = tune_map_on_split(d_tau, d_loss, 0.1, "vector", cfg)
+    halves = [_mirrored_two_class(400, seed=8), _mirrored_two_class(400, seed=9)]
+    # put each mirrored half at the rows split_validation assigns to it
+    order = np.random.default_rng(cfg.seed).permutation(1600)
+    logits = np.empty((1600, 2))
+    labels = np.empty(1600, dtype=np.int64)
+    for rows, half in zip((order[:800], order[800:]), halves):
+        logits[rows], labels[rows] = half.logits, half.labels
+    validation = LogitsDataset(logits, labels)
+    for got, half in zip(split_validation(validation, cfg), halves):
+        np.testing.assert_array_equal(got.logits, half.logits)
+        np.testing.assert_array_equal(got.labels, half.labels)
+    tuned, report = tune_map(validation, 0.1, "vector", cfg)
     assert abs(tuned.w[0] - tuned.w[1]) < 1e-3
     assert abs(tuned.c[0] - tuned.c[1]) < 1e-3
     assert np.isfinite(report.final_loss)
-
-
-def test_platt_descent_beats_bounded_temperature_search():
-    # sharp logits: the squared gap keeps shrinking as maps sharpen, so a
-    # bounded temperature grid stops at its floor while platt's unbounded
-    # scale parameter keeps going.  The gradient window must be wide
-    # enough to average over the order-statistic kinks in the objective.
-    validation = generate(SynthSpec(n=3000, k=10, seed=12, signal=2.4, noise=1.2))
-    cfg = TuneConfig(seed=12, t_min=0.4, t_max=5.0, grid_points=32,
-                     gd_grad_eps=0.01, gd_step=5.0)
-    temp_map, temp_report = tune_temperature(validation, 0.1, cfg)
-    platt_map, platt_report = tune_map(validation, 0.1, "platt", cfg)
-    assert platt_report.final_loss <= temp_report.final_loss
-    # the platt family contains every temperature map: a = 1/t, b free
-    d_tau, d_loss = split_validation(validation, cfg)
-    same = CalibrationMap.platt(1.0 / temp_map.t, 3.7)
-    reproduced = efficiency_gap_loss(same, d_tau, d_loss, 0.1)
-    assert reproduced == pytest.approx(temp_report.final_loss, rel=1e-12)
 
 
 def test_line_search_never_increases_loss():
     validation = generate(SynthSpec(n=1000, k=5, seed=13, signal=1.0, noise=0.5))
     cfg = TuneConfig(seed=13, gd_max_iters=1)
     d_tau, d_loss = split_validation(validation, cfg)
-    initial = efficiency_gap_loss(CalibrationMap.platt(1.0, 0.0), d_tau, d_loss, 0.1)
-    _, report = tune_map_on_split(d_tau, d_loss, 0.1, "platt", cfg)
+    start = CalibrationMap.vector(np.ones(5), np.zeros(5))
+    initial = efficiency_gap_loss(start, d_tau, d_loss, 0.1)
+    _, report = tune_map(validation, 0.1, "vector", cfg)
     assert report.final_loss <= initial
 
 
 def test_tune_map_rejects_unknown_kind():
     validation = generate(SynthSpec(n=200, k=4, seed=14))
-    with pytest.raises(ValidationError):
-        tune_map(validation, 0.1, "temperature")
+    for kind in ("identity", "bogus"):
+        with pytest.raises(ValidationError, match=kind):
+            tune_map(validation, 0.1, kind)
 
 
 @pytest.mark.parametrize("field, value", [
