@@ -17,7 +17,7 @@ from .engine import (
     run_pipeline,
 )
 from .errors import ValidationError
-from .maps import CalibrationMap, apply_map, apply_map_dataset, load_map, save_map
+from .maps import CalibrationMap, apply_map_dataset, load_map, save_map
 from .metrics import (
     EvaluationReport,
     build_report,
@@ -31,7 +31,6 @@ from .synth import SynthSpec, generate, generate_paired_shifted
 from .tuning import (
     TuneConfig,
     TuneReport,
-    efficiency_gap,
     efficiency_gap_loss,
     tune_map,
 )
@@ -51,14 +50,12 @@ __all__ = [
     "TuneConfig",
     "TuneReport",
     "ValidationError",
-    "apply_map",
     "apply_map_dataset",
     "build_report",
     "calibrate",
     "calibrate_threshold",
     "coverage_and_size",
     "draw_u_many",
-    "efficiency_gap",
     "efficiency_gap_loss",
     "expected_calibration_error",
     "generate",

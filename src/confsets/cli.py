@@ -72,7 +72,10 @@ def _load_dataset(path) -> data.LogitsDataset:
 
 
 def _parse_rank_edges(text: str) -> tuple[int, ...]:
-    """'default' or comma-separated upper edges such as '1,3,6,10,100'."""
+    """'default' or comma-separated upper edges such as '1,3,6,10,100'.
+
+    Only the text is checked here; ``metrics.rank_bins`` checks the edges.
+    """
     if text == "default":
         return metrics.DEFAULT_RANK_EDGES
     edges = []
@@ -81,8 +84,6 @@ def _parse_rank_edges(text: str) -> tuple[int, ...]:
             edges.append(int(v))
         except ValueError as exc:
             raise ValidationError(f"--bins must be 'default' or integer edges, got {v!r}") from exc
-    if edges != sorted(edges) or len(set(edges)) != len(edges) or edges[0] < 1:
-        raise ValidationError("--bins edges must be strictly increasing and >= 1")
     return tuple(edges)
 
 
@@ -167,8 +168,7 @@ def cmd_evaluate(args) -> None:
         score_desc = threshold.score_spec.to_json_dict()
         cal_map = threshold.cal_map
     probs = maps.apply_map_dataset(cal_map, ds)
-    bins = metrics.rank_bins(_parse_rank_edges(args.bins), ds.k)
-    report = metrics.build_report(mask, ds, probs, rank_bins=bins,
+    report = metrics.build_report(mask, ds, probs, rank_edges=_parse_rank_edges(args.bins),
                                   ece_bins=args.ece_bins, alpha=alpha,
                                   score=score_desc, map_desc=cal_map.to_json_dict())
     metrics.save_report(report, args.out)
@@ -239,9 +239,10 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=64)
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.05)
-    p.add_argument("--t-max", dest="t_max", type=float, default=5.0)
+    p.add_argument("--grid-points", dest="grid_points", type=int,
+                   default=tuning.TuneConfig.grid_points)
+    p.add_argument("--t-min", dest="t_min", type=float, default=tuning.TuneConfig.t_min)
+    p.add_argument("--t-max", dest="t_max", type=float, default=tuning.TuneConfig.t_max)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("calibrate", help="compute the conformal threshold")

@@ -66,6 +66,12 @@ class ConformalThreshold:
             raise ValidationError(f"threshold alpha must be in (0, 1), got {alpha!r}")
         if not (is_int(n_cal) and n_cal >= 1):
             raise ValidationError(f"threshold n_cal must be an integer >= 1, got {n_cal!r}")
+        if (tau == math.inf) != (conformal_level(n_cal, alpha) > n_cal):
+            raise ValidationError(
+                f"threshold tau {obj['tau']!r} disagrees with n_cal={n_cal} at "
+                f"alpha={alpha}: tau is 'include_all' exactly when "
+                "ceil((n_cal+1)(1-alpha)) > n_cal"
+            )
         return cls(
             tau=float(tau),
             alpha=float(alpha),

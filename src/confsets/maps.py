@@ -130,28 +130,13 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def apply_map(cal_map: CalibrationMap, logits_row: np.ndarray,
-              precision: str = "f64") -> np.ndarray:
-    """Probability vector for one logits row under ``cal_map``."""
-    row = np.asarray(logits_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValidationError("logits_row must be 1-d")
-    if not np.isfinite(row).all():
-        raise ValidationError("logits must be finite")
-    return _apply(cal_map, row, precision)
-
-
 def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset,
                       precision: str = "f64") -> np.ndarray:
-    """n-by-K probability matrix; row i equals apply_map on row i."""
-    return _apply(cal_map, ds.logits, precision)
-
-
-def _apply(cal_map: CalibrationMap, logits: np.ndarray, precision: str) -> np.ndarray:
+    """n-by-K probability matrix: row i is the softmax of ``cal_map`` on row i."""
     if precision == "f64":
-        work = np.asarray(logits, dtype=np.float64)
+        work = ds.logits
     elif precision == "f32":
-        work = np.asarray(logits, dtype=np.float32)
+        work = ds.logits.astype(np.float32)
     else:
         raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
     return softmax(cal_map.transform_logits(work))

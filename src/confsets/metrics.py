@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .maps import CalibrationMap, apply_map_dataset
 from .scores import label_ranks
 
@@ -98,8 +98,16 @@ def expected_calibration_error(probs: np.ndarray, labels,
 def rank_bins(edges, k: int) -> list[tuple[int, int]]:
     """Rank bins [1, e1], [e1+1, e2], ..., then [e_last+1, K], clipped to [1, K].
 
-    ``edges`` are strictly increasing upper edges >= 1.
+    ``edges`` must be strictly increasing integers >= 1; the bins then
+    partition [1, K] without gaps or overlap.
     """
+    edges = tuple(edges)
+    # Increasing from 0 also puts every edge at >= 1.
+    if not (all(is_int(e) for e in edges)
+            and all(lo < hi for lo, hi in zip((0, *edges), edges))):
+        raise ValidationError(
+            f"rank-bin edges must be strictly increasing integers >= 1, got {list(edges)}"
+        )
     bins: list[tuple[int, int]] = []
     lo = 1
     for edge in edges:
@@ -112,43 +120,24 @@ def rank_bins(edges, k: int) -> list[tuple[int, int]]:
     return bins
 
 
-def _validate_rank_bins(bins, k: int) -> None:
-    prev_hi = 0
-    for lo, hi in bins:
-        if lo != prev_hi + 1:
-            raise ValidationError(
-                f"rank bins must partition [1, {k}] without gaps or overlap; "
-                f"bin ({lo}, {hi}) follows rank {prev_hi}"
-            )
-        if hi < lo:
-            raise ValidationError(f"rank bin ({lo}, {hi}) is empty")
-        prev_hi = hi
-    if prev_hi != k:
-        raise ValidationError(f"rank bins must end at {k}, got {prev_hi}")
-
-
 def _bin_label(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
 def size_by_rank(mask: np.ndarray, true_ranks,
-                 bins: list[tuple[int, int]] | None = None) -> dict[str, tuple[int, float]]:
+                 edges=DEFAULT_RANK_EDGES) -> dict[str, tuple[int, float]]:
     """Per-difficulty-bin (count, mean set size), keyed by rank-range label.
 
     ``true_ranks`` holds the 1-indexed rank of each row's true label; a
-    sample lands in the bin containing it.
+    sample lands in the bin of ``rank_bins(edges, K)`` containing it.
     """
     mask = np.asarray(mask, dtype=bool)
     true_ranks = np.asarray(true_ranks, dtype=np.int64)
     if mask.ndim != 2 or true_ranks.shape != (mask.shape[0],):
         raise ValidationError("the set mask and the true ranks must align")
-    k = mask.shape[1]
-    if bins is None:
-        bins = rank_bins(DEFAULT_RANK_EDGES, k)
-    _validate_rank_bins(bins, k)
     sizes = mask.sum(axis=1).astype(np.float64)
     out: dict[str, tuple[int, float]] = {}
-    for lo, hi in bins:
+    for lo, hi in rank_bins(edges, mask.shape[1]):
         in_bin = (true_ranks >= lo) & (true_ranks <= hi)
         count = int(in_bin.sum())
         mean = float(sizes[in_bin].mean()) if count else 0.0
@@ -175,13 +164,13 @@ def _zero_rows(probs: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def build_report(mask: np.ndarray, ds: LogitsDataset, probs: np.ndarray,
-                 rank_bins=None, ece_bins: int = DEFAULT_ECE_BINS,
+                 rank_edges=DEFAULT_RANK_EDGES, ece_bins: int = DEFAULT_ECE_BINS,
                  alpha: float | None = None, score: dict | None = None,
                  map_desc: dict | None = None) -> EvaluationReport:
     """Assemble the full evaluation report for one prediction-set mask."""
     cov, avg_size = coverage_and_size(mask, ds.labels)
     ece = expected_calibration_error(probs, ds.labels, ece_bins)
-    by_rank = size_by_rank(mask, label_ranks(probs, ds.labels), bins=rank_bins)
+    by_rank = size_by_rank(mask, label_ranks(probs, ds.labels), rank_edges)
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,

@@ -21,6 +21,12 @@ refinement (robust to the kinks that the order-statistic tau introduces;
 no gradients needed).  Vector maps scale and shift each class on its own,
 which can reorder classes, so they use plain gradient descent with
 central-difference gradients and a backtracking line search.
+
+The optimizer's inner constants are fixed module constants, not
+settings: ``_REFINE_TOL``, ``_GD_STEP``, ``_GD_GRAD_EPS``,
+``_GD_MAX_HALVINGS`` and ``_REL_TOL``.  ``TuneConfig`` holds only what
+callers choose: the temperature window, the grid size, the descent's
+iteration cap and the seed of the halves.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Golden-section refinement stops once its bracket is this narrow.
+_REFINE_TOL = 1e-4
+# Gradient descent: first step of each line search, central-difference
+# half-width, most halvings per line search, and the relative improvement
+# below which an accepted step ends the descent.
+_GD_STEP = 0.1
+_GD_GRAD_EPS = 1e-4
+_GD_MAX_HALVINGS = 20
+_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TuneConfig:
@@ -49,27 +65,15 @@ class TuneConfig:
     t_min: float = 0.05
     t_max: float = 5.0
     grid_points: int = 64
-    refine_tol: float = 1e-4
-    gd_step: float = 0.1
     gd_max_iters: int = 500
-    gd_grad_eps: float = 1e-4
-    gd_max_halvings: int = 20
-    rel_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
+        # The chained comparison is False for a NaN bound too.
         if not (0 < self.t_min < self.t_max):
             raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max")
         if self.grid_points < 1 or self.gd_max_iters < 1:
-            raise ValidationError("grid and iteration counts must be >= 1")
-        # `not (x > 0)` also rejects NaN.
-        for name in ("refine_tol", "gd_grad_eps", "gd_step"):
-            if not (getattr(self, name) > 0):
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.gd_max_halvings < 0:
-            raise ValidationError(f"gd_max_halvings must be >= 0, got {self.gd_max_halvings}")
-        if not (self.rel_tol >= 0):
-            raise ValidationError(f"rel_tol must be >= 0, got {self.rel_tol}")
+            raise ValidationError("grid_points and gd_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,6 @@ class TuneReport:
     def to_json_dict(self) -> dict:
         return {"alpha": self.alpha, "final_loss": self.final_loss,
                 "iterations": self.iterations, "stalled": self.stalled}
-
-
-def efficiency_gap(tau: float, score_true: float) -> float:
-    """tau minus the true label's score; >= 0 iff the label is covered."""
-    return tau - score_true
 
 
 def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
@@ -134,8 +133,8 @@ def split_validation(validation: LogitsDataset,
     return parts["tau"], parts["loss"]
 
 
-def minimize_on_log_grid(fn, lo: float, hi: float, grid_points: int,
-                         refine_tol: float) -> tuple[float, float, int]:
+def minimize_on_log_grid(fn, lo: float, hi: float,
+                         grid_points: int) -> tuple[float, float, int]:
     """Log-uniform grid scan plus golden-section refinement.
 
     Returns (argmin, min value, evaluation count).  The refinement
@@ -149,7 +148,7 @@ def minimize_on_log_grid(fn, lo: float, hi: float, grid_points: int,
     best_x, best_f = float(grid[i]), float(values[i])
     a = float(grid[max(0, i - 1)])
     b = float(grid[min(grid_points - 1, i + 1)])
-    if b - a > refine_tol:
+    if b - a > _REFINE_TOL:
         c = b - (b - a) * _INVPHI
         d = a + (b - a) * _INVPHI
         fc, fd = fn(c), fn(d)
@@ -157,7 +156,7 @@ def minimize_on_log_grid(fn, lo: float, hi: float, grid_points: int,
         for x, f in ((c, fc), (d, fd)):
             if f < best_f:
                 best_x, best_f = x, f
-        while b - a > refine_tol:
+        while b - a > _REFINE_TOL:
             if fc <= fd:
                 b, d, fd = d, c, fc
                 c = b - (b - a) * _INVPHI
@@ -206,7 +205,6 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
         scalar_map = _SCALAR_MAPS[map_kind]
         t_best, f_best, evals = minimize_on_log_grid(
             lambda t: loss(scalar_map(t)), cfg.t_min, cfg.t_max, cfg.grid_points,
-            cfg.refine_tol,
         )
         return scalar_map(t_best), TuneReport(alpha=alpha, final_loss=f_best,
                                               iterations=evals)
@@ -224,10 +222,10 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
     iterations = 0
     stalled = False
     for _ in range(cfg.gd_max_iters):
-        grad = _central_difference_gradient(objective, params, cfg.gd_grad_eps)
-        step = cfg.gd_step
+        grad = _central_difference_gradient(objective, params)
+        step = _GD_STEP
         accepted = False
-        for _ in range(cfg.gd_max_halvings + 1):
+        for _ in range(_GD_MAX_HALVINGS + 1):
             candidate = params - step * grad
             value = objective(candidate)
             if value < current:
@@ -240,19 +238,19 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
         iterations += 1
         previous, current = current, value
         params = candidate
-        if abs(previous - current) < cfg.rel_tol * max(abs(previous), 1e-30):
+        if abs(previous - current) < _REL_TOL * max(abs(previous), 1e-30):
             break
     report = TuneReport(alpha=alpha, final_loss=current, iterations=iterations,
                         stalled=stalled)
     return vector(params), report
 
 
-def _central_difference_gradient(fn, params: np.ndarray, eps: float) -> np.ndarray:
+def _central_difference_gradient(fn, params: np.ndarray) -> np.ndarray:
     grad = np.empty_like(params)
     for i in range(params.shape[0]):
         bump = np.zeros_like(params)
-        bump[i] = eps
-        grad[i] = (fn(params + bump) - fn(params - bump)) / (2.0 * eps)
+        bump[i] = _GD_GRAD_EPS
+        grad[i] = (fn(params + bump) - fn(params - bump)) / (2.0 * _GD_GRAD_EPS)
     return grad
 
 

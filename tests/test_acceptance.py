@@ -195,8 +195,7 @@ def _tune_temperature_randomized_loss(validation, alpha, cfg):
         gaps = threshold.tau - s_loss
         return float(np.mean(gaps * gaps))
 
-    t_best, _, _ = minimize_on_log_grid(objective, cfg.t_min, cfg.t_max,
-                                        cfg.grid_points, cfg.refine_tol)
+    t_best, _, _ = minimize_on_log_grid(objective, cfg.t_min, cfg.t_max, cfg.grid_points)
     return cs.CalibrationMap.temperature(t_best)
 
 

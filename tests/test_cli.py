@@ -243,6 +243,8 @@ def test_predict_seed_must_be_the_calibration_seed(tmp_path, predicted, capsys):
     ("tau", float("nan")), ("tau", float("inf")), ("tau", float("-inf")), ("tau", "all"),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 7), ("alpha", float("nan")),
     ("n_cal", 0), ("n_cal", 2.5), ("n_cal", "300"), ("n_cal", True),
+    # a finite tau with n_cal 5 (level 6 > 5), and include_all with n_cal 300
+    ("n_cal", 5), ("tau", "include_all"),
 ])
 def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     _, test, threshold, _ = predicted
@@ -253,6 +255,34 @@ def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
                    "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
     assert code == 1
+
+
+def test_predict_accepts_include_all_from_too_few_rows(tmp_path):
+    cal = synth_file(tmp_path, name="cal.bin", n=5, k=10, seed=7)
+    test = synth_file(tmp_path, name="test.bin", n=20, k=10, seed=8)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    threshold = tmp_path / "threshold.json"
+    assert run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--params", str(params), "--seed", "7", "--out", str(threshold)) == 0
+    assert json.loads(threshold.read_text())["tau"] == "include_all"
+    sets = tmp_path / "sets.jsonl"
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets)) == 0
+    assert [json.loads(line)["set"] for line in sets.read_text().splitlines()] \
+        == [list(range(10))] * 20
+
+
+@pytest.mark.parametrize("bins, message", [
+    ("3,1", "strictly increasing"), ("0,5", "strictly increasing"), ("x", "--bins"),
+])
+def test_evaluate_rejects_bad_bins(tmp_path, predicted, bins, message, capsys):
+    _, test, threshold, sets = predicted
+    code = run_cli("evaluate", "--sets", str(sets), "--in", str(test), "--bins", bins,
+                   "--ece-bins", "15", "--threshold", str(threshold),
+                   "--out", str(tmp_path / "report.json"))
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("score", [

@@ -78,6 +78,13 @@ def test_csv_label_out_of_range(tmp_path):
         load_dataset(path, "csv")
 
 
+def test_csv_label_beyond_int64(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,logit_0,logit_1\n0,1.0,2.0\n100000000000000000000000,1.0,2.0\n")
+    with pytest.raises(ValidationError, match="label out of range"):
+        load_dataset(path, "csv")
+
+
 def test_csv_round_trip_exact(tmp_path):
     ds = make_ds(23, 5, seed=1)
     path = tmp_path / "ds.csv"

@@ -9,7 +9,6 @@ from confsets import (
     CalibrationMap,
     LogitsDataset,
     ValidationError,
-    apply_map,
     apply_map_dataset,
     load_map,
     save_map,
@@ -23,15 +22,21 @@ logit_values = st.integers(-40, 40).map(lambda v: v / 4.0)
 logit_rows = st.lists(logit_values, min_size=2, max_size=12)
 
 
+def probs_of(cal_map, row, precision="f64"):
+    """The probability row of a one-row dataset holding ``row``."""
+    ds = LogitsDataset(np.asarray([row], dtype=np.float64), [0])
+    return apply_map_dataset(cal_map, ds, precision=precision)[0]
+
+
 def test_temperature_one_matches_oracle():
     row = [2.0, 1.0, 0.0]
-    got = apply_map(CalibrationMap.temperature(1.0), row)
+    got = probs_of(CalibrationMap.temperature(1.0), row)
     np.testing.assert_allclose(got, oracle_softmax(row), rtol=0, atol=1e-15)
     np.testing.assert_allclose(got, [0.665241, 0.244728, 0.090031], atol=5e-7)
 
 
 def test_temperature_half_sharpens():
-    got = apply_map(CalibrationMap.temperature(0.5), [2.0, 1.0, 0.0])
+    got = probs_of(CalibrationMap.temperature(0.5), [2.0, 1.0, 0.0])
     np.testing.assert_allclose(got, oracle_softmax([4.0, 2.0, 0.0]), atol=1e-15)
     assert abs(got[0] - 0.866813) < 5e-7
 
@@ -41,12 +46,12 @@ def test_equal_logits_give_uniform():
                     CalibrationMap.platt(2.0, 1.0),
                     CalibrationMap.vector([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
                     CalibrationMap.identity()):
-        got = apply_map(cal_map, [3.0, 3.0, 3.0])
+        got = probs_of(cal_map, [3.0, 3.0, 3.0])
         np.testing.assert_allclose(got, [1 / 3] * 3, atol=1e-15)
 
 
 def test_huge_temperature_flattens():
-    got = apply_map(CalibrationMap.temperature(1e9), [2.0, 1.0, 0.0])
+    got = probs_of(CalibrationMap.temperature(1e9), [2.0, 1.0, 0.0])
     assert np.abs(got - 1 / 3).max() < 1e-9
 
 
@@ -74,19 +79,19 @@ def test_invalid_maps_rejected():
     with pytest.raises(ValidationError):
         CalibrationMap.vector([1.0, 2.0], [0.0])
     with pytest.raises(ValidationError):
-        apply_map(CalibrationMap.vector([1.0, 1.0], [0.0, 0.0]), [1.0, 2.0, 3.0])
+        probs_of(CalibrationMap.vector([1.0, 1.0], [0.0, 0.0]), [1.0, 2.0, 3.0])
 
 
 @given(logit_rows)
 def test_rows_normalize(row):
-    got = apply_map(CalibrationMap.temperature(0.8), row)
+    got = probs_of(CalibrationMap.temperature(0.8), row)
     assert abs(got.sum() - 1.0) <= 1e-12
     assert (got >= 0).all()
 
 
 @given(logit_rows, st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 5.0]))
 def test_temperature_preserves_order(row, t):
-    probs = apply_map(CalibrationMap.temperature(t), row)
+    probs = probs_of(CalibrationMap.temperature(t), row)
     order_logits = np.argsort(-np.asarray(row), kind="stable")
     order_probs = np.argsort(-probs, kind="stable")
     np.testing.assert_array_equal(order_logits, order_probs)
@@ -95,8 +100,8 @@ def test_temperature_preserves_order(row, t):
 
 @given(logit_rows)
 def test_sharpening_raises_top_probability(row):
-    base = apply_map(CalibrationMap.temperature(1.0), row)
-    sharp = apply_map(CalibrationMap.temperature(0.5), row)
+    base = probs_of(CalibrationMap.temperature(1.0), row)
+    sharp = probs_of(CalibrationMap.temperature(0.5), row)
     if len(set(row)) > 1:
         assert sharp.max() > base.max()
     else:
@@ -105,8 +110,8 @@ def test_sharpening_raises_top_probability(row):
 
 def test_f32_mode_differs_only_in_precision():
     row = np.array([30.0, 0.0])
-    p64 = apply_map(CalibrationMap.temperature(0.12), row, precision="f64")
-    p32 = apply_map(CalibrationMap.temperature(0.12), row, precision="f32")
+    p64 = probs_of(CalibrationMap.temperature(0.12), row, precision="f64")
+    p32 = probs_of(CalibrationMap.temperature(0.12), row, precision="f32")
     assert p64[1] > 0.0
     assert p32[1] == 0.0  # underflows in float32
     assert p32.dtype == np.float32

@@ -138,10 +138,15 @@ def test_custom_rank_edges():
 
 
 def test_overlapping_bins_rejected():
+    # edges that decrease, repeat or sit below 1 would give overlapping or
+    # empty bins
     probs = np.array([[0.6, 0.4]])
     sets = make_sets([[0]], 2)
-    with pytest.raises(ValidationError):
-        size_by_rank(sets, rank_rows_for(probs, [0]), bins=[(1, 1), (1, 2)])
+    for edges in ((3, 1), (1, 1), (2, 2, 5), (0, 5), (-1,), (1.5, 3), (True, 3)):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            rank_bins(edges, 10)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            size_by_rank(sets, rank_rows_for(probs, [0]), edges)
 
 
 def test_all_rank_one_means():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confsets import CalibrationMap, ScoreSpec, ValidationError, apply_map, draw_u_many
+from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, ValidationError,
+                      apply_map_dataset, draw_u_many)
 from confsets.scores import (
     label_ranks,
     score_matrix,
@@ -287,8 +288,9 @@ def test_draw_u_order_independent():
 def _temperature_curve(logits, class_k, grid):
     """Non-randomized aps score of one class across a temperature grid."""
     spec = ScoreSpec(kind="aps")
+    ds = LogitsDataset(np.asarray([logits], dtype=np.float64), [0])
     return np.asarray([
-        _row_scores(spec, apply_map(CalibrationMap.temperature(t), logits))[class_k]
+        _row_scores(spec, apply_map_dataset(CalibrationMap.temperature(t), ds)[0])[class_k]
         for t in grid
     ])
 

@@ -13,7 +13,6 @@ from confsets import (
     TuneConfig,
     ValidationError,
     calibrate_threshold,
-    efficiency_gap,
     efficiency_gap_loss,
     generate,
     predict_sets,
@@ -24,9 +23,23 @@ from confsets.tuning import split_validation
 
 
 def test_efficiency_gap_examples():
-    assert efficiency_gap(0.9, 0.7) == pytest.approx(0.2)
-    assert efficiency_gap(0.5, 0.5) == 0.0
-    assert efficiency_gap(0.5, 0.8) == pytest.approx(-0.3)
+    # on a one-row loss half the loss is the squared gap tau - s of that row
+    from confsets.maps import apply_map_dataset
+    from confsets.scores import true_label_scores
+
+    d_tau, d_loss = _halves(seed=0)
+    cal_map = CalibrationMap.temperature(0.9)
+    spec = ScoreSpec(kind="aps")
+    tau = calibrate_threshold(true_label_scores(spec, apply_map_dataset(cal_map, d_tau),
+                                                d_tau.labels), 0.1).tau
+    signs = set()
+    for i in range(20):
+        row = d_loss.take(np.asarray([i]))
+        s = true_label_scores(spec, apply_map_dataset(cal_map, row), row.labels)[0]
+        signs.add(bool(tau - s >= 0))
+        assert efficiency_gap_loss(cal_map, d_tau, row, 0.1) == pytest.approx((tau - s) ** 2,
+                                                                               rel=1e-12)
+    assert signs == {True, False}
 
 
 @given(
@@ -38,7 +51,7 @@ def test_gap_sign_law(weights, tau):
     probs = np.asarray(weights, dtype=float) / sum(weights)
     spec = ScoreSpec(kind="aps")
     label = len(probs) // 2
-    gap = efficiency_gap(tau, score_matrix(spec, probs[None, :])[0, label])
+    gap = tau - score_matrix(spec, probs[None, :])[0, label]
     threshold = calibrate_threshold([tau], 0.5, score_spec=spec)
     covered = predict_sets(threshold, probs[None, :])[0, label]
     assert (gap >= 0) == covered
@@ -224,11 +237,11 @@ def test_tune_map_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("refine_tol", 0.0),
-    ("gd_grad_eps", 0.0),
-    ("gd_step", 0.0),
-    ("gd_max_halvings", -1),
-    ("rel_tol", -1e-9),
+    ("t_min", 0.0),
+    ("t_max", TuneConfig.t_min),
+    ("t_max", float("nan")),
+    ("grid_points", 0),
+    ("gd_max_iters", 0),
 ])
 def test_tune_config_rejects_values_that_break_the_optimizer(field, value):
     with pytest.raises(ValidationError, match=field):
