@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError, is_int, is_number
+from .errors import ValidationError, check_keys, is_int, is_number
 from .maps import CalibrationMap, apply_map_dataset
 from .scores import ScoreSpec, draw_u_many, score_matrix, true_label_scores
 
@@ -52,7 +52,9 @@ class ConformalThreshold:
     def from_json_dict(cls, obj: dict) -> "ConformalThreshold":
         if not isinstance(obj, dict):
             raise ValidationError("threshold JSON must be an object")
-        for key in ("tau", "alpha", "n_cal", "score", "map"):
+        keys = ("tau", "alpha", "n_cal", "score", "map")
+        check_keys(obj, keys, "threshold JSON")
+        for key in keys:
             if key not in obj:
                 raise ValidationError(f"threshold JSON missing field {key!r}")
         tau, alpha, n_cal = obj["tau"], obj["alpha"], obj["n_cal"]

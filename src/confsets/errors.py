@@ -1,4 +1,4 @@
-"""Shared exception type and the type checks for values read from JSON."""
+"""Shared exception type and the checks for values read from JSON."""
 
 
 class ValidationError(ValueError):
@@ -17,3 +17,13 @@ def is_int(value) -> bool:
 def is_number(value) -> bool:
     """An int or a float, but not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_keys(obj: dict, allowed, what: str) -> None:
+    """Reject keys of a JSON object outside ``allowed``.
+
+    A misspelt key would otherwise load as its default without a word.
+    """
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}")

@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
+
+# The keys of each kind's "params" object in map JSON.
+_PARAM_NAMES = {"temperature": ("t",), "platt": ("a", "b"), "vector": ("w", "c"),
+                "identity": ()}
 
 
 @dataclass(frozen=True)
@@ -104,23 +108,21 @@ class CalibrationMap:
     def from_json_dict(cls, obj: dict) -> "CalibrationMap":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("map JSON must be an object with a 'kind' field")
+        check_keys(obj, ("kind", "params"), "map JSON")
         kind = obj["kind"]
+        if kind not in MAP_KINDS:
+            raise ValidationError(f"unknown map kind {kind!r}")
         params = obj.get("params", {})
-        if kind == "temperature":
-            if "t" not in params:
-                raise ValidationError("temperature map JSON requires params.t")
-            return cls.temperature(params["t"])
-        if kind == "platt":
-            if "a" not in params or "b" not in params:
-                raise ValidationError("platt map JSON requires params.a and params.b")
-            return cls.platt(params["a"], params["b"])
-        if kind == "vector":
-            if "w" not in params or "c" not in params:
-                raise ValidationError("vector map JSON requires params.w and params.c")
-            return cls.vector(params["w"], params["c"])
-        if kind == "identity":
-            return cls.identity()
-        raise ValidationError(f"unknown map kind {kind!r}")
+        if not isinstance(params, dict):
+            raise ValidationError("map JSON params must be an object")
+        names = _PARAM_NAMES[kind]
+        check_keys(params, names, f"{kind} map JSON params")
+        if any(name not in params for name in names):
+            raise ValidationError(
+                f"{kind} map JSON requires " + " and ".join(f"params.{n}" for n in names)
+            )
+        # each kind's constructor takes its parameters in _PARAM_NAMES order
+        return getattr(cls, kind)(*(params[name] for name in names))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -19,11 +19,11 @@ by (seed, sample_index), so parallel evaluation cannot change results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, is_int, is_number
+from .errors import ValidationError, check_keys, is_int, is_number
 
 SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
@@ -85,6 +85,7 @@ class ScoreSpec:
     def from_json_dict(cls, obj: dict) -> "ScoreSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("score JSON must be an object with a 'kind' field")
+        check_keys(obj, (f.name for f in fields(cls)), "score JSON")
         return cls(
             kind=obj["kind"],
             randomized=obj.get("randomized", False),
@@ -132,32 +133,17 @@ def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
 # ranking
 
 
-def sort_rows(probs: np.ndarray,
-              hint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sort_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of an n-by-K probability matrix sorted descending: (sorted_probs, perm).
 
-    Without a hint, perm is the stable argsort (ties by ascending class
-    index).  ``hint`` is a perm from an earlier call on the same rows: the
-    rows it still leaves non-increasing keep it, only the others are
-    argsorted, and the hint is updated in place and returned as perm.  A
-    non-increasing arrangement of a row holds the same values in the same
-    order as the sorted row, so sorted_probs never depends on the hint; only
-    the order of tied classes within perm may.
+    perm is the stable argsort, so tied classes keep ascending class order.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
     _check_normalized(p)
-    if hint is None:
-        perm = np.argsort(-p, axis=1, kind="stable")
-        return np.take_along_axis(p, perm, axis=1), perm
-    sorted_probs = np.take_along_axis(p, hint, axis=1)
-    stale = np.flatnonzero((sorted_probs[:, 1:] > sorted_probs[:, :-1]).any(axis=1))
-    if stale.size:
-        fresh = np.argsort(-p[stale], axis=1, kind="stable")
-        hint[stale] = fresh
-        sorted_probs[stale] = np.take_along_axis(p[stale], fresh, axis=1)
-    return sorted_probs, hint
+    perm = np.argsort(-p, axis=1, kind="stable")
+    return np.take_along_axis(p, perm, axis=1), perm
 
 
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -207,23 +193,16 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     u_eff = _check_u_array(spec, u, p.shape[0])
     if spec.kind == "lac":
         return 1.0 - p[np.arange(p.shape[0]), labels]
-    sorted_probs, _ = sort_rows(p)
-    return label_scores_from_sorted(spec, p, sorted_probs, labels, u_eff)
-
-
-def label_scores_from_sorted(spec: ScoreSpec, probs: np.ndarray, sorted_probs: np.ndarray,
-                             labels: np.ndarray, u) -> np.ndarray:
-    """Cumulative score (aps, raps, saps) of each row's label.
-
-    ``sorted_probs`` is ``probs`` with each row in descending order, from
-    any sort; the label's rank comes from ``label_ranks``.  ``u`` holds one
-    draw per row, or 1.0 for a non-randomized score.
-    """
-    ranks = label_ranks(probs, labels)
-    rows = np.arange(probs.shape[0])
+    _check_normalized(p)
+    # A label's prefix sum needs the row's values in descending order, not
+    # the classes that hold them: tied classes hold equal values, so this
+    # sums the same numbers in the same order as the stable argsort.
+    sorted_probs = np.sort(p, axis=1)[:, ::-1]
+    ranks = label_ranks(p, labels)
+    rows = np.arange(p.shape[0])
     at = (rows, ranks - 1)
     return _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at], sorted_probs[at],
-                             sorted_probs[:, 0], ranks, u)
+                             sorted_probs[:, 0], ranks, u_eff)
 
 
 def _cumulative_score(spec: ScoreSpec, prefix, at_rank, p_max, ranks, u) -> np.ndarray:

@@ -7,12 +7,6 @@ second half, where s_i is the non-randomized aps score of the true
 label.  Randomized scores are deliberately excluded from the loss; they
 misestimate the gap.
 
-Each tuner call ranks each half once: the first loss evaluation argsorts
-every row, and later evaluations reuse that class order, re-sorting only
-the rows the current map reorders.  Any non-increasing arrangement of a
-row sums the same values in the same order, so the loss is bit-identical
-to sorting from scratch for every map kind.
-
 ``tune_map`` is the one tuner for every map kind.  Temperature and Platt
 are the same one-parameter family: softmax ignores a shift shared by all
 classes, so Platt's b is pinned at 0 and its scale is a = 1/t.  Both are
@@ -41,7 +35,7 @@ from .data import LogitsDataset, SplitSpec, split_dataset
 from .engine import calibrate_threshold
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, label_scores_from_sorted, sort_rows
+from .scores import ScoreSpec, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -89,21 +83,15 @@ class TuneReport:
 
 
 def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
-                        d_loss: LogitsDataset, alpha: float, *,
-                        order_hints: list | None = None) -> float:
+                        d_loss: LogitsDataset, alpha: float) -> float:
     """Mean squared gap on d_loss, with tau recomputed on d_tau.
 
-    Uses the non-randomized aps score of each true label on both halves.
-    ``order_hints`` is one tuner call's state: ``[tau_perm, loss_perm]``,
-    each half's class order from the previous evaluation (None before the
-    first).  The call reads and refreshes it, so every half is argsorted
-    once and later evaluations re-sort only the rows the map reorders.
-    The loss never depends on the hints.
+    Both halves are scored by ``scores.true_label_scores`` with the
+    non-randomized aps score, the same function ``engine.calibrate`` uses.
     """
     if d_tau.k != d_loss.k:
         raise ValidationError("d_tau and d_loss class counts differ")
-    hints = order_hints if order_hints is not None else [None, None]
-    tau_scores = _true_label_loss_scores(cal_map, d_tau, hints, 0)
+    tau_scores = _true_label_loss_scores(cal_map, d_tau)
     threshold = calibrate_threshold(tau_scores, alpha, score_spec=_LOSS_SPEC,
                                     cal_map=cal_map)
     if threshold.tau == math.inf:
@@ -111,16 +99,12 @@ def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
             "use a larger tau split"
         )
-    loss_scores = _true_label_loss_scores(cal_map, d_loss, hints, 1)
-    gaps = threshold.tau - loss_scores
+    gaps = threshold.tau - _true_label_loss_scores(cal_map, d_loss)
     return float(np.mean(gaps * gaps))
 
 
-def _true_label_loss_scores(cal_map: CalibrationMap, ds: LogitsDataset,
-                            hints: list, half: int) -> np.ndarray:
-    probs = apply_map_dataset(cal_map, ds)
-    sorted_probs, hints[half] = sort_rows(probs, hints[half])
-    return label_scores_from_sorted(_LOSS_SPEC, probs, sorted_probs, ds.labels, 1.0)
+def _true_label_loss_scores(cal_map: CalibrationMap, ds: LogitsDataset) -> np.ndarray:
+    return true_label_scores(_LOSS_SPEC, apply_map_dataset(cal_map, ds), ds.labels)
 
 
 def split_validation(validation: LogitsDataset,
@@ -196,10 +180,9 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
         )
     cfg = cfg or TuneConfig()
     d_tau, d_loss = split_validation(validation, cfg)
-    hints: list = [None, None]
 
     def loss(cal_map: CalibrationMap) -> float:
-        return efficiency_gap_loss(cal_map, d_tau, d_loss, alpha, order_hints=hints)
+        return efficiency_gap_loss(cal_map, d_tau, d_loss, alpha)
 
     if map_kind in _SCALAR_MAPS:
         scalar_map = _SCALAR_MAPS[map_kind]

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -184,11 +185,13 @@ def test_demo_precision_requires_descending_grid(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "tiny.bin"
+    # the child finds confsets where this process does, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "confsets", "synth", "--n", "20", "--k", "3",
          "--signal", "1", "--noise", "1", "--overconfidence", "1",
          "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
@@ -245,6 +248,8 @@ def test_predict_seed_must_be_the_calibration_seed(tmp_path, predicted, capsys):
     ("n_cal", 0), ("n_cal", 2.5), ("n_cal", "300"), ("n_cal", True),
     # a finite tau with n_cal 5 (level 6 > 5), and include_all with n_cal 300
     ("n_cal", 5), ("tau", "include_all"),
+    # an unknown key
+    ("note", True),
 ])
 def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     _, test, threshold, _ = predicted
@@ -297,9 +302,10 @@ def test_evaluate_rejects_bad_bins(tmp_path, predicted, bins, message, capsys):
     {"kind": "raps", "raps_lambda": float("nan"), "raps_kreg": 2},
     {"kind": "saps", "saps_lambda": "0.1"},
     {"kind": "saps", "saps_lambda": float("inf")},
+    {"randomised": False},
 ], ids=["randomized-str", "randomized-int", "seed-float", "seed-bool", "seed-str",
         "kreg-float", "kreg-bool", "raps-lambda-str", "raps-lambda-nan",
-        "saps-lambda-str", "saps-lambda-inf"])
+        "saps-lambda-str", "saps-lambda-inf", "unknown-key"])
 def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
     _, test, threshold, _ = predicted
     obj = json.loads(threshold.read_text())
@@ -331,3 +337,47 @@ def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, c
                    "--out", str(tmp_path / "report.json"))
     assert code == 1
     assert "line 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("map_obj", [
+    {"kind": "temperature", "params": {"t": 0.5, "b": 0.0}},
+    {"kind": "platt", "params": {"a": 2.0, "b": 0.0, "t": 0.5}},
+    {"kind": "identity", "params": {}, "comment": "x"},
+    {"kind": "identity", "params": []},
+], ids=["temperature-extra", "platt-extra", "top-extra", "params-not-object"])
+def test_calibrate_rejects_unknown_map_keys(tmp_path, map_obj, capsys):
+    # the same loader reads the "map" object of a threshold file
+    cal = synth_file(tmp_path, name="cal.bin", n=200, k=5, seed=3)
+    params = tmp_path / "map.json"
+    params.write_text(json.dumps(map_obj))
+    code = run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--params", str(params), "--seed", "3",
+                   "--out", str(tmp_path / "threshold.json"))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_every_written_map_and_threshold_loads(tmp_path):
+    # what tune and calibrate write must pass the strict loaders
+    raw = synth_file(tmp_path, n=600, k=4, signal=3.0, seed=5)
+    params = tmp_path / "identity.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    maps_written = [params]
+    for m in ("temperature", "platt", "vector"):
+        out = tmp_path / f"{m}.json"
+        assert run_cli("tune", "--in", str(raw), "--alpha", "0.1", "--map", m,
+                       "--seed", "5", "--out", str(out), "--grid-points", "8") == 0
+        maps_written.append(out)
+    scores = [("aps", "false"), ("aps", "true"), ("raps", "true"), ("saps", "false"),
+              ("lac", "false")]
+    for params in maps_written:
+        for score, randomized in scores:
+            extra = {"raps": ["--lambda", "0.01", "--kreg", "2"],
+                     "saps": ["--lambda", "0.1"]}.get(score, [])
+            threshold = tmp_path / f"{params.stem}-{score}-{randomized}.json"
+            assert run_cli("calibrate", "--in", str(raw), "--alpha", "0.1",
+                           "--score", score, "--randomized", randomized, *extra,
+                           "--params", str(params), "--seed", "5",
+                           "--out", str(threshold)) == 0
+            assert run_cli("predict", "--in", str(raw), "--threshold", str(threshold),
+                           "--seed", "5", "--out", str(tmp_path / "sets.jsonl")) == 0

@@ -1,10 +1,10 @@
-"""The tuner's cached class order never changes a loss, a tuned map or a report.
+"""The efficiency-gap loss equals a from-scratch reference, bit for bit.
 
-Every loss evaluation inside one tuner call reuses each half's class order
-from the previous evaluation and re-sorts only the rows that order no
-longer sorts.  The reference below recomputes the loss from scratch with a
-stable argsort and a full sort for the order statistic; results are
-compared with ``==``, not ``approx``.
+The library scores true labels from each row's sorted values alone.  The
+reference below recomputes the loss with a stable argsort and a full sort
+for the order statistic, over sequences of maps that reorder classes,
+tie them or underflow them to zero; results are compared with ``==``, not
+``approx``.
 """
 
 import numpy as np
@@ -37,8 +37,8 @@ def _reference_true_label_scores(cal_map, ds):
     return np.cumsum(sorted_probs, axis=1)[np.arange(ds.n), pos]
 
 
-def reference_loss(cal_map, d_tau, d_loss, alpha, order_hints=None):
-    """Uncached efficiency-gap loss; ignores ``order_hints``."""
+def reference_loss(cal_map, d_tau, d_loss, alpha):
+    """Efficiency-gap loss from a stable argsort of every row."""
     tau_scores = _reference_true_label_scores(cal_map, d_tau)
     tau = float(np.sort(tau_scores)[conformal_level(d_tau.n, alpha) - 1])
     gaps = tau - _reference_true_label_scores(cal_map, d_loss)
@@ -51,12 +51,14 @@ def _halves(n=600, k=12, seed=0):
     return split_validation(ds, TuneConfig(seed=seed))
 
 
+def _class_order(cal_map, ds):
+    return np.argsort(-apply_map_dataset(cal_map, ds), axis=1, kind="stable")
+
+
 def _assert_sequence_matches(maps, d_tau, d_loss):
-    hints = [None, None]
     for cal_map in maps:
-        cached = efficiency_gap_loss(cal_map, d_tau, d_loss, ALPHA, order_hints=hints)
-        assert cached == reference_loss(cal_map, d_tau, d_loss, ALPHA), cal_map
-    return hints
+        got = efficiency_gap_loss(cal_map, d_tau, d_loss, ALPHA)
+        assert got == reference_loss(cal_map, d_tau, d_loss, ALPHA), cal_map
 
 
 def test_temperatures_including_underflow():
@@ -70,14 +72,12 @@ def test_temperatures_including_underflow():
     _assert_sequence_matches([CalibrationMap.temperature(t) for t in temps], d_tau, d_loss)
 
 
-def test_platt_negative_scale_resorts_every_row():
+def test_platt_negative_scale_reverses_every_row():
     d_tau, d_loss = _halves(seed=2)
-    hints = _assert_sequence_matches([CalibrationMap.platt(1.0, 0.0)], d_tau, d_loss)
-    before = hints[0].copy()
+    straight = CalibrationMap.platt(1.0, 0.0)
     flipped = CalibrationMap.platt(-0.7, 0.2)
-    assert efficiency_gap_loss(flipped, d_tau, d_loss, ALPHA, order_hints=hints) == \
-        reference_loss(flipped, d_tau, d_loss, ALPHA)
-    assert (hints[0] != before).any(axis=1).all()
+    assert (_class_order(flipped, d_tau) != _class_order(straight, d_tau)).any(axis=1).all()
+    _assert_sequence_matches([straight, flipped], d_tau, d_loss)
 
 
 def test_platt_zero_scale_ties_every_class():
@@ -93,17 +93,13 @@ def test_platt_zero_scale_ties_every_class():
 def test_vector_map_reorders_only_some_rows():
     d_tau, d_loss = _halves(seed=4)
     k = d_tau.k
-    hints = _assert_sequence_matches([CalibrationMap.identity()], d_tau, d_loss)
-    before = hints[0].copy()
-    w = np.ones(k)
     c = np.zeros(k)
     c[0] = 1.5
-    bumped = CalibrationMap.vector(w, c)
-    efficiency_gap_loss(bumped, d_tau, d_loss, ALPHA, order_hints=hints)
-    changed = int((hints[0] != before).any(axis=1).sum())
-    assert 0 < changed < d_tau.n
-    assert efficiency_gap_loss(bumped, d_tau, d_loss, ALPHA, order_hints=hints) == \
-        reference_loss(bumped, d_tau, d_loss, ALPHA)
+    bumped = CalibrationMap.vector(np.ones(k), c)
+    identity = CalibrationMap.identity()
+    changed = (_class_order(bumped, d_tau) != _class_order(identity, d_tau)).any(axis=1)
+    assert 0 < changed.sum() < d_tau.n
+    _assert_sequence_matches([identity, bumped, bumped], d_tau, d_loss)
 
 
 def test_rows_with_equal_logits():
@@ -123,8 +119,8 @@ def test_rows_with_equal_logits():
     )
 
 
-def test_stale_hint_never_changes_a_score():
-    # alternately break and restore the class order through one hint
+def test_alternating_class_orders_match_reference():
+    # alternately break and restore the class order
     d_tau, d_loss = _halves(seed=6)
     k = d_tau.k
     reverse_some = CalibrationMap.vector(np.r_[np.full(k // 2, -1.0), np.ones(k - k // 2)],
@@ -148,7 +144,7 @@ _map_strategy = st.one_of(
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2),
        st.lists(_map_strategy, min_size=1, max_size=4))
-def test_cached_loss_matches_reference_property(seed, scale, maps):
+def test_loss_matches_reference_property(seed, scale, maps):
     rng = np.random.default_rng(seed)
     n, k = 40, 5
     # integer-valued logits make ties common
@@ -175,20 +171,20 @@ def _counting(fn, counter):
     lambda ds, cfg: tune_map(ds, ALPHA, "platt", cfg),
     lambda ds, cfg: tune_map(ds, ALPHA, "vector", TuneConfig(seed=cfg.seed, gd_max_iters=2)),
 ], ids=["temperature", "platt", "vector"])
-def test_tuner_results_match_uncached_reference(monkeypatch, run):
+def test_tuner_results_match_reference(monkeypatch, run):
     ds = generate(SynthSpec(n=400, k=6, seed=7, signal=3.0, noise=1.0, overconfidence=3.0))
     cfg = TuneConfig(seed=7, gd_max_iters=25)
 
-    cached_calls: list = []
+    library_calls: list = []
     monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
-                        _counting(efficiency_gap_loss, cached_calls))
-    cached_map, cached_report = run(ds, cfg)
+                        _counting(efficiency_gap_loss, library_calls))
+    library_map, library_report = run(ds, cfg)
 
     reference_calls: list = []
     monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
                         _counting(reference_loss, reference_calls))
     reference_map, reference_report = run(ds, cfg)
 
-    assert cached_map.to_json_dict() == reference_map.to_json_dict()
-    assert cached_report.to_json_dict() == reference_report.to_json_dict()
-    assert len(cached_calls) == len(reference_calls) > 0
+    assert library_map.to_json_dict() == reference_map.to_json_dict()
+    assert library_report.to_json_dict() == reference_report.to_json_dict()
+    assert len(library_calls) == len(reference_calls) > 0

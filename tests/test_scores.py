@@ -106,16 +106,6 @@ def test_label_ranks_match_oracle_order(probs):
     np.testing.assert_array_equal(sort_rows(probs)[1], perm)
 
 
-@given(tied_prob_matrices(), st.integers(0, 2**32 - 1))
-def test_sort_rows_with_any_hint_matches_stable_sort(probs, seed):
-    expected, _ = sort_rows(probs)
-    hint = np.argsort(np.random.default_rng(seed).random(probs.shape), axis=1)
-    sorted_probs, perm = sort_rows(probs, hint)
-    np.testing.assert_array_equal(sorted_probs, expected)
-    np.testing.assert_array_equal(np.take_along_axis(probs, perm, axis=1), expected)
-    assert perm is hint
-
-
 def _label_scores_via_rank_of(spec, probs, labels, u):
     # the rank_of formulation: rank_of gather into the sorted cumsum
     perm, rank_of = _oracle_rank_of(probs)
@@ -141,7 +131,10 @@ def test_true_label_scores_match_rank_of_formulation(probs, spec, seed):
     labels = rng.integers(0, k, size=n)
     u = rng.random(n) if spec.uses_u else None
     expected = _label_scores_via_rank_of(spec, probs, labels, u if u is not None else np.ones(n))
-    np.testing.assert_array_equal(true_label_scores(spec, probs, labels, u), expected)
+    got = true_label_scores(spec, probs, labels, u)
+    np.testing.assert_array_equal(got, expected)
+    # calibration and prediction score a label identically, ties and zeros included
+    np.testing.assert_array_equal(got, score_matrix(spec, probs, u)[np.arange(n), labels])
 
 
 # ---------------------------------------------------------------------------
