@@ -13,6 +13,7 @@ label per row.  Two on-disk formats are supported:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -216,24 +217,31 @@ def _save_binary(ds: LogitsDataset, path) -> None:
 
 
 def _load_binary(path) -> LogitsDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
     head_len = len(_MAGIC) + 1 + 8 + 4
-    if len(blob) < head_len:
-        raise ValidationError("truncated file: header incomplete")
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValidationError("malformed header: bad magic bytes")
-    if blob[len(_MAGIC)] != _VERSION:
-        raise ValidationError(f"malformed header: unsupported version {blob[len(_MAGIC)]}")
-    n = struct.unpack_from("<Q", blob, len(_MAGIC) + 1)[0]
-    k = struct.unpack_from("<I", blob, len(_MAGIC) + 1 + 8)[0]
-    if n == 0:
-        raise ValidationError("empty dataset")
-    expected = head_len + 4 * n + 8 * n * k
-    if len(blob) != expected:
-        raise ValidationError(
-            f"truncated file: expected {expected} bytes, got {len(blob)}"
-        )
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=head_len)
-    logits = np.frombuffer(blob, dtype="<f8", count=n * k, offset=head_len + 4 * n)
-    return LogitsDataset(logits.reshape(n, k).copy(), labels.astype(np.int64))
+    with open(path, "rb") as fh:
+        head = fh.read(head_len)
+        if len(head) < head_len:
+            raise ValidationError("truncated file: header incomplete")
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise ValidationError("malformed header: bad magic bytes")
+        if head[len(_MAGIC)] != _VERSION:
+            raise ValidationError(
+                f"malformed header: unsupported version {head[len(_MAGIC)]}"
+            )
+        n = struct.unpack_from("<Q", head, len(_MAGIC) + 1)[0]
+        k = struct.unpack_from("<I", head, len(_MAGIC) + 1 + 8)[0]
+        if n == 0:
+            raise ValidationError("empty dataset")
+        expected = head_len + 4 * n + 8 * n * k
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValidationError(
+                f"truncated file: expected {expected} bytes, got {size}"
+            )
+        # read each array straight into its own buffer: no copy of the file
+        labels = np.empty(n, dtype="<u4")
+        logits = np.empty((n, k), dtype="<f8")
+        for arr in (labels, logits):
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ValidationError("truncated file: data shorter than its header says")
+    return LogitsDataset(logits, labels.astype(np.int64))

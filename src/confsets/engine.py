@@ -9,6 +9,14 @@ the full label set; threshold files spell it "include_all".
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set.  The JSONL sets file is converted
 to and from that mask only at the file edge.
+
+An aps/raps/saps set is a prefix of its row's classes in descending
+order, so rows wider than a fixed block of classes skip the full sort:
+`scores.top_block_mask` sorts only each row's top block and accepts the
+row when every class beyond it provably scores above tau (the argument
+is in its docstring).  Rows it cannot certify, lac, tau = +inf and
+narrow matrices go through `score_matrix`, the full stable sort.  Both
+paths give the same mask bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 from .data import LogitsDataset
 from .errors import ValidationError, check_keys, is_int, is_number
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, draw_u_many, score_matrix, true_label_scores
+from .scores import ScoreSpec, draw_u_many, score_matrix, top_block_mask, true_label_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +135,19 @@ def calibrate_threshold(cal_scores, alpha: float,
 
 def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
                  u: np.ndarray | None = None) -> np.ndarray:
-    """n-by-K boolean mask of the classes whose score is <= tau."""
-    return score_matrix(threshold.score_spec, probs, u) <= threshold.tau
+    """n-by-K boolean mask of the classes whose score is <= tau.
+
+    Wide rows are read off their top classes (`top_block_mask`); every
+    row that block cannot certify is scored in full by `score_matrix`.
+    """
+    spec, tau = threshold.score_spec, threshold.tau
+    mask, rest = top_block_mask(spec, probs, tau, u)
+    if rest.size == mask.shape[0]:
+        return score_matrix(spec, probs, u) <= tau
+    if rest.size:
+        u_rest = None if u is None else np.asarray(u)[rest]
+        mask[rest] = score_matrix(spec, np.asarray(probs)[rest], u_rest) <= tau
+    return mask
 
 
 def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
@@ -185,6 +204,9 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
 # ---------------------------------------------------------------------------
 # file formats
 
+# Mask entries `save_prediction_sets` turns into text at a time.
+_WRITE_CELLS = 1 << 18
+
 
 def save_threshold(threshold: ConformalThreshold, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
@@ -202,11 +224,25 @@ def load_threshold(path) -> ConformalThreshold:
 
 
 def save_prediction_sets(mask: np.ndarray, path) -> None:
-    """One JSON object per mask row: {"index": int, "set": [int, ...]}."""
+    """One JSON object per mask row: {"index": int, "set": [int, ...]}.
+
+    The lines are the bytes ``json.dumps`` gives each record, formatted
+    from one ``np.nonzero`` per chunk of rows; a chunk spans at most
+    ``_WRITE_CELLS`` mask entries, so full sets on wide rows stay small.
+    """
+    n, k = mask.shape
+    names = [str(c) for c in range(k)]
+    step = max(1, _WRITE_CELLS // max(k, 1))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i, row in enumerate(mask):
-            fh.write(json.dumps({"index": i, "set": np.flatnonzero(row).tolist()}))
-            fh.write("\n")
+        for start in range(0, n, step):
+            chunk = mask[start:start + step]
+            rows, cols = np.nonzero(chunk)
+            bounds = np.searchsorted(rows, np.arange(chunk.shape[0] + 1)).tolist()
+            members = [names[c] for c in cols.tolist()]
+            fh.write("".join([
+                f'{{"index": {start + i}, "set": [{", ".join(members[a:b])}]}}\n'
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            ]))
 
 
 def load_prediction_sets(path, k: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError, check_keys
+from .errors import ValidationError, check_keys, is_number
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
 
@@ -121,8 +121,23 @@ class CalibrationMap:
             raise ValidationError(
                 f"{kind} map JSON requires " + " and ".join(f"params.{n}" for n in names)
             )
+        for name in names:
+            value = params[name]
+            if kind == "vector":
+                if not (isinstance(value, list) and all(is_number(v) for v in value)):
+                    raise ValidationError(
+                        f"vector map JSON params.{name} must be a list of numbers, "
+                        f"got {value!r}"
+                    )
+            elif not is_number(value):
+                raise ValidationError(
+                    f"{kind} map JSON params.{name} must be a number, got {value!r}"
+                )
         # each kind's constructor takes its parameters in _PARAM_NAMES order
-        return getattr(cls, kind)(*(params[name] for name in names))
+        try:
+            return getattr(cls, kind)(*(params[name] for name in names))
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValidationError(f"{kind} map JSON params out of range: {exc}") from exc
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

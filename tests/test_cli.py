@@ -357,6 +357,42 @@ def test_calibrate_rejects_unknown_map_keys(tmp_path, map_obj, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BAD_PARAMS = [
+    {"kind": "temperature", "params": {"t": True}},
+    {"kind": "platt", "params": {"a": "2", "b": 0.0}},
+    {"kind": "temperature", "params": {"t": "abc"}},
+    {"kind": "vector", "params": {"w": 5, "c": [0.0] * 10}},
+    {"kind": "vector", "params": {"w": [1.0] * 9 + [None], "c": [0.0] * 10}},
+    {"kind": "temperature", "params": {"t": 10**400}},
+]
+BAD_PARAMS_IDS = ["t-bool", "a-str", "t-str", "w-scalar", "w-null-entry", "t-huge-int"]
+
+
+@pytest.mark.parametrize("map_obj", BAD_PARAMS, ids=BAD_PARAMS_IDS)
+def test_calibrate_rejects_mistyped_map_params(tmp_path, map_obj, capsys):
+    cal = synth_file(tmp_path, name="cal.bin", n=200, k=10, seed=3)
+    params = tmp_path / "map.json"
+    params.write_text(json.dumps(map_obj))
+    code = run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--params", str(params), "--seed", "3",
+                   "--out", str(tmp_path / "threshold.json"))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("map_obj", BAD_PARAMS, ids=BAD_PARAMS_IDS)
+def test_predict_rejects_mistyped_threshold_map(tmp_path, predicted, map_obj, capsys):
+    _, test, threshold, _ = predicted
+    obj = json.loads(threshold.read_text())
+    obj["map"] = map_obj
+    bad = tmp_path / "bad_threshold.json"
+    bad.write_text(json.dumps(obj))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
+                   "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_every_written_map_and_threshold_loads(tmp_path):
     # what tune and calibrate write must pass the strict loaders
     raw = synth_file(tmp_path, n=600, k=4, signal=3.0, seed=5)

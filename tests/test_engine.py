@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsets import (
@@ -24,6 +25,7 @@ from confsets.engine import (
     save_prediction_sets,
     save_threshold,
 )
+from confsets.scores import _BLOCK, score_matrix, top_block_mask
 
 from oracles import oracle_quantile, oracle_set
 
@@ -116,8 +118,10 @@ def test_include_all_coverage_is_one():
 
 @st.composite
 def prob_matrices(draw):
-    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 12))
-    row = st.lists(st.integers(1, 50), min_size=k, max_size=k)
+    # some matrices are wider than the top block, so both set paths run
+    n = draw(st.integers(1, 4))
+    k = draw(st.one_of(st.integers(2, 12), st.integers(_BLOCK + 1, 2 * _BLOCK)))
+    row = st.lists(st.integers(1, draw(st.sampled_from([50, 10**6]))), min_size=k, max_size=k)
     weights = np.asarray(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
     return weights / weights.sum(axis=1, keepdims=True)
 
@@ -149,6 +153,138 @@ def test_predict_matches_bruteforce_oracle(probs, kind, randomized, us, tau):
         assert np.flatnonzero(got).tolist() == expected
     if tau == math.inf:
         assert mask.all()
+
+
+def _spec(kind, randomized):
+    return ScoreSpec(
+        kind=kind,
+        randomized=randomized and kind != "lac",
+        raps_lambda=0.002 if kind == "raps" else None,
+        raps_kreg=3 if kind == "raps" else None,
+        saps_lambda=0.01 if kind == "saps" else None,
+    )
+
+
+def _threshold(spec, tau):
+    return ConformalThreshold(tau=tau, alpha=0.5, n_cal=1, score_spec=spec,
+                              cal_map=CalibrationMap.identity())
+
+
+def _assert_mask_is_full_path(spec, probs, u, tau):
+    got = predict_sets(_threshold(spec, tau), probs, u)
+    np.testing.assert_array_equal(got, score_matrix(spec, probs, u) <= tau)
+
+
+@st.composite
+def wide_cases(draw):
+    """Probability rows on both sides of the top block's width, and a tau.
+
+    Logits on a coarse grid make ties (also across the block boundary);
+    small temperatures round most of a row to exact zeros.  tau is 0,
+    +inf, a random value, or one of the row's prefix sums or scores
+    nudged by at most one ulp.
+    """
+    n = draw(st.integers(1, 5))
+    k = draw(st.sampled_from([2, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([3, 12, 10**6]))
+    t = draw(st.sampled_from([0.002, 0.05, 0.3, 1.0, 5.0]))
+    logits = np.round(rng.normal(0.0, 3.0, size=(n, k)) * levels / 9) * 9 / levels
+    z = logits / t
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    spec = _spec(draw(st.sampled_from(["aps", "raps", "saps", "lac"])), draw(st.booleans()))
+    u = rng.random(n) if spec.uses_u else None
+    if u is not None and draw(st.booleans()):
+        u[rng.integers(n)] = draw(st.sampled_from([0.0, 1.0]))
+    how = draw(st.sampled_from(["zero", "inf", "random", "prefix", "score"]))
+    if how == "zero":
+        tau = 0.0
+    elif how == "inf":
+        tau = math.inf
+    elif how == "random":
+        tau = float(rng.uniform(0.0, 1.5))
+    else:
+        if how == "prefix":
+            values = np.cumsum(np.sort(probs, axis=1)[:, ::-1], axis=1)
+        else:
+            values = score_matrix(spec, probs, u)
+        tau = float(values[rng.integers(n), rng.integers(k)])
+        tau = float(np.nextafter(tau, draw(st.sampled_from([-math.inf, tau, math.inf]))))
+    return spec, probs, u, tau
+
+
+@settings(max_examples=300)
+@given(wide_cases())
+def test_top_block_matches_score_matrix(case):
+    _assert_mask_is_full_path(*case)
+
+
+def _wide_row(head, k=3 * _BLOCK):
+    """``k`` probabilities: ``head``, then the remaining mass in distinct falling values."""
+    head = np.asarray(head, dtype=float)
+    w = np.linspace(2.0, 1.0, k - head.size)
+    return np.concatenate([head, (1.0 - head.sum()) * w / w.sum()])
+
+
+STEEP = _wide_row([0.5, 0.25, 0.12])
+
+
+def test_top_block_certifies_plain_wide_rows():
+    # the top block holds most of each row's mass and no tie crosses it
+    probs = np.stack([STEEP] * 3)
+    for kind in ("aps", "raps", "saps"):
+        spec = _spec(kind, False)
+        mask, rest = top_block_mask(spec, probs, 0.7)
+        assert rest.size == 0
+        np.testing.assert_array_equal(mask, score_matrix(spec, probs) <= 0.7)
+
+
+def test_top_block_sends_boundary_ties_to_full_path():
+    # row 1's m-th and (m+1)-th largest values are equal: the block cannot
+    # know which of the tied classes the stable order ranks m-th
+    tied = STEEP.copy()
+    tied[_BLOCK] = tied[_BLOCK - 1]
+    probs = np.stack([STEEP, tied / tied.sum()])
+    u = np.asarray([0.3, 0.6])
+    for kind in ("aps", "raps", "saps"):
+        spec = _spec(kind, True)
+        _, rest = top_block_mask(spec, probs, 0.7, u)
+        assert rest.tolist() == [1]
+        _assert_mask_is_full_path(spec, probs, u, 0.7)
+
+
+@pytest.mark.parametrize("crossing", [0.5, 1.0])
+def test_top_block_sends_tau_one_ulp_below_the_block_sum_to_full_path(crossing):
+    # the block's prefix sums reach a binade (0.5 or 1.0) exactly at rank
+    # m and tau sits one ulp below: no margin is left to certify the row
+    probs = _wide_row(np.full(_BLOCK, crossing / _BLOCK))[None, :]
+    prefix = np.cumsum(np.sort(probs[0])[::-1])
+    assert prefix[_BLOCK - 2] < crossing == prefix[_BLOCK - 1]
+    tau = float(np.nextafter(crossing, -math.inf))
+    for randomized in (False, True):
+        spec = _spec("aps", randomized)
+        u = np.asarray([0.0]) if randomized else None
+        _, rest = top_block_mask(spec, probs, tau, u)
+        assert rest.tolist() == [0]
+        _assert_mask_is_full_path(spec, probs, u, tau)
+
+
+def test_top_block_leaves_narrow_lac_include_all_and_negative_rows_to_full_path():
+    wide = np.stack([STEEP] * 2)
+    narrow = wide[:, :_BLOCK] / wide[:, :_BLOCK].sum(axis=1, keepdims=True)
+    negative = wide.copy()
+    negative[1, -2:] += [-1e-3, 1e-3]   # still sums to 1, one value below 0
+    cases = [
+        (_spec("aps", False), narrow, 0.5, [0, 1]),
+        (_spec("lac", False), wide, 0.5, [0, 1]),
+        (_spec("aps", False), wide, math.inf, [0, 1]),
+        (_spec("aps", False), negative, 0.5, [1]),
+    ]
+    for spec, probs, tau, expected in cases:
+        _, rest = top_block_mask(spec, probs, tau)
+        assert rest.tolist() == expected
+        _assert_mask_is_full_path(spec, probs, None, tau)
 
 
 @given(st.lists(st.integers(1, 30), min_size=3, max_size=8), st.floats(0.0, 1.0))
@@ -258,3 +394,17 @@ def test_prediction_sets_file_round_trip(tmp_path):
         assert ps.sample_index == i
         assert ps.members.dtype.kind == "i"
         np.testing.assert_array_equal(ps.members, np.flatnonzero(row))
+
+
+@pytest.mark.parametrize("n, k, density", [(7, 3, 0.5), (600, 1000, 0.01), (300, 1000, 1.0)])
+def test_prediction_sets_file_is_per_row_json_dumps(tmp_path, n, k, density):
+    # empty rows, full rows, K = 1000 and several write chunks
+    mask = np.random.default_rng(n).random((n, k)) < density
+    mask[0] = False
+    mask[-1] = True
+    path = tmp_path / "sets.jsonl"
+    save_prediction_sets(mask, path)
+    expected = "".join(json.dumps({"index": i, "set": np.flatnonzero(row).tolist()}) + "\n"
+                       for i, row in enumerate(mask))
+    assert path.read_bytes() == expected.encode("ascii")
+    np.testing.assert_array_equal(load_prediction_sets(path, k), mask)
