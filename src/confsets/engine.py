@@ -7,16 +7,8 @@ level exceeds n the threshold is tau = +inf and every prediction set is
 the full label set; threshold files spell it "include_all".
 
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
-True when class k is in row i's set.  The JSONL sets file is converted
-to and from that mask only at the file edge.
-
-An aps/raps/saps set is a prefix of its row's classes in descending
-order, so rows wider than a fixed block of classes skip the full sort:
-`scores.top_block_mask` sorts only each row's top block and accepts the
-row when every class beyond it provably scores above tau (the argument
-is in its docstring).  Rows it cannot certify, lac, tau = +inf and
-narrow matrices go through `score_matrix`, the full stable sort.  Both
-paths give the same mask bit for bit.
+True when class k is in row i's set; `scores.set_mask` builds it.  The
+JSONL sets file is converted to and from that mask only at the file edge.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ import numpy as np
 from .data import LogitsDataset
 from .errors import ValidationError, check_keys, is_int, is_number
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, draw_u_many, score_matrix, top_block_mask, true_label_scores
+from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +127,8 @@ def calibrate_threshold(cal_scores, alpha: float,
 
 def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
                  u: np.ndarray | None = None) -> np.ndarray:
-    """n-by-K boolean mask of the classes whose score is <= tau.
-
-    Wide rows are read off their top classes (`top_block_mask`); every
-    row that block cannot certify is scored in full by `score_matrix`.
-    """
-    spec, tau = threshold.score_spec, threshold.tau
-    mask, rest = top_block_mask(spec, probs, tau, u)
-    if rest.size == mask.shape[0]:
-        return score_matrix(spec, probs, u) <= tau
-    if rest.size:
-        u_rest = None if u is None else np.asarray(u)[rest]
-        mask[rest] = score_matrix(spec, np.asarray(probs)[rest], u_rest) <= tau
-    return mask
+    """n-by-K boolean mask of the classes whose score is <= tau."""
+    return set_mask(threshold.score_spec, probs, threshold.tau, u)
 
 
 def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,

@@ -11,7 +11,7 @@ sizes within each bin.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,19 +40,7 @@ class EvaluationReport:
     map: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "average_size": self.average_size,
-            "ece": self.ece,
-            "size_by_rank_bin": {
-                label: [count, mean] for label, (count, mean) in self.size_by_rank_bin.items()
-            },
-            "truncated_row_fraction": self.truncated_row_fraction,
-            "alpha": self.alpha,
-            "n_test": self.n_test,
-            "score": self.score,
-            "map": self.map,
-        }
+        return asdict(self)
 
 
 def coverage_and_size(mask: np.ndarray, labels) -> tuple[float, float]:

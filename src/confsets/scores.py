@@ -14,11 +14,18 @@ order, ties broken by ascending class index.
 Randomization uses one uniform draw per sample, shared by all K class
 scores of that sample.  Draws come from a counter-based generator keyed
 by (seed, sample_index), so parallel evaluation cannot change results.
+
+`set_mask` builds prediction sets (the classes scoring <= tau).  An
+aps/raps/saps set is a prefix of its row's order, so each row is read off
+its top classes; one floor, the u = 0 score at the block's last rank,
+certifies for every kind that no class beyond the block enters the set.
+Only the rows it cannot certify are scored in full.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,9 +36,9 @@ SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
 _PROB_SUM_TOL = 1e-6
 
-# Classes per row that `top_block_mask` sorts.  On 7.5k x 1000 synthetic
+# Classes per row that `set_mask` sorts.  On 7.5k x 1000 synthetic
 # rows at alpha 0.1 (randomized aps), blocks of 16, 32, 64 and 128 left
-# 1611, 480, 7 and 0 rows to the full sort; 64 was the fastest.
+# 1697, 518, 8 and 0 rows to the full sort; 64 was the fastest.
 _BLOCK = 64
 
 
@@ -67,9 +74,9 @@ class ScoreSpec:
             _check_lambda("saps_lambda", self.saps_lambda)
         elif self.saps_lambda is not None:
             raise ValidationError("saps_lambda is only valid for kind='saps'")
-        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
+        if not (is_int(self.rng_seed) and 0 <= self.rng_seed < 2**64):
             raise ValidationError(
-                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
+                f"rng_seed must be an integer in [0, 2**64), got {self.rng_seed!r}"
             )
 
     @property
@@ -91,18 +98,12 @@ class ScoreSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("score JSON must be an object with a 'kind' field")
         check_keys(obj, (f.name for f in fields(cls)), "score JSON")
-        return cls(
-            kind=obj["kind"],
-            randomized=obj.get("randomized", False),
-            raps_lambda=obj.get("raps_lambda"),
-            raps_kreg=obj.get("raps_kreg"),
-            saps_lambda=obj.get("saps_lambda"),
-            rng_seed=obj.get("rng_seed", 0),
-        )
+        return cls(**obj)
 
 
 def _check_lambda(name: str, value) -> None:
-    if not (is_number(value) and math.isfinite(value) and value >= 0):
+    # The upper bound also rejects inf, NaN and ints too large for a float.
+    if not (is_number(value) and 0 <= value <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -147,8 +148,13 @@ def sort_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
     _check_normalized(p)
-    perm = np.argsort(-p, axis=1, kind="stable")
-    return np.take_along_axis(p, perm, axis=1), perm
+    return _descending(p)
+
+
+def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row in descending order, ties by ascending column: (sorted, perm)."""
+    perm = np.argsort(-values, axis=1, kind="stable")
+    return np.take_along_axis(values, perm, axis=1), perm
 
 
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -226,67 +232,74 @@ def _cumulative_score(spec: ScoreSpec, prefix, at_rank, p_max, ranks, u) -> np.n
     return values
 
 
-def top_block_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
-                   u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``score_matrix(spec, probs, u) <= tau`` read off each row's top classes.
+def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
+             u: np.ndarray | None = None) -> np.ndarray:
+    """n-by-K mask of the classes whose score is <= tau.
 
-    Returns ``(mask, rest)``.  Every row of the n-by-K ``mask`` that is not
-    listed in ``rest`` equals that comparison bit for bit; the rows in
-    ``rest`` are all False and must be scored in full.  ``rest`` holds
-    every row for lac (no sort to save), for tau = +inf (every set is
-    full), and for matrices at most ``_BLOCK`` classes wide.
-
-    An aps/raps/saps set is a prefix of the row's stable order, so a
-    wide row needs only its ``_BLOCK`` = m largest classes: argpartition
-    picks them, lexsort on (descending value, ascending class) gives them
-    the stable argsort's order, and the block's cumsum adds the same
-    values in the same order as the full row's, so ranks 1..m get the
-    same floats from ``_cumulative_score``.  A row is accepted only when
-    every rank r > m provably scores above tau:
-
-    * the m-th value appears nowhere outside the block, so the block is
-      exactly the first m classes of the stable order;
-    * the row has no negative value, so its prefix sums c_r never fall
-      and stay below 2;
-    * aps/raps: the score at rank r is at least fl(c_r - p_r), because
-      fl((1 - u) p_r) <= p_r and the raps penalty is >= 0.  c_r is
-      c_{r-1} + p_r to within 2^-53, and the subtraction rounds by at
-      most 2^-53 more, so the score is >= c_{r-1} - 2^-52 >= c_m - 2^-52.
-      ``c_m > tau + 2^-51`` in floats certifies the row: that sum rounds
-      by at most 2^-53 wherever c_m, which stays below 2, can exceed it.
-      (fl(c_m - p_m) > tau would be sound too, since c_r - p_r >=
-      c_{r-1} - p_r >= c_m - p_m, but it is about c_{m-1} and so
-      certifies fewer rows);
-    * saps: the score does not fall with rank, so a score above tau at
-      rank m + 1 certifies the row.
+    Equals ``score_matrix(spec, probs, u) <= tau`` bit for bit.  lac
+    compares 1 - p directly and tau = +inf is the full set.  Every other
+    row is read off its top classes (`_top_block`), and only the rows that
+    block cannot certify are scored in full.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
-    n, k = p.shape
-    u_eff = _check_u_array(spec, u, n)
-    mask = np.zeros((n, k), dtype=bool)
-    if spec.kind == "lac" or tau == math.inf or k <= _BLOCK:
-        return mask, np.arange(n)
+    u_eff = _check_u_array(spec, u, p.shape[0])
+    if spec.kind == "lac":
+        return 1.0 - p <= tau
     _check_normalized(p)
-    m = _BLOCK
-    cols = np.argpartition(p, k - m, axis=1)[:, k - m:]
-    vals = np.take_along_axis(p, cols, axis=1)
-    order = np.lexsort((cols, -vals))
-    cols = np.take_along_axis(cols, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    prefix = np.cumsum(vals, axis=1)
-    p_max = vals[:, :1]
-    u_col = u_eff[:, None]
-    block = _cumulative_score(spec, prefix, vals, p_max, np.arange(1, m + 1), u_col)
-    if spec.kind == "saps":
-        beyond = _cumulative_score(spec, None, None, p_max, m + 1, u_col)[:, 0] > tau
+    if tau == math.inf:
+        return np.ones(p.shape, dtype=bool)
+    mask, rest = _top_block(spec, p, tau, u_eff)
+    if rest.size:
+        mask[rest] = _score_matrix_checked(spec, p[rest], u_eff[rest]) <= tau
+    return mask
+
+
+def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float,
+               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``score <= tau`` for aps/raps/saps read off each row's m largest classes.
+
+    ``p`` is a checked, normalized matrix and ``u`` one draw per row (ones
+    when not randomized).  Returns ``(mask, rest)``: every row of ``mask``
+    not listed in ``rest`` equals the full comparison bit for bit; the rows
+    in ``rest`` are all False and must be scored in full.
+
+    The set is a prefix of the row's stable order, so only the m =
+    min(``_BLOCK``, K) largest classes are ranked.  When m = K that is the
+    whole row.  Otherwise argpartition picks them, and the stable sort of
+    ``_descending``, run on them in ascending class order, gives them the
+    full row's order.  The block's cumsum adds the same values in the same
+    order as the full row's, so ranks 1..m get the same floats from
+    ``_cumulative_score``.  A row wider than the block is accepted only
+    when every rank r > m provably scores above tau:
+
+    * the m-th value appears nowhere outside the block, so the block is
+      exactly the first m classes of the stable order;
+    * the row has no negative value, so its prefix sums c_r never fall;
+    * the score at rank r is at least its u = 0 value: fl((1 - u) p_r)
+      <= p_r, and on the float values c_r - p_r >= c_{r-1} - p_r >= c_m -
+      p_m, so rounding, the raps penalty and the saps rank term, all
+      monotone, keep it at or above the u = 0 score at rank m.  That floor
+      above tau certifies the row.
+    """
+    n, k = p.shape
+    m = min(_BLOCK, k)
+    if m == k:
+        vals, cols = _descending(p)
     else:
-        beyond = prefix[:, -1] > tau + 2.0**-51
-    certified = (beyond
-                 & (np.count_nonzero(p >= vals[:, -1:], axis=1) == m)
-                 & (p.min(axis=1) >= 0.0))
-    np.put_along_axis(mask, cols, (block <= tau) & certified[:, None], axis=1)
+        cols = np.sort(np.argpartition(p, k - m, axis=1)[:, k - m:], axis=1)
+        vals, order = _descending(np.take_along_axis(p, cols, axis=1))
+        cols = np.take_along_axis(cols, order, axis=1)
+    prefix = np.cumsum(vals, axis=1)
+    floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
+    certified = (m == k) | ((floor > tau)
+                            & (np.count_nonzero(p >= vals[:, -1:], axis=1) == m)
+                            & (p.min(axis=1) >= 0.0))
+    inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
+                               u[:, None]) <= tau
+    mask = np.zeros((n, k), dtype=bool)
+    np.put_along_axis(mask, cols, inside & certified[:, None], axis=1)
     return mask, np.flatnonzero(~certified)
 
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import LogitsDataset, SplitSpec, split_dataset
-from .engine import calibrate_threshold
+from .engine import calibrate
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
 from .scores import ScoreSpec, true_label_scores
@@ -78,33 +78,27 @@ class TuneReport:
     stalled: bool = False
 
     def to_json_dict(self) -> dict:
-        return {"alpha": self.alpha, "final_loss": self.final_loss,
-                "iterations": self.iterations, "stalled": self.stalled}
+        return asdict(self)
 
 
 def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
                         d_loss: LogitsDataset, alpha: float) -> float:
     """Mean squared gap on d_loss, with tau recomputed on d_tau.
 
-    Both halves are scored by ``scores.true_label_scores`` with the
-    non-randomized aps score, the same function ``engine.calibrate`` uses.
+    tau comes from ``engine.calibrate`` with the non-randomized aps score,
+    and d_loss is scored by the same ``scores.true_label_scores``.
     """
     if d_tau.k != d_loss.k:
         raise ValidationError("d_tau and d_loss class counts differ")
-    tau_scores = _true_label_loss_scores(cal_map, d_tau)
-    threshold = calibrate_threshold(tau_scores, alpha, score_spec=_LOSS_SPEC,
-                                    cal_map=cal_map)
-    if threshold.tau == math.inf:
+    tau = calibrate(d_tau, cal_map, _LOSS_SPEC, alpha).tau
+    if tau == math.inf:
         raise ValidationError(
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
             "use a larger tau split"
         )
-    gaps = threshold.tau - _true_label_loss_scores(cal_map, d_loss)
+    loss_probs = apply_map_dataset(cal_map, d_loss)
+    gaps = tau - true_label_scores(_LOSS_SPEC, loss_probs, d_loss.labels)
     return float(np.mean(gaps * gaps))
-
-
-def _true_label_loss_scores(cal_map: CalibrationMap, ds: LogitsDataset) -> np.ndarray:
-    return true_label_scores(_LOSS_SPEC, apply_map_dataset(cal_map, ds), ds.labels)
 
 
 def split_validation(validation: LogitsDataset,

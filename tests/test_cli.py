@@ -152,6 +152,18 @@ def test_invalid_alpha_exits_1(tmp_path):
     assert code == 1
 
 
+def test_calibrate_rejects_seed_beyond_64_bits(tmp_path, capsys):
+    # the u draws keep 64 bits of the seed, so 2**64 + 3 would draw as seed 3
+    raw = synth_file(tmp_path, n=200, k=4, seed=7)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    code = run_cli("calibrate", "--in", str(raw), "--alpha", "0.1",
+                   "--score", "aps", "--randomized", "true", "--params", str(params),
+                   "--seed", str(2**64 + 3), "--out", str(tmp_path / "t.json"))
+    assert code == 1
+    assert "rng_seed" in capsys.readouterr().err
+
+
 def test_raps_requires_lambda(tmp_path):
     raw = synth_file(tmp_path, n=200, k=4, seed=8)
     params = tmp_path / "map.json"
@@ -300,12 +312,15 @@ def test_evaluate_rejects_bad_bins(tmp_path, predicted, bins, message, capsys):
     {"kind": "raps", "raps_lambda": 0.01, "raps_kreg": True},
     {"kind": "raps", "raps_lambda": "0.01", "raps_kreg": 2},
     {"kind": "raps", "raps_lambda": float("nan"), "raps_kreg": 2},
+    {"kind": "raps", "raps_lambda": 10**400, "raps_kreg": 2},
     {"kind": "saps", "saps_lambda": "0.1"},
     {"kind": "saps", "saps_lambda": float("inf")},
+    {"kind": "saps", "saps_lambda": 10**400},
     {"randomised": False},
 ], ids=["randomized-str", "randomized-int", "seed-float", "seed-bool", "seed-str",
         "kreg-float", "kreg-bool", "raps-lambda-str", "raps-lambda-nan",
-        "saps-lambda-str", "saps-lambda-inf", "unknown-key"])
+        "raps-lambda-huge-int", "saps-lambda-str", "saps-lambda-inf",
+        "saps-lambda-huge-int", "unknown-key"])
 def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
     _, test, threshold, _ = predicted
     obj = json.loads(threshold.read_text())

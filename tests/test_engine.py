@@ -25,7 +25,7 @@ from confsets.engine import (
     save_prediction_sets,
     save_threshold,
 )
-from confsets.scores import _BLOCK, score_matrix, top_block_mask
+from confsets.scores import _BLOCK, _top_block, score_matrix, set_mask
 
 from oracles import oracle_quantile, oracle_set
 
@@ -230,12 +230,17 @@ def _wide_row(head, k=3 * _BLOCK):
 STEEP = _wide_row([0.5, 0.25, 0.12])
 
 
+def _block(spec, probs, tau, u=None):
+    """The private block's ``(mask, rest)``; u defaults to ones, as for a plain score."""
+    return _top_block(spec, probs, tau, np.ones(probs.shape[0]) if u is None else u)
+
+
 def test_top_block_certifies_plain_wide_rows():
     # the top block holds most of each row's mass and no tie crosses it
     probs = np.stack([STEEP] * 3)
     for kind in ("aps", "raps", "saps"):
         spec = _spec(kind, False)
-        mask, rest = top_block_mask(spec, probs, 0.7)
+        mask, rest = _block(spec, probs, 0.7)
         assert rest.size == 0
         np.testing.assert_array_equal(mask, score_matrix(spec, probs) <= 0.7)
 
@@ -249,7 +254,7 @@ def test_top_block_sends_boundary_ties_to_full_path():
     u = np.asarray([0.3, 0.6])
     for kind in ("aps", "raps", "saps"):
         spec = _spec(kind, True)
-        _, rest = top_block_mask(spec, probs, 0.7, u)
+        _, rest = _block(spec, probs, 0.7, u)
         assert rest.tolist() == [1]
         _assert_mask_is_full_path(spec, probs, u, 0.7)
 
@@ -265,26 +270,44 @@ def test_top_block_sends_tau_one_ulp_below_the_block_sum_to_full_path(crossing):
     for randomized in (False, True):
         spec = _spec("aps", randomized)
         u = np.asarray([0.0]) if randomized else None
-        _, rest = top_block_mask(spec, probs, tau, u)
+        _, rest = _block(spec, probs, tau, u)
         assert rest.tolist() == [0]
         _assert_mask_is_full_path(spec, probs, u, tau)
 
 
-def test_top_block_leaves_narrow_lac_include_all_and_negative_rows_to_full_path():
+def test_top_block_sends_negative_rows_to_full_path():
+    negative = np.stack([STEEP] * 2)
+    negative[1, -2:] += [-1e-3, 1e-3]   # still sums to 1, one value below 0
+    spec = _spec("aps", False)
+    _, rest = _block(spec, negative, 0.5)
+    assert rest.tolist() == [1]
+    _assert_mask_is_full_path(spec, negative, None, 0.5)
+
+
+def test_top_block_certifies_narrow_rows_in_one_pass():
+    # with K <= _BLOCK the block is the whole row, so no row is left over,
+    # even one with a negative value or tau above every score
     wide = np.stack([STEEP] * 2)
     narrow = wide[:, :_BLOCK] / wide[:, :_BLOCK].sum(axis=1, keepdims=True)
-    negative = wide.copy()
-    negative[1, -2:] += [-1e-3, 1e-3]   # still sums to 1, one value below 0
-    cases = [
-        (_spec("aps", False), narrow, 0.5, [0, 1]),
-        (_spec("lac", False), wide, 0.5, [0, 1]),
-        (_spec("aps", False), wide, math.inf, [0, 1]),
-        (_spec("aps", False), negative, 0.5, [1]),
-    ]
-    for spec, probs, tau, expected in cases:
-        _, rest = top_block_mask(spec, probs, tau)
-        assert rest.tolist() == expected
-        _assert_mask_is_full_path(spec, probs, None, tau)
+    narrow[1, -2:] += [-narrow[1, -2] - 1e-3, narrow[1, -2] + 1e-3]
+    u = np.asarray([0.25, 0.0])
+    for kind in ("aps", "raps", "saps"):
+        for randomized in (False, True):
+            spec = _spec(kind, randomized)
+            u_spec = u if randomized else None
+            for tau in (0.0, 0.5, 0.99, 1.5):
+                mask, rest = _block(spec, narrow, tau, u_spec)
+                assert rest.size == 0
+                np.testing.assert_array_equal(mask, score_matrix(spec, narrow, u_spec) <= tau)
+
+
+def test_set_mask_compares_lac_and_include_all_directly():
+    probs = np.stack([STEEP] * 2)
+    cases = [(_spec("lac", False), 0.5), (_spec("aps", False), math.inf),
+             (_spec("saps", False), math.inf)]
+    for spec, tau in cases:
+        np.testing.assert_array_equal(set_mask(spec, probs, tau),
+                                      score_matrix(spec, probs) <= tau)
 
 
 @given(st.lists(st.integers(1, 30), min_size=3, max_size=8), st.floats(0.0, 1.0))
