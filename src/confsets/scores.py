@@ -62,9 +62,10 @@ class ScoreSpec:
             if self.raps_lambda is None or self.raps_kreg is None:
                 raise ValidationError("raps requires raps_lambda and raps_kreg")
             _check_lambda("raps_lambda", self.raps_lambda)
-            if not (is_int(self.raps_kreg) and self.raps_kreg >= 1):
+            # The penalty subtracts raps_kreg from int64 ranks.
+            if not (is_int(self.raps_kreg) and 1 <= self.raps_kreg < 2**63):
                 raise ValidationError(
-                    f"raps_kreg must be a positive integer, got {self.raps_kreg!r}"
+                    f"raps_kreg must be an integer in [1, 2**63), got {self.raps_kreg!r}"
                 )
         elif self.raps_lambda is not None or self.raps_kreg is not None:
             raise ValidationError("raps parameters are only valid for kind='raps'")
@@ -160,15 +161,27 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1-indexed rank of each row's label, without sorting.
 
-    Counts #(p > p_y) + #(p == p_y and class < y), which is the label's
-    position in the stable descending argsort (ties and exact zeros
-    included).
+    Counts #(p > p_y) + #(p == p_y and class < y) + 1, which is the
+    label's position in the stable descending argsort (ties and exact
+    zeros included).
+    """
+    return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
+
+
+def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """n-by-K mask of each row's label and the classes ahead of it.
+
+    A class is ahead when the stable descending order puts it first: a
+    larger value, or an equal value at a smaller class index.  These are
+    the classes whose probabilities the label's non-randomized cumulative
+    score sums.
     """
     rows = np.arange(probs.shape[0])
     p_y = probs[rows, labels][:, None]
     classes = np.arange(probs.shape[1])
-    ahead = (probs > p_y) | ((probs == p_y) & (classes < labels[:, None]))
-    return np.count_nonzero(ahead, axis=1) + 1
+    mask = (probs > p_y) | ((probs == p_y) & (classes < labels[:, None]))
+    mask[rows, labels] = True
+    return mask
 
 
 def _check_normalized(probs: np.ndarray) -> None:
@@ -214,6 +227,17 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     at = (rows, ranks - 1)
     return _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at], sorted_probs[at],
                              sorted_probs[:, 0], ranks, u_eff)
+
+
+def aps_score_dz(probs: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Gradient of each row's non-randomized aps true-label score in its logits.
+
+    ``probs`` is the softmax of the logits z and ``scores`` the scores
+    ``true_label_scores`` gave.  The score is the sum of p_j over A, the
+    label and the classes ahead of it, so ds/dz_k = p_k (1[k in A] - s).
+    Where ties decide A, A follows the stable order, as the score does.
+    """
+    return probs * (_at_or_ahead(probs, labels) - scores[:, None])
 
 
 def _cumulative_score(spec: ScoreSpec, prefix, at_rank, p_max, ranks, u) -> np.ndarray:

@@ -13,14 +13,17 @@ classes, so Platt's b is pinned at 0 and its scale is a = 1/t.  Both are
 minimized over t by a log-uniform grid followed by golden-section
 refinement (robust to the kinks that the order-statistic tau introduces;
 no gradients needed).  Vector maps scale and shift each class on its own,
-which can reorder classes, so they use plain gradient descent with
-central-difference gradients and a backtracking line search.
+which can reorder classes, so they use plain gradient descent with a
+backtracking line search.  The loss is piecewise smooth: between the
+points where a label's rank or the row that sets tau changes, it is a
+smooth function of the map, so each step takes its analytic gradient in
+one pass over both halves (``_vector_gradient``).
 
 The optimizer's inner constants are fixed module constants, not
-settings: ``_REFINE_TOL``, ``_GD_STEP``, ``_GD_GRAD_EPS``,
-``_GD_MAX_HALVINGS`` and ``_REL_TOL``.  ``TuneConfig`` holds only what
-callers choose: the temperature window, the grid size, the descent's
-iteration cap and the seed of the halves.
+settings: ``_REFINE_TOL``, ``_GD_STEP``, ``_GD_MAX_HALVINGS`` and
+``_REL_TOL``.  ``TuneConfig`` holds only what callers choose: the
+temperature window, the grid size, the descent's iteration cap and the
+seed of the halves.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LogitsDataset, SplitSpec, split_dataset
-from .engine import calibrate
+from .engine import calibrate, calibrate_threshold
 from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, true_label_scores
+from .scores import ScoreSpec, aps_score_dz, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -43,11 +46,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Golden-section refinement stops once its bracket is this narrow.
 _REFINE_TOL = 1e-4
-# Gradient descent: first step of each line search, central-difference
-# half-width, most halvings per line search, and the relative improvement
-# below which an accepted step ends the descent.
+# Gradient descent: first step of each line search, most halvings per
+# line search, and the relative improvement below which an accepted step
+# ends the descent.
 _GD_STEP = 0.1
-_GD_GRAD_EPS = 1e-4
 _GD_MAX_HALVINGS = 20
 _REL_TOL = 1e-8
 
@@ -165,8 +167,9 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
 
     temperature and platt: log grid plus golden section over t in
     [cfg.t_min, cfg.t_max]; ``iterations`` counts loss evaluations.
-    vector: finite-difference gradient descent from the identity map;
-    ``iterations`` counts accepted steps.
+    vector: gradient descent from the identity map, one analytic gradient
+    per step; ``iterations`` counts accepted steps, and ``stalled`` says
+    that no step along the last gradient lowered the loss.
     """
     if map_kind not in (*_SCALAR_MAPS, "vector"):
         raise ValidationError(
@@ -199,7 +202,7 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
     iterations = 0
     stalled = False
     for _ in range(cfg.gd_max_iters):
-        grad = _central_difference_gradient(objective, params)
+        grad = _vector_gradient(vector(params), d_tau, d_loss, alpha)
         step = _GD_STEP
         accepted = False
         for _ in range(_GD_MAX_HALVINGS + 1):
@@ -222,13 +225,32 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
     return vector(params), report
 
 
-def _central_difference_gradient(fn, params: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(params)
-    for i in range(params.shape[0]):
-        bump = np.zeros_like(params)
-        bump[i] = _GD_GRAD_EPS
-        grad[i] = (fn(params + bump) - fn(params - bump)) / (2.0 * _GD_GRAD_EPS)
-    return grad
+def _vector_gradient(cal_map: CalibrationMap, d_tau: LogitsDataset,
+                     d_loss: LogitsDataset, alpha: float) -> np.ndarray:
+    """Gradient of ``efficiency_gap_loss`` in a vector map's (w, c).
+
+    Exact wherever no label rank and no choice of the tau row changes
+    nearby, which is almost everywhere.  Each score's gradient in the
+    mapped logits z comes from ``scores.aps_score_dz``.  tau is the score
+    of one tau-half row, the first of those equal to tau, so it moves with
+    that row.  With z = w*x + c, the loss mean((tau - s)^2) has gradient
+    2 mean(tau - s) dtau - (2/n) sum (tau - s_i) ds_i, where a row's d/dw
+    is x times its d/dz and its d/dc is d/dz.
+    """
+    tau_probs = apply_map_dataset(cal_map, d_tau)
+    tau_scores = true_label_scores(_LOSS_SPEC, tau_probs, d_tau.labels)
+    tau = calibrate_threshold(tau_scores, alpha).tau
+    i = int(np.flatnonzero(tau_scores == tau)[0])
+    tau_dz = aps_score_dz(tau_probs[i:i + 1], d_tau.labels[i:i + 1], tau_scores[i:i + 1])[0]
+    probs = apply_map_dataset(cal_map, d_loss)
+    scores = true_label_scores(_LOSS_SPEC, probs, d_loss.labels)
+    dz = aps_score_dz(probs, d_loss.labels, scores)
+    gaps = tau - scores
+    weight = 2.0 * float(np.mean(gaps))
+    per_row = -2.0 / d_loss.n * gaps
+    grad_w = weight * d_tau.logits[i] * tau_dz + per_row @ (d_loss.logits * dz)
+    grad_c = weight * tau_dz + per_row @ dz
+    return np.concatenate([grad_w, grad_c])
 
 
 def save_tune_report(report: TuneReport, path) -> None:

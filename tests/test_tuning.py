@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import confsets.engine
@@ -18,8 +18,9 @@ from confsets import (
     predict_sets,
     tune_map,
 )
-from confsets.scores import score_matrix
-from confsets.tuning import split_validation
+from confsets.maps import apply_map_dataset
+from confsets.scores import label_ranks, score_matrix, true_label_scores
+from confsets.tuning import _vector_gradient, split_validation
 
 
 def test_efficiency_gap_examples():
@@ -186,7 +187,7 @@ def test_platt_tunes_the_temperature_family():
 
 
 # ---------------------------------------------------------------------------
-# vector: finite-difference descent
+# vector: gradient descent on the analytic gradient
 
 
 def _mirrored_two_class(n_pairs, seed):
@@ -227,6 +228,120 @@ def test_line_search_never_increases_loss():
     initial = efficiency_gap_loss(start, d_tau, d_loss, 0.1)
     _, report = tune_map(validation, 0.1, "vector", cfg)
     assert report.final_loss <= initial
+
+
+def _vector_map(params):
+    k = params.shape[0] // 2
+    return CalibrationMap.vector(params[:k], params[k:])
+
+
+def _piece(params, d_tau, d_loss, alpha):
+    """Every label rank and the first tau-half row at tau: the loss is smooth
+    in the map while these stay put."""
+    cal_map = _vector_map(params)
+    p_tau = apply_map_dataset(cal_map, d_tau)
+    s_tau = true_label_scores(ScoreSpec(kind="aps"), p_tau, d_tau.labels)
+    tau = calibrate_threshold(s_tau, alpha).tau
+    return (label_ranks(p_tau, d_tau.labels).tolist(),
+            label_ranks(apply_map_dataset(cal_map, d_loss), d_loss.labels).tolist(),
+            int(np.flatnonzero(s_tau == tau)[0]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.floats(0.05, 0.3))
+def test_vector_gradient_matches_central_differences(seed, k, alpha):
+    # the reference is a central difference at half-width 1e-4, compared
+    # only along coordinates where no label rank and no tau row changes
+    # within that half-width.  (At K = 2 tau is often 1.0, the score
+    # of every second-ranked label, and rounding moves the tau row.)
+    eps = 1e-4
+    ds = generate(SynthSpec(n=120, k=k, seed=seed % 1000, signal=2.0, noise=1.0,
+                            overconfidence=2.0))
+    d_tau, d_loss = split_validation(ds, TuneConfig(seed=seed))
+    rng = np.random.default_rng(seed)
+    params = np.concatenate([1.0 + 0.3 * rng.standard_normal(k), 0.3 * rng.standard_normal(k)])
+    grad = _vector_gradient(_vector_map(params), d_tau, d_loss, alpha)
+    assert grad.shape == (2 * k,)
+    here = _piece(params, d_tau, d_loss, alpha)
+    checked = 0
+    for i in range(2 * k):
+        bump = np.zeros(2 * k)
+        bump[i] = eps
+        if not (_piece(params + bump, d_tau, d_loss, alpha) == here
+                == _piece(params - bump, d_tau, d_loss, alpha)):
+            continue
+        up, down = (efficiency_gap_loss(_vector_map(params + sign * bump), d_tau, d_loss, alpha)
+                    for sign in (1.0, -1.0))
+        assert grad[i] == pytest.approx((up - down) / (2.0 * eps), rel=1e-4, abs=1e-8), i
+        checked += 1
+    assume(checked > 0)
+
+
+def test_vector_gradient_takes_tau_from_the_first_tied_row():
+    # integer logits with each label ranked second: rows whose sorted logits
+    # agree score the same bits, so several tau-half rows score exactly tau
+    rng = np.random.default_rng(3)
+    n, k = 80, 5
+    logits = rng.integers(-1, 2, size=(n, k)).astype(np.float64)
+    labels = np.argsort(-logits, axis=1, kind="stable")[:, 1]
+    d_tau = LogitsDataset(logits[: n // 2], labels[: n // 2])
+    d_loss = LogitsDataset(logits[n // 2:], labels[n // 2:])
+    cal_map = CalibrationMap.vector(np.ones(k), np.zeros(k))  # where the descent starts
+    scores = true_label_scores(ScoreSpec(kind="aps"), apply_map_dataset(cal_map, d_tau),
+                               d_tau.labels)
+    tied = np.flatnonzero(scores == calibrate_threshold(scores, 0.1).tau)
+    assert tied.size >= 3
+
+    def gradient(order):
+        return _vector_gradient(cal_map, d_tau.take(order), d_loss, 0.1)
+
+    rows = np.arange(d_tau.n)
+    grad = gradient(rows)
+    np.testing.assert_array_equal(grad, gradient(rows))
+    # reordering the tied rows after the first leaves the gradient as it is
+    later = rows.copy()
+    later[tied[1:]] = tied[1:][::-1]
+    np.testing.assert_array_equal(grad, gradient(later))
+    # putting another tied row first changes it
+    swapped = rows.copy()
+    swapped[tied[:2]] = tied[1::-1]
+    assert not np.array_equal(grad, gradient(swapped))
+
+
+def test_vector_descent_stall_keeps_the_last_accepted_map():
+    validation = generate(SynthSpec(n=300, k=6, seed=4, signal=2.0, noise=1.0,
+                                    overconfidence=2.0))
+    cfg = TuneConfig(seed=4, gd_max_iters=50)
+    tuned, report = tune_map(validation, 0.1, "vector", cfg)
+    assert report.stalled
+    assert 0 < report.iterations < cfg.gd_max_iters
+    d_tau, d_loss = split_validation(validation, cfg)
+    assert efficiency_gap_loss(tuned, d_tau, d_loss, 0.1) == report.final_loss
+    # no step of the line search along the last gradient lowers the loss
+    params = np.concatenate([tuned.w, tuned.c])
+    grad = _vector_gradient(tuned, d_tau, d_loss, 0.1)
+    for halvings in range(21):
+        step = 0.1 * 0.5 ** halvings
+        candidate = _vector_map(params - step * grad)
+        assert efficiency_gap_loss(candidate, d_tau, d_loss, 0.1) >= report.final_loss
+    # the descent capped at the accepted steps returns the same map
+    capped, capped_report = tune_map(validation, 0.1, "vector",
+                                     TuneConfig(seed=4, gd_max_iters=report.iterations))
+    assert capped.to_json_dict() == tuned.to_json_dict()
+    assert capped_report.final_loss == report.final_loss
+    assert not capped_report.stalled
+
+
+def test_vector_tuning_on_a_thousand_classes():
+    # 2000 parameters: a step costs one gradient pass plus the line search
+    validation = generate(SynthSpec(n=400, k=1000, seed=21, signal=4.0, noise=1.0,
+                                    overconfidence=3.0))
+    cfg = TuneConfig(seed=21, gd_max_iters=2)
+    tuned, report = tune_map(validation, 0.1, "vector", cfg)
+    assert len(tuned.w) == len(tuned.c) == 1000
+    assert np.all(np.isfinite(tuned.w)) and np.all(np.isfinite(tuned.c))
+    d_tau, d_loss = split_validation(validation, cfg)
+    identity = efficiency_gap_loss(CalibrationMap.identity(), d_tau, d_loss, 0.1)
+    assert report.final_loss <= identity
 
 
 def test_tune_map_rejects_unknown_kind():
