@@ -167,10 +167,8 @@ def cmd_evaluate(args) -> None:
         alpha = threshold.alpha
         score_desc = threshold.score_spec.to_json_dict()
         cal_map = threshold.cal_map
-    probs = maps.apply_map_dataset(cal_map, ds)
-    report = metrics.build_report(mask, ds, probs, rank_edges=_parse_rank_edges(args.bins),
-                                  ece_bins=args.ece_bins, alpha=alpha,
-                                  score=score_desc, map_desc=cal_map.to_json_dict())
+    report = metrics.build_report(mask, ds, cal_map, rank_edges=_parse_rank_edges(args.bins),
+                                  ece_bins=args.ece_bins, alpha=alpha, score=score_desc)
     metrics.save_report(report, args.out)
 
 

@@ -9,10 +9,16 @@ the full label set; threshold files spell it "include_all".
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
 JSONL sets file is converted to and from that mask only at the file edge.
+
+`calibrate` and `predict` take the map's probabilities one row block of
+`maps.probability_blocks` at a time: calibrate keeps one true-label score
+per row, predict writes each block's rows of the mask.  A row's u draw is
+keyed by its sample index, so the outputs do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +28,7 @@ import numpy as np
 
 from .data import LogitsDataset
 from .errors import ValidationError, check_keys, is_int, is_number
-from .maps import CalibrationMap, apply_map_dataset
+from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
 
@@ -135,11 +141,12 @@ def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
               alpha: float, precision: str = "f64") -> ConformalThreshold:
     """Threshold over the true-label scores of ``ds`` under ``cal_map``.
 
-    Row i draws its u at sample index i under spec.rng_seed.
+    Row i draws its u at sample index i under spec.rng_seed.  Rows are
+    scored one `probability_blocks` block at a time into one n-vector.
     """
-    probs = apply_map_dataset(cal_map, ds, precision=precision)
-    u = draw_u_many(spec.rng_seed, np.arange(ds.n)) if spec.uses_u else None
-    scores = true_label_scores(spec, probs, ds.labels, u)
+    scores = np.empty(ds.n)
+    for rows, probs in probability_blocks(cal_map, ds, precision):
+        scores[rows] = true_label_scores(spec, probs, ds.labels[rows], _draws(spec, 0, rows))
     return calibrate_threshold(scores, alpha, score_spec=spec, cal_map=cal_map)
 
 
@@ -148,14 +155,21 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset,
     """Prediction-set mask for ``ds`` under a calibrated threshold.
 
     Row i draws its u at sample index n_cal + i under the threshold's
-    seed, so the test stream never overlaps the calibration stream.
+    seed, so the test stream never overlaps the calibration stream.  The
+    mask is filled one `probability_blocks` block at a time.
     """
-    spec = threshold.score_spec
-    probs = apply_map_dataset(threshold.cal_map, ds, precision=precision)
-    u = None
-    if spec.uses_u:
-        u = draw_u_many(spec.rng_seed, threshold.n_cal + np.arange(ds.n))
-    return predict_sets(threshold, probs, u)
+    mask = np.empty((ds.n, ds.k), dtype=bool)
+    for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
+        mask[rows] = predict_sets(threshold, probs,
+                                  _draws(threshold.score_spec, threshold.n_cal, rows))
+    return mask
+
+
+def _draws(spec: ScoreSpec, first: int, rows: slice) -> np.ndarray | None:
+    """The u draws of ``rows`` at sample indices first + row, or None without u."""
+    if not spec.uses_u:
+        return None
+    return draw_u_many(spec.rng_seed, first + np.arange(rows.start, rows.stop))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +279,9 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
             if len(set(members)) != len(members):
                 raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
             sets.append(members)
+    lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                          count=int(lengths.sum()))
     mask = np.zeros((len(sets), k), dtype=bool)
-    for i, members in enumerate(sets):
-        mask[i, members] = True
+    mask[np.repeat(np.arange(len(sets)), lengths), members] = True
     return mask

@@ -6,6 +6,11 @@ M equal-width bins over top-1 confidence, bin m = ((m-1)/M, m/M] with a
 confidence of 0 assigned to the first bin.  Adaptiveness is summarized
 by binning samples on the rank of their true label and averaging set
 sizes within each bin.
+
+`build_report` and `truncation_diagnostic` take a calibration map, not
+probabilities: each row block of `maps.probability_blocks` is reduced to
+per-row values before the next is made, and every statistic is computed
+from those n-vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .data import LogitsDataset
 from .errors import ValidationError, is_int
-from .maps import CalibrationMap, apply_map_dataset
+from .maps import CalibrationMap, probability_blocks
 from .scores import label_ranks
 
 DEFAULT_ECE_BINS = 15
@@ -63,14 +68,18 @@ def expected_calibration_error(probs: np.ndarray, labels,
     labels = np.asarray(labels, dtype=np.int64)
     if p.ndim != 2 or labels.shape != (p.shape[0],):
         raise ValidationError("probs must be n-by-K with one label per row")
+    return _binned_ece(p.max(axis=1), p.argmax(axis=1) == labels, n_bins)
+
+
+def _binned_ece(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> float:
+    """ECE from each row's top-1 confidence and whether its top-1 class is the label."""
     if n_bins < 1:
         raise ValidationError("bin count must be >= 1")
-    conf = p.max(axis=1)
-    correct = (p.argmax(axis=1) == labels).astype(np.float64)
+    correct = correct.astype(np.float64)
     # bin m covers ((m-1)/M, m/M]; exact zeros go to the first bin
     idx = np.ceil(conf * n_bins).astype(np.int64) - 1
     idx = np.clip(idx, 0, n_bins - 1)
-    n = p.shape[0]
+    n = conf.shape[0]
     ece = 0.0
     for m in range(n_bins):
         in_bin = idx == m
@@ -135,40 +144,50 @@ def size_by_rank(mask: np.ndarray, true_ranks,
 
 def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
                           precision: str = "f64") -> tuple[float, np.ndarray]:
-    """Fraction of rows where some class underflows to probability 0.
+    """(fraction of rows holding an exact probability 0, each row's count of zeros).
 
     Only meaningful for temperature maps (the small-t pathology); exact
     zeros are counted, not merely tiny values.
     """
     if cal_map.kind != "temperature":
         raise ValidationError("truncation diagnostic requires a temperature map")
-    return _zero_rows(apply_map_dataset(cal_map, ds, precision=precision))
-
-
-def _zero_rows(probs: np.ndarray) -> tuple[float, np.ndarray]:
-    """(fraction of rows holding an exact zero, each row's count of zeros)."""
-    zero_counts = (probs == 0.0).sum(axis=1)
+    zero_counts = np.concatenate([np.count_nonzero(probs == 0.0, axis=1)
+                                  for _, probs in probability_blocks(cal_map, ds, precision)])
     return float((zero_counts > 0).mean()), zero_counts
 
 
-def build_report(mask: np.ndarray, ds: LogitsDataset, probs: np.ndarray,
+def build_report(mask: np.ndarray, ds: LogitsDataset, cal_map: CalibrationMap,
                  rank_edges=DEFAULT_RANK_EDGES, ece_bins: int = DEFAULT_ECE_BINS,
-                 alpha: float | None = None, score: dict | None = None,
-                 map_desc: dict | None = None) -> EvaluationReport:
-    """Assemble the full evaluation report for one prediction-set mask."""
+                 alpha: float | None = None, score: dict | None = None) -> EvaluationReport:
+    """Assemble the full evaluation report for one prediction-set mask.
+
+    ``cal_map`` gives the probabilities that ECE, the true-label ranks and
+    the truncated-row fraction read, and the report's ``map``.  Each
+    `probability_blocks` block is reduced to per-row values (top-1
+    confidence, whether the top-1 class is the label, the label's rank and
+    the count of exact zeros) before the next is made, so no n-by-K float
+    matrix is held.
+    """
     cov, avg_size = coverage_and_size(mask, ds.labels)
-    ece = expected_calibration_error(probs, ds.labels, ece_bins)
-    by_rank = size_by_rank(mask, label_ranks(probs, ds.labels), rank_edges)
+    conf = np.empty(ds.n)
+    correct = np.empty(ds.n, dtype=bool)
+    ranks = np.empty(ds.n, dtype=np.int64)
+    zero_counts = np.empty(ds.n, dtype=np.int64)
+    for rows, probs in probability_blocks(cal_map, ds):
+        conf[rows] = probs.max(axis=1)
+        correct[rows] = probs.argmax(axis=1) == ds.labels[rows]
+        ranks[rows] = label_ranks(probs, ds.labels[rows])
+        zero_counts[rows] = np.count_nonzero(probs == 0.0, axis=1)
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,
-        ece=ece,
-        size_by_rank_bin=by_rank,
-        truncated_row_fraction=_zero_rows(probs)[0],
+        ece=_binned_ece(conf, correct, ece_bins),
+        size_by_rank_bin=size_by_rank(mask, ranks, rank_edges),
+        truncated_row_fraction=float((zero_counts > 0).mean()),
         alpha=alpha,
         n_test=ds.n,
         score=score,
-        map=map_desc,
+        map=cal_map.to_json_dict(),
     )
 
 

@@ -1,0 +1,121 @@
+"""Row-block streaming: outputs do not depend on the block size, and the
+n-by-K stages hold about one block of floats at a time."""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from confsets import (
+    CalibrationMap,
+    LogitsDataset,
+    ScoreSpec,
+    SynthSpec,
+    build_report,
+    calibrate,
+    generate,
+    predict,
+    truncation_diagnostic,
+)
+from confsets import maps
+
+N_CAL, N_TEST = 23, 17
+# Rows per block: one, counts that divide neither N_CAL nor N_TEST, and all rows.
+BLOCK_ROWS = (1, 3, 5, max(N_CAL, N_TEST))
+
+
+def _dataset(n: int, k: int, seed: int) -> LogitsDataset:
+    """Gaussian logits with a bump on the label; half the rows rounded to
+    integers (tied classes) and some other entries 800 below the rest
+    (probability exactly 0)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    logits = rng.standard_normal((n, k))
+    logits[np.arange(n), labels] += 4.0
+    logits[::2] = np.round(logits[::2])
+    drop = rng.random((n, k)) < 0.2
+    drop[np.arange(n), labels] = False
+    logits[drop] = -800.0
+    return LogitsDataset(logits, labels)
+
+
+def _vector(k: int) -> CalibrationMap:
+    rng = np.random.default_rng(k)
+    return CalibrationMap.vector(rng.uniform(0.5, 1.5, k), rng.normal(0.0, 0.3, k))
+
+
+CASES = {
+    "aps-identity": (ScoreSpec(kind="aps"), lambda k: CalibrationMap.identity(), "f64", 0.1),
+    "aps-randomized-temperature": (ScoreSpec(kind="aps", randomized=True, rng_seed=7),
+                                   lambda k: CalibrationMap.temperature(0.5), "f64", 0.1),
+    "raps-vector": (ScoreSpec(kind="raps", randomized=True, raps_lambda=0.01,
+                              raps_kreg=2, rng_seed=3), _vector, "f64", 0.2),
+    "saps-identity-f32": (ScoreSpec(kind="saps", randomized=True, saps_lambda=0.1,
+                                    rng_seed=5), lambda k: CalibrationMap.identity(), "f32", 0.1),
+    "lac-temperature-f32": (ScoreSpec(kind="lac"), lambda k: CalibrationMap.temperature(2.0),
+                            "f32", 0.1),
+    # ceil(24 * 0.98) = 24 > N_CAL: tau = +inf
+    "include-all-vector": (ScoreSpec(kind="aps", randomized=True), _vector, "f64", 0.02),
+}
+
+
+def _outputs(cal, test, cal_map, spec, alpha, precision):
+    threshold = calibrate(cal, cal_map, spec, alpha, precision)
+    mask = predict(threshold, test, precision)
+    report = build_report(mask, test, cal_map, alpha=alpha, score=spec.to_json_dict())
+    fraction, zeros = truncation_diagnostic(CalibrationMap.temperature(0.05), test, precision)
+    return (json.dumps(threshold.to_json_dict()), mask, json.dumps(report.to_json_dict()),
+            fraction, zeros)
+
+
+@pytest.mark.parametrize("k", [6, 90])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_do_not_depend_on_block_size(monkeypatch, case, k):
+    spec, make_map, precision, alpha = CASES[case]
+    cal, test = _dataset(N_CAL, k, 1), _dataset(N_TEST, k, 2)
+    cal_map = make_map(k)
+    results = []
+    for rows in BLOCK_ROWS:
+        monkeypatch.setattr(maps, "_BLOCK_CELLS", rows * k)
+        spans = [r.stop - r.start for r, _ in maps.probability_blocks(cal_map, cal)]
+        assert spans == [rows] * (N_CAL // rows) + ([N_CAL % rows] if N_CAL % rows else [])
+        results.append(_outputs(cal, test, cal_map, spec, alpha, precision))
+    if case == "include-all-vector":
+        assert json.loads(results[0][0])["tau"] == "include_all"
+    else:
+        assert 0 < results[0][1].sum() < results[0][1].size
+    reference = results[-1]
+    for got in results[:-1]:
+        assert got[0] == reference[0]
+        np.testing.assert_array_equal(got[1], reference[1])
+        assert got[2] == reference[2]
+        assert got[3] == reference[3]
+        np.testing.assert_array_equal(got[4], reference[4])
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_wide_stages_stay_below_half_a_probability_matrix():
+    n, k = 4000, 1000
+    ds = generate(SynthSpec(n=n, k=k, seed=0, signal=4.0))
+    budget = n * k * 8 / 2  # half of one n-by-K float64 matrix
+    cal_map = CalibrationMap.temperature(0.8)
+    spec = ScoreSpec(kind="aps", randomized=True, rng_seed=1)
+    threshold, peak = _traced_peak(calibrate, ds, cal_map, spec, 0.1)
+    assert math.isfinite(threshold.tau)
+    assert peak < budget, f"calibrate peaked at {peak / 2**20:.1f} MiB"
+    mask, peak = _traced_peak(predict, threshold, ds)
+    assert peak < budget, f"predict peaked at {peak / 2**20:.1f} MiB"
+    _, peak = _traced_peak(build_report, mask, ds, cal_map)
+    assert peak < budget, f"build_report peaked at {peak / 2**20:.1f} MiB"

@@ -431,3 +431,22 @@ def test_prediction_sets_file_is_per_row_json_dumps(tmp_path, n, k, density):
                        for i, row in enumerate(mask))
     assert path.read_bytes() == expected.encode("ascii")
     np.testing.assert_array_equal(load_prediction_sets(path, k), mask)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
+    # members in any order; empty and full rows
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(0, 20)), int(rng.integers(1, 12))
+    member_lists = [rng.permutation(k)[:rng.integers(0, k + 1)].tolist() for _ in range(n)]
+    if n >= 2:
+        member_lists[0], member_lists[-1] = [], rng.permutation(k).tolist()
+    path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
+    path.write_text("".join(json.dumps({"index": i, "set": m}) + "\n"
+                            for i, m in enumerate(member_lists)))
+    expected = np.zeros((n, k), dtype=bool)
+    for i, members in enumerate(member_lists):
+        expected[i, members] = True
+    got = load_prediction_sets(path, k)
+    assert got.shape == (n, k)
+    np.testing.assert_array_equal(got, expected)

@@ -8,6 +8,7 @@ from confsets import (
     LogitsDataset,
     SynthSpec,
     ValidationError,
+    apply_map_dataset,
     build_report,
     coverage_and_size,
     expected_calibration_error,
@@ -174,15 +175,17 @@ def test_rank_bin_means_reconstruct_average_size(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_report_rank_bins_match_per_row_reference(seed):
     # ties and exact zeros: each row's rank comes from oracle_order
+    # (equal logits tie; a logit 800 below the row max has probability 0)
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(1, 30)), int(rng.integers(2, 15))
-    weights = rng.integers(0, 3, size=(n, k)).astype(float)
-    weights[:, 0] += 1.0
-    probs = weights / weights.sum(axis=1, keepdims=True)
+    levels = rng.integers(0, 3, size=(n, k))
+    levels[:, 0] += 1
     labels = rng.integers(0, k, n)
     mask = rng.random((n, k)) < 0.4
-    ds = LogitsDataset(np.zeros((n, k)), labels)
-    got = build_report(mask, ds, probs).size_by_rank_bin
+    ds = LogitsDataset(np.where(levels == 0, -800.0, levels), labels)
+    probs = apply_map_dataset(CalibrationMap.identity(), ds)
+    assert (probs == 0.0).any() or (levels > 0).all()
+    got = build_report(mask, ds, CalibrationMap.identity()).size_by_rank_bin
     ranks = [oracle_order(list(row)).index(y) + 1 for row, y in zip(probs, labels)]
     sizes = [int(row.sum()) for row in mask]
     expected = {}
