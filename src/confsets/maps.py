@@ -150,10 +150,17 @@ class CalibrationMap:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction, in the dtype of ``z``."""
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Row-wise softmax with max-subtraction, in the dtype of ``z``.
+
+    Allocates one output buffer: the shift, the exp and the division run
+    in place on it, in the order (and so with the bits) of ``e = exp(z -
+    max); e / e.sum()``.  ``z`` itself is never written, since the
+    identity map passes a dataset's own logits.
+    """
+    out = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
 
 
 def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset,

@@ -164,24 +164,22 @@ def build_report(mask: np.ndarray, ds: LogitsDataset, cal_map: CalibrationMap,
     ``cal_map`` gives the probabilities that ECE, the true-label ranks and
     the truncated-row fraction read, and the report's ``map``.  Each
     `probability_blocks` block is reduced to per-row values (top-1
-    confidence, whether the top-1 class is the label, the label's rank and
-    the count of exact zeros) before the next is made, so no n-by-K float
-    matrix is held.
+    confidence, the label's rank and the count of exact zeros) before the
+    next is made, so no n-by-K float matrix is held.  A row's top-1 class
+    is its label exactly when the label's rank is 1.
     """
     cov, avg_size = coverage_and_size(mask, ds.labels)
     conf = np.empty(ds.n)
-    correct = np.empty(ds.n, dtype=bool)
     ranks = np.empty(ds.n, dtype=np.int64)
     zero_counts = np.empty(ds.n, dtype=np.int64)
     for rows, probs in probability_blocks(cal_map, ds):
         conf[rows] = probs.max(axis=1)
-        correct[rows] = probs.argmax(axis=1) == ds.labels[rows]
         ranks[rows] = label_ranks(probs, ds.labels[rows])
         zero_counts[rows] = np.count_nonzero(probs == 0.0, axis=1)
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,
-        ece=_binned_ece(conf, correct, ece_bins),
+        ece=_binned_ece(conf, ranks == 1, ece_bins),
         size_by_rank_bin=size_by_rank(mask, ranks, rank_edges),
         truncated_row_fraction=float((zero_counts > 0).mean()),
         alpha=alpha,

@@ -11,6 +11,12 @@ order, ties broken by ascending class index.
 * saps:                 u * p_max if r == 1 else p_max + (r - 2 + u) * lambda
 * lac:                  1 - prob of the class (u ignored)
 
+A row's rank-1 class is its first largest value, which is what
+`np.argmax` returns: the stable descending order puts the largest values
+first and breaks their ties by ascending class.  So a label equal to its
+row's argmax has rank 1, its prefix sum is p_y alone, and
+`true_label_scores` and `label_ranks` sort and count only the other rows.
+
 Randomization uses one uniform draw per sample, shared by all K class
 scores of that sample.  Draws come from a counter-based generator keyed
 by (seed, sample_index), so parallel evaluation cannot change results.
@@ -161,11 +167,22 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1-indexed rank of each row's label, without sorting.
 
-    Counts #(p > p_y) + #(p == p_y and class < y) + 1, which is the
-    label's position in the stable descending argsort (ties and exact
-    zeros included).
+    A label at its row's argmax has rank 1.  For the other rows this counts
+    #(p > p_y) + #(p == p_y and class < y) + 1, which is the label's
+    position in the stable descending argsort (ties and exact zeros
+    included).
     """
-    return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
+    rest = _below_top(probs, labels)
+    if rest.size == len(labels):  # no row at rank 1: count on probs, not a copy
+        return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
+    ranks = np.ones(len(labels), dtype=np.int64)
+    ranks[rest] = np.count_nonzero(_at_or_ahead(probs[rest], labels[rest]), axis=1)
+    return ranks
+
+
+def _below_top(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose label is not at rank 1 (not the row's argmax)."""
+    return np.flatnonzero(probs.argmax(axis=1) != labels)
 
 
 def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -209,7 +226,15 @@ def score_matrix(spec: ScoreSpec, probs: np.ndarray,
 
 def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
                       u: np.ndarray | None = None) -> np.ndarray:
-    """Score of each row's true label (the calibration-side quantity)."""
+    """Score of each row's true label (the calibration-side quantity).
+
+    A label at its row's argmax has rank 1: ``np.argmax`` returns the
+    first largest value, and the stable descending order puts the largest
+    values first with ties by ascending class.  Such a label's prefix sum,
+    its own probability and the row's maximum are then all p_y, the same
+    floats the sort and cumsum give.  Only the other rows are ranked,
+    sorted and summed.
+    """
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if p.ndim != 2 or labels.shape != (p.shape[0],):
@@ -218,15 +243,20 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     if spec.kind == "lac":
         return 1.0 - p[np.arange(p.shape[0]), labels]
     _check_normalized(p)
+    p_y = p[np.arange(p.shape[0]), labels]
+    scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u_eff)
+    rest = _below_top(p, labels)
+    q, y = p[rest], labels[rest]  # a copy, so it is sorted in place below
+    ranks = np.count_nonzero(_at_or_ahead(q, y), axis=1)
     # A label's prefix sum needs the row's values in descending order, not
     # the classes that hold them: tied classes hold equal values, so this
     # sums the same numbers in the same order as the stable argsort.
-    sorted_probs = np.sort(p, axis=1)[:, ::-1]
-    ranks = label_ranks(p, labels)
-    rows = np.arange(p.shape[0])
-    at = (rows, ranks - 1)
-    return _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at], sorted_probs[at],
-                             sorted_probs[:, 0], ranks, u_eff)
+    q.sort(axis=1)
+    sorted_probs = q[:, ::-1]
+    at = (np.arange(rest.size), ranks - 1)
+    scores[rest] = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at],
+                                     sorted_probs[at], sorted_probs[:, 0], ranks, u_eff[rest])
+    return scores
 
 
 def aps_score_dz(probs: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:

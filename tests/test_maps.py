@@ -13,6 +13,7 @@ from confsets import (
     load_map,
     save_map,
 )
+from confsets.maps import softmax
 
 from oracles import oracle_softmax
 
@@ -39,6 +40,28 @@ def test_temperature_half_sharpens():
     got = probs_of(CalibrationMap.temperature(0.5), [2.0, 1.0, 0.0])
     np.testing.assert_allclose(got, oracle_softmax([4.0, 2.0, 0.0]), atol=1e-15)
     assert abs(got[0] - 0.866813) < 5e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1, 7), (70, 1000)])
+def test_softmax_is_bitwise_the_three_temporary_form(dtype, shape):
+    z = (np.random.default_rng(3).standard_normal(shape) * 300.0).astype(dtype)
+    before = z.copy()
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    expected = e / np.sum(e, axis=-1, keepdims=True)
+    got = softmax(z)
+    assert got.dtype == dtype
+    assert got.tobytes() == expected.tobytes()
+    assert z.tobytes() == before.tobytes()
+
+
+def test_identity_map_leaves_dataset_logits_unchanged():
+    ds = LogitsDataset(np.random.default_rng(4).standard_normal((30, 5)) * 50.0,
+                       np.zeros(30, dtype=np.int64))
+    before = ds.logits.copy()
+    for precision in ("f64", "f32"):
+        apply_map_dataset(CalibrationMap.identity(), ds, precision=precision)
+    assert ds.logits.tobytes() == before.tobytes()
 
 
 def test_equal_logits_give_uniform():

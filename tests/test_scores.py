@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -120,6 +122,83 @@ def _label_scores_via_rank_of(spec, probs, labels, u):
     if spec.kind == "raps":
         values = values + spec.raps_lambda * np.maximum(0, ranks - spec.raps_kreg)
     return values
+
+
+@st.composite
+def rank_one_boundaries(draw):
+    """Probability matrices whose rows sit on the rank-1 boundary.
+
+    Rows are drawn as: random small weights (ties and exact zeros), all
+    equal, two classes tied at the maximum, or a maximum one ulp above a
+    copy at a smaller class.  The last kind separates the first maximum
+    from any coarser reading of the order, such as float32 rounding.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 8)), draw(st.integers(2, 7))
+    shapes = draw(st.lists(st.sampled_from(["random", "flat", "tied top", "split top"]),
+                           min_size=n, max_size=n))
+    weights = rng.integers(0, 4, size=(n, k)).astype(float)
+    weights[:, 0] += 1.0
+    for i, shape in enumerate(shapes):
+        if shape == "flat":
+            weights[i] = 1.0
+        elif shape != "random":
+            weights[i, rng.choice(k, size=2, replace=False)] = weights[i].max() + 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    for i in np.flatnonzero(np.asarray(shapes) == "split top"):
+        a, b = np.flatnonzero(probs[i] == probs[i].max())[:2]
+        probs[i, b] = np.nextafter(probs[i, a], 2.0)
+    return probs
+
+
+@given(rank_one_boundaries(),
+       st.sampled_from([
+           ScoreSpec(kind="aps"),
+           ScoreSpec(kind="aps", randomized=True),
+           ScoreSpec(kind="raps", raps_lambda=sys.float_info.max, raps_kreg=1),
+           ScoreSpec(kind="raps", raps_lambda=0.1, raps_kreg=2**63 - 1, randomized=True),
+           ScoreSpec(kind="saps", saps_lambda=0.02),
+           ScoreSpec(kind="saps", saps_lambda=0.1, randomized=True),
+           ScoreSpec(kind="lac"),
+       ]),
+       st.integers(0, 2**32 - 1))
+def test_rank_one_rows_match_the_full_order(probs, spec, seed):
+    """Labels at and around rank 1 score and rank as in the full stable order."""
+    rng = np.random.default_rng(seed)
+    n, k = probs.shape
+    rows = np.arange(n)
+    u = rng.random(n) if spec.uses_u else None
+    # a huge raps lambda overflows the penalty of deep ranks to inf, in
+    # every path alike
+    with np.errstate(over="ignore"):
+        full = score_matrix(spec, probs, u)
+    _, rank_of = _oracle_rank_of(probs)
+    shift = rng.integers(0, k, size=n)
+    for y in range(k):
+        # every (row, class) pair once, rank-1 labels mixed with the others
+        labels = (shift + y) % k
+        with np.errstate(over="ignore"):
+            got = true_label_scores(spec, probs, labels, u)
+        np.testing.assert_array_equal(got, full[rows, labels])
+        np.testing.assert_array_equal(label_ranks(probs, labels), rank_of[rows, labels])
+        for i in rows:
+            expected = oracle_score(
+                spec.kind, list(probs[i]), labels[i], u[i] if u is not None else 1.0,
+                raps_lam=spec.raps_lambda or 0.0, raps_kreg=spec.raps_kreg or 1,
+                saps_lam=spec.saps_lambda or 0.0,
+            )
+            assert got[i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_rank_one_follows_probabilities_not_logits():
+    """Softmax can merge distinct logits: the tie then goes to the smaller class."""
+    ds = LogitsDataset(np.asarray([[0.0, 1e-17, -1.0]]), [1])
+    probs = apply_map_dataset(CalibrationMap.identity(), ds)
+    assert probs[0, 0] == probs[0, 1] and ds.logits.argmax() == 1
+    np.testing.assert_array_equal(label_ranks(probs, ds.labels), [2])
+    spec = ScoreSpec(kind="aps")
+    np.testing.assert_array_equal(true_label_scores(spec, probs, ds.labels),
+                                  score_matrix(spec, probs)[:, 1])
 
 
 @given(tied_prob_matrices(), spec_strategy(), st.integers(0, 2**32 - 1))

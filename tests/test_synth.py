@@ -10,6 +10,7 @@ from confsets import (
     generate,
     generate_paired_shifted,
 )
+from confsets.tuning import minimize_on_log_grid
 
 
 def test_noiseless_limit_is_perfectly_accurate():
@@ -75,21 +76,7 @@ def _nll(ds, t):
 def test_overconfident_data_has_nll_temperature_above_one():
     ds = generate(SynthSpec(n=6000, k=10, seed=5, signal=2.0, noise=1.0,
                             overconfidence=3.0))
-    # golden-section on the smooth nll objective
-    invphi = (np.sqrt(5) - 1) / 2
-    a, b = 0.2, 10.0
-    c, d = b - (b - a) * invphi, a + (b - a) * invphi
-    fc, fd = _nll(ds, c), _nll(ds, d)
-    while b - a > 1e-4:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = _nll(ds, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = _nll(ds, d)
-    t_nll = (a + b) / 2
+    t_nll, _, _ = minimize_on_log_grid(lambda t: _nll(ds, t), 0.2, 10.0, 64)
     assert t_nll > 1.0  # overconfident: nll wants a softer map
     ece_raw = expected_calibration_error(
         apply_map_dataset(CalibrationMap.identity(), ds), ds.labels)
