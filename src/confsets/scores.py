@@ -23,9 +23,9 @@ by (seed, sample_index), so parallel evaluation cannot change results.
 
 `set_mask` builds prediction sets (the classes scoring <= tau).  An
 aps/raps/saps set is a prefix of its row's order, so each row is read off
-its top classes; one floor, the u = 0 score at the block's last rank,
-certifies for every kind that no class beyond the block enters the set.
-Only the rows it cannot certify are scored in full.
+a block of its top classes; one floor, the u = 0 score at the block's
+last rank, certifies that no class beyond the block enters the set.  An
+uncertified row is read again off a block of all K classes.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
 _PROB_SUM_TOL = 1e-6
 
-# Classes per row that `set_mask` sorts.  On 7.5k x 1000 synthetic
+# Classes per row that `set_mask` sorts first.  On 7.5k x 1000 synthetic
 # rows at alpha 0.1 (randomized aps), blocks of 16, 32, 64 and 128 left
-# 1697, 518, 8 and 0 rows to the full sort; 64 was the fastest.
+# 1697, 518, 8 and 0 rows uncertified; 64 was the fastest.
 _BLOCK = 64
 
 
@@ -221,7 +221,15 @@ def score_matrix(spec: ScoreSpec, probs: np.ndarray,
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
     u_eff = _check_u_array(spec, u, p.shape[0])
-    return _score_matrix_checked(spec, p, u_eff)
+    if spec.kind == "lac":
+        return 1.0 - p
+    sorted_probs, perm = sort_rows(p)
+    by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
+                                sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
+                                u_eff[:, None])
+    out = np.empty_like(by_rank)
+    np.put_along_axis(out, perm, by_rank, axis=1)
+    return out
 
 
 def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
@@ -292,8 +300,8 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
 
     Equals ``score_matrix(spec, probs, u) <= tau`` bit for bit.  lac
     compares 1 - p directly and tau = +inf is the full set.  Every other
-    row is read off its top classes (`_top_block`), and only the rows that
-    block cannot certify are scored in full.
+    row is read off its top min(``_BLOCK``, K) classes (`_top_block`), and
+    the rows that block cannot certify are read again off all K.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
@@ -304,24 +312,24 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     _check_normalized(p)
     if tau == math.inf:
         return np.ones(p.shape, dtype=bool)
-    mask, rest = _top_block(spec, p, tau, u_eff)
+    mask, rest = _top_block(spec, p, tau, u_eff, min(_BLOCK, p.shape[1]))
     if rest.size:
-        mask[rest] = _score_matrix_checked(spec, p[rest], u_eff[rest]) <= tau
+        mask[rest] = _top_block(spec, p[rest], tau, u_eff[rest], p.shape[1])[0]
     return mask
 
 
-def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float,
-               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
+               m: int) -> tuple[np.ndarray, np.ndarray]:
     """``score <= tau`` for aps/raps/saps read off each row's m largest classes.
 
-    ``p`` is a checked, normalized matrix and ``u`` one draw per row (ones
-    when not randomized).  Returns ``(mask, rest)``: every row of ``mask``
-    not listed in ``rest`` equals the full comparison bit for bit; the rows
-    in ``rest`` are all False and must be scored in full.
+    ``p`` is a checked, normalized matrix, ``u`` one draw per row (ones when
+    not randomized) and 1 <= m <= K.  Returns ``(mask, rest)``: every row of
+    ``mask`` not listed in ``rest`` equals the full comparison bit for bit;
+    the rows in ``rest`` are all False and need m = K.
 
-    The set is a prefix of the row's stable order, so only the m =
-    min(``_BLOCK``, K) largest classes are ranked.  When m = K that is the
-    whole row.  Otherwise argpartition picks them, and the stable sort of
+    The set is a prefix of the row's stable order, so only the m largest
+    classes are ranked.  When m = K that is the whole row, and ``rest`` is
+    empty.  Otherwise argpartition picks them, and the stable sort of
     ``_descending``, run on them in ascending class order, gives them the
     full row's order.  The block's cumsum adds the same values in the same
     order as the full row's, so ranks 1..m get the same floats from
@@ -338,7 +346,6 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float,
       above tau certifies the row.
     """
     n, k = p.shape
-    m = min(_BLOCK, k)
     if m == k:
         vals, cols = _descending(p)
     else:
@@ -346,14 +353,16 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float,
         vals, order = _descending(np.take_along_axis(p, cols, axis=1))
         cols = np.take_along_axis(cols, order, axis=1)
     prefix = np.cumsum(vals, axis=1)
-    floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
-    certified = (m == k) | ((floor > tau)
-                            & (np.count_nonzero(p >= vals[:, -1:], axis=1) == m)
-                            & (p.min(axis=1) >= 0.0))
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
+    certified = np.ones(n, dtype=bool)
+    if m < k:
+        floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
+        certified = ((floor > tau) & (np.count_nonzero(p >= vals[:, -1:], axis=1) == m)
+                     & (p.min(axis=1) >= 0.0))
+        inside &= certified[:, None]
     mask = np.zeros((n, k), dtype=bool)
-    np.put_along_axis(mask, cols, inside & certified[:, None], axis=1)
+    np.put_along_axis(mask, cols, inside, axis=1)
     return mask, np.flatnonzero(~certified)
 
 
@@ -372,16 +381,3 @@ def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:
     if u is not None:
         raise ValidationError("u must be absent for a non-randomized score")
     return np.ones(n)
-
-
-def _score_matrix_checked(spec: ScoreSpec, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if spec.kind == "lac":
-        return 1.0 - p
-    sorted_probs, perm = sort_rows(p)
-    by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
-                                sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
-                                u[:, None])
-    out = np.empty_like(by_rank)
-    np.put_along_axis(out, perm, by_rank, axis=1)
-    return out
-

@@ -180,9 +180,11 @@ def wide_cases(draw):
     """Probability rows on both sides of the top block's width, and a tau.
 
     Logits on a coarse grid make ties (also across the block boundary);
-    small temperatures round most of a row to exact zeros.  tau is 0,
-    +inf, a random value, or one of the row's prefix sums or scores
-    nudged by at most one ulp.
+    small temperatures round most of a row to exact zeros.  Some matrices
+    are cast to float32, and in some one value of one row is pushed below
+    0.  tau is 0, +inf, a random value, one of the row's prefix sums or
+    scores nudged by at most one ulp, or (for non-randomized aps, so that
+    most rows wider than the block are read again) a few ulps below 1.0.
     """
     n = draw(st.integers(1, 5))
     k = draw(st.sampled_from([2, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK]))
@@ -193,20 +195,33 @@ def wide_cases(draw):
     z = logits / t
     e = np.exp(z - z.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    spec = _spec(draw(st.sampled_from(["aps", "raps", "saps", "lac"])), draw(st.booleans()))
+    if draw(st.booleans()):
+        # still sums to 1: the smallest value moves to another class, 1e-3 past 0
+        row = rng.integers(n)
+        low, other = np.argsort(probs[row])[:2]
+        shift = probs[row, low] + 1e-3
+        probs[row, [low, other]] += [-shift, shift]
+    if draw(st.booleans()):
+        probs = probs.astype(np.float32)
+    how = draw(st.sampled_from(["zero", "inf", "random", "prefix", "score", "below_one"]))
+    if how == "below_one":
+        spec = _spec("aps", False)
+    else:
+        spec = _spec(draw(st.sampled_from(["aps", "raps", "saps", "lac"])), draw(st.booleans()))
     u = rng.random(n) if spec.uses_u else None
     if u is not None and draw(st.booleans()):
         u[rng.integers(n)] = draw(st.sampled_from([0.0, 1.0]))
-    how = draw(st.sampled_from(["zero", "inf", "random", "prefix", "score"]))
     if how == "zero":
         tau = 0.0
     elif how == "inf":
         tau = math.inf
     elif how == "random":
         tau = float(rng.uniform(0.0, 1.5))
+    elif how == "below_one":
+        tau = 1.0 - draw(st.integers(1, 4)) * 2.0**-53
     else:
         if how == "prefix":
-            values = np.cumsum(np.sort(probs, axis=1)[:, ::-1], axis=1)
+            values = np.cumsum(np.sort(probs.astype(float), axis=1)[:, ::-1], axis=1)
         else:
             values = score_matrix(spec, probs, u)
         tau = float(values[rng.integers(n), rng.integers(k)])
@@ -230,9 +245,9 @@ def _wide_row(head, k=3 * _BLOCK):
 STEEP = _wide_row([0.5, 0.25, 0.12])
 
 
-def _block(spec, probs, tau, u=None):
-    """The private block's ``(mask, rest)``; u defaults to ones, as for a plain score."""
-    return _top_block(spec, probs, tau, np.ones(probs.shape[0]) if u is None else u)
+def _block(spec, probs, tau, m, u=None):
+    """The private m-wide block's ``(mask, rest)``; u defaults to ones, as for a plain score."""
+    return _top_block(spec, probs, tau, np.ones(probs.shape[0]) if u is None else u, m)
 
 
 def test_top_block_certifies_plain_wide_rows():
@@ -240,7 +255,7 @@ def test_top_block_certifies_plain_wide_rows():
     probs = np.stack([STEEP] * 3)
     for kind in ("aps", "raps", "saps"):
         spec = _spec(kind, False)
-        mask, rest = _block(spec, probs, 0.7)
+        mask, rest = _block(spec, probs, 0.7, _BLOCK)
         assert rest.size == 0
         np.testing.assert_array_equal(mask, score_matrix(spec, probs) <= 0.7)
 
@@ -254,7 +269,7 @@ def test_top_block_sends_boundary_ties_to_full_path():
     u = np.asarray([0.3, 0.6])
     for kind in ("aps", "raps", "saps"):
         spec = _spec(kind, True)
-        _, rest = _block(spec, probs, 0.7, u)
+        _, rest = _block(spec, probs, 0.7, _BLOCK, u)
         assert rest.tolist() == [1]
         _assert_mask_is_full_path(spec, probs, u, 0.7)
 
@@ -270,7 +285,7 @@ def test_top_block_sends_tau_one_ulp_below_the_block_sum_to_full_path(crossing):
     for randomized in (False, True):
         spec = _spec("aps", randomized)
         u = np.asarray([0.0]) if randomized else None
-        _, rest = _block(spec, probs, tau, u)
+        _, rest = _block(spec, probs, tau, _BLOCK, u)
         assert rest.tolist() == [0]
         _assert_mask_is_full_path(spec, probs, u, tau)
 
@@ -279,26 +294,37 @@ def test_top_block_sends_negative_rows_to_full_path():
     negative = np.stack([STEEP] * 2)
     negative[1, -2:] += [-1e-3, 1e-3]   # still sums to 1, one value below 0
     spec = _spec("aps", False)
-    _, rest = _block(spec, negative, 0.5)
+    _, rest = _block(spec, negative, 0.5, _BLOCK)
     assert rest.tolist() == [1]
     _assert_mask_is_full_path(spec, negative, None, 0.5)
 
 
 def test_top_block_certifies_narrow_rows_in_one_pass():
-    # with K <= _BLOCK the block is the whole row, so no row is left over,
-    # even one with a negative value or tau above every score
+    # with m = K the block is the whole row, so no row is left over, even
+    # one with a negative value or tau above every score; K <= _BLOCK rows
+    # take this block first, wider rows on their second read
     wide = np.stack([STEEP] * 2)
     narrow = wide[:, :_BLOCK] / wide[:, :_BLOCK].sum(axis=1, keepdims=True)
     narrow[1, -2:] += [-narrow[1, -2] - 1e-3, narrow[1, -2] + 1e-3]
-    u = np.asarray([0.25, 0.0])
+    tied = STEEP.copy()
+    tied[_BLOCK] = tied[_BLOCK - 1]
+    negative = STEEP.copy()
+    negative[-2:] += [-1e-3, 1e-3]
+    crossing = _wide_row(np.full(_BLOCK, 1.0 / _BLOCK))
+    hard = np.stack([tied / tied.sum(), negative, crossing])
+    below_binade = float(np.nextafter(1.0, -math.inf))
+    u = np.asarray([0.25, 0.0, 0.6])
     for kind in ("aps", "raps", "saps"):
         for randomized in (False, True):
             spec = _spec(kind, randomized)
-            u_spec = u if randomized else None
-            for tau in (0.0, 0.5, 0.99, 1.5):
-                mask, rest = _block(spec, narrow, tau, u_spec)
-                assert rest.size == 0
-                np.testing.assert_array_equal(mask, score_matrix(spec, narrow, u_spec) <= tau)
+            for probs, taus in ((narrow, (0.0, 0.5, 0.99, 1.5)),
+                                (hard, (0.0, 0.5, 0.7, below_binade, 1.5))):
+                u_spec = u[:probs.shape[0]] if randomized else None
+                for tau in taus:
+                    mask, rest = _block(spec, probs, tau, probs.shape[1], u_spec)
+                    assert rest.size == 0
+                    np.testing.assert_array_equal(
+                        mask, score_matrix(spec, probs, u_spec) <= tau)
 
 
 def test_set_mask_compares_lac_and_include_all_directly():

@@ -26,3 +26,19 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
+    # two runs side by side at tiny n; no stored manifest, since exp and
+    # sums may differ in the last bit across CPUs
+    src = str(Path(confsets.__file__).resolve().parents[1])
+    runs = [subprocess.Popen([sys.executable, str(ROOT / "scripts" / "cli_chain.py"),
+                              str(tmp_path / name), "--n", "48", "--src", src],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for name in ("a", "b")]
+    for proc in runs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    first, second = ((tmp_path / name / "MANIFEST.sha256").read_text() for name in ("a", "b"))
+    assert first == second
+    assert "  k1000/identity.aps-false.a0.01.sets.jsonl\n" in first
