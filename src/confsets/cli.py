@@ -12,12 +12,11 @@ precondition violations), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import data, engine, maps, metrics, synth, tuning
-from .errors import ValidationError
+from .errors import ValidationError, write_json
 from .scores import ScoreSpec
 
 
@@ -202,9 +201,7 @@ def cmd_demo_precision(args) -> None:
         "n_test": halves["test"].n,
         "rows": rows,
     }
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, args.out)
 
 
 def build_parser() -> _Parser:
@@ -267,7 +264,8 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--bins", default="default",
                    help="'default' or comma-separated rank-bin upper edges")
-    p.add_argument("--ece-bins", dest="ece_bins", type=int, default=15)
+    p.add_argument("--ece-bins", dest="ece_bins", type=int,
+                   default=metrics.DEFAULT_ECE_BINS)
     p.add_argument("--threshold", default=None,
                    help="optional threshold file supplying alpha/score/map")
     p.add_argument("--out", required=True)

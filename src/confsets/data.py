@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, ascii_lines
 
 _MAGIC = b"CPLG"
 _VERSION = 1
@@ -172,35 +172,33 @@ def _save_csv(ds: LogitsDataset, path) -> None:
 
 
 def _load_csv(path) -> LogitsDataset:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValidationError("empty dataset")
-        cols = header.strip().split(",")
-        if cols[0] != "label" or len(cols) < 3:
-            raise ValidationError(f"malformed header: {header.strip()!r}")
-        k = len(cols) - 1
-        expected = [f"logit_{j}" for j in range(k)]
-        if cols[1:] != expected:
-            raise ValidationError(f"malformed header: {header.strip()!r}")
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != k + 1:
-                raise ValidationError(
-                    f"row {i}: expected {k + 1} fields, got {len(fields)}"
-                )
-            try:
-                label = int(fields[0])
-                values = [float(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise ValidationError(f"row {i}: unparseable value ({exc})") from exc
-            labels.append(label)
-            rows.append(values)
+    lines = ascii_lines(path, "CSV dataset")
+    _, header = next(lines, (0, ""))
+    if not header:
+        raise ValidationError("empty dataset")
+    cols = header.strip().split(",")
+    k = len(cols) - 1
+    if k < 2 or cols != ["label"] + [f"logit_{j}" for j in range(k)]:
+        raise ValidationError(f"malformed header: {header.strip()!r}")
+    labels: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, line in lines:
+        i = lineno - 1
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != k + 1:
+            raise ValidationError(
+                f"row {i}: expected {k + 1} fields, got {len(fields)}"
+            )
+        try:
+            label = int(fields[0])
+            values = [float(v) for v in fields[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"row {i}: unparseable value ({exc})") from exc
+        labels.append(label)
+        rows.append(values)
     if not rows:
         raise ValidationError("empty dataset")
     return LogitsDataset(np.array(rows, dtype=np.float64), np.array(labels))
@@ -212,8 +210,9 @@ def _save_binary(ds: LogitsDataset, path) -> None:
         fh.write(bytes([_VERSION]))
         fh.write(struct.pack("<Q", ds.n))
         fh.write(struct.pack("<I", ds.k))
-        fh.write(ds.labels.astype("<u4").tobytes())
-        fh.write(ds.logits.astype("<f8").tobytes())
+        # write each array from its own buffer: no bytes copy of the matrix
+        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4"))
+        fh.write(np.ascontiguousarray(ds.logits, dtype="<f8"))
 
 
 def _load_binary(path) -> LogitsDataset:

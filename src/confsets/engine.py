@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError, check_keys, is_int, is_number
+from .errors import (ValidationError, ascii_lines, check_keys, is_int, is_number, read_json,
+                     write_json)
 from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
@@ -204,18 +205,11 @@ _WRITE_CELLS = 1 << 18
 
 
 def save_threshold(threshold: ConformalThreshold, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(threshold.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(threshold.to_json_dict(), path)
 
 
 def load_threshold(path) -> ConformalThreshold:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"threshold file is not valid JSON: {exc}") from exc
-    return ConformalThreshold.from_json_dict(obj)
+    return ConformalThreshold.from_json_dict(read_json(path, "threshold file"))
 
 
 def save_prediction_sets(mask: np.ndarray, path) -> None:
@@ -247,38 +241,32 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
     integer members in [0, k).
     """
     sets: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"prediction-sets line {lineno}: invalid JSON ({exc})"
-                ) from exc
-            if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
-                raise ValidationError(
-                    f"prediction-sets line {lineno}: missing 'index' or 'set'"
-                )
-            index, members = obj["index"], obj["set"]
-            if not (is_int(index) and index == len(sets)):
-                raise ValidationError(
-                    f"prediction-sets line {lineno}: index {index!r} is not the "
-                    f"row position {len(sets)}"
-                )
-            if not (isinstance(members, list) and all(is_int(m) for m in members)):
-                raise ValidationError(
-                    f"prediction-sets line {lineno}: 'set' must be a list of integers"
-                )
-            if members and (min(members) < 0 or max(members) >= k):
-                raise ValidationError(
-                    f"prediction-sets line {lineno}: member outside [0, {k})"
-                )
-            if len(set(members)) != len(members):
-                raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
-            sets.append(members)
+    for lineno, line in ascii_lines(path, "prediction-sets"):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"prediction-sets line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
+            raise ValidationError(f"prediction-sets line {lineno}: missing 'index' or 'set'")
+        index, members = obj["index"], obj["set"]
+        if not (is_int(index) and index == len(sets)):
+            raise ValidationError(
+                f"prediction-sets line {lineno}: index {index!r} is not the "
+                f"row position {len(sets)}"
+            )
+        # json.loads makes no int subclass but bool, so this is `is_int` per member
+        if not (isinstance(members, list) and set(map(type, members)) <= {int}):
+            raise ValidationError(
+                f"prediction-sets line {lineno}: 'set' must be a list of integers"
+            )
+        if members and (min(members) < 0 or max(members) >= k):
+            raise ValidationError(f"prediction-sets line {lineno}: member outside [0, {k})")
+        if len(set(members)) != len(members):
+            raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
+        sets.append(members)
     lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
                           count=int(lengths.sum()))

@@ -1,4 +1,12 @@
-"""Shared exception type and the checks for values read from JSON."""
+"""Shared exception type, the checks for values read from JSON, and text I/O.
+
+Every text artifact is ASCII with LF line ends.  `ascii_lines` is the one
+way a text file is read: a non-ASCII byte is a ValidationError that names
+its line.  `write_json` and `read_json` are the one writer and reader of
+the JSON artifacts (maps, thresholds, tune and evaluation reports).
+"""
+
+import json
 
 
 class ValidationError(ValueError):
@@ -27,3 +35,31 @@ def check_keys(obj: dict, allowed, what: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValidationError(f"{what} has unknown keys {unknown}")
+
+
+def ascii_lines(path, what: str):
+    """Yield ``(lineno, line)`` for each line of a text file, counting from 0.
+
+    A non-ASCII byte decodes to a lone surrogate, which fails ``isascii``.
+    """
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh):
+            if not line.isascii():
+                raise ValidationError(f"{what} line {lineno}: non-ASCII byte")
+            yield lineno, line
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented ASCII JSON with a trailing newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path, what: str):
+    """The JSON value of a file written by `write_json`."""
+    text = "".join(line for _, line in ascii_lines(path, what))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc

@@ -16,14 +16,13 @@ callers that reduce each block never hold an n-by-K float matrix.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError, check_keys, is_number
+from .errors import ValidationError, check_keys, is_number, read_json, write_json
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
 
@@ -102,15 +101,9 @@ class CalibrationMap:
         return logits
 
     def to_json_dict(self) -> dict:
-        params: dict = {}
-        if self.kind == "temperature":
-            params["t"] = self.t
-        elif self.kind == "platt":
-            params["a"] = self.a
-            params["b"] = self.b
-        elif self.kind == "vector":
-            params["w"] = list(self.w)
-            params["c"] = list(self.c)
+        params = {name: getattr(self, name) for name in _PARAM_NAMES[self.kind]}
+        if self.kind == "vector":
+            params = {name: list(value) for name, value in params.items()}
         return {"kind": self.kind, "params": params}
 
     @classmethod
@@ -191,15 +184,8 @@ def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset,
 
 
 def save_map(cal_map: CalibrationMap, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(cal_map.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(cal_map.to_json_dict(), path)
 
 
 def load_map(path) -> CalibrationMap:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"map file is not valid JSON: {exc}") from exc
-    return CalibrationMap.from_json_dict(obj)
+    return CalibrationMap.from_json_dict(read_json(path, "map file"))

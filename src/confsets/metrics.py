@@ -15,13 +15,12 @@ from those n-vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError, is_int
+from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, probability_blocks
 from .scores import label_ranks
 
@@ -190,6 +189,4 @@ def build_report(mask: np.ndarray, ds: LogitsDataset, cal_map: CalibrationMap,
 
 
 def save_report(report: EvaluationReport, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_json_dict(), path)

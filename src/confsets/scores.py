@@ -14,8 +14,12 @@ order, ties broken by ascending class index.
 A row's rank-1 class is its first largest value, which is what
 `np.argmax` returns: the stable descending order puts the largest values
 first and breaks their ties by ascending class.  So a label equal to its
-row's argmax has rank 1, its prefix sum is p_y alone, and
-`true_label_scores` and `label_ranks` sort and count only the other rows.
+row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
+and `label_ranks` rank only the other rows, in `_ranks_below_top`.
+
+`score_matrix`, `true_label_scores` and `set_mask` share one entry check,
+`_checked`.  `score_matrix` sorts every row with `_descending`, the one
+stable sort, and stays the reference `set_mask` is tested against.
 
 Randomization uses one uniform draw per sample, shared by all K class
 scores of that sample.  Draws come from a counter-based generator keyed
@@ -146,18 +150,6 @@ def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
 # ranking
 
 
-def sort_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of an n-by-K probability matrix sorted descending: (sorted_probs, perm).
-
-    perm is the stable argsort, so tied classes keep ascending class order.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValidationError("probs must be an n-by-K matrix")
-    _check_normalized(p)
-    return _descending(p)
-
-
 def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row in descending order, ties by ascending column: (sorted, perm)."""
     perm = np.argsort(-values, axis=1, kind="stable")
@@ -165,24 +157,24 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1-indexed rank of each row's label, without sorting.
-
-    A label at its row's argmax has rank 1.  For the other rows this counts
-    #(p > p_y) + #(p == p_y and class < y) + 1, which is the label's
-    position in the stable descending argsort (ties and exact zeros
-    included).
-    """
-    rest = _below_top(probs, labels)
-    if rest.size == len(labels):  # no row at rank 1: count on probs, not a copy
-        return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
+    """1-indexed rank of each row's label, without sorting."""
+    rest, _, below = _ranks_below_top(probs, labels)
     ranks = np.ones(len(labels), dtype=np.int64)
-    ranks[rest] = np.count_nonzero(_at_or_ahead(probs[rest], labels[rest]), axis=1)
+    ranks[rest] = below
     return ranks
 
 
-def _below_top(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose label is not at rank 1 (not the row's argmax)."""
-    return np.flatnonzero(probs.argmax(axis=1) != labels)
+def _ranks_below_top(probs: np.ndarray,
+                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rest, q, ranks)`` for the rows whose label is not the row's argmax.
+
+    ``rest`` indexes those rows and ``q`` is a copy of them.  ``ranks``
+    counts #(p > p_y) + #(p == p_y and class < y) + 1 on each, the label's
+    position in the stable descending order (ties included).
+    """
+    rest = np.flatnonzero(probs.argmax(axis=1) != labels)
+    q = probs[rest]
+    return rest, q, np.count_nonzero(_at_or_ahead(q, labels[rest]), axis=1)
 
 
 def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -214,16 +206,29 @@ def _check_normalized(probs: np.ndarray) -> None:
 # scoring
 
 
-def score_matrix(spec: ScoreSpec, probs: np.ndarray,
-                 u: np.ndarray | None = None) -> np.ndarray:
-    """n-by-K score matrix; row i uses draw u[i] for all K classes."""
+def _checked(spec: ScoreSpec, probs: np.ndarray,
+             u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The scorers' entry check: ``(p, u_eff)``.
+
+    ``p`` is float64 n-by-K, with rows that sum to 1 unless the kind is
+    lac; ``u_eff`` is one draw per row, ones when the score takes no u.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValidationError("probs must be an n-by-K matrix")
     u_eff = _check_u_array(spec, u, p.shape[0])
+    if spec.kind != "lac":
+        _check_normalized(p)
+    return p, u_eff
+
+
+def score_matrix(spec: ScoreSpec, probs: np.ndarray,
+                 u: np.ndarray | None = None) -> np.ndarray:
+    """n-by-K score matrix; row i uses draw u[i] for all K classes."""
+    p, u_eff = _checked(spec, probs, u)
     if spec.kind == "lac":
         return 1.0 - p
-    sorted_probs, perm = sort_rows(p)
+    sorted_probs, perm = _descending(p)
     by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
                                 sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
                                 u_eff[:, None])
@@ -243,22 +248,19 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     floats the sort and cumsum give.  Only the other rows are ranked,
     sorted and summed.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    p, u_eff = _checked(spec, probs, u)
     labels = np.asarray(labels, dtype=np.int64)
-    if p.ndim != 2 or labels.shape != (p.shape[0],):
+    if labels.shape != (p.shape[0],):
         raise ValidationError("probs must be n-by-K with one label per row")
-    u_eff = _check_u_array(spec, u, p.shape[0])
-    if spec.kind == "lac":
-        return 1.0 - p[np.arange(p.shape[0]), labels]
-    _check_normalized(p)
     p_y = p[np.arange(p.shape[0]), labels]
+    if spec.kind == "lac":
+        return 1.0 - p_y
     scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u_eff)
-    rest = _below_top(p, labels)
-    q, y = p[rest], labels[rest]  # a copy, so it is sorted in place below
-    ranks = np.count_nonzero(_at_or_ahead(q, y), axis=1)
+    rest, q, ranks = _ranks_below_top(p, labels)
     # A label's prefix sum needs the row's values in descending order, not
     # the classes that hold them: tied classes hold equal values, so this
-    # sums the same numbers in the same order as the stable argsort.
+    # sums the same numbers in the same order as the stable argsort.  ``q``
+    # is a copy, so it is sorted in place.
     q.sort(axis=1)
     sorted_probs = q[:, ::-1]
     at = (np.arange(rest.size), ranks - 1)
@@ -303,13 +305,9 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     row is read off its top min(``_BLOCK``, K) classes (`_top_block`), and
     the rows that block cannot certify are read again off all K.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValidationError("probs must be an n-by-K matrix")
-    u_eff = _check_u_array(spec, u, p.shape[0])
+    p, u_eff = _checked(spec, probs, u)
     if spec.kind == "lac":
         return 1.0 - p <= tau
-    _check_normalized(p)
     if tau == math.inf:
         return np.ones(p.shape, dtype=bool)
     mask, rest = _top_block(spec, p, tau, u_eff, min(_BLOCK, p.shape[1]))

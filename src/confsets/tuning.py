@@ -28,7 +28,6 @@ seed of the halves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .data import LogitsDataset, SplitSpec, split_dataset
 from .engine import calibrate, calibrate_threshold
-from .errors import ValidationError
+from .errors import ValidationError, write_json
 from .maps import CalibrationMap, apply_map_dataset
 from .scores import ScoreSpec, aps_score_dz, true_label_scores
 
@@ -254,6 +253,4 @@ def _vector_gradient(cal_map: CalibrationMap, d_tau: LogitsDataset,
 
 
 def save_tune_report(report: TuneReport, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_json_dict(), path)

@@ -358,13 +358,54 @@ def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
 def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, capsys):
     _, test, threshold, sets = predicted
     lines = sets.read_text().splitlines()
-    bad = tmp_path / "bad_sets.jsonl"
-    bad.write_text("\n".join([first_line] + lines[1:]) + "\n")
-    code = run_cli("evaluate", "--sets", str(bad), "--in", str(test), "--bins", "default",
-                   "--ece-bins", "15", "--threshold", str(threshold),
-                   "--out", str(tmp_path / "report.json"))
-    assert code == 1
-    assert "line 0" in capsys.readouterr().err
+    # the same record as row 1 after a blank line: line numbers count every line
+    later = json.loads(first_line)
+    later["index"] += 1
+    for body, where in [([first_line] + lines[1:], "line 0:"),
+                        ([lines[0], "", json.dumps(later)] + lines[2:], "line 2:")]:
+        bad = tmp_path / "bad_sets.jsonl"
+        bad.write_text("\n".join(body) + "\n")
+        code = run_cli("evaluate", "--sets", str(bad), "--in", str(test), "--bins", "default",
+                       "--ece-bins", "15", "--threshold", str(threshold),
+                       "--out", str(tmp_path / "report.json"))
+        assert code == 1
+        assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["map", "threshold", "sets", "csv"])
+def test_non_ascii_input_exits_1(tmp_path, predicted, case, capsys):
+    # every text artifact is ASCII: a non-ASCII byte is a load error naming its line
+    cal, test, threshold, sets = predicted
+    bad = tmp_path / "bad"
+    out = str(tmp_path / "out")
+    if case == "map":
+        bad.write_bytes('{"kind": "identity", "params": {}, "note": "\u00e9"}\n'.encode())
+        argv = ["calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                "--params", str(bad), "--seed", "7", "--out", out]
+        where = "map file line 0:"
+    elif case == "threshold":
+        text = threshold.read_bytes()
+        bad.write_bytes(text + b"\xff")
+        argv = ["predict", "--in", str(test), "--threshold", str(bad), "--seed", "7",
+                "--out", out]
+        where = f"threshold file line {len(text.splitlines())}:"
+    elif case == "sets":
+        lines = sets.read_text().splitlines()
+        lines[3] = '{"index": 3, "set": [0], "note": "\u00e9"}'
+        bad.write_bytes(("\n".join(lines) + "\n").encode())
+        argv = ["evaluate", "--sets", str(bad), "--in", str(test), "--out", out]
+        where = "prediction-sets line 3:"
+    else:
+        csv = synth_file(tmp_path, name="data.csv", n=20, k=3)
+        lines = csv.read_text().splitlines()
+        lines[2] += "\u00e9"
+        bad.write_bytes(("\n".join(lines) + "\n").encode())
+        argv = ["split", "--in", str(bad), "--parts", "a:0.5,b:0.5", "--shuffle", "false",
+                "--seed", "0", "--out-dir", out]
+        where = "CSV dataset line 2:"
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
 
 
 @pytest.mark.parametrize("map_obj", [

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, ValidationError,
                       apply_map_dataset, draw_u_many)
 from confsets.scores import (
+    _descending,
     label_ranks,
     score_matrix,
-    sort_rows,
     true_label_scores,
 )
 
@@ -40,9 +40,9 @@ def _row_scores(spec, probs, u=None):
 
 
 def _rank_one_row(probs):
-    """(sorted_probs, perm, rank_of) of one row from sort_rows and label_ranks."""
+    """(sorted_probs, perm, rank_of) of one row from _descending and label_ranks."""
     p = np.asarray([probs], dtype=float)
-    sorted_probs, perm = sort_rows(p)
+    sorted_probs, perm = _descending(p)
     k = p.shape[1]
     rank_of = np.asarray([label_ranks(p, np.asarray([c]))[0] for c in range(k)])
     return sorted_probs[0], perm[0], rank_of
@@ -105,7 +105,7 @@ def test_label_ranks_match_oracle_order(probs):
     n, k = probs.shape
     for y in range(k):
         np.testing.assert_array_equal(label_ranks(probs, np.full(n, y)), rank_of[:, y])
-    np.testing.assert_array_equal(sort_rows(probs)[1], perm)
+    np.testing.assert_array_equal(_descending(probs)[1], perm)
 
 
 def _label_scores_via_rank_of(spec, probs, labels, u):
