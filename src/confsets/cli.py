@@ -163,6 +163,7 @@ def cmd_evaluate(args) -> None:
     cal_map = maps.CalibrationMap.identity()
     if args.threshold is not None:
         threshold = engine.load_threshold(args.threshold)
+        threshold.check_classes(ds.k)
         alpha = threshold.alpha
         score_desc = threshold.score_spec.to_json_dict()
         cal_map = threshold.cal_map

@@ -10,10 +10,15 @@ A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
 JSONL sets file is converted to and from that mask only at the file edge.
 
-`calibrate` and `predict` take the map's probabilities one row block of
-`maps.probability_blocks` at a time: calibrate keeps one true-label score
-per row, predict writes each block's rows of the mask.  A row's u draw is
-keyed by its sample index, so the outputs do not depend on the block size.
+`label_scores` and `predict` take the map's probabilities one row block
+of `maps.probability_blocks` at a time: label_scores keeps one true-label
+score per row, predict writes each block's rows of the mask.  A row's u
+draw is keyed by its sample index, so the outputs do not depend on the
+block size.  `calibrate` is the threshold of `label_scores`; the tuner's
+loss scores both of its halves with `label_scores` too.
+
+A threshold made by `calibrate` records the class count of its data, and
+`predict` rejects data with another class count.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +43,8 @@ class ConformalThreshold:
     """Calibrated tau plus everything needed to reproduce it.
 
     ``tau`` is +inf when the calibration set is too small for alpha.
+    ``k`` is the class count of the calibration data, or None when the
+    threshold was built from bare scores or loaded from a file without it.
     """
 
     tau: float
@@ -45,22 +52,26 @@ class ConformalThreshold:
     n_cal: int
     score_spec: ScoreSpec
     cal_map: CalibrationMap
+    k: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        obj = {
             "tau": "include_all" if self.tau == math.inf else float(self.tau),
             "alpha": self.alpha,
             "n_cal": self.n_cal,
             "score": self.score_spec.to_json_dict(),
             "map": self.cal_map.to_json_dict(),
         }
+        if self.k is not None:
+            obj["k"] = self.k
+        return obj
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ConformalThreshold":
         if not isinstance(obj, dict):
             raise ValidationError("threshold JSON must be an object")
         keys = ("tau", "alpha", "n_cal", "score", "map")
-        check_keys(obj, keys, "threshold JSON")
+        check_keys(obj, (*keys, "k"), "threshold JSON")
         for key in keys:
             if key not in obj:
                 raise ValidationError(f"threshold JSON missing field {key!r}")
@@ -75,6 +86,9 @@ class ConformalThreshold:
             raise ValidationError(f"threshold alpha must be in (0, 1), got {alpha!r}")
         if not (is_int(n_cal) and n_cal >= 1):
             raise ValidationError(f"threshold n_cal must be an integer >= 1, got {n_cal!r}")
+        k = obj.get("k")
+        if "k" in obj and not (is_int(k) and k >= 2):
+            raise ValidationError(f"threshold k must be an integer >= 2, got {k!r}")
         if (tau == math.inf) != (conformal_level(n_cal, alpha) > n_cal):
             raise ValidationError(
                 f"threshold tau {obj['tau']!r} disagrees with n_cal={n_cal} at "
@@ -87,7 +101,15 @@ class ConformalThreshold:
             n_cal=n_cal,
             score_spec=ScoreSpec.from_json_dict(obj["score"]),
             cal_map=CalibrationMap.from_json_dict(obj["map"]),
+            k=k,
         )
+
+    def check_classes(self, k: int) -> None:
+        """Reject data whose class count differs from the calibration data's."""
+        if self.k is not None and self.k != k:
+            raise ValidationError(
+                f"the threshold was calibrated on {self.k} classes, the data has {k}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +160,25 @@ def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
     return set_mask(threshold.score_spec, probs, threshold.tau, u)
 
 
-def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
-              alpha: float, precision: str = "f64") -> ConformalThreshold:
-    """Threshold over the true-label scores of ``ds`` under ``cal_map``.
+def label_scores(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
+                 precision: str = "f64") -> np.ndarray:
+    """The n-vector of true-label scores of ``ds`` under ``cal_map``.
 
     Row i draws its u at sample index i under spec.rng_seed.  Rows are
-    scored one `probability_blocks` block at a time into one n-vector.
+    scored one `probability_blocks` block at a time.
     """
     scores = np.empty(ds.n)
     for rows, probs in probability_blocks(cal_map, ds, precision):
         scores[rows] = true_label_scores(spec, probs, ds.labels[rows], _draws(spec, 0, rows))
-    return calibrate_threshold(scores, alpha, score_spec=spec, cal_map=cal_map)
+    return scores
+
+
+def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
+              alpha: float, precision: str = "f64") -> ConformalThreshold:
+    """Threshold over the `label_scores` of ``ds``, recording ``ds.k``."""
+    threshold = calibrate_threshold(label_scores(ds, cal_map, spec, precision), alpha,
+                                    score_spec=spec, cal_map=cal_map)
+    return replace(threshold, k=ds.k)
 
 
 def predict(threshold: ConformalThreshold, ds: LogitsDataset,
@@ -157,8 +187,10 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset,
 
     Row i draws its u at sample index n_cal + i under the threshold's
     seed, so the test stream never overlaps the calibration stream.  The
-    mask is filled one `probability_blocks` block at a time.
+    mask is filled one `probability_blocks` block at a time.  Data with a
+    class count other than the threshold's is a ValidationError.
     """
+    threshold.check_classes(ds.k)
     mask = np.empty((ds.n, ds.k), dtype=bool)
     for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
         mask[rows] = predict_sets(threshold, probs,
@@ -189,10 +221,6 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
                  cal_map: CalibrationMap, score_spec: ScoreSpec,
                  alpha: float, precision: str = "f64") -> PipelineResult:
     """Calibrate on ``cal`` and predict sets on ``test``."""
-    if cal.k != test.k:
-        raise ValidationError(
-            f"calibration and test class counts differ ({cal.k} vs {test.k})"
-        )
     threshold = calibrate(cal, cal_map, score_spec, alpha, precision)
     return PipelineResult(threshold=threshold, mask=predict(threshold, test, precision))
 

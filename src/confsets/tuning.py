@@ -5,7 +5,9 @@ data into two halves, recompute the conformal threshold tau on the first
 half at every parameter evaluation, and average (tau - s_i)^2 over the
 second half, where s_i is the non-randomized aps score of the true
 label.  Randomized scores are deliberately excluded from the loss; they
-misestimate the gap.
+misestimate the gap.  One evaluation (``_evaluate``) scores both halves
+with ``engine.label_scores``, one row block at a time, and takes tau from
+one ``calibrate_threshold`` call.
 
 ``tune_map`` is the one tuner for every map kind.  Temperature and Platt
 are the same one-parameter family: softmax ignores a shift shared by all
@@ -16,8 +18,9 @@ no gradients needed).  Vector maps scale and shift each class on its own,
 which can reorder classes, so they use plain gradient descent with a
 backtracking line search.  The loss is piecewise smooth: between the
 points where a label's rank or the row that sets tau changes, it is a
-smooth function of the map, so each step takes its analytic gradient in
-one pass over both halves (``_vector_gradient``).
+smooth function of the map, so each step takes its analytic gradient
+(``_vector_gradient``) from the evaluation of the accepted map: it maps
+only the loss half and the one tau-half row that sets tau.
 
 The optimizer's inner constants are fixed module constants, not
 settings: ``_REFINE_TOL``, ``_GD_STEP``, ``_GD_MAX_HALVINGS`` and
@@ -30,14 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import LogitsDataset, SplitSpec, split_dataset
-from .engine import calibrate, calibrate_threshold
+from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, write_json
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, aps_score_dz, true_label_scores
+from .scores import ScoreSpec, aps_score_dz
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -82,24 +86,41 @@ class TuneReport:
         return asdict(self)
 
 
+class _Evaluation(NamedTuple):
+    """One loss evaluation and what ``_vector_gradient`` needs of it."""
+
+    loss: float
+    tau: float
+    row: int              # the first tau-half row that scores exactly tau
+    scores: np.ndarray    # the loss half's true-label scores
+
+
 def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
                         d_loss: LogitsDataset, alpha: float) -> float:
     """Mean squared gap on d_loss, with tau recomputed on d_tau.
 
-    tau comes from ``engine.calibrate`` with the non-randomized aps score,
-    and d_loss is scored by the same ``scores.true_label_scores``.
+    Both halves are scored by ``engine.label_scores`` with the
+    non-randomized aps score.
     """
+    return _evaluate(cal_map, d_tau, d_loss, alpha).loss
+
+
+def _evaluate(cal_map: CalibrationMap, d_tau: LogitsDataset, d_loss: LogitsDataset,
+              alpha: float) -> _Evaluation:
+    """The loss at ``cal_map``; both halves are scored once."""
     if d_tau.k != d_loss.k:
         raise ValidationError("d_tau and d_loss class counts differ")
-    tau = calibrate(d_tau, cal_map, _LOSS_SPEC, alpha).tau
+    tau_scores = label_scores(d_tau, cal_map, _LOSS_SPEC)
+    tau = calibrate_threshold(tau_scores, alpha).tau
     if tau == math.inf:
         raise ValidationError(
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
             "use a larger tau split"
         )
-    loss_probs = apply_map_dataset(cal_map, d_loss)
-    gaps = tau - true_label_scores(_LOSS_SPEC, loss_probs, d_loss.labels)
-    return float(np.mean(gaps * gaps))
+    scores = label_scores(d_loss, cal_map, _LOSS_SPEC)
+    gaps = tau - scores
+    row = int(np.argmax(tau_scores == tau))
+    return _Evaluation(float(np.mean(gaps * gaps)), tau, row, scores)
 
 
 def split_validation(validation: LogitsDataset,
@@ -193,56 +214,54 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
     def vector(p: np.ndarray) -> CalibrationMap:
         return CalibrationMap.vector(p[:k], p[k:])
 
-    def objective(p: np.ndarray) -> float:
-        return loss(vector(p))
+    def evaluate(p: np.ndarray) -> _Evaluation:
+        return _evaluate(vector(p), d_tau, d_loss, alpha)
 
     params = np.concatenate([np.ones(k), np.zeros(k)])
-    current = objective(params)
+    current = evaluate(params)
     iterations = 0
     stalled = False
     for _ in range(cfg.gd_max_iters):
-        grad = _vector_gradient(vector(params), d_tau, d_loss, alpha)
+        grad = _vector_gradient(vector(params), d_tau, d_loss, current)
         step = _GD_STEP
-        accepted = False
         for _ in range(_GD_MAX_HALVINGS + 1):
             candidate = params - step * grad
-            value = objective(candidate)
-            if value < current:
-                accepted = True
+            evaluation = evaluate(candidate)
+            if evaluation.loss < current.loss:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             stalled = True
             break
         iterations += 1
-        previous, current = current, value
+        previous, current = current.loss, evaluation
         params = candidate
-        if abs(previous - current) < _REL_TOL * max(abs(previous), 1e-30):
+        if abs(previous - current.loss) < _REL_TOL * max(abs(previous), 1e-30):
             break
-    report = TuneReport(alpha=alpha, final_loss=current, iterations=iterations,
+    report = TuneReport(alpha=alpha, final_loss=current.loss, iterations=iterations,
                         stalled=stalled)
     return vector(params), report
 
 
 def _vector_gradient(cal_map: CalibrationMap, d_tau: LogitsDataset,
-                     d_loss: LogitsDataset, alpha: float) -> np.ndarray:
+                     d_loss: LogitsDataset, evaluation: _Evaluation) -> np.ndarray:
     """Gradient of ``efficiency_gap_loss`` in a vector map's (w, c).
 
-    Exact wherever no label rank and no choice of the tau row changes
-    nearby, which is almost everywhere.  Each score's gradient in the
-    mapped logits z comes from ``scores.aps_score_dz``.  tau is the score
-    of one tau-half row, the first of those equal to tau, so it moves with
-    that row.  With z = w*x + c, the loss mean((tau - s)^2) has gradient
+    ``evaluation`` is ``_evaluate`` at ``cal_map``, so only the loss half
+    and the tau row are mapped here.  The gradient is exact wherever no
+    label rank and no choice of the tau row changes nearby, which is almost
+    everywhere.  Each score's gradient in the mapped logits z comes from
+    ``scores.aps_score_dz``.  tau is the score of the tau row, the first
+    tau-half row equal to tau, so it moves with that row.  With
+    z = w*x + c, the loss mean((tau - s)^2) has gradient
     2 mean(tau - s) dtau - (2/n) sum (tau - s_i) ds_i, where a row's d/dw
     is x times its d/dz and its d/dc is d/dz.
     """
-    tau_probs = apply_map_dataset(cal_map, d_tau)
-    tau_scores = true_label_scores(_LOSS_SPEC, tau_probs, d_tau.labels)
-    tau = calibrate_threshold(tau_scores, alpha).tau
-    i = int(np.flatnonzero(tau_scores == tau)[0])
-    tau_dz = aps_score_dz(tau_probs[i:i + 1], d_tau.labels[i:i + 1], tau_scores[i:i + 1])[0]
+    _, tau, i, scores = evaluation
+    row = slice(i, i + 1)
+    tau_probs = apply_map_dataset(cal_map, d_tau, rows=row)
+    tau_dz = aps_score_dz(tau_probs, d_tau.labels[row], np.array([tau]))[0]
     probs = apply_map_dataset(cal_map, d_loss)
-    scores = true_label_scores(_LOSS_SPEC, probs, d_loss.labels)
     dz = aps_score_dz(probs, d_loss.labels, scores)
     gaps = tau - scores
     weight = 2.0 * float(np.mean(gaps))

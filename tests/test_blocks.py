@@ -13,13 +13,16 @@ from confsets import (
     LogitsDataset,
     ScoreSpec,
     SynthSpec,
+    TuneConfig,
     build_report,
     calibrate,
+    efficiency_gap_loss,
     generate,
     predict,
     truncation_diagnostic,
 )
 from confsets import maps
+from confsets.tuning import split_validation
 
 N_CAL, N_TEST = 23, 17
 # Rows per block: one, counts that divide neither N_CAL nor N_TEST, and all rows.
@@ -66,8 +69,9 @@ def _outputs(cal, test, cal_map, spec, alpha, precision):
     mask = predict(threshold, test, precision)
     report = build_report(mask, test, cal_map, alpha=alpha, score=spec.to_json_dict())
     fraction, zeros = truncation_diagnostic(CalibrationMap.temperature(0.05), test, precision)
+    loss = efficiency_gap_loss(cal_map, cal, test, 0.1)
     return (json.dumps(threshold.to_json_dict()), mask, json.dumps(report.to_json_dict()),
-            fraction, zeros)
+            fraction, zeros, loss)
 
 
 @pytest.mark.parametrize("k", [6, 90])
@@ -93,6 +97,7 @@ def test_outputs_do_not_depend_on_block_size(monkeypatch, case, k):
         assert got[2] == reference[2]
         assert got[3] == reference[3]
         np.testing.assert_array_equal(got[4], reference[4])
+        assert got[5] == reference[5]
 
 
 def _traced_peak(fn, *args):
@@ -119,3 +124,7 @@ def test_wide_stages_stay_below_half_a_probability_matrix():
     assert peak < budget, f"predict peaked at {peak / 2**20:.1f} MiB"
     _, peak = _traced_peak(build_report, mask, ds, cal_map)
     assert peak < budget, f"build_report peaked at {peak / 2**20:.1f} MiB"
+    d_tau, d_loss = split_validation(ds, TuneConfig())
+    loss, peak = _traced_peak(efficiency_gap_loss, cal_map, d_tau, d_loss, 0.1)
+    assert math.isfinite(loss)
+    assert peak < budget, f"efficiency_gap_loss peaked at {peak / 2**20:.1f} MiB"

@@ -274,6 +274,8 @@ def test_predict_seed_must_be_the_calibration_seed(tmp_path, predicted, capsys):
     ("n_cal", 5), ("tau", "include_all"),
     # an unknown key
     ("note", True),
+    # a class count other than the data's (10), or not an integer >= 2
+    ("k", 20), ("k", 1), ("k", 2.5), ("k", True),
 ])
 def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     _, test, threshold, _ = predicted
@@ -284,6 +286,23 @@ def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
                    "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
     assert code == 1
+
+
+def test_threshold_rejects_data_with_another_class_count(tmp_path, predicted, capsys):
+    _, _, threshold, sets = predicted
+    assert json.loads(threshold.read_text())["k"] == 10
+    wide = synth_file(tmp_path, name="wide.bin", n=50, k=20, seed=9)
+    code = run_cli("predict", "--in", str(wide), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(tmp_path / "wide.jsonl"))
+    assert code == 1
+    assert "20" in capsys.readouterr().err
+    # the K=10 sets load as K=20 sets, so only the threshold can object
+    code = run_cli("evaluate", "--sets", str(sets), "--in", str(wide),
+                   "--threshold", str(threshold), "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert "20" in capsys.readouterr().err
+    assert run_cli("evaluate", "--sets", str(sets), "--in", str(wide),
+                   "--out", str(tmp_path / "r.json")) == 0
 
 
 def test_predict_accepts_include_all_from_too_few_rows(tmp_path):

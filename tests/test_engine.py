@@ -12,9 +12,11 @@ from confsets import (
     ScoreSpec,
     SynthSpec,
     ValidationError,
+    calibrate,
     calibrate_threshold,
     coverage_and_size,
     generate,
+    predict,
     predict_sets,
     run_pipeline,
 )
@@ -418,6 +420,25 @@ def test_threshold_file_round_trip(tmp_path):
     assert back.n_cal == th.n_cal
     assert back.score_spec == spec
     assert back.cal_map == th.cal_map
+
+
+def test_threshold_records_its_class_count(tmp_path):
+    th = calibrate(generate(SynthSpec(n=100, k=6, seed=1)), CalibrationMap.identity(),
+                   ScoreSpec(kind="aps"), 0.1)
+    path = tmp_path / "threshold.json"
+    save_threshold(th, path)
+    obj = json.loads(path.read_text())
+    # appended after the other keys, so their bytes keep their order
+    assert list(obj) == ["tau", "alpha", "n_cal", "score", "map", "k"]
+    assert obj["k"] == load_threshold(path).k == 6
+    wider = generate(SynthSpec(n=5, k=8, seed=2))
+    with pytest.raises(ValidationError, match="classes"):
+        predict(th, wider)
+    # a file without k loads, and its threshold predicts at any class count
+    del obj["k"]
+    path.write_text(json.dumps(obj))
+    assert load_threshold(path).k is None
+    assert predict(load_threshold(path), wider).shape == (5, 8)
 
 
 def test_include_all_serializes_as_string(tmp_path):

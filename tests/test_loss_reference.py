@@ -24,7 +24,7 @@ from confsets import (
 )
 from confsets.engine import conformal_level
 from confsets.maps import apply_map_dataset
-from confsets.tuning import split_validation
+from confsets.tuning import _evaluate, split_validation
 
 ALPHA = 0.1
 
@@ -166,24 +166,37 @@ def _counting(fn, counter):
     return wrapped
 
 
-@pytest.mark.parametrize("run", [
-    lambda ds, cfg: tune_map(ds, ALPHA, "temperature", cfg),
-    lambda ds, cfg: tune_map(ds, ALPHA, "platt", cfg),
-    lambda ds, cfg: tune_map(ds, ALPHA, "vector", TuneConfig(seed=cfg.seed, gd_max_iters=2)),
-], ids=["temperature", "platt", "vector"])
-def test_tuner_results_match_reference(monkeypatch, run):
+@pytest.mark.parametrize("kind", ["temperature", "platt", "vector"])
+def test_tuner_results_match_reference(monkeypatch, kind):
     ds = generate(SynthSpec(n=400, k=6, seed=7, signal=3.0, noise=1.0, overconfidence=3.0))
-    cfg = TuneConfig(seed=7, gd_max_iters=25)
+    cfg = TuneConfig(seed=7, gd_max_iters=2 if kind == "vector" else 25)
+
+    if kind == "vector":
+        # the descent evaluates through `_evaluate`, whose tau row and scores
+        # also feed the gradient; every loss it returns equals the reference
+        losses: list = []
+
+        def checked(cal_map, d_tau, d_loss, alpha):
+            evaluation = _evaluate(cal_map, d_tau, d_loss, alpha)
+            assert evaluation.loss == reference_loss(cal_map, d_tau, d_loss, alpha), cal_map
+            losses.append(evaluation.loss)
+            return evaluation
+
+        monkeypatch.setattr(confsets.tuning, "_evaluate", checked)
+        _, report = tune_map(ds, ALPHA, kind, cfg)
+        assert len(losses) > 0
+        assert report.final_loss in losses
+        return
 
     library_calls: list = []
     monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
                         _counting(efficiency_gap_loss, library_calls))
-    library_map, library_report = run(ds, cfg)
+    library_map, library_report = tune_map(ds, ALPHA, kind, cfg)
 
     reference_calls: list = []
     monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
                         _counting(reference_loss, reference_calls))
-    reference_map, reference_report = run(ds, cfg)
+    reference_map, reference_report = tune_map(ds, ALPHA, kind, cfg)
 
     assert library_map.to_json_dict() == reference_map.to_json_dict()
     assert library_report.to_json_dict() == reference_report.to_json_dict()

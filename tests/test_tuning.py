@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import confsets.engine
 import confsets.scores
+import confsets.tuning
 from confsets import (
     CalibrationMap,
     LogitsDataset,
@@ -20,7 +21,7 @@ from confsets import (
 )
 from confsets.maps import apply_map_dataset
 from confsets.scores import label_ranks, score_matrix, true_label_scores
-from confsets.tuning import _vector_gradient, split_validation
+from confsets.tuning import _evaluate, _vector_gradient, split_validation
 
 
 def test_efficiency_gap_examples():
@@ -235,6 +236,11 @@ def _vector_map(params):
     return CalibrationMap.vector(params[:k], params[k:])
 
 
+def _gradient_at(cal_map, d_tau, d_loss, alpha):
+    """``_vector_gradient`` from the loss evaluation at ``cal_map``, as the descent takes it."""
+    return _vector_gradient(cal_map, d_tau, d_loss, _evaluate(cal_map, d_tau, d_loss, alpha))
+
+
 def _piece(params, d_tau, d_loss, alpha):
     """Every label rank and the first tau-half row at tau: the loss is smooth
     in the map while these stay put."""
@@ -259,7 +265,7 @@ def test_vector_gradient_matches_central_differences(seed, k, alpha):
     d_tau, d_loss = split_validation(ds, TuneConfig(seed=seed))
     rng = np.random.default_rng(seed)
     params = np.concatenate([1.0 + 0.3 * rng.standard_normal(k), 0.3 * rng.standard_normal(k)])
-    grad = _vector_gradient(_vector_map(params), d_tau, d_loss, alpha)
+    grad = _gradient_at(_vector_map(params), d_tau, d_loss, alpha)
     assert grad.shape == (2 * k,)
     here = _piece(params, d_tau, d_loss, alpha)
     checked = 0
@@ -292,7 +298,7 @@ def test_vector_gradient_takes_tau_from_the_first_tied_row():
     assert tied.size >= 3
 
     def gradient(order):
-        return _vector_gradient(cal_map, d_tau.take(order), d_loss, 0.1)
+        return _gradient_at(cal_map, d_tau.take(order), d_loss, 0.1)
 
     rows = np.arange(d_tau.n)
     grad = gradient(rows)
@@ -318,7 +324,7 @@ def test_vector_descent_stall_keeps_the_last_accepted_map():
     assert efficiency_gap_loss(tuned, d_tau, d_loss, 0.1) == report.final_loss
     # no step of the line search along the last gradient lowers the loss
     params = np.concatenate([tuned.w, tuned.c])
-    grad = _vector_gradient(tuned, d_tau, d_loss, 0.1)
+    grad = _gradient_at(tuned, d_tau, d_loss, 0.1)
     for halvings in range(21):
         step = 0.1 * 0.5 ** halvings
         candidate = _vector_map(params - step * grad)
@@ -329,6 +335,28 @@ def test_vector_descent_stall_keeps_the_last_accepted_map():
     assert capped.to_json_dict() == tuned.to_json_dict()
     assert capped_report.final_loss == report.final_loss
     assert not capped_report.stalled
+
+
+def test_vector_descent_takes_one_threshold_per_loss_evaluation(monkeypatch):
+    # each gradient reuses the tau of the evaluation that accepted its map
+    validation = generate(SynthSpec(n=400, k=6, seed=7, signal=3.0, noise=1.0,
+                                    overconfidence=3.0))
+    thresholds, evaluations = [], []
+
+    def counting(fn, calls):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    threshold = counting(confsets.engine.calibrate_threshold, thresholds)
+    for module in (confsets.engine, confsets.tuning):
+        monkeypatch.setattr(module, "calibrate_threshold", threshold)
+    monkeypatch.setattr(confsets.tuning, "_evaluate",
+                        counting(confsets.tuning._evaluate, evaluations))
+    _, report = tune_map(validation, 0.1, "vector", TuneConfig(gd_max_iters=2))
+    assert report.iterations == 2
+    assert len(thresholds) == len(evaluations) > report.iterations
 
 
 def test_vector_tuning_on_a_thousand_classes():
