@@ -158,17 +158,9 @@ def cmd_evaluate(args) -> None:
         raise ValidationError(
             f"--sets has {mask.shape[0]} entries but --in has {ds.n} rows"
         )
-    alpha = None
-    score_desc = None
-    cal_map = maps.CalibrationMap.identity()
-    if args.threshold is not None:
-        threshold = engine.load_threshold(args.threshold)
-        threshold.check_classes(ds.k)
-        alpha = threshold.alpha
-        score_desc = threshold.score_spec.to_json_dict()
-        cal_map = threshold.cal_map
-    report = metrics.build_report(mask, ds, cal_map, rank_edges=_parse_rank_edges(args.bins),
-                                  ece_bins=args.ece_bins, alpha=alpha, score=score_desc)
+    threshold = None if args.threshold is None else engine.load_threshold(args.threshold)
+    report = metrics.build_report(mask, ds, threshold, rank_edges=_parse_rank_edges(args.bins),
+                                  ece_bins=args.ece_bins)
     metrics.save_report(report, args.out)
 
 

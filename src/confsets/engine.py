@@ -1,10 +1,10 @@
 """Conformal calibration and prediction-set construction.
 
-The threshold is the ceil((n+1)(1-alpha))-th smallest calibration score,
-computed with exact rational arithmetic (naive float evaluation of
-(n+1)*(1-alpha) can land on the wrong side of an integer).  When that
-level exceeds n the threshold is tau = +inf and every prediction set is
-the full label set; threshold files spell it "include_all".
+`calibrate_threshold` gives tau, the ceil((n+1)(1-alpha))-th smallest
+calibration score, computed with exact rational arithmetic (naive float
+evaluation of (n+1)*(1-alpha) can land on the wrong side of an integer).
+When that level exceeds n, tau = +inf and every prediction set is the
+full label set; threshold files spell it "include_all".
 
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
@@ -14,11 +14,13 @@ JSONL sets file is converted to and from that mask only at the file edge.
 of `maps.probability_blocks` at a time: label_scores keeps one true-label
 score per row, predict writes each block's rows of the mask.  A row's u
 draw is keyed by its sample index, so the outputs do not depend on the
-block size.  `calibrate` is the threshold of `label_scores`; the tuner's
-loss scores both of its halves with `label_scores` too.
+block size.  The tuner's loss scores both of its halves with
+`label_scores` too.
 
-A threshold made by `calibrate` records the class count of its data, and
-`predict` rejects data with another class count.
+`calibrate` is the one maker of a `ConformalThreshold` (a threshold file
+is the other source): it records the tau of `label_scores` with the
+score, map, alpha, n_cal and class count that produced it, and `predict`
+rejects data with another class count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +46,7 @@ class ConformalThreshold:
 
     ``tau`` is +inf when the calibration set is too small for alpha.
     ``k`` is the class count of the calibration data, or None when the
-    threshold was built from bare scores or loaded from a file without it.
+    threshold was loaded from a file without it.
     """
 
     tau: float
@@ -125,14 +127,12 @@ def conformal_level(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1 - Fraction(alpha)))
 
 
-def calibrate_threshold(cal_scores, alpha: float,
-                        score_spec: ScoreSpec | None = None,
-                        cal_map: CalibrationMap | None = None) -> ConformalThreshold:
-    """Order-statistic threshold over the calibration scores.
+def calibrate_threshold(cal_scores, alpha: float) -> float:
+    """Order-statistic tau over the calibration scores.
 
     Returns the smallest observed score s such that the fraction of
-    scores <= s reaches ceil((n+1)(1-alpha))/n, or tau = +inf when that
-    level exceeds 1.
+    scores <= s reaches ceil((n+1)(1-alpha))/n, or +inf when that level
+    exceeds 1.
     """
     scores = np.asarray(cal_scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
@@ -142,16 +142,8 @@ def calibrate_threshold(cal_scores, alpha: float,
     n = scores.shape[0]
     level = conformal_level(n, alpha)
     if level > n:
-        tau = math.inf
-    else:
-        tau = float(np.partition(scores, level - 1)[level - 1])
-    return ConformalThreshold(
-        tau=tau,
-        alpha=alpha,
-        n_cal=n,
-        score_spec=score_spec if score_spec is not None else ScoreSpec(kind="aps"),
-        cal_map=cal_map if cal_map is not None else CalibrationMap.identity(),
-    )
+        return math.inf
+    return float(np.partition(scores, level - 1)[level - 1])
 
 
 def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
@@ -176,9 +168,9 @@ def label_scores(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
 def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
               alpha: float, precision: str = "f64") -> ConformalThreshold:
     """Threshold over the `label_scores` of ``ds``, recording ``ds.k``."""
-    threshold = calibrate_threshold(label_scores(ds, cal_map, spec, precision), alpha,
-                                    score_spec=spec, cal_map=cal_map)
-    return replace(threshold, k=ds.k)
+    tau = calibrate_threshold(label_scores(ds, cal_map, spec, precision), alpha)
+    return ConformalThreshold(tau=tau, alpha=alpha, n_cal=ds.n, score_spec=spec,
+                              cal_map=cal_map, k=ds.k)
 
 
 def predict(threshold: ConformalThreshold, ds: LogitsDataset,

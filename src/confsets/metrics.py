@@ -7,10 +7,11 @@ confidence of 0 assigned to the first bin.  Adaptiveness is summarized
 by binning samples on the rank of their true label and averaging set
 sizes within each bin.
 
-`build_report` and `truncation_diagnostic` take a calibration map, not
-probabilities: each row block of `maps.probability_blocks` is reduced to
-per-row values before the next is made, and every statistic is computed
-from those n-vectors.
+`build_report` reads the calibration map off the threshold that made the
+sets and `truncation_diagnostic` takes one; neither takes probabilities:
+each row block of `maps.probability_blocks` is reduced to per-row values
+before the next is made, and every statistic is computed from those
+n-vectors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LogitsDataset
+from .engine import ConformalThreshold
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, probability_blocks
 from .scores import label_ranks
@@ -38,10 +40,10 @@ class EvaluationReport:
     ece: float
     size_by_rank_bin: dict[str, tuple[int, float]]
     truncated_row_fraction: float
-    alpha: float | None = None
-    n_test: int = 0
-    score: dict | None = None
-    map: dict | None = None
+    alpha: float | None
+    n_test: int
+    score: dict | None
+    map: dict
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -56,6 +58,8 @@ def coverage_and_size(mask: np.ndarray, labels) -> tuple[float, float]:
             f"a set mask of shape {mask.shape} does not fit {labels.shape[0]} labels"
         )
     n = labels.shape[0]
+    if n == 0:
+        raise ValidationError("coverage and size need at least one row")
     covered = int(np.count_nonzero(mask[np.arange(n), labels]))
     return covered / n, int(np.count_nonzero(mask)) / n
 
@@ -155,18 +159,26 @@ def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
     return float((zero_counts > 0).mean()), zero_counts
 
 
-def build_report(mask: np.ndarray, ds: LogitsDataset, cal_map: CalibrationMap,
-                 rank_edges=DEFAULT_RANK_EDGES, ece_bins: int = DEFAULT_ECE_BINS,
-                 alpha: float | None = None, score: dict | None = None) -> EvaluationReport:
+def build_report(mask: np.ndarray, ds: LogitsDataset, threshold: ConformalThreshold | None = None,
+                 rank_edges=DEFAULT_RANK_EDGES,
+                 ece_bins: int = DEFAULT_ECE_BINS) -> EvaluationReport:
     """Assemble the full evaluation report for one prediction-set mask.
 
-    ``cal_map`` gives the probabilities that ECE, the true-label ranks and
-    the truncated-row fraction read, and the report's ``map``.  Each
-    `probability_blocks` block is reduced to per-row values (top-1
+    ``threshold`` is the one that made the sets, or None.  Its map (else
+    the identity) gives the probabilities that ECE, the true-label ranks
+    and the truncated-row fraction read; the report's alpha, score and map
+    come from it, and data with another class count is a ValidationError.
+    Each `probability_blocks` block is reduced to per-row values (top-1
     confidence, the label's rank and the count of exact zeros) before the
     next is made, so no n-by-K float matrix is held.  A row's top-1 class
     is its label exactly when the label's rank is 1.
     """
+    cal_map = CalibrationMap.identity()
+    alpha = score = None
+    if threshold is not None:
+        threshold.check_classes(ds.k)
+        cal_map, alpha = threshold.cal_map, threshold.alpha
+        score = threshold.score_spec.to_json_dict()
     cov, avg_size = coverage_and_size(mask, ds.labels)
     conf = np.empty(ds.n)
     ranks = np.empty(ds.n, dtype=np.int64)

@@ -69,8 +69,8 @@ class TuneConfig:
 
     def __post_init__(self):
         # The chained comparison is False for a NaN bound too.
-        if not (0 < self.t_min < self.t_max):
-            raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max < inf")
         if self.grid_points < 1 or self.gd_max_iters < 1:
             raise ValidationError("grid_points and gd_max_iters must be >= 1")
 
@@ -111,7 +111,7 @@ def _evaluate(cal_map: CalibrationMap, d_tau: LogitsDataset, d_loss: LogitsDatas
     if d_tau.k != d_loss.k:
         raise ValidationError("d_tau and d_loss class counts differ")
     tau_scores = label_scores(d_tau, cal_map, _LOSS_SPEC)
-    tau = calibrate_threshold(tau_scores, alpha).tau
+    tau = calibrate_threshold(tau_scores, alpha)
     if tau == math.inf:
         raise ValidationError(
             f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "

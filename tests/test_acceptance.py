@@ -126,7 +126,9 @@ def test_criterion_4_oracle_equivalence():
         )
         u = float(rng.uniform()) if spec.uses_u else None
         tau = float(rng.uniform(-0.1, 1.0 + lam * k))
-        threshold = cs.calibrate_threshold([tau], 0.5, score_spec=spec)
+        threshold = cs.ConformalThreshold(tau=cs.calibrate_threshold([tau], 0.5), alpha=0.5,
+                                          n_cal=1, score_spec=spec,
+                                          cal_map=cs.CalibrationMap.identity())
         mask = cs.predict_sets(threshold, probs[None, :], None if u is None else np.asarray([u]))
         got = np.flatnonzero(mask[0]).tolist()
         expected = oracle_set(kind, list(probs), u if spec.uses_u else 1.0, tau,
@@ -156,9 +158,9 @@ def test_criterion_5_quantile_matches_oracle():
         got = cs.calibrate_threshold(scores, alpha)
         if expected is None:
             include_all_seen += 1
-            bad += got.tau != math.inf
+            bad += got != math.inf
         else:
-            bad += got.tau != expected
+            bad += got != expected
     check(5, bad == 0 and include_all_seen > 0,
           f"{bad} mismatches on 10^3 vectors ({include_all_seen} include-all cases)")
 
@@ -189,10 +191,10 @@ def _tune_temperature_randomized_loss(validation, alpha, cfg):
         cal_map = cs.CalibrationMap.temperature(t)
         s_tau = true_label_scores(spec, apply_map_dataset(cal_map, d_tau),
                                   d_tau.labels, u_tau)
-        threshold = cs.calibrate_threshold(s_tau, alpha)
+        tau = cs.calibrate_threshold(s_tau, alpha)
         s_loss = true_label_scores(spec, apply_map_dataset(cal_map, d_loss),
                                    d_loss.labels, u_loss)
-        gaps = threshold.tau - s_loss
+        gaps = tau - s_loss
         return float(np.mean(gaps * gaps))
 
     t_best, _, _ = minimize_on_log_grid(objective, cfg.t_min, cfg.t_max, cfg.grid_points)

@@ -67,7 +67,7 @@ CASES = {
 def _outputs(cal, test, cal_map, spec, alpha, precision):
     threshold = calibrate(cal, cal_map, spec, alpha, precision)
     mask = predict(threshold, test, precision)
-    report = build_report(mask, test, cal_map, alpha=alpha, score=spec.to_json_dict())
+    report = build_report(mask, test, threshold)
     fraction, zeros = truncation_diagnostic(CalibrationMap.temperature(0.05), test, precision)
     loss = efficiency_gap_loss(cal_map, cal, test, 0.1)
     return (json.dumps(threshold.to_json_dict()), mask, json.dumps(report.to_json_dict()),
@@ -122,7 +122,7 @@ def test_wide_stages_stay_below_half_a_probability_matrix():
     assert peak < budget, f"calibrate peaked at {peak / 2**20:.1f} MiB"
     mask, peak = _traced_peak(predict, threshold, ds)
     assert peak < budget, f"predict peaked at {peak / 2**20:.1f} MiB"
-    _, peak = _traced_peak(build_report, mask, ds, cal_map)
+    _, peak = _traced_peak(build_report, mask, ds, threshold)
     assert peak < budget, f"build_report peaked at {peak / 2**20:.1f} MiB"
     d_tau, d_loss = split_validation(ds, TuneConfig())
     loss, peak = _traced_peak(efficiency_gap_loss, cal_map, d_tau, d_loss, 0.1)

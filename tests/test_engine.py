@@ -43,9 +43,9 @@ alphas = st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9])
 
 
 def test_threshold_examples():
-    assert calibrate_threshold([0.1 * i for i in range(1, 10)], 0.1).tau == pytest.approx(0.9)
-    assert calibrate_threshold([0.01 * i for i in range(1, 20)], 0.1).tau == pytest.approx(0.18)
-    assert calibrate_threshold([0.1, 0.2, 0.3, 0.4, 0.5], 0.1).tau == math.inf
+    assert calibrate_threshold([0.1 * i for i in range(1, 10)], 0.1) == pytest.approx(0.9)
+    assert calibrate_threshold([0.01 * i for i in range(1, 20)], 0.1) == pytest.approx(0.18)
+    assert calibrate_threshold([0.1, 0.2, 0.3, 0.4, 0.5], 0.1) == math.inf
 
 
 def test_threshold_rejects_bad_inputs():
@@ -69,9 +69,9 @@ def test_threshold_matches_scan_oracle(scores, alpha):
     expected = oracle_quantile(scores, alpha)
     got = calibrate_threshold(scores, alpha)
     if expected is None:
-        assert got.tau == math.inf
+        assert got == math.inf
     else:
-        assert got.tau == expected
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +85,18 @@ def _members(th, probs, u=None):
 
 
 def test_predict_set_example():
-    th = calibrate_threshold([0.9], 0.5, score_spec=ScoreSpec(kind="aps"))
+    th = _threshold(ScoreSpec(kind="aps"), calibrate_threshold([0.9], 0.5))
     assert _members(th, [0.6, 0.3, 0.1]) == [0, 1]
 
 
 def test_include_all_returns_full_label_set():
-    th = calibrate_threshold([0.5] * 3, 0.1, score_spec=ScoreSpec(kind="aps"))
+    th = _threshold(ScoreSpec(kind="aps"), calibrate_threshold([0.5] * 3, 0.1))
     assert th.tau == math.inf
     assert _members(th, [0.6, 0.3, 0.1]) == [0, 1, 2]
 
 
 def test_zero_tau_gives_empty_set():
-    th = calibrate_threshold([0.0], 0.5, score_spec=ScoreSpec(kind="aps"))
+    th = _threshold(ScoreSpec(kind="aps"), calibrate_threshold([0.0], 0.5))
     assert th.tau == 0.0
     assert _members(th, [0.6, 0.3, 0.1]) == []
 
@@ -104,7 +104,7 @@ def test_zero_tau_gives_empty_set():
 def test_raps_score_upper_bound_gives_full_set():
     lam, k = 0.1, 4
     spec = ScoreSpec(kind="raps", raps_lambda=lam, raps_kreg=1)
-    th = calibrate_threshold([1.0 + lam * k], 0.5, score_spec=spec)
+    th = _threshold(spec, calibrate_threshold([1.0 + lam * k], 0.5))
     assert _members(th, [0.4, 0.3, 0.2, 0.1]) == [0, 1, 2, 3]
 
 
@@ -345,7 +345,7 @@ def test_monotone_growth_in_tau(weights, u):
     taus = [0.2, 0.5, 0.8, 1.1]
     previous: set = set()
     for tau in taus:
-        th = calibrate_threshold([tau], 0.5, score_spec=spec)
+        th = _threshold(spec, calibrate_threshold([tau], 0.5))
         members = set(_members(th, probs, u))
         assert previous <= members
         previous = members
@@ -410,8 +410,8 @@ def test_pipeline_coverage_monte_carlo():
 def test_threshold_file_round_trip(tmp_path):
     spec = ScoreSpec(kind="raps", raps_lambda=0.01, raps_kreg=1,
                      randomized=True, rng_seed=5)
-    th = calibrate_threshold(np.linspace(0, 1, 100), 0.1, score_spec=spec,
-                             cal_map=CalibrationMap.temperature(0.7))
+    th = ConformalThreshold(tau=calibrate_threshold(np.linspace(0, 1, 100), 0.1), alpha=0.1,
+                            n_cal=100, score_spec=spec, cal_map=CalibrationMap.temperature(0.7))
     path = tmp_path / "threshold.json"
     save_threshold(th, path)
     back = load_threshold(path)
@@ -442,7 +442,8 @@ def test_threshold_records_its_class_count(tmp_path):
 
 
 def test_include_all_serializes_as_string(tmp_path):
-    th = calibrate_threshold([0.5], 0.1)
+    th = ConformalThreshold(tau=calibrate_threshold([0.5], 0.1), alpha=0.1, n_cal=1,
+                            score_spec=ScoreSpec(kind="aps"), cal_map=CalibrationMap.identity())
     path = tmp_path / "threshold.json"
     save_threshold(th, path)
     assert '"include_all"' in path.read_text()

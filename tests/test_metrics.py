@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from confsets import (
     CalibrationMap,
     LogitsDataset,
+    ScoreSpec,
     SynthSpec,
     ValidationError,
     apply_map_dataset,
     build_report,
+    calibrate,
     coverage_and_size,
     expected_calibration_error,
     generate,
@@ -65,6 +67,8 @@ def test_coverage_and_size_match_per_row_membership():
 def test_length_mismatch():
     with pytest.raises(ValidationError):
         coverage_and_size(make_sets([[0]], 2), [0, 1])
+    with pytest.raises(ValidationError):
+        coverage_and_size(np.zeros((0, 3), bool), np.zeros(0, int))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,7 @@ def test_report_rank_bins_match_per_row_reference(seed):
     ds = LogitsDataset(np.where(levels == 0, -800.0, levels), labels)
     probs = apply_map_dataset(CalibrationMap.identity(), ds)
     assert (probs == 0.0).any() or (levels > 0).all()
-    got = build_report(mask, ds, CalibrationMap.identity()).size_by_rank_bin
+    got = build_report(mask, ds).size_by_rank_bin
     ranks = [oracle_order(list(row)).index(y) + 1 for row, y in zip(probs, labels)]
     sizes = [int(row.sum()) for row in mask]
     expected = {}
@@ -194,6 +198,14 @@ def test_report_rank_bins_match_per_row_reference(seed):
         label = str(lo) if lo == hi else f"{lo}-{hi}"
         expected[label] = (len(in_bin), sum(in_bin) / len(in_bin) if in_bin else 0.0)
     assert got == expected
+
+
+def test_report_rejects_data_with_another_class_count():
+    threshold = calibrate(generate(SynthSpec(n=100, k=10, seed=1)), CalibrationMap.identity(),
+                          ScoreSpec(kind="aps"), 0.1)
+    wider = generate(SynthSpec(n=5, k=20, seed=2))
+    with pytest.raises(ValidationError, match="10 classes, the data has 20"):
+        build_report(np.ones((5, 20), dtype=bool), wider, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import confsets.scores
 import confsets.tuning
 from confsets import (
     CalibrationMap,
+    ConformalThreshold,
     LogitsDataset,
     ScoreSpec,
     SynthSpec,
@@ -33,7 +34,7 @@ def test_efficiency_gap_examples():
     cal_map = CalibrationMap.temperature(0.9)
     spec = ScoreSpec(kind="aps")
     tau = calibrate_threshold(true_label_scores(spec, apply_map_dataset(cal_map, d_tau),
-                                                d_tau.labels), 0.1).tau
+                                                d_tau.labels), 0.1)
     signs = set()
     for i in range(20):
         row = d_loss.take(np.asarray([i]))
@@ -54,7 +55,8 @@ def test_gap_sign_law(weights, tau):
     spec = ScoreSpec(kind="aps")
     label = len(probs) // 2
     gap = tau - score_matrix(spec, probs[None, :])[0, label]
-    threshold = calibrate_threshold([tau], 0.5, score_spec=spec)
+    threshold = ConformalThreshold(tau=calibrate_threshold([tau], 0.5), alpha=0.5, n_cal=1,
+                                   score_spec=spec, cal_map=CalibrationMap.identity())
     covered = predict_sets(threshold, probs[None, :])[0, label]
     assert (gap >= 0) == covered
 
@@ -79,8 +81,8 @@ def test_loss_zero_when_every_score_equals_tau():
 
     spec = ScoreSpec(kind="aps")
     scores = true_label_scores(spec, apply_map_dataset(cal_map, d_tau), d_tau.labels)
-    threshold = calibrate_threshold(scores, 0.1)
-    hit = int(np.flatnonzero(scores == threshold.tau)[0])
+    tau = calibrate_threshold(scores, 0.1)
+    hit = int(np.flatnonzero(scores == tau)[0])
     row = np.tile(d_tau.logits[hit], (8, 1))
     labels = np.full(8, d_tau.labels[hit])
     d_loss = LogitsDataset(row, labels)
@@ -247,7 +249,7 @@ def _piece(params, d_tau, d_loss, alpha):
     cal_map = _vector_map(params)
     p_tau = apply_map_dataset(cal_map, d_tau)
     s_tau = true_label_scores(ScoreSpec(kind="aps"), p_tau, d_tau.labels)
-    tau = calibrate_threshold(s_tau, alpha).tau
+    tau = calibrate_threshold(s_tau, alpha)
     return (label_ranks(p_tau, d_tau.labels).tolist(),
             label_ranks(apply_map_dataset(cal_map, d_loss), d_loss.labels).tolist(),
             int(np.flatnonzero(s_tau == tau)[0]))
@@ -294,7 +296,7 @@ def test_vector_gradient_takes_tau_from_the_first_tied_row():
     cal_map = CalibrationMap.vector(np.ones(k), np.zeros(k))  # where the descent starts
     scores = true_label_scores(ScoreSpec(kind="aps"), apply_map_dataset(cal_map, d_tau),
                                d_tau.labels)
-    tied = np.flatnonzero(scores == calibrate_threshold(scores, 0.1).tau)
+    tied = np.flatnonzero(scores == calibrate_threshold(scores, 0.1))
     assert tied.size >= 3
 
     def gradient(order):
@@ -383,6 +385,7 @@ def test_tune_map_rejects_unknown_kind():
     ("t_min", 0.0),
     ("t_max", TuneConfig.t_min),
     ("t_max", float("nan")),
+    ("t_max", float("inf")),
     ("grid_points", 0),
     ("gd_max_iters", 0),
 ])
