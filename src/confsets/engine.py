@@ -14,8 +14,9 @@ JSONL sets file is converted to and from that mask only at the file edge.
 of `maps.probability_blocks` at a time: label_scores keeps one true-label
 score per row, predict writes each block's rows of the mask.  A row's u
 draw is keyed by its sample index, so the outputs do not depend on the
-block size.  The tuner's loss scores both of its halves with
-`label_scores` too.
+block size.  `tuning.efficiency_gap_loss` and the vector tuner score
+both halves with `label_scores` too; the scalar tuner's evaluation gives
+its scores bit for bit.
 
 `calibrate` is the one maker of a `ConformalThreshold` (a threshold file
 is the other source): it records the tau of `label_scores` with the

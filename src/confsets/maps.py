@@ -84,12 +84,18 @@ class CalibrationMap:
     def identity(cls) -> "CalibrationMap":
         return cls(kind="identity")
 
-    def transform_logits(self, logits: np.ndarray) -> np.ndarray:
-        """Rescaled logits, before the softmax."""
+    def transform_logits(self, logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Rescaled logits, before the softmax.
+
+        With ``out`` (the shape and dtype of ``logits``) the result is
+        written there and returned; without it, the identity map returns
+        ``logits`` itself.  Either way the values have the same bits.
+        """
         if self.kind == "temperature":
-            return logits / self.t
+            return np.divide(logits, self.t, out=out)
         if self.kind == "platt":
-            return self.a * logits + self.b
+            out = np.multiply(self.a, logits, out=out)
+            return np.add(out, self.b, out=out)
         if self.kind == "vector":
             w = np.asarray(self.w, dtype=logits.dtype)
             c = np.asarray(self.c, dtype=logits.dtype)
@@ -97,8 +103,12 @@ class CalibrationMap:
                 raise ValidationError(
                     f"vector map has {w.shape[0]} classes, logits have {logits.shape[-1]}"
                 )
-            return logits * w + c
-        return logits
+            out = np.multiply(logits, w, out=out)
+            return np.add(out, c, out=out)
+        if out is None:
+            return logits
+        np.copyto(out, logits)
+        return out
 
     def to_json_dict(self) -> dict:
         params = {name: getattr(self, name) for name in _PARAM_NAMES[self.kind]}

@@ -9,6 +9,36 @@ misestimate the gap.  One evaluation (``_evaluate``) scores both halves
 with ``engine.label_scores``, one row block at a time, and takes tau from
 one ``calibrate_threshold`` call.
 
+Temperature and Platt evaluations (``_evaluate_scalar``) give the same
+loss, tau, tau row and scores bit for bit with less work.  Before the
+search, ``_Half`` records for each half what no t changes: each row's
+largest logit z_max; the near-tie rows, whose label has another logit
+within 1e-9 * max(max |z_row|, t_max) of its own; and, for the other rows
+whose label is not the largest logit, the classes ahead of the label in
+stable descending order.  An evaluation then makes 4 passes per cell:
+scale (``CalibrationMap.transform_logits``), shift by the scaled z_max,
+exp and row sum S.  Why that is exact:
+
+* z/t and fl(a*z) + 0 with t, a > 0 are monotone, and so is rounding, so
+  the largest scaled logit is z_max scaled, and no class overtakes
+  another.  The shift puts exactly 0 at the row's largest logit, whose e
+  is exp(0) = 1, so a label there scores fl(1 / S), softmax's p_y.
+* Away from a near tie, the label's scaled gap to any other logit is at
+  least 1e-9 for every t <= t_max, far above the rounding of the scale,
+  shift, exp and division.  (Scaled by max |z_row| alone, without
+  t_max, the rule lets large t round such gaps away.)  So the classes
+  ahead of the label in probability are those ahead in logits, except
+  where both values underflow to zero or a subnormal; such a class adds
+  zero or less than an ulp to a prefix of at least 1/K, at its end.
+* A lower label's score is the cumsum of e/S over the classes ahead of
+  it and itself: the divisions softmax makes, added in the order of the
+  sorted cumsum, which the values confirm when they do not rise.
+
+The exact path, `true_label_scores` on the row's probabilities, scores
+the near-tie rows, any row whose ahead values rise, and every row of a
+block whose S is not finite (so a z/t that overflows raises the same
+error).  On the protocol data no row takes it.
+
 ``tune_map`` is the one tuner for every map kind.  Temperature and Platt
 are the same one-parameter family: softmax ignores a shift shared by all
 classes, so Platt's b is pinned at 0 and its scale is a = 1/t.  Both are
@@ -37,11 +67,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import maps
 from .data import LogitsDataset, SplitSpec, split_dataset
 from .engine import calibrate_threshold, label_scores
-from .errors import ValidationError, write_json
+from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, aps_score_dz
+from .scores import ScoreSpec, aps_score_dz, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -55,6 +86,9 @@ _REFINE_TOL = 1e-4
 _GD_STEP = 0.1
 _GD_MAX_HALVINGS = 20
 _REL_TOL = 1e-8
+# A label has a near tie when another logit of its row lies within
+# _TIE_REL * max(max |z_row|, t_max) of its own; see `_Half`.
+_TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,8 +105,10 @@ class TuneConfig:
         # The chained comparison is False for a NaN bound too.
         if not (0 < self.t_min < self.t_max < math.inf):
             raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max < inf")
-        if self.grid_points < 1 or self.gd_max_iters < 1:
-            raise ValidationError("grid_points and gd_max_iters must be >= 1")
+        for name in ("grid_points", "gd_max_iters"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,19 +144,126 @@ def efficiency_gap_loss(cal_map: CalibrationMap, d_tau: LogitsDataset,
 def _evaluate(cal_map: CalibrationMap, d_tau: LogitsDataset, d_loss: LogitsDataset,
               alpha: float) -> _Evaluation:
     """The loss at ``cal_map``; both halves are scored once."""
-    if d_tau.k != d_loss.k:
+    return _gap(lambda ds: label_scores(ds, cal_map, _LOSS_SPEC), d_tau, d_loss, alpha)
+
+
+def _evaluate_scalar(cal_map: CalibrationMap, tau_half: _Half, loss_half: _Half,
+                     alpha: float) -> _Evaluation:
+    """``_evaluate`` at a temperature or Platt map, from each half's `_Half` facts.
+
+    Equal to ``_evaluate(cal_map, tau_half.ds, loss_half.ds, alpha)`` bit
+    for bit, errors included, for a temperature t <= t_max or a Platt map
+    with a >= 1/t_max and b = 0, where t_max is the one the halves were
+    made with.
+    """
+    return _gap(lambda half: half.scores(cal_map), tau_half, loss_half, alpha)
+
+
+def _gap(score, tau_part, loss_part, alpha: float) -> _Evaluation:
+    """The loss from ``score(part)``, each half's true-label scores."""
+    if tau_part.k != loss_part.k:
         raise ValidationError("d_tau and d_loss class counts differ")
-    tau_scores = label_scores(d_tau, cal_map, _LOSS_SPEC)
+    tau_scores = score(tau_part)
     tau = calibrate_threshold(tau_scores, alpha)
     if tau == math.inf:
         raise ValidationError(
-            f"d_tau has too few rows ({d_tau.n}) for alpha={alpha}; "
+            f"d_tau has too few rows ({tau_part.n}) for alpha={alpha}; "
             "use a larger tau split"
         )
-    scores = label_scores(d_loss, cal_map, _LOSS_SPEC)
+    scores = score(loss_part)
     gaps = tau - scores
     row = int(np.argmax(tau_scores == tau))
     return _Evaluation(float(np.mean(gaps * gaps)), tau, row, scores)
+
+
+class _Block(NamedTuple):
+    """One `maps.probability_blocks` block of a `_Half`, by the path each row takes."""
+
+    rows: slice
+    exact: np.ndarray     # rows whose label has a near tie
+    deep: np.ndarray      # the other rows whose label is not the largest logit
+    order: np.ndarray     # each deep row's first classes in stable descending order
+    at: tuple             # (deep row, label position in ``order``)
+
+
+class _Half:
+    """What every scalar-map evaluation of one validation half shares.
+
+    Made once per half for a search over t <= t_max (the module docstring
+    has the argument): each row's largest logit, and per
+    `maps.probability_blocks` block the rows whose label has a near tie
+    and, for the rows whose label is not the largest logit, the classes
+    ahead of it in stable descending order.  ``order`` holds those class
+    indices in the narrowest unsigned dtype for K (one byte up to K = 256,
+    two up to K = 65536), each block padded to its deepest label, so it
+    takes at most n*K*2 bytes, a quarter of the half's float64 probability
+    matrix, even when every label ranks last.  One reused block buffer
+    holds the evaluation's mapped logits.
+    """
+
+    def __init__(self, ds: LogitsDataset, t_max: float):
+        self.ds = ds
+        self.n, self.k = ds.n, ds.k
+        self.row_max = ds.logits.max(axis=1)
+        step = max(1, maps._BLOCK_CELLS // ds.k)
+        self._buf = np.empty((min(step, ds.n), ds.k))
+        index_type = np.min_scalar_type(ds.k - 1)
+        self.blocks = []
+        for start in range(0, ds.n, step):
+            rows = slice(start, min(start + step, ds.n))
+            z = ds.logits[rows]
+            z_y = z[np.arange(z.shape[0]), ds.labels[rows]][:, None]
+            tol = _TIE_REL * np.maximum(np.abs(z).max(axis=1), t_max)[:, None]
+            distance = self._buf[:z.shape[0]]
+            with np.errstate(over="ignore"):  # a gap that overflows is no tie
+                np.subtract(z, z_y, out=distance)
+            np.abs(distance, out=distance)
+            # the label itself is within tol of its own logit
+            near = np.count_nonzero(distance <= tol, axis=1) > 1
+            ahead = np.count_nonzero(z > z_y, axis=1)
+            deep = np.flatnonzero(~near & (ahead > 0))
+            width = int(ahead[deep].max(initial=-1)) + 1
+            order = np.argsort(-z[deep], axis=1, kind="stable")[:, :width]
+            self.blocks.append(_Block(rows, np.flatnonzero(near), deep, order.astype(index_type),
+                                      (np.arange(deep.size), ahead[deep])))
+
+    def scores(self, cal_map: CalibrationMap) -> np.ndarray:
+        """``engine.label_scores(ds, cal_map, _LOSS_SPEC)``, bit for bit.
+
+        Each block is scaled into the buffer, shifted by its rows' scaled
+        largest logit and exponentiated, and S is its row sum, as in
+        `maps.softmax`.  A label at rank 1 scores fl(1 / S).  Any other
+        label scores the cumsum of e/S over the classes ahead of it and
+        itself, provided those values do not rise.  Near-tie rows, rows
+        whose values rise and every row of a block with a non-finite S
+        are scored by `true_label_scores` from their probabilities.
+        """
+        ds = self.ds
+        shift = cal_map.transform_logits(self.row_max)
+        out = np.empty(ds.n)
+        for b in self.blocks:
+            buf = self._buf[:b.rows.stop - b.rows.start]
+            e = cal_map.transform_logits(ds.logits[b.rows], out=buf)
+            e -= shift[b.rows, None]
+            np.exp(e, out=e)
+            s = np.sum(e, axis=1)
+            labels = ds.labels[b.rows]
+            if not np.isfinite(s).all():
+                out[b.rows] = true_label_scores(_LOSS_SPEC, e / s[:, None], labels)
+                continue
+            block = np.divide(1.0, s, out=out[b.rows])
+            exact = b.exact
+            if b.deep.size:
+                values = e[b.deep[:, None], b.order]
+                values /= s[b.deep, None]
+                block[b.deep] = np.cumsum(values, axis=1)[b.at]
+                rising = (values[:, 1:] > values[:, :-1]).any(axis=1)
+                if rising.any():
+                    exact = np.concatenate([exact, b.deep[rising]])
+            if exact.size:
+                block[exact] = true_label_scores(_LOSS_SPEC, e[exact] / s[exact, None],
+                                                 labels[exact])
+        return out
 
 
 def split_validation(validation: LogitsDataset,
@@ -197,14 +340,12 @@ def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
         )
     cfg = cfg or TuneConfig()
     d_tau, d_loss = split_validation(validation, cfg)
-
-    def loss(cal_map: CalibrationMap) -> float:
-        return efficiency_gap_loss(cal_map, d_tau, d_loss, alpha)
-
     if map_kind in _SCALAR_MAPS:
         scalar_map = _SCALAR_MAPS[map_kind]
+        tau_half, loss_half = _Half(d_tau, cfg.t_max), _Half(d_loss, cfg.t_max)
         t_best, f_best, evals = minimize_on_log_grid(
-            lambda t: loss(scalar_map(t)), cfg.t_min, cfg.t_max, cfg.grid_points,
+            lambda t: _evaluate_scalar(scalar_map(t), tau_half, loss_half, alpha).loss,
+            cfg.t_min, cfg.t_max, cfg.grid_points,
         )
         return scalar_map(t_best), TuneReport(alpha=alpha, final_loss=f_best,
                                               iterations=evals)

@@ -22,7 +22,7 @@ from confsets import (
     truncation_diagnostic,
 )
 from confsets import maps
-from confsets.tuning import split_validation
+from confsets.tuning import _evaluate_scalar, _Half, split_validation
 
 N_CAL, N_TEST = 23, 17
 # Rows per block: one, counts that divide neither N_CAL nor N_TEST, and all rows.
@@ -128,3 +128,27 @@ def test_wide_stages_stay_below_half_a_probability_matrix():
     loss, peak = _traced_peak(efficiency_gap_loss, cal_map, d_tau, d_loss, 0.1)
     assert math.isfinite(loss)
     assert peak < budget, f"efficiency_gap_loss peaked at {peak / 2**20:.1f} MiB"
+    _assert_scalar_tuner_stays_below(budget, d_tau, d_loss)
+
+
+def _scalar_tuner_facts_and_one_evaluation(d_tau, d_loss):
+    cfg = TuneConfig()
+    tau_half, loss_half = _Half(d_tau, cfg.t_max), _Half(d_loss, cfg.t_max)
+    return _evaluate_scalar(CalibrationMap.temperature(0.8), tau_half, loss_half, 0.1)
+
+
+def _assert_scalar_tuner_stays_below(budget, d_tau, d_loss):
+    evaluation, peak = _traced_peak(_scalar_tuner_facts_and_one_evaluation, d_tau, d_loss)
+    assert math.isfinite(evaluation.loss)
+    assert peak < budget, (
+        f"the scalar tuner's facts and one evaluation peaked at {peak / 2**20:.1f} MiB")
+
+
+def test_scalar_tuner_stays_below_half_a_probability_matrix_at_chance_level():
+    # nearly every label ranks below 1, so nearly every row keeps its
+    # ahead classes; uint16 indices bound them by a quarter of the budget
+    n, k = 4000, 1000
+    ds = generate(SynthSpec(n=n, k=k, seed=0, signal=1e-3))
+    d_tau, d_loss = split_validation(ds, TuneConfig())
+    assert np.mean(d_tau.logits.argmax(axis=1) != d_tau.labels) > 0.99
+    _assert_scalar_tuner_stays_below(n * k * 8 / 2, d_tau, d_loss)

@@ -7,6 +7,8 @@ tie them or underflow them to zero; results are compared with ``==``, not
 ``approx``.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,13 +20,15 @@ from confsets import (
     LogitsDataset,
     SynthSpec,
     TuneConfig,
+    ValidationError,
     efficiency_gap_loss,
     generate,
     tune_map,
 )
 from confsets.engine import conformal_level
 from confsets.maps import apply_map_dataset
-from confsets.tuning import _evaluate, split_validation
+from confsets.tuning import (_SCALAR_MAPS, _evaluate, _evaluate_scalar, _Half,
+                             split_validation)
 
 ALPHA = 0.1
 
@@ -156,6 +160,94 @@ def test_loss_matches_reference_property(seed, scale, maps):
 
 
 # ---------------------------------------------------------------------------
+# the scalar tuner's evaluation
+
+
+def _assert_scalar_matches(cal_map, tau_half, loss_half):
+    want = _evaluate(cal_map, tau_half.ds, loss_half.ds, ALPHA)
+    got = _evaluate_scalar(cal_map, tau_half, loss_half, ALPHA)
+    assert (got.loss, got.tau, got.row) == (want.loss, want.tau, want.row), cal_map
+    np.testing.assert_array_equal(got.scores, want.scores)
+
+
+def _assert_scalar_search_matches(kind, ts, d_tau, d_loss, t_max):
+    tau_half, loss_half = _Half(d_tau, t_max), _Half(d_loss, t_max)
+    for t in ts:
+        _assert_scalar_matches(_SCALAR_MAPS[kind](t), tau_half, loss_half)
+
+
+def _planted_logits(rng, n, k, scale):
+    """Gaussian logits with, on about half the rows, a class tied with the
+    label or within a relative 1e-17 to 1e-6 of it, and on a fifth of the
+    rows the row maximum duplicated."""
+    logits = rng.standard_normal((n, k)) * scale
+    labels = rng.integers(0, k, n)
+    rows = np.flatnonzero(rng.random(n) < 0.5)
+    other = (labels[rows] + rng.integers(1, max(k, 2), rows.size)) % k
+    rel = np.where(rng.random(rows.size) < 0.2, 0.0, 10.0 ** rng.uniform(-17, -6, rows.size))
+    z_y = logits[rows, labels[rows]]
+    logits[rows, other] = z_y + rng.choice([-1.0, 1.0], rows.size) * rel * np.maximum(
+        np.abs(logits[rows]).max(axis=1), 1.0)
+    dup = np.flatnonzero(rng.random(n) < 0.2)
+    logits[dup, rng.integers(0, k, dup.size)] = logits[dup].max(axis=1)
+    return logits, labels
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 7, 1000]),
+       st.sampled_from([1.0, 1e3]), st.sampled_from([5.0, 1e4, 1e8]),
+       st.sampled_from(sorted(_SCALAR_MAPS)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_scalar_evaluation_matches_evaluate_property(seed, k, scale, t_max, kind, spots):
+    rng = np.random.default_rng(seed)
+    n = 24 if k == 1000 else 60
+    logits, labels = _planted_logits(rng, n, k, scale)
+    d_tau = LogitsDataset(logits[: n // 2], labels[: n // 2])
+    d_loss = LogitsDataset(logits[n // 2:], labels[n // 2:])
+    # t from 1e-3 up to t_max, log-uniformly, with both ends
+    ts = [1e-3 * (t_max / 1e-3) ** u for u in spots] + [1e-3, t_max]
+    _assert_scalar_search_matches(kind, ts, d_tau, d_loss, t_max)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR_MAPS))
+def test_scalar_evaluation_matches_evaluate_on_protocol_data(kind):
+    d_tau, d_loss = _halves(n=2000, k=50, seed=8)
+    cfg = TuneConfig()
+    ts = [*np.geomspace(cfg.t_min, cfg.t_max, 16), 0.001, 0.003]
+    _assert_scalar_search_matches(kind, ts, d_tau, d_loss, cfg.t_max)
+
+
+def test_scalar_evaluation_scores_rising_ahead_values_exactly():
+    # values that rise along a row's ahead classes (which a monotone exp
+    # never gives) send the row to the exact path: swap the classes at
+    # positions 1 and 2 of each row's order, so a smaller value comes first
+    d_tau, d_loss = _halves(n=2000, k=50, seed=10)
+    tau_half, loss_half = _Half(d_tau, 5.0), _Half(d_loss, 5.0)
+    for half in (tau_half, loss_half):
+        for block in half.blocks:
+            assert block.order.shape[1] >= 3
+            block.order[:, 1:3] = block.order[:, 2:0:-1].copy()
+    _assert_scalar_matches(CalibrationMap.temperature(0.7), tau_half, loss_half)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR_MAPS))
+def test_scalar_evaluation_raises_like_evaluate_when_scaling_overflows(kind):
+    rng = np.random.default_rng(9)
+    logits = rng.standard_normal((40, 5))
+    logits[25, 2] = 1e306  # a loss-half row: the tau half scores first
+    labels = rng.integers(0, 5, 40)
+    d_tau = LogitsDataset(logits[:20], labels[:20])
+    d_loss = LogitsDataset(logits[20:], labels[20:])
+    cal_map = _SCALAR_MAPS[kind](1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as want:
+            _evaluate(cal_map, d_tau, d_loss, ALPHA)
+        with pytest.raises(ValidationError) as got:
+            _evaluate_scalar(cal_map, _Half(d_tau, 5.0), _Half(d_loss, 5.0), ALPHA)
+    assert str(got.value) == str(want.value)
+    assert "sum to 1" in str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # whole tuner runs
 
 
@@ -188,14 +280,27 @@ def test_tuner_results_match_reference(monkeypatch, kind):
         assert report.final_loss in losses
         return
 
+    # the scalar search evaluates through `_evaluate_scalar` and reads only
+    # each evaluation's loss; every loss it returns equals the reference
     library_calls: list = []
-    monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
-                        _counting(efficiency_gap_loss, library_calls))
+    fast = confsets.tuning._evaluate_scalar
+
+    def checked(cal_map, tau_half, loss_half, alpha):
+        evaluation = fast(cal_map, tau_half, loss_half, alpha)
+        assert evaluation.loss == reference_loss(cal_map, tau_half.ds, loss_half.ds,
+                                                 alpha), cal_map
+        library_calls.append(1)
+        return evaluation
+
+    monkeypatch.setattr(confsets.tuning, "_evaluate_scalar", checked)
     library_map, library_report = tune_map(ds, ALPHA, kind, cfg)
 
     reference_calls: list = []
-    monkeypatch.setattr(confsets.tuning, "efficiency_gap_loss",
-                        _counting(reference_loss, reference_calls))
+
+    def reference(cal_map, tau_half, loss_half, alpha):
+        return SimpleNamespace(loss=reference_loss(cal_map, tau_half.ds, loss_half.ds, alpha))
+
+    monkeypatch.setattr(confsets.tuning, "_evaluate_scalar", _counting(reference, reference_calls))
     reference_map, reference_report = tune_map(ds, ALPHA, kind, cfg)
 
     assert library_map.to_json_dict() == reference_map.to_json_dict()

@@ -388,6 +388,12 @@ def test_tune_map_rejects_unknown_kind():
     ("t_max", float("inf")),
     ("grid_points", 0),
     ("gd_max_iters", 0),
+    # not integers: 2.5 would reach np.geomspace or range as a TypeError,
+    # and True would run a one-point grid or one descent step
+    ("grid_points", 2.5),
+    ("grid_points", True),
+    ("gd_max_iters", 2.5),
+    ("gd_max_iters", True),
 ])
 def test_tune_config_rejects_values_that_break_the_optimizer(field, value):
     with pytest.raises(ValidationError, match=field):
