@@ -5,6 +5,7 @@ Example:
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,11 +40,8 @@ def main():
                                            signal=2.0, noise=1.0))
             test = cs.generate(cs.SynthSpec(n=args.n_test, k=args.k, seed=2 * seed + 1,
                                             signal=2.0, noise=1.0))
-            spec = cs.ScoreSpec(kind=base.kind, randomized=base.randomized,
-                                raps_lambda=base.raps_lambda, raps_kreg=base.raps_kreg,
-                                saps_lambda=base.saps_lambda, rng_seed=seed)
             result = cs.run_pipeline(cal, test, cs.CalibrationMap.identity(),
-                                     spec, args.alpha)
+                                     replace(base, rng_seed=seed), args.alpha)
             cov, size = cs.coverage_and_size(result.mask, test.labels)
             covs.append(cov)
             sizes.append(size)

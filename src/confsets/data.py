@@ -1,7 +1,8 @@
 """Logits datasets: validation, CSV/binary persistence, deterministic splits.
 
 A dataset is an n-by-K matrix of raw classifier logits plus one integer
-label per row.  Two on-disk formats are supported:
+label per row; a label array of any other dtype (float, bool, string) is
+rejected.  Two on-disk formats are supported:
 
 * CSV: header ``label,logit_0,...,logit_{K-1}``, one row per sample,
   decimal floats.  Floats are written with ``repr`` so a save/load round
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ascii_lines
+from .errors import ValidationError, ascii_lines, is_int
 
 _MAGIC = b"CPLG"
 _VERSION = 1
@@ -36,10 +37,12 @@ class LogitsDataset:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
-        try:
-            labels = np.asarray(self.labels, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValidationError(f"label out of range: {exc}") from exc
+        labels = np.asarray(self.labels)
+        # float labels would be truncated, and bool or string labels cast
+        if labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+        # uint64 labels beyond int64 wrap to negative, which the range check rejects
+        labels = labels.astype(np.int64, copy=False)
         if logits.ndim != 2:
             raise ValidationError("logits must be a 2-d matrix")
         n, k = logits.shape
@@ -102,8 +105,10 @@ class SplitSpec:
         total = sum(self.fractions.values())
         if abs(total - 1.0) > _FRACTION_SUM_TOL:
             raise ValidationError(f"fractions must sum to 1, got {total!r}")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.shuffle, bool):
+            raise ValidationError(f"shuffle must be a boolean, got {self.shuffle!r}")
 
 
 def split_dataset(ds: LogitsDataset, spec: SplitSpec) -> dict[str, LogitsDataset]:
@@ -201,7 +206,11 @@ def _load_csv(path) -> LogitsDataset:
         rows.append(values)
     if not rows:
         raise ValidationError("empty dataset")
-    return LogitsDataset(np.array(rows, dtype=np.float64), np.array(labels))
+    try:
+        label_array = np.array(labels, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValidationError(f"label out of range: {exc}") from exc
+    return LogitsDataset(np.array(rows, dtype=np.float64), label_array)
 
 
 def _save_binary(ds: LogitsDataset, path) -> None:

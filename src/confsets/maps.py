@@ -10,8 +10,9 @@ Supported kinds:
 Every map ends in a softmax computed with max-subtraction so that small
 temperatures behave identically across platforms.  Probabilities are
 float64 by default; a float32 mode exists for low-precision diagnostics.
-`probability_blocks` yields the probabilities of consecutive row blocks, so
-callers that reduce each block never hold an n-by-K float matrix.
+`row_blocks` splits a dataset into consecutive row blocks, and
+`probability_blocks` yields their probabilities, so callers that reduce
+each block never hold an n-by-K float matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ValidationError, check_keys, is_number, read_json, write_jso
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
 
-# Matrix cells (rows x classes) in one block of `probability_blocks`.  On
+# Matrix cells (rows x classes) in one block of `row_blocks`.  On
 # the wide-k1000 benchmark (K = 1000, identity map, seeds 2-4, 2-core
 # host), blocks of 2**16, 2**17 and 2**18 cells gave median wall times of
 # 0.56, 0.55 and 0.58 s and peak RSS of 106, 108 and 112 MiB.
@@ -178,18 +179,26 @@ def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset,
     return softmax(cal_map.transform_logits(work))
 
 
-def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset,
-                       precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, probs)`` for consecutive row slices that cover ``ds`` in order.
+def row_blocks(ds: LogitsDataset) -> Iterator[slice]:
+    """Consecutive row slices that cover ``ds`` in order, the first the longest.
 
-    ``probs`` is ``apply_map_dataset`` on ``rows``.  A block spans at most
-    ``max(1, _BLOCK_CELLS // K)`` rows, so a caller that reduces each block
-    to per-row values never holds an n-by-K float matrix.  Softmax is
-    row-wise, so every block equals its rows of the whole matrix bit for bit.
+    A block spans at most ``max(1, _BLOCK_CELLS // K)`` rows, so a caller
+    that reduces each block to per-row values never holds an n-by-K float
+    matrix.
     """
     step = max(1, _BLOCK_CELLS // ds.k)
     for start in range(0, ds.n, step):
-        rows = slice(start, min(start + step, ds.n))
+        yield slice(start, min(start + step, ds.n))
+
+
+def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset,
+                       precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, probs)`` for each slice of `row_blocks`.
+
+    ``probs`` is ``apply_map_dataset`` on ``rows``.  Softmax is row-wise, so
+    every block equals its rows of the whole matrix bit for bit.
+    """
+    for rows in row_blocks(ds):
         yield rows, apply_map_dataset(cal_map, ds, precision, rows)
 
 

@@ -18,8 +18,9 @@ row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
 and `label_ranks` rank only the other rows, in `_ranks_below_top`.
 
 `score_matrix`, `true_label_scores` and `set_mask` share one entry check,
-`_checked`.  `score_matrix` sorts every row with `_descending`, the one
-stable sort, and stays the reference `set_mask` is tested against.
+`_checked`.  `score_matrix` sorts every row with `_descending`, and stays
+the reference `set_mask` is tested against.  `descending_order` is the one
+stable sort, which the scalar tuner shares.
 
 Randomization uses one uniform draw per sample, shared by all K class
 scores of that sample.  Draws come from a counter-based generator keyed
@@ -150,9 +151,14 @@ def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
 # ranking
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Each row's columns by descending value, ties by ascending column."""
+    return np.argsort(-values, axis=1, kind="stable")
+
+
 def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row in descending order, ties by ascending column: (sorted, perm)."""
-    perm = np.argsort(-values, axis=1, kind="stable")
+    """Each row in `descending_order`: (sorted, perm)."""
+    perm = descending_order(values)
     return np.take_along_axis(values, perm, axis=1), perm
 
 

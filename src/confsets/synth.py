@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,12 @@ class SynthSpec:
     overconfidence: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
-        if self.k < 2:
-            raise ValidationError("k must be >= 2")
+        for name, least in (("n", 1), ("k", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= least):
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.signal <= 0 or self.noise <= 0 or self.overconfidence <= 0:
             raise ValidationError("signal, noise, and overconfidence must be positive")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
 
 
 def generate(spec: SynthSpec) -> LogitsDataset:

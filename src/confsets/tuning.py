@@ -67,12 +67,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import maps
 from .data import LogitsDataset, SplitSpec, split_dataset
 from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, is_int, write_json
-from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, aps_score_dz, true_label_scores
+from .maps import CalibrationMap, apply_map_dataset, row_blocks
+from .scores import ScoreSpec, aps_score_dz, descending_order, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -105,10 +104,10 @@ class TuneConfig:
         # The chained comparison is False for a NaN bound too.
         if not (0 < self.t_min < self.t_max < math.inf):
             raise ValidationError("temperature bounds must satisfy 0 < t_min < t_max < inf")
-        for name in ("grid_points", "gd_max_iters"):
+        for name, least in (("grid_points", 1), ("gd_max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (is_int(value) and value >= 1):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            if not (is_int(value) and value >= least):
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def _gap(score, tau_part, loss_part, alpha: float) -> _Evaluation:
 
 
 class _Block(NamedTuple):
-    """One `maps.probability_blocks` block of a `_Half`, by the path each row takes."""
+    """One `maps.row_blocks` block of a `_Half`, by the path each row takes."""
 
     rows: slice
     exact: np.ndarray     # rows whose label has a near tie
@@ -191,9 +190,9 @@ class _Half:
 
     Made once per half for a search over t <= t_max (the module docstring
     has the argument): each row's largest logit, and per
-    `maps.probability_blocks` block the rows whose label has a near tie
-    and, for the rows whose label is not the largest logit, the classes
-    ahead of it in stable descending order.  ``order`` holds those class
+    `maps.row_blocks` block the rows whose label has a near tie and, for
+    the rows whose label is not the largest logit, the classes ahead of it
+    in `scores.descending_order`.  ``order`` holds those class
     indices in the narrowest unsigned dtype for K (one byte up to K = 256,
     two up to K = 65536), each block padded to its deepest label, so it
     takes at most n*K*2 bytes, a quarter of the half's float64 probability
@@ -205,12 +204,11 @@ class _Half:
         self.ds = ds
         self.n, self.k = ds.n, ds.k
         self.row_max = ds.logits.max(axis=1)
-        step = max(1, maps._BLOCK_CELLS // ds.k)
-        self._buf = np.empty((min(step, ds.n), ds.k))
+        slices = list(row_blocks(ds))
+        self._buf = np.empty((slices[0].stop, ds.k))
         index_type = np.min_scalar_type(ds.k - 1)
         self.blocks = []
-        for start in range(0, ds.n, step):
-            rows = slice(start, min(start + step, ds.n))
+        for rows in slices:
             z = ds.logits[rows]
             z_y = z[np.arange(z.shape[0]), ds.labels[rows]][:, None]
             tol = _TIE_REL * np.maximum(np.abs(z).max(axis=1), t_max)[:, None]
@@ -223,7 +221,7 @@ class _Half:
             ahead = np.count_nonzero(z > z_y, axis=1)
             deep = np.flatnonzero(~near & (ahead > 0))
             width = int(ahead[deep].max(initial=-1)) + 1
-            order = np.argsort(-z[deep], axis=1, kind="stable")[:, :width]
+            order = descending_order(z[deep])[:, :width]
             self.blocks.append(_Block(rows, np.flatnonzero(near), deep, order.astype(index_type),
                                       (np.arange(deep.size), ahead[deep])))
 

@@ -198,6 +198,36 @@ def test_demo_precision_single_point(tmp_path):
     assert obj["rows"][0]["truncated_row_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("precision, data, grid", [
+    ("f32", {"signal": 8.0, "noise": 8.0}, [0.5, 0.2, 0.1]),
+    ("f64", {"signal": 1.0, "noise": 0.5}, [1.3, 0.7, 0.4]),
+], ids=["f32", "f64"])
+def test_demo_precision_rows_equal_the_library(tmp_path, precision, data, grid):
+    import confsets as cs
+
+    raw = synth_file(tmp_path, n=1200, k=20, seed=5, **data)
+    out = tmp_path / "demo.json"
+    assert run_cli("demo-precision", "--in", str(raw), "--alpha", "0.1",
+                   "--t-grid", ",".join(map(str, grid)), "--precision", precision,
+                   "--seed", "5", "--out", str(out)) == 0
+    halves = cs.split_dataset(cs.load_dataset(raw),
+                              cs.SplitSpec({"cal": 0.5, "test": 0.5}, seed=5))
+    spec = cs.ScoreSpec(kind="aps", randomized=True, rng_seed=5)
+    rows = []
+    for t in grid:
+        cal_map = cs.CalibrationMap.temperature(t)
+        result = cs.run_pipeline(halves["cal"], halves["test"], cal_map, spec, 0.1,
+                                 precision=precision)
+        cov, size = cs.coverage_and_size(result.mask, halves["test"].labels)
+        fraction, _ = cs.truncation_diagnostic(cal_map, halves["test"], precision=precision)
+        rows.append({"t": t, "coverage": cov, "average_size": size,
+                     "truncated_row_fraction": fraction})
+    assert json.loads(out.read_text()) == {"alpha": 0.1, "precision": precision,
+                                           "n_cal": 600, "n_test": 600, "rows": rows}
+    if precision == "f32":
+        assert rows[-1]["truncated_row_fraction"] > 0
+
+
 def test_demo_precision_requires_descending_grid(tmp_path, capsys):
     raw = synth_file(tmp_path, n=500, k=6, seed=10)
     code = run_cli("demo-precision", "--in", str(raw), "--alpha", "0.1",

@@ -33,6 +33,16 @@ def test_rejects_out_of_range_label():
         LogitsDataset(np.zeros((2, 3)), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([0.0, 1.7, 3.9]),   # would truncate to [0, 1, 3]
+    np.array([True, False, True]),
+    np.array(["1", "2", "0"]),
+], ids=["float", "bool", "str"])
+def test_rejects_non_integer_labels(labels):
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LogitsDataset(np.zeros((3, 4)), labels)
+
+
 def test_rejects_single_class():
     with pytest.raises(ValidationError):
         LogitsDataset(np.zeros((2, 1)), np.array([0, 0]))
@@ -210,6 +220,11 @@ def test_split_rejects_bad_fractions():
     ds = make_ds(10, 2)
     with pytest.raises(ValidationError):
         split_dataset(ds, SplitSpec({"a": 0.5, "b": 0.4}))
+    # a float seed would fail in numpy as a TypeError, and "no" would shuffle
+    for options, field in (({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"),
+                           ({"shuffle": "no"}, "shuffle")):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            SplitSpec({"a": 0.5, "b": 0.5}, **options)
 
 
 def test_split_rejects_too_small():

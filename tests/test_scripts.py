@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_coverage_study.py", ["--seeds", "1", "--n-cal", "200", "--n-test", "500",
                                "--k", "5"]),
     ("run_efficiency_experiment.py", ["--seeds", "1", "--n", "4000", "--k", "10"]),
-    ("run_precision_sweep.py", []),
 ])
 def test_script_runs(script, args):
     src = str(Path(confsets.__file__).resolve().parents[1])

@@ -39,6 +39,12 @@ def test_invalid_specs_rejected():
         SynthSpec(n=5, k=1)
     with pytest.raises(ValidationError):
         SynthSpec(n=5, k=5, noise=-1.0)
+    # not integers: the floats would fail in numpy as a TypeError, and True
+    # would draw one row
+    for options, field in (({"n": 10.5}, "n"), ({"k": 3.0}, "k"), ({"seed": 1.5}, "seed"),
+                           ({"n": True}, "n")):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            SynthSpec(**{"n": 5, "k": 5, **options})
 
 
 def test_paired_shift_zero_is_same_generator():

@@ -394,6 +394,10 @@ def test_tune_map_rejects_unknown_kind():
     ("grid_points", True),
     ("gd_max_iters", 2.5),
     ("gd_max_iters", True),
+    # 1.5 would fail in numpy's SeedSequence as a TypeError, and -1 only
+    # once tune_map splits the validation data
+    ("seed", 1.5),
+    ("seed", -1),
 ])
 def test_tune_config_rejects_values_that_break_the_optimizer(field, value):
     with pytest.raises(ValidationError, match=field):
