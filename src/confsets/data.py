@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ascii_lines, is_int
+from .errors import ValidationError, ascii_lines, is_int, is_number
 
 _MAGIC = b"CPLG"
 _VERSION = 1
@@ -62,6 +62,8 @@ class LogitsDataset:
             raise ValidationError(
                 f"label out of range in row {out[0]}: {labels[out[0]]} not in [0, {k})"
             )
+        # read-only views: the caller's own arrays stay writable, and nothing is copied
+        logits, labels = logits.view(), labels.view()
         logits.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "logits", logits)
@@ -98,9 +100,9 @@ class SplitSpec:
         if not self.fractions:
             raise ValidationError("at least one split part is required")
         for name, frac in self.fractions.items():
-            if not (0.0 < frac <= 1.0):
+            if not (is_number(frac) and 0.0 < frac <= 1.0):
                 raise ValidationError(
-                    f"fraction for part {name!r} must be in (0, 1], got {frac}"
+                    f"fraction for part {name!r} must be in (0, 1], got {frac!r}"
                 )
         total = sum(self.fractions.values())
         if abs(total - 1.0) > _FRACTION_SUM_TOL:

@@ -9,6 +9,10 @@ full label set; threshold files spell it "include_all".
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
 JSONL sets file is converted to and from that mask only at the file edge.
+`load_prediction_sets` allocates the mask once and fills it one chunk of
+lines at a time: one ``json.loads`` per chunk, checks over whole lists and
+arrays, and line-by-line checks only for a chunk that fails, so that an
+error names its line.
 
 `label_scores` and `predict` take the map's probabilities one row block
 of `maps.probability_blocks` at a time: label_scores keeps one true-label
@@ -29,13 +33,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
 from .data import LogitsDataset
-from .errors import (ValidationError, ascii_lines, check_keys, is_int, is_number, read_json,
+from .errors import (ValidationError, check_keys, is_int, is_number, line_chunks, read_json,
                      write_json)
 from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
@@ -259,10 +265,91 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
     """The n-by-k mask of a sets file.
 
     The i-th set (blank lines skipped) must carry "index": i and distinct
-    integer members in [0, k).
+    integer members in [0, k).  A first pass counts the rows, so the mask
+    is allocated once.  The second parses each `line_chunks` chunk with
+    one ``json.loads`` of its non-blank lines as one JSON array, checks
+    the chunk with whole-list and array operations and writes its rows of
+    the mask.  A chunk that fails any check goes to `_reject_chunk`, which
+    names the first bad line exactly as a line-by-line reading would.
     """
-    sets: list[list[int]] = []
-    for lineno, line in ascii_lines(path, "prediction-sets"):
+    n = sum(len(lines) - sum(map(str.isspace, lines)) for _, lines in line_chunks(path))
+    mask = np.zeros((n, k), dtype=bool)
+    row = 0
+    for first, lines in line_chunks(path):
+        count = len(lines) - sum(map(str.isspace, lines))
+        if not _fill_rows(mask[row:row + count], lines, row, k):
+            _reject_chunk(first, lines, row, k)
+        row += count
+    return mask
+
+
+def _fill_rows(block: np.ndarray, lines: list[str], row: int, k: int) -> bool:
+    """Write the sets of a chunk's ``lines`` (row ``row`` first) into
+    ``block``, one row per non-blank line; False when any line would fail
+    a check of `_reject_chunk`.
+
+    Each stripped line joins the JSON array after a newline, which no JSON
+    string may hold, so in text that parses no line ends inside a string,
+    and `_one_value_per_line` finds any line that ends inside brackets.
+    With as many values as lines, each line is then exactly one value.
+    """
+    body = ",\n".join([line.strip() for line in lines if not line.isspace()])
+    # the bracket check first, so that its copies are gone before the parse
+    if not (body.isascii() and _one_value_per_line(body)):
+        return False
+    try:
+        values = json.loads(f"[{body}]")
+    except (json.JSONDecodeError, RecursionError):
+        return False
+    if not (len(values) == len(block) and set(map(type, values)) <= {dict}):
+        return False
+    try:
+        indices = list(map(operator.itemgetter("index"), values))
+        sets = list(map(operator.itemgetter("set"), values))
+    except KeyError:
+        return False
+    # `type` is int for exactly the values `is_int` accepts, as in `_reject_chunk`
+    if not (set(map(type, indices)) <= {int} and indices == list(range(row, row + len(values)))
+            and set(map(type, sets)) <= {list}):
+        return False
+    members = list(itertools.chain.from_iterable(sets))
+    if members and not (set(map(type, members)) <= {int} and min(members) >= 0
+                        and max(members) < k):
+        return False
+    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    block[np.repeat(np.arange(len(sets)), lengths),
+          np.fromiter(members, dtype=np.intp, count=len(members))] = True
+    # the block was all False: one True cell per member unless one repeats
+    return int(np.count_nonzero(block)) == len(members)
+
+
+def _one_value_per_line(body: str) -> bool:
+    """Whether each line of ``body`` has balanced brackets outside its
+    strings; exact when ``[body]`` is valid JSON, which `_fill_rows` checks."""
+    if "\\" in body:  # drop the escapes: every quote left opens or closes a string
+        body = body.replace("\\\\", "").replace('\\"', "")
+    # Keep quotes, brackets and newlines.  The text between the 1st and 2nd
+    # quote, the 3rd and 4th, and so on, is a string's; dropping two
+    # adjacent quotes keeps that so.
+    marks = body.encode().translate(None, bytes(c for c in range(128) if chr(c) not in '"[]{}\n'))
+    brackets = b"".join(marks.replace(b'""', b"").split(b'"')[::2])
+    while True:  # cancel matched pairs from the inside out
+        inner = brackets.replace(b"[]", b"").replace(b"{}", b"")
+        if inner == brackets:
+            return not brackets.strip(b"\n")
+        brackets = inner
+
+
+def _reject_chunk(first: int, lines: list[str], row: int, k: int) -> NoReturn:
+    """Raise the error of the first bad line of a chunk that failed `_fill_rows`.
+
+    ``first`` is the chunk's first line number and ``row`` its first row.
+    The checks are the line-by-line reading's: every message names the
+    line it is about, counting every line of the file from 0.
+    """
+    for lineno, line in enumerate(lines, first):
+        if not line.isascii():
+            raise ValidationError(f"prediction-sets line {lineno}: non-ASCII byte")
         line = line.strip()
         if not line:
             continue
@@ -273,10 +360,9 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
         if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
             raise ValidationError(f"prediction-sets line {lineno}: missing 'index' or 'set'")
         index, members = obj["index"], obj["set"]
-        if not (is_int(index) and index == len(sets)):
+        if not (is_int(index) and index == row):
             raise ValidationError(
-                f"prediction-sets line {lineno}: index {index!r} is not the "
-                f"row position {len(sets)}"
+                f"prediction-sets line {lineno}: index {index!r} is not the row position {row}"
             )
         # json.loads makes no int subclass but bool, so this is `is_int` per member
         if not (isinstance(members, list) and set(map(type, members)) <= {int}):
@@ -287,10 +373,8 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
             raise ValidationError(f"prediction-sets line {lineno}: member outside [0, {k})")
         if len(set(members)) != len(members):
             raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
-        sets.append(members)
-    lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                          count=int(lengths.sum()))
-    mask = np.zeros((len(sets), k), dtype=bool)
-    mask[np.repeat(np.arange(len(sets)), lengths), members] = True
-    return mask
+        row += 1
+    raise ValidationError(
+        f"prediction-sets lines {first}-{first + len(lines) - 1}: "
+        "rejected as a chunk but not line by line"
+    )

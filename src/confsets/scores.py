@@ -297,6 +297,11 @@ def _cumulative_score(spec: ScoreSpec, prefix, at_rank, p_max, ranks, u) -> np.n
     if spec.kind == "saps":
         return np.where(ranks == 1, u * p_max, p_max + (ranks - 2 + u) * spec.saps_lambda)
     values = prefix - (1.0 - u) * at_rank
+    # 1 - u rounds to 1 when 0 < u <= 2**-54, which would drop u's term (no
+    # `draw_u_many` draw is that small: its smallest above 0 is 2**-53)
+    tiny = (u > 0.0) & (u <= 2.0**-54)
+    if np.any(tiny):
+        values = np.where(tiny, prefix - at_rank + u * at_rank, values)
     if spec.kind == "raps":
         values = values + spec.raps_lambda * np.maximum(0, ranks - spec.raps_kreg)
     return values

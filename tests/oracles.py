@@ -5,6 +5,7 @@ shared code paths with the package) so that agreement is evidence, not
 tautology.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -78,3 +79,38 @@ def oracle_quantile(scores, alpha):
 def oracle_aps_cumulative(probs, class_k):
     """Non-randomized cumulative score (u = 1)."""
     return oracle_score("aps", probs, class_k, u=1.0)
+
+
+def oracle_load_sets(path, k):
+    """Line-by-line sets-file reader: one ``json.loads`` and every check per line.
+
+    Returns the rows as lists of member classes, or raises ValueError with
+    the message the package gives for the first bad line (lines counted
+    from 0, blank lines skipped as rows but counted as lines).
+    """
+    sets = []
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh):
+            where = f"prediction-sets line {lineno}"
+            if not line.isascii():
+                raise ValueError(f"{where}: non-ASCII byte")
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
+                raise ValueError(f"{where}: missing 'index' or 'set'")
+            index, members = obj["index"], obj["set"]
+            if type(index) is not int or index != len(sets):
+                raise ValueError(f"{where}: index {index!r} is not the row position {len(sets)}")
+            if not (isinstance(members, list) and all(type(m) is int for m in members)):
+                raise ValueError(f"{where}: 'set' must be a list of integers")
+            if any(m < 0 or m >= k for m in members):
+                raise ValueError(f"{where}: member outside [0, {k})")
+            if len(set(members)) != len(members):
+                raise ValueError(f"{where}: duplicated member")
+            sets.append(members)
+    return sets

@@ -22,6 +22,7 @@ from confsets import (
     truncation_diagnostic,
 )
 from confsets import maps
+from confsets.engine import load_prediction_sets, save_prediction_sets
 from confsets.tuning import _evaluate_scalar, _Half, split_validation
 
 N_CAL, N_TEST = 23, 17
@@ -152,3 +153,14 @@ def test_scalar_tuner_stays_below_half_a_probability_matrix_at_chance_level():
     d_tau, d_loss = split_validation(ds, TuneConfig())
     assert np.mean(d_tau.logits.argmax(axis=1) != d_tau.labels) > 0.99
     _assert_scalar_tuner_stays_below(n * k * 8 / 2, d_tau, d_loss)
+
+
+def test_include_all_sets_file_loads_within_twice_its_mask(tmp_path):
+    # every row holds all K members; a loader that keeps each member as a
+    # Python int until the end peaks at about 45 times the mask
+    n, k = 2000, 1000
+    path = tmp_path / "sets.jsonl"
+    save_prediction_sets(np.ones((n, k), dtype=bool), path)
+    mask, peak = _traced_peak(load_prediction_sets, path, k)
+    assert mask.shape == (n, k) and mask.all()
+    assert peak < 2 * mask.nbytes, f"load_prediction_sets peaked at {peak / 2**20:.1f} MiB"

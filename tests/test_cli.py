@@ -1,12 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from confsets import errors
 from confsets.cli import main
+
+from oracles import oracle_load_sets
 
 
 def run_cli(*argv):
@@ -395,6 +399,21 @@ def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _renumbered(line: str, shift: int) -> str:
+    """A sets-file line with each "index": N made "index": N + shift."""
+    return re.sub(r'"index": (\d+)', lambda m: f'"index": {int(m[1]) + shift}', line)
+
+
+def _rows_past_first_chunk(lines: list[str]) -> list[str]:
+    """Valid sets-file lines, the rows of ``lines`` over again, that fill
+    more than the loader's first chunk."""
+    rows: list[str] = []
+    while sum(map(len, rows)) <= errors._CHUNK_CHARS:
+        i = len(rows)
+        rows.append(_renumbered(lines[i % len(lines)], i - i % len(lines)))
+    return rows
+
+
 @pytest.mark.parametrize("first_line", [
     '{"index": 0, "set": [1.7]}',
     '{"index": 0, "set": [true]}',
@@ -403,25 +422,39 @@ def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
     '{"index": 0, "set": [-1]}',
     '{"index": 0, "set": [3, 3]}',
     '{"index": 5, "set": [0]}',
+    '{"index": 0, "set": [1,]}',
+    '{"index": 0, "set": []}, {"index": 1, "set": []}',
+    '{"index": 0,\n"set": [1]}',
+    '{"index": 0}',
+    '{"index": true, "set": [0]}',
+    '{"index": 0.0, "set": [0]}',
+    '{"index": 0, "set": [1.0]}',
+    f'{{"index": 0, "set": [{2**70}]}}',
 ])
 def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, capsys):
     _, test, threshold, sets = predicted
     lines = sets.read_text().splitlines()
-    # the same record as row 1 after a blank line: line numbers count every line
-    later = json.loads(first_line)
-    later["index"] += 1
-    for body, where in [([first_line] + lines[1:], "line 0:"),
-                        ([lines[0], "", json.dumps(later)] + lines[2:], "line 2:")]:
+    rows = _rows_past_first_chunk(lines)
+    # the record as row 0, as row 1 after a blank line (line numbers count every
+    # line), and after a blank line past the first chunk; the message is the
+    # line-by-line reader's
+    for row, where in [(0, "line 0:"), (1, "line 2:"), (len(rows), f"line {len(rows) + 1}:")]:
+        body = rows[:row] + [""] * (row > 0) + [_renumbered(first_line, row)] \
+            + [_renumbered(line, row) for line in lines[1:3]]
         bad = tmp_path / "bad_sets.jsonl"
         bad.write_text("\n".join(body) + "\n")
+        with pytest.raises(ValueError) as expected:
+            oracle_load_sets(bad, 10)
         code = run_cli("evaluate", "--sets", str(bad), "--in", str(test), "--bins", "default",
                        "--ece-bins", "15", "--threshold", str(threshold),
                        "--out", str(tmp_path / "report.json"))
         assert code == 1
-        assert where in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert where in err
+        assert err == f"error: {expected.value}\n"
 
 
-@pytest.mark.parametrize("case", ["map", "threshold", "sets", "csv"])
+@pytest.mark.parametrize("case", ["map", "threshold", "sets", "sets-past-first-chunk", "csv"])
 def test_non_ascii_input_exits_1(tmp_path, predicted, case, capsys):
     # every text artifact is ASCII: a non-ASCII byte is a load error naming its line
     cal, test, threshold, sets = predicted
@@ -438,12 +471,15 @@ def test_non_ascii_input_exits_1(tmp_path, predicted, case, capsys):
         argv = ["predict", "--in", str(test), "--threshold", str(bad), "--seed", "7",
                 "--out", out]
         where = f"threshold file line {len(text.splitlines())}:"
-    elif case == "sets":
+    elif case.startswith("sets"):
         lines = sets.read_text().splitlines()
-        lines[3] = '{"index": 3, "set": [0], "note": "\u00e9"}'
+        if case == "sets-past-first-chunk":
+            lines = _rows_past_first_chunk(lines) + [""]
+        row = len(lines) - 1 if case == "sets-past-first-chunk" else 3
+        lines[row] = f'{{"index": {row}, "set": [0], "note": "\u00e9"}}'
         bad.write_bytes(("\n".join(lines) + "\n").encode())
         argv = ["evaluate", "--sets", str(bad), "--in", str(test), "--out", out]
-        where = "prediction-sets line 3:"
+        where = f"prediction-sets line {row}:"
     else:
         csv = synth_file(tmp_path, name="data.csv", n=20, k=3)
         lines = csv.read_text().splitlines()

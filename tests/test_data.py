@@ -54,6 +54,15 @@ def test_dataset_is_immutable():
         ds.logits[0, 0] = 99.0
 
 
+def test_dataset_views_leave_the_callers_arrays_writable():
+    # arrays already of the stored dtypes are viewed, not copied or frozen
+    logits, labels = np.zeros((3, 4)), np.array([0, 1, 2])
+    ds = LogitsDataset(logits, labels)
+    assert not ds.logits.flags.writeable and not ds.labels.flags.writeable
+    assert logits.flags.writeable and labels.flags.writeable
+    assert np.shares_memory(ds.logits, logits) and np.shares_memory(ds.labels, labels)
+
+
 # ---------------------------------------------------------------------------
 # csv format
 
@@ -220,6 +229,10 @@ def test_split_rejects_bad_fractions():
     ds = make_ds(10, 2)
     with pytest.raises(ValidationError):
         split_dataset(ds, SplitSpec({"a": 0.5, "b": 0.4}))
+    # a bool would count as 1, and a string would fail the comparison as a TypeError
+    for frac in (True, "0.5"):
+        with pytest.raises(ValidationError, match="^fraction for part 'a' must be"):
+            SplitSpec({"a": frac})
     # a float seed would fail in numpy as a TypeError, and "no" would shuffle
     for options, field in (({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"),
                            ({"shuffle": "no"}, "shuffle")):

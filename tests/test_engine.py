@@ -1,9 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsets import (
@@ -27,9 +28,10 @@ from confsets.engine import (
     save_prediction_sets,
     save_threshold,
 )
+from confsets import errors
 from confsets.scores import _BLOCK, _top_block, score_matrix, set_mask
 
-from oracles import oracle_quantile, oracle_set
+from oracles import oracle_load_sets, oracle_quantile, oracle_set
 
 score_vectors = st.lists(
     st.floats(0.0, 2.0, allow_nan=False).map(lambda v: round(v, 6)),
@@ -135,6 +137,8 @@ def prob_matrices(draw):
     st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     st.one_of(st.floats(0.0, 1.5), st.just(math.inf)),
 )
+# a u so small that 1 - u rounds to 1: its rank-1 score u * p is still above 0
+@example(np.full((4, 2), 0.5), "aps", True, [0.0, 0.0, 0.0, 2.8084671836810916e-223], 0.0)
 def test_predict_matches_bruteforce_oracle(probs, kind, randomized, us, tau):
     # every row of the mask is oracle_set of that row; tau = inf fills every row
     spec = ScoreSpec(
@@ -498,3 +502,93 @@ def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
     got = load_prediction_sets(path, k)
     assert got.shape == (n, k)
     np.testing.assert_array_equal(got, expected)
+
+
+# Sets-file text the writer never makes but the loader accepts: extra keys
+# whose strings hold brackets, quotes and escapes, nested extra values, key
+# order, spacing, whitespace that `str.strip` removes around a record, and
+# blank lines.
+_EXTRA_KEYS = ['"note": "]["', r'"note": "a\\\"[{,"', '"meta": {"a": [1, {"b": []}]}',
+               '"x": null']
+_PADS = ["", " ", "\t", "\x0c", "\x1c "]
+_BLANKS = ["", "  ", "\t", "\x0b"]
+
+
+def _record_text(rng, index, members) -> str:
+    colon = rng.choice([": ", ":", " : "])
+    items = [f'"index"{colon}{index}',
+             f'"set"{colon}[{rng.choice([", ", ","]).join(members)}]']
+    items += rng.choice(_EXTRA_KEYS, size=rng.integers(0, 3)).tolist()
+    rng.shuffle(items)
+    return rng.choice(_PADS) + "{" + rng.choice([", ", ",", " ,\t"]).join(items) + "}" \
+        + rng.choice(_PADS)
+
+
+def _bad_lines(kind, j, k, records):
+    """Row j's line (and for some kinds row j + 1's) made bad in one way."""
+    bad = {
+        "invalid-json": [f'{{"index": {j}, "set": [1,]}}'],
+        "two-records": [records[j] + ", " + records[j + 1]],
+        "split-record": [f'{{"index": {j},', '"set": [1]}'],
+        # as one array the two lines parse as rows j and j + 1, with the right indices
+        "split-across-rows": [records[j] + f', {{"index": {j + 1}, "set": [0', "1]}"],
+        "missing-key": [f'{{"index": {j}}}'],
+        "index-wrong": [f'{{"index": {j + 1}, "set": []}}'],
+        "index-true": ['{"index": true, "set": []}'],
+        "index-float": [f'{{"index": {j}.0, "set": []}}'],
+        "member-true": [f'{{"index": {j}, "set": [true]}}'],
+        "member-float": [f'{{"index": {j}, "set": [1.0]}}'],
+        "member-negative": [f'{{"index": {j}, "set": [-1]}}'],
+        "member-k": [f'{{"index": {j}, "set": [{k}]}}'],
+        "member-huge": [f'{{"index": {j}, "set": [{2**70}]}}'],
+        "member-twice": [f'{{"index": {j}, "set": [1, 1]}}'],
+        "non-ascii": [f'{{"index": {j}, "set": [], "note": "\xff"}}'],
+    }[kind]
+    return bad, (2 if kind in ("two-records", "split-across-rows") else 1)
+
+
+BAD_KINDS = ["invalid-json", "two-records", "split-record", "split-across-rows", "missing-key",
+             "index-wrong", "index-true", "index-float", "member-true", "member-float",
+             "member-negative", "member-k", "member-huge", "member-twice", "non-ascii"]
+
+
+@pytest.mark.parametrize("k, max_rows", [(2, 300), (50, 200), (1000, 30)])
+@given(seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 100, 2000, errors._CHUNK_CHARS]),
+       bad=st.none() | st.sampled_from(BAD_KINDS))
+def test_sets_loader_matches_line_by_line_reference(tmp_path_factory, k, max_rows, seed,
+                                                     chunk, bad):
+    # the chunked loader gives the reference's mask, or its error message
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_rows + 1))
+    mask = rng.random((n, k)) < rng.random((n, 1)) ** 2
+    mask[rng.integers(n)] = True
+    records = [_record_text(rng, i, [str(c) for c in rng.permutation(np.flatnonzero(row))])
+               for i, row in enumerate(mask)]
+    lines = list(records)
+    if bad is not None:
+        j = int(rng.integers(n - 1))
+        replacement, rows = _bad_lines(bad, j, k, records)
+        lines[j:j + rows] = replacement
+    for at in sorted(rng.integers(0, len(lines) + 1, size=rng.integers(0, 4)), reverse=True):
+        lines.insert(at, rng.choice(_BLANKS))
+    path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
+    path.write_bytes("".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+                     .encode("latin-1"))
+    try:
+        expected = oracle_load_sets(path, k)
+    except ValueError as exc:
+        assert bad is not None
+        with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
+            with pytest.raises(ValidationError) as got:
+                load_prediction_sets(path, k)
+        assert str(got.value) == str(exc)
+        return
+    assert bad is None
+    with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
+        got = load_prediction_sets(path, k)
+    reference = np.zeros((len(expected), k), dtype=bool)
+    for i, members in enumerate(expected):
+        reference[i, members] = True
+    np.testing.assert_array_equal(got, reference)
+    np.testing.assert_array_equal(got, mask)
