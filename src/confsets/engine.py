@@ -10,9 +10,12 @@ A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
 JSONL sets file is converted to and from that mask only at the file edge.
 `load_prediction_sets` allocates the mask once and fills it one chunk of
-lines at a time: one ``json.loads`` per chunk, checks over whole lists and
-arrays, and line-by-line checks only for a chunk that fails, so that an
-error names its line.
+lines at a time, with one ``json.loads`` per chunk.  One function holds
+the record rules; it checks a whole chunk at once, and each line alone
+only in a chunk that fails, so that an error names its line.  A record
+holds the keys "index" and "set" once each and no other, so its only
+strings are those keys, and one count of the "},\\n{" joins, not a
+bracket scan, shows that each line holds one record.
 
 `label_scores` and `predict` take the map's probabilities one row block
 of `maps.probability_blocks` at a time: label_scores keeps one true-label
@@ -30,6 +33,7 @@ rejects data with another class count.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -93,8 +97,11 @@ class ConformalThreshold:
             )
         if not (is_number(alpha) and 0.0 < alpha < 1.0):
             raise ValidationError(f"threshold alpha must be in (0, 1), got {alpha!r}")
-        if not (is_int(n_cal) and n_cal >= 1):
-            raise ValidationError(f"threshold n_cal must be an integer >= 1, got {n_cal!r}")
+        # sample indices are int64
+        if not (is_int(n_cal) and 1 <= n_cal < 2**63):
+            raise ValidationError(
+                f"threshold n_cal must be an integer in [1, 2**63), got {n_cal!r}"
+            )
         k = obj.get("k")
         if "k" in obj and not (is_int(k) and k >= 2):
             raise ValidationError(f"threshold k must be an integer >= 2, got {k!r}")
@@ -187,9 +194,15 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset,
     Row i draws its u at sample index n_cal + i under the threshold's
     seed, so the test stream never overlaps the calibration stream.  The
     mask is filled one `probability_blocks` block at a time.  Data with a
-    class count other than the threshold's is a ValidationError.
+    class count other than the threshold's, or too many rows for the
+    int64 sample indices after n_cal, is a ValidationError.
     """
     threshold.check_classes(ds.k)
+    if threshold.score_spec.uses_u and threshold.n_cal > 2**63 - ds.n:
+        raise ValidationError(
+            f"threshold n_cal={threshold.n_cal} puts the u draws of {ds.n} rows past "
+            "the last int64 sample index"
+        )
     mask = np.empty((ds.n, ds.k), dtype=bool)
     for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
         mask[rows] = predict_sets(threshold, probs,
@@ -264,88 +277,91 @@ def save_prediction_sets(mask: np.ndarray, path) -> None:
 def load_prediction_sets(path, k: int) -> np.ndarray:
     """The n-by-k mask of a sets file.
 
-    The i-th set (blank lines skipped) must carry "index": i and distinct
-    integer members in [0, k).  A first pass counts the rows, so the mask
-    is allocated once.  The second parses each `line_chunks` chunk with
-    one ``json.loads`` of its non-blank lines as one JSON array, checks
-    the chunk with whole-list and array operations and writes its rows of
-    the mask.  A chunk that fails any check goes to `_reject_chunk`, which
-    names the first bad line exactly as a line-by-line reading would.
+    The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
+    with no other key, no key twice, and distinct integer members in
+    [0, k).  A first pass counts the rows, so the mask is allocated once.
+    The second joins each `line_chunks` chunk's stripped non-blank lines
+    with ",\\n", parses them as one JSON array and lets `_fill_rows` check
+    the records and write their rows of the mask.  A chunk that fails goes
+    to `_reject_chunk`, which names the first bad line as a line-by-line
+    reading would.
+
+    No bracket scan is needed to find a line that holds two records or
+    part of one.  A record with the two keys, an integer and a list of
+    integers has four quotes in its text, and more exactly when a key
+    repeats (``json.loads`` keeps the last value), so `_fill_rows` counts
+    the quotes.  A record that passes thus has no string but its two keys
+    and no brace but its own pair, and the chunk's only newlines are the
+    joins.  So once every record passes, each line holds one record
+    exactly when there are as many records as lines, the text starts with
+    "{" and ends with "}", and every join reads "},\\n{": one ``str.count``.
     """
     n = sum(len(lines) - sum(map(str.isspace, lines)) for _, lines in line_chunks(path))
     mask = np.zeros((n, k), dtype=bool)
     row = 0
     for first, lines in line_chunks(path):
         count = len(lines) - sum(map(str.isspace, lines))
-        if not _fill_rows(mask[row:row + count], lines, row, k):
+        if not count:
+            continue
+        body = ",\n".join([line.strip() for line in lines if not line.isspace()])
+        values = []
+        if body.isascii() and body[0] + body[-1] == "{}" and body.count("},\n{") == count - 1:
+            with contextlib.suppress(ValueError, RecursionError):
+                values = json.loads(f"[{body}]")
+        if len(values) != count or _fill_rows(mask[row:row + count], values, body, row, k):
             _reject_chunk(first, lines, row, k)
         row += count
     return mask
 
 
-def _fill_rows(block: np.ndarray, lines: list[str], row: int, k: int) -> bool:
-    """Write the sets of a chunk's ``lines`` (row ``row`` first) into
-    ``block``, one row per non-blank line; False when any line would fail
-    a check of `_reject_chunk`.
+def _fill_rows(block: np.ndarray, values: list, text: str, row: int, k: int) -> str | None:
+    """Write the records ``values``, parsed from ``text``, into the
+    all-False ``block``, one row each, the first at row ``row`` of the
+    file; or return the message of the first rule that a record breaks.
 
-    Each stripped line joins the JSON array after a newline, which no JSON
-    string may hold, so in text that parses no line ends inside a string,
-    and `_one_value_per_line` finds any line that ends inside brackets.
-    With as many values as lines, each line is then exactly one value.
+    The rules, in order: a record is an object with the keys "index" and
+    "set" and no other; the indices are the row positions; each set is a
+    list of integers; no key repeats; the members lie in [0, k) with none
+    repeated.  For a single record the message is the one a line-by-line
+    reading gives; for more, only whether there is one counts.
     """
-    body = ",\n".join([line.strip() for line in lines if not line.isspace()])
-    # the bracket check first, so that its copies are gone before the parse
-    if not (body.isascii() and _one_value_per_line(body)):
-        return False
-    try:
-        values = json.loads(f"[{body}]")
-    except (json.JSONDecodeError, RecursionError):
-        return False
-    if not (len(values) == len(block) and set(map(type, values)) <= {dict}):
-        return False
+    if not set(map(type, values)) <= {dict}:
+        return "missing 'index' or 'set'"
     try:
         indices = list(map(operator.itemgetter("index"), values))
         sets = list(map(operator.itemgetter("set"), values))
     except KeyError:
-        return False
-    # `type` is int for exactly the values `is_int` accepts, as in `_reject_chunk`
-    if not (set(map(type, indices)) <= {int} and indices == list(range(row, row + len(values)))
-            and set(map(type, sets)) <= {list}):
-        return False
-    members = list(itertools.chain.from_iterable(sets))
-    if members and not (set(map(type, members)) <= {int} and min(members) >= 0
-                        and max(members) < k):
-        return False
+        return "missing 'index' or 'set'"
+    if not set(map(len, values)) <= {2}:
+        return f"unknown keys {sorted(set().union(*values) - {'index', 'set'})}"
+    # json.loads makes no int subclass but bool, so `type` is int exactly where `is_int` holds
+    if not (set(map(type, indices)) <= {int} and indices == list(range(row, row + len(values)))):
+        return f"index {indices[0]!r} is not the row position {row}"
+    if not (set(map(type, sets)) <= {list}
+            and set(map(type, members := list(itertools.chain.from_iterable(sets)))) <= {int}):
+        return "'set' must be a list of integers"
+    # each key's string has two quotes, and the values now hold no string
+    if text.count('"') != 4 * len(values):
+        return "repeated key"
+    if members and (min(members) < 0 or max(members) >= k):
+        return f"member outside [0, {k})"
     lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     block[np.repeat(np.arange(len(sets)), lengths),
           np.fromiter(members, dtype=np.intp, count=len(members))] = True
-    # the block was all False: one True cell per member unless one repeats
-    return int(np.count_nonzero(block)) == len(members)
-
-
-def _one_value_per_line(body: str) -> bool:
-    """Whether each line of ``body`` has balanced brackets outside its
-    strings; exact when ``[body]`` is valid JSON, which `_fill_rows` checks."""
-    if "\\" in body:  # drop the escapes: every quote left opens or closes a string
-        body = body.replace("\\\\", "").replace('\\"', "")
-    # Keep quotes, brackets and newlines.  The text between the 1st and 2nd
-    # quote, the 3rd and 4th, and so on, is a string's; dropping two
-    # adjacent quotes keeps that so.
-    marks = body.encode().translate(None, bytes(c for c in range(128) if chr(c) not in '"[]{}\n'))
-    brackets = b"".join(marks.replace(b'""', b"").split(b'"')[::2])
-    while True:  # cancel matched pairs from the inside out
-        inner = brackets.replace(b"[]", b"").replace(b"{}", b"")
-        if inner == brackets:
-            return not brackets.strip(b"\n")
-        brackets = inner
+    # one True cell per member unless one repeats
+    if np.count_nonzero(block) != len(members):
+        return "duplicated member"
+    return None
 
 
 def _reject_chunk(first: int, lines: list[str], row: int, k: int) -> NoReturn:
-    """Raise the error of the first bad line of a chunk that failed `_fill_rows`.
+    """Raise the error of the first bad line of a chunk that
+    `load_prediction_sets` rejected.
 
     ``first`` is the chunk's first line number and ``row`` its first row.
-    The checks are the line-by-line reading's: every message names the
-    line it is about, counting every line of the file from 0.
+    Each line is read alone and its record checked by `_fill_rows`, so
+    every message names the line it is about, counting every line of the
+    file from 0.
     """
     for lineno, line in enumerate(lines, first):
         if not line.isascii():
@@ -354,25 +370,12 @@ def _reject_chunk(first: int, lines: list[str], row: int, k: int) -> NoReturn:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"prediction-sets line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
-            raise ValidationError(f"prediction-sets line {lineno}: missing 'index' or 'set'")
-        index, members = obj["index"], obj["set"]
-        if not (is_int(index) and index == row):
-            raise ValidationError(
-                f"prediction-sets line {lineno}: index {index!r} is not the row position {row}"
-            )
-        # json.loads makes no int subclass but bool, so this is `is_int` per member
-        if not (isinstance(members, list) and set(map(type, members)) <= {int}):
-            raise ValidationError(
-                f"prediction-sets line {lineno}: 'set' must be a list of integers"
-            )
-        if members and (min(members) < 0 or max(members) >= k):
-            raise ValidationError(f"prediction-sets line {lineno}: member outside [0, {k})")
-        if len(set(members)) != len(members):
-            raise ValidationError(f"prediction-sets line {lineno}: duplicated member")
+        message = _fill_rows(np.zeros((1, k), dtype=bool), [value], line, row, k)
+        if message:
+            raise ValidationError(f"prediction-sets line {lineno}: {message}")
         row += 1
     raise ValidationError(
         f"prediction-sets lines {first}-{first + len(lines) - 1}: "

@@ -80,5 +80,6 @@ def read_json(path, what: str):
     text = "".join(line for _, line in ascii_lines(path, what))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer of over 4300 digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc

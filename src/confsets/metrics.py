@@ -76,22 +76,21 @@ def expected_calibration_error(probs: np.ndarray, labels,
 
 def _binned_ece(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> float:
     """ECE from each row's top-1 confidence and whether its top-1 class is the label."""
-    if n_bins < 1:
-        raise ValidationError("bin count must be >= 1")
-    correct = correct.astype(np.float64)
+    # above 2**53 a float bin index is not exact, and its int64 cast can overflow
+    if not 1 <= n_bins <= 2**53:
+        raise ValidationError(f"bin count must be in [1, 2**53], got {n_bins}")
     # bin m covers ((m-1)/M, m/M]; exact zeros go to the first bin
-    idx = np.ceil(conf * n_bins).astype(np.int64) - 1
-    idx = np.clip(idx, 0, n_bins - 1)
+    idx = np.clip(np.ceil(conf * n_bins).astype(np.int64) - 1, 0, n_bins - 1)
+    # each occupied bin's rows, in row order, as one segment in ascending bin order
+    order = np.argsort(idx, kind="stable")
+    idx, conf, correct = idx[order], conf[order], correct[order].astype(np.float64)
+    bounds = np.flatnonzero(np.diff(idx, prepend=-1, append=n_bins)).tolist()
     n = conf.shape[0]
     ece = 0.0
-    for m in range(n_bins):
-        in_bin = idx == m
-        count = int(in_bin.sum())
-        if count == 0:
-            continue
-        acc = float(correct[in_bin].mean())
-        avg_conf = float(conf[in_bin].mean())
-        ece += (count / n) * abs(acc - avg_conf)
+    for a, b in zip(bounds, bounds[1:]):
+        acc = float(correct[a:b].mean())
+        avg_conf = float(conf[a:b].mean())
+        ece += ((b - a) / n) * abs(acc - avg_conf)
     return ece
 
 

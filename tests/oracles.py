@@ -99,15 +99,20 @@ def oracle_load_sets(path, k):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
                 raise ValueError(f"{where}: missing 'index' or 'set'")
+            if set(obj) != {"index", "set"}:
+                raise ValueError(f"{where}: unknown keys {sorted(set(obj) - {'index', 'set'})}")
             index, members = obj["index"], obj["set"]
             if type(index) is not int or index != len(sets):
                 raise ValueError(f"{where}: index {index!r} is not the row position {len(sets)}")
             if not (isinstance(members, list) and all(type(m) is int for m in members)):
                 raise ValueError(f"{where}: 'set' must be a list of integers")
+            keys = json.loads(line, object_pairs_hook=lambda pairs: [key for key, _ in pairs])
+            if len(keys) != len(set(keys)):
+                raise ValueError(f"{where}: repeated key")
             if any(m < 0 or m >= k for m in members):
                 raise ValueError(f"{where}: member outside [0, {k})")
             if len(set(members)) != len(members):

@@ -304,6 +304,8 @@ def test_predict_seed_must_be_the_calibration_seed(tmp_path, predicted, capsys):
     ("tau", float("nan")), ("tau", float("inf")), ("tau", float("-inf")), ("tau", "all"),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 7), ("alpha", float("nan")),
     ("n_cal", 0), ("n_cal", 2.5), ("n_cal", "300"), ("n_cal", True),
+    # the u draws start at sample index n_cal, an int64
+    ("n_cal", 2**63), ("n_cal", 10**30),
     # a finite tau with n_cal 5 (level 6 > 5), and include_all with n_cal 300
     ("n_cal", 5), ("tau", "include_all"),
     # an unknown key
@@ -320,6 +322,19 @@ def test_predict_rejects_unsafe_threshold(tmp_path, predicted, field, value):
     code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
                    "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
     assert code == 1
+
+
+def test_predict_rejects_n_cal_whose_draws_pass_int64(tmp_path, predicted, capsys):
+    # the last test row draws its u at sample index n_cal + n_test - 1
+    _, test, threshold, _ = predicted
+    obj = json.loads(threshold.read_text())
+    obj["n_cal"] = 2**63 - 1
+    bad = tmp_path / "bad_threshold.json"
+    bad.write_text(json.dumps(obj))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(bad),
+                   "--seed", "7", "--out", str(tmp_path / "out.jsonl"))
+    assert code == 1
+    assert f"threshold n_cal={2**63 - 1}" in capsys.readouterr().err
 
 
 def test_threshold_rejects_data_with_another_class_count(tmp_path, predicted, capsys):
@@ -365,6 +380,16 @@ def test_evaluate_rejects_bad_bins(tmp_path, predicted, bins, message, capsys):
                    "--out", str(tmp_path / "report.json"))
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ece_bins", ["0", str(2**53 + 1), str(10**30)])
+def test_evaluate_rejects_bad_ece_bin_count(tmp_path, predicted, ece_bins, capsys):
+    _, test, threshold, sets = predicted
+    code = run_cli("evaluate", "--sets", str(sets), "--in", str(test), "--bins", "default",
+                   "--ece-bins", ece_bins, "--threshold", str(threshold),
+                   "--out", str(tmp_path / "report.json"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: bin count must be in [1, 2**53], got {ece_bins}\n"
 
 
 @pytest.mark.parametrize("score", [
@@ -430,6 +455,12 @@ def _rows_past_first_chunk(lines: list[str]) -> list[str]:
     '{"index": 0.0, "set": [0]}',
     '{"index": 0, "set": [1.0]}',
     f'{{"index": 0, "set": [{2**70}]}}',
+    # a record holds exactly "index" and "set"; none of these escapes as a traceback
+    pytest.param('{"index": 0, "note": "x", "set": [1]}', id="extra-key"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    pytest.param(f'{{"index": 0, "set": [{"9" * 5000}]}}', id="member-5000-digits"),
+    # json.loads keeps a repeated key's last value
+    pytest.param('{"index": 0, "set": [5], "set": [1]}', id="repeated-key"),
 ])
 def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, capsys):
     _, test, threshold, sets = predicted
@@ -452,6 +483,34 @@ def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, c
         err = capsys.readouterr().err
         assert where in err
         assert err == f"error: {expected.value}\n"
+
+
+@pytest.mark.parametrize("case", ["threshold-nested", "threshold-n_cal-5000-digits",
+                                  "map-t-5000-digits"])
+def test_json_that_python_cannot_decode_exits_1(tmp_path, predicted, case, capsys):
+    # json.loads raises RecursionError or a plain ValueError on these, not JSONDecodeError
+    cal, test, threshold, _ = predicted
+    bad = tmp_path / "bad.json"
+    out = str(tmp_path / "out")
+    if case == "map-t-5000-digits":
+        bad.write_text('{"kind": "temperature", "params": {"t": %s}}\n' % ("9" * 5000))
+        argv = ["calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                "--params", str(bad), "--seed", "7", "--out", out]
+        what = "map file"
+    else:
+        if case == "threshold-nested":
+            bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        else:
+            obj = json.loads(threshold.read_text())
+            bad.write_text(json.dumps(obj).replace(f'"n_cal": {obj["n_cal"]}',
+                                                   f'"n_cal": {"9" * 5000}'))
+        argv = ["predict", "--in", str(test), "--threshold", str(bad), "--seed", "7",
+                "--out", out]
+        what = "threshold file"
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["map", "threshold", "sets", "sets-past-first-chunk", "csv"])

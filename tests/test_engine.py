@@ -504,21 +504,23 @@ def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
     np.testing.assert_array_equal(got, expected)
 
 
-# Sets-file text the writer never makes but the loader accepts: extra keys
-# whose strings hold brackets, quotes and escapes, nested extra values, key
-# order, spacing, whitespace that `str.strip` removes around a record, and
-# blank lines.
-_EXTRA_KEYS = ['"note": "]["', r'"note": "a\\\"[{,"', '"meta": {"a": [1, {"b": []}]}',
-               '"x": null']
+# Sets-file text the writer never makes but the loader accepts: key order,
+# escaped key names, spacing, whitespace that `str.strip` removes around a
+# record, and blank lines.
+_INDEX_KEYS = ['"index"', r'"\u0069ndex"', r'"inde\u0078"']
+_SET_KEYS = ['"set"', r'"\u0073et"', r'"s\u0065t"']
 _PADS = ["", " ", "\t", "\x0c", "\x1c "]
 _BLANKS = ["", "  ", "\t", "\x0b"]
+# Keys the writer never writes, whose strings hold brackets, quotes and
+# escapes, with nested values and null: each makes a record bad.
+_EXTRA_KEYS = {"extra-brackets": '"note": "]["', "extra-escapes": r'"note": "a\\\"[{,"',
+               "extra-nested": '"meta": {"a": [1, {"b": []}]}', "extra-null": '"x": null'}
 
 
 def _record_text(rng, index, members) -> str:
     colon = rng.choice([": ", ":", " : "])
-    items = [f'"index"{colon}{index}',
-             f'"set"{colon}[{rng.choice([", ", ","]).join(members)}]']
-    items += rng.choice(_EXTRA_KEYS, size=rng.integers(0, 3)).tolist()
+    items = [f'{rng.choice(_INDEX_KEYS)}{colon}{index}',
+             f'{rng.choice(_SET_KEYS)}{colon}[{rng.choice([", ", ","]).join(members)}]']
     rng.shuffle(items)
     return rng.choice(_PADS) + "{" + rng.choice([", ", ",", " ,\t"]).join(items) + "}" \
         + rng.choice(_PADS)
@@ -543,19 +545,30 @@ def _bad_lines(kind, j, k, records):
         "member-huge": [f'{{"index": {j}, "set": [{2**70}]}}'],
         "member-twice": [f'{{"index": {j}, "set": [1, 1]}}'],
         "non-ascii": [f'{{"index": {j}, "set": [], "note": "\xff"}}'],
+        "deep-nesting": [f'{{"index": {j}, "set": {"[" * 5000}{"]" * 5000}}}'],
+        "member-5000-digits": [f'{{"index": {j}, "set": [{"9" * 5000}]}}'],
+        "repeated-key": [f'{{"set": [1], "index": {j}, "set": [0]}}'],
+        # json.loads keeps a repeated key's last value, so the braces of the first
+        # one hide the split: as one array the lines parse as rows j to j + 2
+        "duplicate-key-split": ['{"set": [{}', f'{{}}], "index": {j}, "set": [0]}}',
+                                f'{{"index": {j + 1}, "set": []}}, {{"index": {j + 2}, "set": []}}'],
+        **{name: [f'{{"index": {j}, {extra}, "set": [1]}}'] for name, extra in _EXTRA_KEYS.items()},
     }[kind]
-    return bad, (2 if kind in ("two-records", "split-across-rows") else 1)
+    return bad, {"two-records": 2, "split-across-rows": 2, "duplicate-key-split": 3}.get(kind, 1)
 
 
 BAD_KINDS = ["invalid-json", "two-records", "split-record", "split-across-rows", "missing-key",
              "index-wrong", "index-true", "index-float", "member-true", "member-float",
-             "member-negative", "member-k", "member-huge", "member-twice", "non-ascii"]
+             "member-negative", "member-k", "member-huge", "member-twice", "non-ascii",
+             "deep-nesting", "member-5000-digits", "repeated-key", "duplicate-key-split",
+             *_EXTRA_KEYS]
 
 
 @pytest.mark.parametrize("k, max_rows", [(2, 300), (50, 200), (1000, 30)])
 @given(seed=st.integers(0, 2**32 - 1),
        chunk=st.sampled_from([1, 100, 2000, errors._CHUNK_CHARS]),
        bad=st.none() | st.sampled_from(BAD_KINDS))
+@example(seed=0, chunk=errors._CHUNK_CHARS, bad="duplicate-key-split")
 def test_sets_loader_matches_line_by_line_reference(tmp_path_factory, k, max_rows, seed,
                                                      chunk, bad):
     # the chunked loader gives the reference's mask, or its error message

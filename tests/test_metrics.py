@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,6 +104,32 @@ def test_ece_zero_confidence_goes_to_first_bin():
     labels = np.array([0])
     # falls in bin ceil(0.5*2)-1 = 0 with M=2; accuracy 1, conf 0.5 -> gap 0.5
     assert expected_calibration_error(probs, labels, 2) == pytest.approx(0.5)
+
+
+def _reference_ece(conf, correct, n_bins):
+    """ECE bin by bin: each occupied bin's rows in row order, bins in ascending order."""
+    rows = {}
+    for i, c in enumerate(conf.tolist()):
+        rows.setdefault(min(max(math.ceil(c * n_bins) - 1, 0), n_bins - 1), []).append(i)
+    ece = 0.0
+    for m in sorted(rows):
+        gap = abs(float(correct[rows[m]].astype(np.float64).mean()) - float(conf[rows[m]].mean()))
+        ece += (len(rows[m]) / len(conf)) * gap
+    return ece
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 15, 12345, 10**9, 10**15, 2**53]))
+def test_ece_matches_per_bin_reference(seed, n_bins):
+    # bit for bit, at any bin count up to 2**53
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+    probs = rng.dirichlet(np.full(k, rng.uniform(0.05, 2.0)), size=n)
+    if rng.random() < 0.5:  # ties at bin edges
+        probs = np.round(probs * 20) / 20
+    labels = rng.integers(0, k, size=n)
+    conf, correct = probs.max(axis=1), probs.argmax(axis=1) == labels
+    assert expected_calibration_error(probs, labels, n_bins) == _reference_ece(conf, correct,
+                                                                               n_bins)
 
 
 # ---------------------------------------------------------------------------
