@@ -15,7 +15,8 @@ A row's rank-1 class is its first largest value, which is what
 `np.argmax` returns: the stable descending order puts the largest values
 first and breaks their ties by ascending class.  So a label equal to its
 row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
-and `label_ranks` rank only the other rows, in `_ranks_below_top`.
+ranks only the other rows, and so does `label_ranks` unless most rows are
+below rank 1.
 
 `score_matrix`, `true_label_scores` and `set_mask` share one entry check,
 `_checked`.  `score_matrix` sorts every row with `_descending`, and stays
@@ -29,8 +30,10 @@ by (seed, sample_index), so parallel evaluation cannot change results.
 `set_mask` builds prediction sets (the classes scoring <= tau).  An
 aps/raps/saps set is a prefix of its row's order, so each row is read off
 a block of its top classes; one floor, the u = 0 score at the block's
-last rank, certifies that no class beyond the block enters the set.  An
-uncertified row is read again off a block of all K classes.
+last rank, certifies that no class beyond the block enters the set.  The
+block is min(_BLOCK, K) wide, or 2 wide when K <= _BLOCK and most rows
+hold a probability above tau (sharp rows, whose set is at most their top
+class).  An uncertified row is read again off a block of all K classes.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
 _PROB_SUM_TOL = 1e-6
 
-# Classes per row that `set_mask` sorts first.  On 7.5k x 1000 synthetic
-# rows at alpha 0.1 (randomized aps), blocks of 16, 32, 64 and 128 left
-# 1697, 518, 8 and 0 rows uncertified; 64 was the fastest.
+# Classes per row that `set_mask` sorts first; rows no wider than this are
+# read whole, or off their top 2 classes when most of them are sharp.  On
+# 7.5k x 1000 synthetic rows at alpha 0.1 (randomized aps), blocks of 16,
+# 32, 64 and 128 left 1697, 518, 8 and 0 rows uncertified; 64 was the
+# fastest.
 _BLOCK = 64
 
 
@@ -163,24 +168,18 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1-indexed rank of each row's label, without sorting."""
-    rest, _, below = _ranks_below_top(probs, labels)
-    ranks = np.ones(len(labels), dtype=np.int64)
-    ranks[rest] = below
-    return ranks
+    """1-indexed rank of each row's label, without sorting.
 
-
-def _ranks_below_top(probs: np.ndarray,
-                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rest, q, ranks)`` for the rows whose label is not the row's argmax.
-
-    ``rest`` indexes those rows and ``q`` is a copy of them.  ``ranks``
-    counts #(p > p_y) + #(p == p_y and class < y) + 1 on each, the label's
-    position in the stable descending order (ties included).
+    When fewer than half the labels are at their row's argmax, the whole
+    block is counted in place, and a rank-1 label counts 1 by itself;
+    otherwise only the other rows are copied and counted.
     """
     rest = np.flatnonzero(probs.argmax(axis=1) != labels)
-    q = probs[rest]
-    return rest, q, np.count_nonzero(_at_or_ahead(q, labels[rest]), axis=1)
+    if 2 * rest.size > len(labels):
+        return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
+    ranks = np.ones(len(labels), dtype=np.int64)
+    ranks[rest] = np.count_nonzero(_at_or_ahead(probs[rest], labels[rest]), axis=1)
+    return ranks
 
 
 def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -262,7 +261,9 @@ def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
     if spec.kind == "lac":
         return 1.0 - p_y
     scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u_eff)
-    rest, q, ranks = _ranks_below_top(p, labels)
+    rest = np.flatnonzero(p.argmax(axis=1) != labels)
+    q = p[rest]
+    ranks = np.count_nonzero(_at_or_ahead(q, labels[rest]), axis=1)
     # A label's prefix sum needs the row's values in descending order, not
     # the classes that hold them: tied classes hold equal values, so this
     # sums the same numbers in the same order as the stable argsort.  ``q``
@@ -315,15 +316,29 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     compares 1 - p directly and tau = +inf is the full set.  Every other
     row is read off its top min(``_BLOCK``, K) classes (`_top_block`), and
     the rows that block cannot certify are read again off all K.
+
+    When K <= ``_BLOCK`` and more than half the block's values are above
+    tau, the first read takes each row's top 2 classes instead of sorting
+    the whole row.  The count routes and decides nothing: each block's
+    certificate is exact, so the mask is the same on either route.  It is
+    one flat pass, cheaper than a row maximum.  At tau >= 1/2 a row holds
+    at most one value above tau, so the count is then the number of rows
+    whose top class is above tau.  Such a row's 2-class floor is at least
+    p_1 > tau, so the 2-class block certifies it unless its second value
+    recurs beyond the block or it holds a negative value.  Wider rows skip
+    the 2-class block: their first read sorts only ``_BLOCK`` classes, and
+    there the count and the copied rows cost about what it would save.
     """
     p, u_eff = _checked(spec, probs, u)
     if spec.kind == "lac":
         return 1.0 - p <= tau
     if tau == math.inf:
         return np.ones(p.shape, dtype=bool)
-    mask, rest = _top_block(spec, p, tau, u_eff, min(_BLOCK, p.shape[1]))
+    n, k = p.shape
+    sharp = k <= _BLOCK and 2 * np.count_nonzero(p > tau) > n
+    mask, rest = _top_block(spec, p, tau, u_eff, 2 if sharp else min(_BLOCK, k))
     if rest.size:
-        mask[rest] = _top_block(spec, p[rest], tau, u_eff[rest], p.shape[1])[0]
+        mask[rest] = _top_block(spec, p[rest], tau, u_eff[rest], k)[0]
     return mask
 
 

@@ -53,8 +53,8 @@ def generate_paired_shifted(spec: SynthSpec, shift: float) -> tuple[LogitsDatase
 
 def _sample(spec: SynthSpec, rng: np.random.Generator, signal: float) -> LogitsDataset:
     labels = rng.integers(0, spec.k, size=spec.n)
-    noise = rng.standard_normal((spec.n, spec.k))
-    logits = spec.noise * noise
+    logits = rng.standard_normal((spec.n, spec.k))
+    logits *= spec.noise
     logits[np.arange(spec.n), labels] += signal
     logits *= spec.overconfidence
     return LogitsDataset(logits, labels)

@@ -13,6 +13,7 @@ from confsets import (
     ScoreSpec,
     SynthSpec,
     ValidationError,
+    apply_map_dataset,
     calibrate,
     calibrate_threshold,
     coverage_and_size,
@@ -181,6 +182,59 @@ def _assert_mask_is_full_path(spec, probs, u, tau):
     np.testing.assert_array_equal(got, score_matrix(spec, probs, u) <= tau)
 
 
+def _sharp_case(draw):
+    """A block where most rows hold a probability above tau, with hard rows.
+
+    Plain rows put 0.5-1 on one class and spread the rest on a coarse grid
+    (ties and exact zeros).  Fewer hard rows mix in: a tie at the top two
+    values, a tie at the second and third, or a plain row with one value
+    pushed below 0.  tau is below every plain row's largest value, or one
+    ulp around (or at) one plain row's largest value.
+    """
+    n_plain = draw(st.integers(2, 6))
+    kinds = ["plain"] * n_plain + draw(st.lists(
+        st.sampled_from(["top tie", "second tie", "negative"]), max_size=n_plain - 1))
+    k = draw(st.sampled_from([2, 3, 50, _BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "top tie":
+            head = np.full(2, 0.5 if k == 2 else rng.uniform(0.34, 0.5))
+        else:
+            head = np.asarray([rng.uniform(0.5, 1.0)])
+        w = rng.integers(0, 4, size=k - head.size).astype(float)
+        if w.size:
+            w[0] += 1.0
+            w *= (1.0 - head.sum()) / w.sum()
+        w = np.concatenate([head, w])
+        if kind == "second tie" and k > 2:
+            second, third = np.argsort(w)[-2:-4:-1]
+            w[third] = w[second]
+            w /= w.sum()
+        elif kind == "negative":
+            # still sums to 1: the smallest value moves to another class, 1e-3 past 0
+            low, other = np.argsort(w)[:2]
+            shift = w[low] + 1e-3
+            w[[low, other]] += [-shift, shift]
+        rows.append(w[rng.permutation(k)])
+    order = rng.permutation(len(kinds))
+    probs = np.stack(rows)[order]
+    plain = (np.asarray(kinds) == "plain")[order]
+    if draw(st.booleans()):
+        probs = probs.astype(np.float32)
+    tops = probs.astype(float).max(axis=1)[plain]
+    if draw(st.booleans()):
+        tau = float(rng.uniform(0.0, 1.0) * tops.min())
+    else:
+        tau = float(tops[rng.integers(tops.size)])
+        tau = float(np.nextafter(tau, draw(st.sampled_from([-math.inf, tau, math.inf]))))
+    spec = _spec(draw(st.sampled_from(["aps", "raps", "saps"])), draw(st.booleans()))
+    u = rng.random(len(kinds)) if spec.uses_u else None
+    if u is not None and draw(st.booleans()):
+        u[rng.integers(len(kinds))] = draw(st.sampled_from([0.0, 1.0]))
+    return spec, probs, u, tau
+
+
 @st.composite
 def wide_cases(draw):
     """Probability rows on both sides of the top block's width, and a tau.
@@ -191,7 +245,10 @@ def wide_cases(draw):
     0.  tau is 0, +inf, a random value, one of the row's prefix sums or
     scores nudged by at most one ulp, or (for non-randomized aps, so that
     most rows wider than the block are read again) a few ulps below 1.0.
+    Half the draws are sharp blocks instead (`_sharp_case`).
     """
+    if draw(st.booleans()):
+        return _sharp_case(draw)
     n = draw(st.integers(1, 5))
     k = draw(st.sampled_from([2, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -308,7 +365,8 @@ def test_top_block_sends_negative_rows_to_full_path():
 def test_top_block_certifies_narrow_rows_in_one_pass():
     # with m = K the block is the whole row, so no row is left over, even
     # one with a negative value or tau above every score; K <= _BLOCK rows
-    # take this block first, wider rows on their second read
+    # take this block first unless the 2-class block comes first, wider rows
+    # on their second read
     wide = np.stack([STEEP] * 2)
     narrow = wide[:, :_BLOCK] / wide[:, :_BLOCK].sum(axis=1, keepdims=True)
     narrow[1, -2:] += [-narrow[1, -2] - 1e-3, narrow[1, -2] + 1e-3]
@@ -331,6 +389,32 @@ def test_top_block_certifies_narrow_rows_in_one_pass():
                     assert rest.size == 0
                     np.testing.assert_array_equal(
                         mask, score_matrix(spec, probs, u_spec) <= tau)
+
+
+def test_set_mask_reads_sharp_blocks_off_two_classes_first():
+    # the 2-class block comes first exactly when K <= _BLOCK and more than
+    # half the block's values are above tau; the mask never depends on the
+    # block that came first
+    routes = set()
+    for k in (3, 50, _BLOCK + 1, 3 * _BLOCK):
+        ds = generate(SynthSpec(n=40, k=k, seed=k, signal=4.0, overconfidence=3.0))
+        probs = apply_map_dataset(CalibrationMap.identity(), ds)
+        tops = np.sort(probs.max(axis=1))
+        half = tops[probs.shape[0] // 2 - 1]
+        taus = (0.0, tops[0], float(np.nextafter(half, -math.inf)), half, tops[-1], 0.999)
+        for kind in ("aps", "raps", "saps"):
+            spec = _spec(kind, True)
+            u = np.random.default_rng(k).random(probs.shape[0])
+            for tau in taus:
+                with mock.patch("confsets.scores._top_block", wraps=_top_block) as spy:
+                    mask = set_mask(spec, probs, tau, u)
+                widths = [c.args[4] for c in spy.call_args_list]
+                routed = 2 * np.count_nonzero(probs > tau) > probs.shape[0]
+                assert widths[0] == (2 if routed and k <= _BLOCK else min(_BLOCK, k))
+                assert widths[1:] in ([], [k])
+                routes.add((routed, k <= _BLOCK))
+                np.testing.assert_array_equal(mask, score_matrix(spec, probs, u) <= tau)
+    assert routes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_set_mask_compares_lac_and_include_all_directly():

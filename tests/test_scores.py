@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, ValidationError,
-                      apply_map_dataset, draw_u_many)
+from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, SynthSpec, ValidationError,
+                      apply_map_dataset, draw_u_many, generate)
 from confsets.scores import (
     _descending,
     label_ranks,
@@ -106,6 +106,24 @@ def test_label_ranks_match_oracle_order(probs):
     for y in range(k):
         np.testing.assert_array_equal(label_ranks(probs, np.full(n, y)), rank_of[:, y])
     np.testing.assert_array_equal(_descending(probs)[1], perm)
+
+
+def test_label_ranks_at_chance_level_match_oracle_order():
+    # fewer than half the labels are at rank 1, so the whole block is
+    # counted in place; the rank-1 labels among them count 1 by themselves
+    ds = generate(SynthSpec(n=300, k=30, seed=4, signal=1e-9))
+    probs = apply_map_dataset(CalibrationMap.identity(), ds)
+    labels = ds.labels.copy()
+    # classes 0 and 1 tie in the first rows: the label is the tied class
+    # ranked second, or the one ranked first
+    probs[:6, 1] = probs[:6, 0]
+    probs[:6] /= probs[:6].sum(axis=1, keepdims=True)
+    labels[:6] = [1, 1, 1, 0, 0, 0]
+    _, rank_of = _oracle_rank_of(probs)
+    at_top = np.count_nonzero(probs.argmax(axis=1) == labels)
+    assert 0 < 2 * at_top < ds.n
+    np.testing.assert_array_equal(label_ranks(probs, labels),
+                                  rank_of[np.arange(ds.n), labels])
 
 
 def _label_scores_via_rank_of(spec, probs, labels, u):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,24 @@ def test_overconfidence_scales_logits():
     scaled = generate(SynthSpec(n=100, k=4, seed=3, signal=1.0, noise=0.5,
                                 overconfidence=3.0))
     np.testing.assert_allclose(scaled.logits, 3.0 * base.logits, rtol=1e-15)
+
+
+def test_generate_scales_the_noise_in_place():
+    # one n-by-K buffer is drawn and becomes the logits
+    spec = SynthSpec(n=2000, k=500, seed=2, signal=1.5, noise=0.7, overconfidence=2.0)
+    tracemalloc.start()
+    try:
+        ds = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ds.logits.nbytes
+    rng = np.random.default_rng(spec.seed)
+    labels = rng.integers(0, spec.k, size=spec.n)
+    logits = spec.noise * rng.standard_normal((spec.n, spec.k))
+    logits[np.arange(spec.n), labels] += spec.signal
+    np.testing.assert_array_equal(ds.logits, logits * spec.overconfidence)
+    np.testing.assert_array_equal(ds.labels, labels)
 
 
 def test_invalid_specs_rejected():
