@@ -12,6 +12,7 @@ precondition violations), 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -197,7 +198,10 @@ def cmd_demo_precision(args) -> None:
     write_json(payload, args.out)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls, and every default is immutable."""
     parser = _Parser(prog="confsets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,14 +8,14 @@ full label set; threshold files spell it "include_all".
 
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.  The
-JSONL sets file is converted to and from that mask only at the file edge.
-`load_prediction_sets` allocates the mask once and fills it one chunk of
-lines at a time, with one ``json.loads`` per chunk.  One function holds
-the record rules; it checks a whole chunk at once, and each line alone
-only in a chunk that fails, so that an error names its line.  A record
-holds the keys "index" and "set" once each and no other, so its only
-strings are those keys, and one count of the "},\\n{" joins, not a
-bracket scan, shows that each line holds one record.
+JSONL sets file is converted to and from that mask only at the file edge,
+a whole chunk at a time.  `save_prediction_sets` builds each chunk's text
+with one ``"".join``.  `load_prediction_sets` allocates the mask once and
+fills it one chunk of lines at a time: a chunk that is exactly the
+writer's bytes (`_WRITTEN`) with one C-level parse of its numbers and
+three array checks, any other chunk one ``json.loads`` per line, so that
+other valid JSON spellings load to the same mask and an error names its
+line.  A record holds the keys "index" and "set" once each and no other.
 
 `label_scores` and `predict` take the map's probabilities one row block
 of `maps.probability_blocks` at a time: label_scores keeps one true-label
@@ -33,14 +33,11 @@ rejects data with another class count.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import math
-import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
 
 import numpy as np
 
@@ -243,6 +240,17 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
 # Mask entries `save_prediction_sets` turns into text at a time.
 _WRITE_CELLS = 1 << 18
 
+# The sets-file records `save_prediction_sets` writes, one per line: a decimal
+# without leading zero of at most 18 digits (so below 2**63) for the index and
+# each member, the members ascending, ", " between them and LF after each.
+_DECIMAL = "(?:0|[1-9][0-9]{0,17})"
+_WRITTEN = re.compile(r'(?:\{"index": %s, "set": \[(?:%s(?:, %s)*+)?\]\}\n)*+'
+                      % (_DECIMAL, _DECIMAL, _DECIMAL))
+# `bytes.translate` arguments that turn `_WRITTEN` text into its numbers with
+# -1 after each record: "{", "," and "[" become blanks, "]}\n" becomes " -1",
+# and the letters, quotes and colons of the keys go.
+_NUMBERS = bytes.maketrans(b'{,[]}\n', b'    -1'), b'"indexst:'
+
 
 def save_threshold(threshold: ConformalThreshold, path) -> None:
     write_json(threshold.to_json_dict(), path)
@@ -255,23 +263,30 @@ def load_threshold(path) -> ConformalThreshold:
 def save_prediction_sets(mask: np.ndarray, path) -> None:
     """One JSON object per mask row: {"index": int, "set": [int, ...]}.
 
-    The lines are the bytes ``json.dumps`` gives each record, formatted
-    from one ``np.nonzero`` per chunk of rows; a chunk spans at most
-    ``_WRITE_CELLS`` mask entries, so full sets on wide rows stay small.
+    The lines are the bytes ``json.dumps`` gives each record (`_WRITTEN`
+    spells them out).  Each chunk of rows, at most ``_WRITE_CELLS`` mask
+    entries, is one ``"".join`` of an object array: a head per row, each
+    member's class name with or without the ", " before it, and a tail per
+    row, placed by one ``np.flatnonzero`` of the chunk.
     """
     n, k = mask.shape
-    names = [str(c) for c in range(k)]
+    # class c's name is words[c] first in a set, words[k + c] after another
+    words = np.array([str(c) for c in range(k)] + [f", {c}" for c in range(k)], dtype=object)
     step = max(1, _WRITE_CELLS // max(k, 1))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for start in range(0, n, step):
             chunk = mask[start:start + step]
-            rows, cols = np.nonzero(chunk)
-            bounds = np.searchsorted(rows, np.arange(chunk.shape[0] + 1)).tolist()
-            members = [names[c] for c in cols.tolist()]
-            fh.write("".join([
-                f'{{"index": {start + i}, "set": [{", ".join(members[a:b])}]}}\n'
-                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            ]))
+            r = len(chunk)
+            rows, cols = np.divmod(np.flatnonzero(chunk), k)
+            # row i's head goes at bounds[i] and its tail just before bounds[i + 1]
+            bounds = np.searchsorted(rows, np.arange(r + 1)) + 2 * np.arange(r + 1)
+            tokens = np.empty(r + len(cols) + r, dtype=object)
+            tokens[bounds[:-1]] = [f'{{"index": {i}, "set": [' for i in range(start, start + r)]
+            tokens[bounds[1:] - 1] = "]}\n"
+            later = np.zeros(len(cols), dtype=bool)
+            later[1:] = rows[1:] == rows[:-1]
+            tokens[np.arange(len(cols)) + 2 * rows + 1] = words[cols + k * later]
+            fh.write("".join(tokens.tolist()))
 
 
 def load_prediction_sets(path, k: int) -> np.ndarray:
@@ -280,88 +295,55 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
     The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
     with no other key, no key twice, and distinct integer members in
     [0, k).  A first pass counts the rows, so the mask is allocated once.
-    The second joins each `line_chunks` chunk's stripped non-blank lines
-    with ",\\n", parses them as one JSON array and lets `_fill_rows` check
-    the records and write their rows of the mask.  A chunk that fails goes
-    to `_reject_chunk`, which names the first bad line as a line-by-line
-    reading would.
-
-    No bracket scan is needed to find a line that holds two records or
-    part of one.  A record with the two keys, an integer and a list of
-    integers has four quotes in its text, and more exactly when a key
-    repeats (``json.loads`` keeps the last value), so `_fill_rows` counts
-    the quotes.  A record that passes thus has no string but its two keys
-    and no brace but its own pair, and the chunk's only newlines are the
-    joins.  So once every record passes, each line holds one record
-    exactly when there are as many records as lines, the text starts with
-    "{" and ends with "}", and every join reads "},\\n{": one ``str.count``.
+    The second reads the file one `line_chunks` chunk at a time.  A chunk
+    that is exactly what `save_prediction_sets` writes (`_WRITTEN`) is read
+    whole by `_fill_written`; any other chunk, and one that breaks a rule,
+    is read by `_read_lines`, one ``json.loads`` per line, which fills its
+    rows or names the first bad line.
     """
     n = sum(len(lines) - sum(map(str.isspace, lines)) for _, lines in line_chunks(path))
     mask = np.zeros((n, k), dtype=bool)
     row = 0
     for first, lines in line_chunks(path):
-        count = len(lines) - sum(map(str.isspace, lines))
-        if not count:
-            continue
-        body = ",\n".join([line.strip() for line in lines if not line.isspace()])
-        values = []
-        if body.isascii() and body[0] + body[-1] == "{}" and body.count("},\n{") == count - 1:
-            with contextlib.suppress(ValueError, RecursionError):
-                values = json.loads(f"[{body}]")
-        if len(values) != count or _fill_rows(mask[row:row + count], values, body, row, k):
-            _reject_chunk(first, lines, row, k)
-        row += count
+        text = "".join(lines)
+        if _WRITTEN.fullmatch(text) and _fill_written(mask[row:row + len(lines)], text, row, k):
+            row += len(lines)
+        else:
+            row = _read_lines(mask, first, lines, row, k)
     return mask
 
 
-def _fill_rows(block: np.ndarray, values: list, text: str, row: int, k: int) -> str | None:
-    """Write the records ``values``, parsed from ``text``, into the
-    all-False ``block``, one row each, the first at row ``row`` of the
-    file; or return the message of the first rule that a record breaks.
+def _fill_written(block: np.ndarray, text: str, row: int, k: int) -> bool:
+    """Write the records of ``text``, which matches `_WRITTEN`, into the
+    all-False ``block``, the first at row ``row`` of the file; or return
+    False, writing nothing, when an index is not its row position or a
+    row's members are not strictly ascending and below k.
 
-    The rules, in order: a record is an object with the keys "index" and
-    "set" and no other; the indices are the row positions; each set is a
-    list of integers; no key repeats; the members lie in [0, k) with none
-    repeated.  For a single record the message is the one a line-by-line
-    reading gives; for more, only whether there is one counts.
+    `_NUMBERS` makes the text the blank-separated numbers of each record,
+    its index then its members, with -1 after each: one C-level parse.
     """
-    if not set(map(type, values)) <= {dict}:
-        return "missing 'index' or 'set'"
-    try:
-        indices = list(map(operator.itemgetter("index"), values))
-        sets = list(map(operator.itemgetter("set"), values))
-    except KeyError:
-        return "missing 'index' or 'set'"
-    if not set(map(len, values)) <= {2}:
-        return f"unknown keys {sorted(set().union(*values) - {'index', 'set'})}"
-    # json.loads makes no int subclass but bool, so `type` is int exactly where `is_int` holds
-    if not (set(map(type, indices)) <= {int} and indices == list(range(row, row + len(values)))):
-        return f"index {indices[0]!r} is not the row position {row}"
-    if not (set(map(type, sets)) <= {list}
-            and set(map(type, members := list(itertools.chain.from_iterable(sets)))) <= {int}):
-        return "'set' must be a list of integers"
-    # each key's string has two quotes, and the values now hold no string
-    if text.count('"') != 4 * len(values):
-        return "repeated key"
-    if members and (min(members) < 0 or max(members) >= k):
-        return f"member outside [0, {k})"
-    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    block[np.repeat(np.arange(len(sets)), lengths),
-          np.fromiter(members, dtype=np.intp, count=len(members))] = True
-    # one True cell per member unless one repeats
-    if np.count_nonzero(block) != len(members):
-        return "duplicated member"
-    return None
+    numbers = np.fromstring(text.encode("ascii").translate(*_NUMBERS), dtype=np.int64, sep=" ")
+    ends = np.flatnonzero(numbers < 0)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    inside = np.ones(len(numbers), dtype=bool)
+    inside[starts] = inside[ends] = False
+    members = numbers[inside]
+    owners = np.repeat(np.arange(len(ends)), ends - starts - 1)
+    if not (np.array_equal(numbers[starts], np.arange(row, row + len(ends)))
+            and np.all(members < k)
+            and np.all((np.diff(members) > 0) | (np.diff(owners) > 0))):
+        return False
+    block[owners, members] = True
+    return True
 
 
-def _reject_chunk(first: int, lines: list[str], row: int, k: int) -> NoReturn:
-    """Raise the error of the first bad line of a chunk that
-    `load_prediction_sets` rejected.
+def _read_lines(mask: np.ndarray, first: int, lines: list[str], row: int, k: int) -> int:
+    """Read each of ``lines`` alone and write its record's row of ``mask``,
+    the first at row ``row``; return the row after the last.
 
-    ``first`` is the chunk's first line number and ``row`` its first row.
-    Each line is read alone and its record checked by `_fill_rows`, so
-    every message names the line it is about, counting every line of the
-    file from 0.
+    ``first`` is the number of the first line.  Blank lines are skipped,
+    and the first bad line is a ValidationError that names it, counting
+    every line of the file from 0.
     """
     for lineno, line in enumerate(lines, first):
         if not line.isascii():
@@ -373,11 +355,39 @@ def _reject_chunk(first: int, lines: list[str], row: int, k: int) -> NoReturn:
             value = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"prediction-sets line {lineno}: invalid JSON ({exc})") from exc
-        message = _fill_rows(np.zeros((1, k), dtype=bool), [value], line, row, k)
+        message = _record_error(value, line, row, k)
         if message:
             raise ValidationError(f"prediction-sets line {lineno}: {message}")
+        mask[row, value["set"]] = True
         row += 1
-    raise ValidationError(
-        f"prediction-sets lines {first}-{first + len(lines) - 1}: "
-        "rejected as a chunk but not line by line"
-    )
+    return row
+
+
+def _record_error(value, text: str, row: int, k: int) -> str | None:
+    """The first rule that the record ``value``, parsed from ``text``,
+    breaks as row ``row`` of the file, or None.
+
+    The rules, in order: a record is an object with the keys "index" and
+    "set" and no other; the index is the row position; the set is a list
+    of integers; no key repeats; the members lie in [0, k) with none
+    repeated.
+    """
+    if not (type(value) is dict and "index" in value and "set" in value):
+        return "missing 'index' or 'set'"
+    if len(value) != 2:
+        return f"unknown keys {sorted(set(value) - {'index', 'set'})}"
+    index, members = value["index"], value["set"]
+    # json.loads makes no int subclass but bool, so `type` is int exactly where `is_int` holds
+    if not (type(index) is int and index == row):
+        return f"index {index!r} is not the row position {row}"
+    if not (type(members) is list and set(map(type, members)) <= {int}):
+        return "'set' must be a list of integers"
+    # json.loads keeps a repeated key's last value; each key's string has two
+    # quotes, and the values now hold no string
+    if text.count('"') != 4:
+        return "repeated key"
+    if members and (min(members) < 0 or max(members) >= k):
+        return f"member outside [0, {k})"
+    if len(set(members)) != len(members):
+        return "duplicated member"
+    return None

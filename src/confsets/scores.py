@@ -352,11 +352,9 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
     the rows in ``rest`` are all False and need m = K.
 
     The set is a prefix of the row's stable order, so only the m largest
-    classes are ranked.  When m = K that is the whole row, and ``rest`` is
-    empty.  Otherwise argpartition picks them, and the stable sort of
-    ``_descending``, run on them in ascending class order, gives them the
-    full row's order.  The block's cumsum adds the same values in the same
-    order as the full row's, so ranks 1..m get the same floats from
+    classes are ranked (`_top_classes`).  When m = K that is the whole row,
+    and ``rest`` is empty.  The block's cumsum adds the same values in the
+    same order as the full row's, so ranks 1..m get the same floats from
     ``_cumulative_score``.  A row wider than the block is accepted only
     when every rank r > m provably scores above tau:
 
@@ -370,12 +368,7 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
       above tau certifies the row.
     """
     n, k = p.shape
-    if m == k:
-        vals, cols = _descending(p)
-    else:
-        cols = np.sort(np.argpartition(p, k - m, axis=1)[:, k - m:], axis=1)
-        vals, order = _descending(np.take_along_axis(p, cols, axis=1))
-        cols = np.take_along_axis(cols, order, axis=1)
+    vals, cols = _top_classes(p, m)
     prefix = np.cumsum(vals, axis=1)
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
@@ -388,6 +381,31 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
     mask = np.zeros((n, k), dtype=bool)
     np.put_along_axis(mask, cols, inside, axis=1)
     return mask, np.flatnonzero(~certified)
+
+
+def _top_classes(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(vals, cols)``: the first m columns of each row of a checked matrix
+    in `descending_order`, and their values.
+
+    At m = K that is `_descending`.  At m = 2 it is two argmax passes, the
+    second with the first column masked: argmax takes the first of equal
+    values, as the stable order does, and -inf is below every value of a
+    checked row.  Otherwise argpartition picks the m largest, any of the
+    classes tied at the m-th value among them, and the stable sort, run on
+    them in ascending class order, gives them the full row's order.
+    """
+    n, k = p.shape
+    if m == k:
+        return _descending(p)
+    if m == 2:
+        top = p.argmax(axis=1)
+        others = p.copy()
+        others[np.arange(n), top] = -np.inf
+        cols = np.stack([top, others.argmax(axis=1)], axis=1)
+        return np.take_along_axis(p, cols, axis=1), cols
+    cols = np.sort(np.argpartition(p, k - m, axis=1)[:, k - m:], axis=1)
+    vals, order = _descending(np.take_along_axis(p, cols, axis=1))
+    return vals, np.take_along_axis(cols, order, axis=1)
 
 
 def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:

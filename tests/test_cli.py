@@ -264,6 +264,20 @@ def test_repeat_runs_byte_identical(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_a_flag_does_not_carry_over_to_the_next_call(tmp_path):
+    # one parser serves every call in a process; each call starts from the defaults
+    cal = synth_file(tmp_path, n=300, k=5)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    randomized = []
+    for flags in (["--randomized", "true"], []):
+        out = tmp_path / "threshold.json"
+        assert run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                       *flags, "--params", str(params), "--seed", "3", "--out", str(out)) == 0
+        randomized.append(json.loads(out.read_text())["score"]["randomized"])
+    assert randomized == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # artifacts that could void the coverage guarantee exit 1
 

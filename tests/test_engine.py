@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,8 @@ from confsets.engine import (
     save_threshold,
 )
 from confsets import errors
-from confsets.scores import _BLOCK, _top_block, score_matrix, set_mask
+from confsets.scores import (_BLOCK, _descending, _top_block, _top_classes, score_matrix,
+                             set_mask)
 
 from oracles import oracle_load_sets, oracle_quantile, oracle_set
 
@@ -391,6 +393,30 @@ def test_top_block_certifies_narrow_rows_in_one_pass():
                         mask, score_matrix(spec, probs, u_spec) <= tau)
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_top_classes_follow_the_stable_order_through_ties(seed):
+    # rows of a few distinct values: repeated maxima, ties at second place
+    # and -0.0 next to 0.0.  The 2-class argmax reads and the whole row give
+    # the first m columns of the stable order; the argpartition block may
+    # take any of the classes tied at its m-th value, so it does only on the
+    # rows where that value does not recur past the block (those that
+    # `_top_block` can certify)
+    rng = np.random.default_rng(seed)
+    n, k = 30, int(rng.integers(3, 2 * _BLOCK))
+    weights = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], size=(n, k))
+    weights[np.arange(n), rng.integers(k, size=n)] = 3.0
+    p = weights / weights.sum(axis=1, keepdims=True)
+    ordered, order = _descending(p)
+    for m in sorted({2, 3, min(_BLOCK, k), k}):
+        vals, cols = _top_classes(p, m)
+        rows = np.arange(n)
+        if 2 < m < k:
+            rows = np.flatnonzero(np.count_nonzero(p >= ordered[:, m - 1:m], axis=1) == m)
+        np.testing.assert_array_equal(cols[rows], order[rows, :m])
+        np.testing.assert_array_equal(np.signbit(vals[rows]), np.signbit(ordered[rows, :m]))
+        np.testing.assert_array_equal(vals[rows], ordered[rows, :m])
+
+
 def test_set_mask_reads_sharp_blocks_off_two_classes_first():
     # the 2-class block comes first exactly when K <= _BLOCK and more than
     # half the block's values are above tau; the mask never depends on the
@@ -689,3 +715,68 @@ def test_sets_loader_matches_line_by_line_reference(tmp_path_factory, k, max_row
         reference[i, members] = True
     np.testing.assert_array_equal(got, reference)
     np.testing.assert_array_equal(got, mask)
+
+
+def _written_defect(kind, line, j, k, rng):
+    """Row j's written ``line`` with one defect that keeps it looking like
+    the writer's text."""
+    members = re.fullmatch(r'\{"index": \d+, "set": \[(.*)\]\}\n', line)[1]
+    members = members.split(", ") if members else []
+    index = j
+    if kind == "index-off-by-one":
+        index = j + 1 if j == 0 else j + int(rng.choice([-1, 1]))
+    members = {
+        "member-k": members + [str(k)],
+        "member-repeated": (members or ["0"]) + (members or ["0"])[-1:],
+        "members-unsorted": members[::-1] if len(members) > 1 else ["1", "0"],
+        "leading-zero": ["0" + m for m in members[:1]] + members[1:] if members else ["01"],
+        "member-19-digits": members + ["1" + "0" * 18],
+    }.get(kind, members)
+    line = f'{{"index": {index}, "set": [{", ".join(members)}]}}\n'
+    return {"crlf": line[:-1] + "\r\n", "blank-line": line + "\n"}.get(kind, line)
+
+
+WRITTEN_DEFECTS = ["index-off-by-one", "member-k", "member-repeated", "members-unsorted",
+                   "leading-zero", "member-19-digits", "crlf", "blank-line",
+                   "no-final-newline", "record-past-a-chunk"]
+
+
+@pytest.mark.parametrize("k, max_rows", [(2, 300), (50, 200), (1000, 30)])
+@given(seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 100, 2000, errors._CHUNK_CHARS]),
+       defect=st.sampled_from([None, *WRITTEN_DEFECTS]))
+def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, max_rows, seed,
+                                                         chunk, defect):
+    # the writer's own bytes, or one defect that still looks like them: the
+    # loader gives the line-by-line reference's mask, or its error message
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_rows + 1))
+    mask = rng.random((n, k)) < rng.random((n, 1)) ** 2
+    empty, full = rng.permutation(n)[:2]
+    mask[empty], mask[full] = False, True
+    path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
+    save_prediction_sets(mask, path)
+    lines = path.read_text().splitlines(keepends=True)
+    j = int(full if defect == "record-past-a-chunk" else rng.integers(n))
+    if defect == "record-past-a-chunk":
+        chunk = min(chunk, len(lines[j]) - 1)
+    elif defect == "no-final-newline":
+        lines[-1] = lines[-1][:-1]
+    elif defect is not None:
+        lines[j] = _written_defect(defect, lines[j], j, k, rng)
+    path.write_text("".join(lines), newline="")
+    with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
+        try:
+            expected = oracle_load_sets(path, k)
+        except ValueError as exc:
+            with pytest.raises(ValidationError) as got:
+                load_prediction_sets(path, k)
+            assert str(got.value) == str(exc)
+            return
+        got = load_prediction_sets(path, k)
+    reference = np.zeros((len(expected), k), dtype=bool)
+    for i, members in enumerate(expected):
+        reference[i, members] = True
+    np.testing.assert_array_equal(got, reference)
+    if defect != "members-unsorted":
+        np.testing.assert_array_equal(got, mask)
