@@ -244,7 +244,7 @@ _WRITE_CELLS = 1 << 18
 # without leading zero of at most 18 digits (so below 2**63) for the index and
 # each member, the members ascending, ", " between them and LF after each.
 _DECIMAL = "(?:0|[1-9][0-9]{0,17})"
-_WRITTEN = re.compile(r'(?:\{"index": %s, "set": \[(?:%s(?:, %s)*+)?\]\}\n)*+'
+_WRITTEN = re.compile(r'(?:\{"index": %s, "set": \[(?:%s(?:, %s)*)?\]\}\n)*'
                       % (_DECIMAL, _DECIMAL, _DECIMAL))
 # `bytes.translate` arguments that turn `_WRITTEN` text into its numbers with
 # -1 after each record: "{", "," and "[" become blanks, "]}\n" becomes " -1",

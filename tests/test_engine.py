@@ -30,7 +30,7 @@ from confsets.engine import (
     save_prediction_sets,
     save_threshold,
 )
-from confsets import errors
+from confsets import engine, errors
 from confsets.scores import (_BLOCK, _descending, _top_block, _top_classes, score_matrix,
                              set_mask)
 
@@ -773,7 +773,11 @@ def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, m
                 load_prediction_sets(path, k)
             assert str(got.value) == str(exc)
             return
-        got = load_prediction_sets(path, k)
+        with mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
+            got = load_prediction_sets(path, k)
+    if defect in (None, "record-past-a-chunk"):
+        # the writer's bytes, in chunks of any size, never go line by line
+        per_line.assert_not_called()
     reference = np.zeros((len(expected), k), dtype=bool)
     for i, members in enumerate(expected):
         reference[i, members] = True
