@@ -10,6 +10,13 @@ rejected.  Two on-disk formats are supported:
 * binary: magic ``CPLG``, version byte 0x01, n as u64 LE, K as u32 LE,
   n labels as u32 LE, then n*K doubles (f64 LE, row major).  Bit-exact
   round trip.
+
+Both readers of the binary format share its header, size and label code
+and apply the rules of `LogitsDataset` with its messages.  `load_dataset`
+reads the whole matrix in one call, for callers that need it in memory
+(splits, tuning).  `LogitsFile` keeps the file open and reads the logits
+a row block at a time, for callers that walk `maps.row_blocks` (the CLI's
+calibrate, predict and evaluate): they then hold no n-by-K float matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ _MAGIC = b"CPLG"
 _VERSION = 1
 
 _FRACTION_SUM_TOL = 1e-12
+
+# Matrix cells (rows x classes) that `LogitsFile` checks at a time when it
+# opens a file.
+_CHECK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +59,13 @@ class LogitsDataset:
         n, k = logits.shape
         if n < 1:
             raise ValidationError("empty dataset (n must be >= 1)")
-        if k < 2:
-            raise ValidationError(f"class count must be >= 2, got {k}")
+        _check_classes(k)
         if labels.shape != (n,):
             raise ValidationError(
                 f"labels must have shape ({n},), got {labels.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-        if bad.size:
-            raise ValidationError(f"non-finite logit in row {bad[0]}")
-        out = np.flatnonzero((labels < 0) | (labels >= k))
-        if out.size:
-            raise ValidationError(
-                f"label out of range in row {out[0]}: {labels[out[0]]} not in [0, {k})"
-            )
+        _check_finite(logits, 0)
+        _check_labels(labels, k)
         # read-only views: the caller's own arrays stay writable, and nothing is copied
         logits, labels = logits.view(), labels.view()
         logits.setflags(write=False)
@@ -77,9 +81,90 @@ class LogitsDataset:
     def k(self) -> int:
         return self.logits.shape[1]
 
+    def logit_rows(self, rows: slice) -> np.ndarray:
+        """``logits[rows]``, the accessor `maps.apply_map_dataset` reads."""
+        return self.logits[rows]
+
     def take(self, rows: np.ndarray) -> "LogitsDataset":
         """Dataset restricted to the given row indices, in that order."""
         return LogitsDataset(self.logits[rows], self.labels[rows])
+
+
+def _check_classes(k: int) -> None:
+    if k < 2:
+        raise ValidationError(f"class count must be >= 2, got {k}")
+
+
+def _check_finite(logits: np.ndarray, first: int) -> None:
+    """Reject a non-finite row of ``logits``, whose first row is row ``first``."""
+    finite = np.isfinite(logits)
+    # one flat reduction first: the row-wise one costs about 4 times as much at K = 50
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=1))
+        raise ValidationError(f"non-finite logit in row {first + bad[0]}")
+
+
+def _check_labels(labels: np.ndarray, k: int) -> None:
+    out = np.flatnonzero((labels < 0) | (labels >= k))
+    if out.size:
+        raise ValidationError(
+            f"label out of range in row {out[0]}: {labels[out[0]]} not in [0, {k})"
+        )
+
+
+class LogitsFile:
+    """A binary dataset file, validated as `load_dataset` validates it, whose
+    logits are read a row block at a time.
+
+    Opening reads the header and the labels, then checks every logits row
+    a block of about ``_CHECK_CELLS`` cells at a time, with the rules, order
+    and messages of `LogitsDataset`: every row finite, then every label in
+    range.  `logit_rows` then reads the rows asked for through the one open
+    file, and checks again that the file still holds them and that they are
+    finite, so a file changed after it was opened is a ValidationError too.
+    ``n``, ``k`` and the read-only ``labels`` are those of `LogitsDataset`.
+    Use it in a ``with`` statement, or call `close`.
+    """
+
+    def __init__(self, path):
+        # unbuffered: every read is of the file as it is now
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            self.n, self.k, labels = _read_head(self._fh)
+            _check_classes(self.k)
+            self._logits_at = self._fh.tell()
+            step = max(1, _CHECK_CELLS // self.k)
+            block = np.empty((min(step, self.n), self.k), dtype="<f8")
+            for first in range(0, self.n, step):
+                rows = block[: min(step, self.n - first)]
+                _read_into(self._fh, rows)
+                _check_finite(rows, first)
+            _check_labels(labels, self.k)
+        except BaseException:
+            self._fh.close()
+            raise
+        labels.setflags(write=False)
+        self.labels = labels
+
+    def logit_rows(self, rows: slice) -> np.ndarray:
+        """The logits of ``rows``, a slice of consecutive rows, read from the file."""
+        start, stop, step = rows.indices(self.n)
+        if step != 1:
+            raise ValueError(f"LogitsFile reads consecutive rows only, got step {step}")
+        block = np.empty((max(0, stop - start), self.k), dtype="<f8")
+        self._fh.seek(self._logits_at + 8 * self.k * start)
+        _read_into(self._fh, block)
+        _check_finite(block, start)
+        return block
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "LogitsFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -226,32 +311,50 @@ def _save_binary(ds: LogitsDataset, path) -> None:
         fh.write(np.ascontiguousarray(ds.logits, dtype="<f8"))
 
 
-def _load_binary(path) -> LogitsDataset:
+def _read_head(fh) -> tuple[int, int, np.ndarray]:
+    """(n, K, int64 labels) of the binary dataset file ``fh``, open at its
+    start, after checking the header and the file size against it; ``fh`` is
+    left at the first logit."""
     head_len = len(_MAGIC) + 1 + 8 + 4
+    head = fh.read(head_len)
+    if len(head) < head_len:
+        raise ValidationError("truncated file: header incomplete")
+    if head[: len(_MAGIC)] != _MAGIC:
+        raise ValidationError("malformed header: bad magic bytes")
+    if head[len(_MAGIC)] != _VERSION:
+        raise ValidationError(
+            f"malformed header: unsupported version {head[len(_MAGIC)]}"
+        )
+    n = struct.unpack_from("<Q", head, len(_MAGIC) + 1)[0]
+    k = struct.unpack_from("<I", head, len(_MAGIC) + 1 + 8)[0]
+    if n == 0:
+        raise ValidationError("empty dataset")
+    expected = head_len + 4 * n + 8 * n * k
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValidationError(
+            f"truncated file: expected {expected} bytes, got {size}"
+        )
+    labels = np.empty(n, dtype="<u4")
+    _read_into(fh, labels)
+    return n, k, labels.astype(np.int64)
+
+
+def _read_into(fh, arr: np.ndarray) -> None:
+    """Fill the contiguous ``arr`` from ``fh`` straight into its own buffer."""
+    buf = arr.reshape(-1).view(np.uint8)
+    # an unbuffered read may stop short of the end of the file
+    while buf.size:
+        got = fh.readinto(buf)
+        if not got:
+            raise ValidationError("truncated file: data shorter than its header says")
+        buf = buf[got:]
+
+
+def _load_binary(path) -> LogitsDataset:
     with open(path, "rb") as fh:
-        head = fh.read(head_len)
-        if len(head) < head_len:
-            raise ValidationError("truncated file: header incomplete")
-        if head[: len(_MAGIC)] != _MAGIC:
-            raise ValidationError("malformed header: bad magic bytes")
-        if head[len(_MAGIC)] != _VERSION:
-            raise ValidationError(
-                f"malformed header: unsupported version {head[len(_MAGIC)]}"
-            )
-        n = struct.unpack_from("<Q", head, len(_MAGIC) + 1)[0]
-        k = struct.unpack_from("<I", head, len(_MAGIC) + 1 + 8)[0]
-        if n == 0:
-            raise ValidationError("empty dataset")
-        expected = head_len + 4 * n + 8 * n * k
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ValidationError(
-                f"truncated file: expected {expected} bytes, got {size}"
-            )
-        # read each array straight into its own buffer: no copy of the file
-        labels = np.empty(n, dtype="<u4")
+        n, k, labels = _read_head(fh)
+        # one read of the whole matrix: split and tune need it in memory
         logits = np.empty((n, k), dtype="<f8")
-        for arr in (labels, logits):
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise ValidationError("truncated file: data shorter than its header says")
-    return LogitsDataset(logits, labels.astype(np.int64))
+        _read_into(fh, logits)
+    return LogitsDataset(logits, labels)

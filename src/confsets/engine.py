@@ -41,9 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import LogitsDataset
-from .errors import (ValidationError, check_keys, is_int, is_number, line_chunks, read_json,
-                     write_json)
+from .data import LogitsDataset, LogitsFile
+from .errors import (ValidationError, check_keys, count_nonblank_lines, is_int, is_number,
+                     line_chunks, read_json, write_json)
 from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
@@ -163,7 +163,7 @@ def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
     return set_mask(threshold.score_spec, probs, threshold.tau, u)
 
 
-def label_scores(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
+def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: ScoreSpec,
                  precision: str = "f64") -> np.ndarray:
     """The n-vector of true-label scores of ``ds`` under ``cal_map``.
 
@@ -176,7 +176,7 @@ def label_scores(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
     return scores
 
 
-def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
+def calibrate(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: ScoreSpec,
               alpha: float, precision: str = "f64") -> ConformalThreshold:
     """Threshold over the `label_scores` of ``ds``, recording ``ds.k``."""
     tau = calibrate_threshold(label_scores(ds, cal_map, spec, precision), alpha)
@@ -184,7 +184,7 @@ def calibrate(ds: LogitsDataset, cal_map: CalibrationMap, spec: ScoreSpec,
                               cal_map=cal_map, k=ds.k)
 
 
-def predict(threshold: ConformalThreshold, ds: LogitsDataset,
+def predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
             precision: str = "f64") -> np.ndarray:
     """Prediction-set mask for ``ds`` under a calibrated threshold.
 
@@ -294,14 +294,15 @@ def load_prediction_sets(path, k: int) -> np.ndarray:
 
     The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
     with no other key, no key twice, and distinct integer members in
-    [0, k).  A first pass counts the rows, so the mask is allocated once.
-    The second reads the file one `line_chunks` chunk at a time.  A chunk
-    that is exactly what `save_prediction_sets` writes (`_WRITTEN`) is read
-    whole by `_fill_written`; any other chunk, and one that breaks a rule,
-    is read by `_read_lines`, one ``json.loads`` per line, which fills its
-    rows or names the first bad line.
+    [0, k).  `count_nonblank_lines` counts the rows off the raw bytes, so
+    the mask is allocated once; the file is then read one `line_chunks`
+    chunk at a time.  A chunk that is exactly what `save_prediction_sets`
+    writes (`_WRITTEN`) is read whole by `_fill_written`; any other chunk,
+    and one that breaks a rule, is read by `_read_lines`, one
+    ``json.loads`` per line, which fills its rows or names the first bad
+    line.
     """
-    n = sum(len(lines) - sum(map(str.isspace, lines)) for _, lines in line_chunks(path))
+    n = count_nonblank_lines(path)
     mask = np.zeros((n, k), dtype=bool)
     row = 0
     for first, lines in line_chunks(path):

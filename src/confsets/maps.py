@@ -12,7 +12,10 @@ temperatures behave identically across platforms.  Probabilities are
 float64 by default; a float32 mode exists for low-precision diagnostics.
 `row_blocks` splits a dataset into consecutive row blocks, and
 `probability_blocks` yields their probabilities, so callers that reduce
-each block never hold an n-by-K float matrix.
+each block never hold an n-by-K float matrix.  `apply_map_dataset` reads
+a dataset's logits only through ``logit_rows``, so it takes a
+`data.LogitsFile` as well as a `LogitsDataset`: on a file, a block's
+logits are read from disk when it is made.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogitsDataset
+from .data import LogitsDataset, LogitsFile
 from .errors import ValidationError, check_keys, is_number, read_json, write_json
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
@@ -167,19 +170,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset,
+def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
                       precision: str = "f64", rows: slice = slice(None)) -> np.ndarray:
-    """Probability matrix of ``ds.logits[rows]``: each row is the softmax of ``cal_map``."""
+    """Probability matrix of ``ds.logit_rows(rows)``: each row is the softmax of ``cal_map``."""
     if precision == "f64":
-        work = ds.logits[rows]
+        work = ds.logit_rows(rows)
     elif precision == "f32":
-        work = ds.logits[rows].astype(np.float32)
+        work = ds.logit_rows(rows).astype(np.float32)
     else:
         raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
     return softmax(cal_map.transform_logits(work))
 
 
-def row_blocks(ds: LogitsDataset) -> Iterator[slice]:
+def row_blocks(ds: LogitsDataset | LogitsFile) -> Iterator[slice]:
     """Consecutive row slices that cover ``ds`` in order, the first the longest.
 
     A block spans at most ``max(1, _BLOCK_CELLS // K)`` rows, so a caller
@@ -191,7 +194,7 @@ def row_blocks(ds: LogitsDataset) -> Iterator[slice]:
         yield slice(start, min(start + step, ds.n))
 
 
-def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset,
+def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
                        precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, probs)`` for each slice of `row_blocks`.
 

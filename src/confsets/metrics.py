@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import LogitsDataset
+from .data import LogitsDataset, LogitsFile
 from .engine import ConformalThreshold
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, probability_blocks
@@ -158,7 +158,8 @@ def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
     return float((zero_counts > 0).mean()), zero_counts
 
 
-def build_report(mask: np.ndarray, ds: LogitsDataset, threshold: ConformalThreshold | None = None,
+def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
+                 threshold: ConformalThreshold | None = None,
                  rank_edges=DEFAULT_RANK_EDGES,
                  ece_bins: int = DEFAULT_ECE_BINS) -> EvaluationReport:
     """Assemble the full evaluation report for one prediction-set mask.

@@ -22,6 +22,8 @@ from confsets import (
     truncation_diagnostic,
 )
 from confsets import maps
+from confsets.cli import main
+from confsets.data import save_dataset
 from confsets.engine import load_prediction_sets, save_prediction_sets
 from confsets.tuning import _evaluate_scalar, _Half, split_validation
 
@@ -130,6 +132,31 @@ def test_wide_stages_stay_below_half_a_probability_matrix():
     assert math.isfinite(loss)
     assert peak < budget, f"efficiency_gap_loss peaked at {peak / 2**20:.1f} MiB"
     _assert_scalar_tuner_stays_below(budget, d_tau, d_loss)
+
+
+def test_cli_steps_on_a_wide_binary_file_stay_below_a_quarter_of_its_logits(tmp_path):
+    # calibrate, predict and evaluate read a binary file a row block at a
+    # time: the one n-by-K array they hold is the boolean set mask
+    n, k = 4000, 1000
+    wide = tmp_path / "wide.bin"
+    save_dataset(generate(SynthSpec(n=n, k=k, seed=0, signal=4.0)), wide)
+    params = tmp_path / "map.json"
+    maps.save_map(CalibrationMap.temperature(0.8), params)
+    threshold, sets = tmp_path / "threshold.json", tmp_path / "sets.jsonl"
+    steps = (
+        ["calibrate", "--in", str(wide), "--alpha", "0.1", "--score", "aps",
+         "--randomized", "true", "--params", str(params), "--seed", "1",
+         "--out", str(threshold)],
+        ["predict", "--in", str(wide), "--threshold", str(threshold), "--seed", "1",
+         "--out", str(sets)],
+        ["evaluate", "--sets", str(sets), "--in", str(wide), "--threshold", str(threshold),
+         "--out", str(tmp_path / "report.json")],
+    )
+    budget = n * k * 8 / 4  # a quarter of the n-by-K float64 logits
+    for argv in steps:
+        code, peak = _traced_peak(main, argv)
+        assert code == 0
+        assert peak < budget, f"confsets {argv[0]} peaked at {peak / 2**20:.1f} MiB"
 
 
 def _scalar_tuner_facts_and_one_evaluation(d_tau, d_loss):

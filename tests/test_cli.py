@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -366,6 +367,93 @@ def test_threshold_rejects_data_with_another_class_count(tmp_path, predicted, ca
     assert "20" in capsys.readouterr().err
     assert run_cli("evaluate", "--sets", str(sets), "--in", str(wide),
                    "--out", str(tmp_path / "r.json")) == 0
+
+
+def test_predict_names_a_non_finite_input_before_a_wrong_class_count(tmp_path, predicted,
+                                                                   capsys):
+    # the whole dataset is checked as it is opened, before the threshold reads its K
+    _, _, threshold, _ = predicted
+    wide = synth_file(tmp_path, name="wide.bin", n=50, k=20, seed=9)
+    blob = bytearray(wide.read_bytes())
+    blob[-8:] = np.array([np.nan]).tobytes()
+    wide.write_bytes(bytes(blob))
+    code = run_cli("predict", "--in", str(wide), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(tmp_path / "wide.jsonl"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: non-finite logit in row 49\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    ("truncate", "truncated file: data shorter than its header says"),
+    ("nan", "non-finite logit in row 49"),
+])
+def test_predict_exits_1_when_its_input_changes_after_it_was_opened(
+        tmp_path, predicted, monkeypatch, change, message, capsys):
+    from confsets import engine
+
+    _, test, threshold, _ = predicted
+    real_predict = engine.predict
+
+    def change_then_predict(*args):
+        if change == "truncate":
+            os.truncate(test, test.stat().st_size - 8)
+        else:
+            with open(test, "r+b") as fh:
+                fh.seek(-8, os.SEEK_END)
+                fh.write(np.array([np.nan]).tobytes())
+        return real_predict(*args)
+
+    monkeypatch.setattr(engine, "predict", change_then_predict)
+    out = tmp_path / "out.jsonl"
+    code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Repeats calibrate, predict and evaluate in a fresh process, as a batch
+# driver calling `main` would, and prints each step's minor page faults.
+_REPEAT_STEPS = """
+import json, resource, sys
+from confsets.cli import main
+steps = json.loads(sys.argv[1])
+faults = {argv[0]: [] for argv in steps}
+for _ in range(4):
+    for argv in steps:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults[argv[0]].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_block_steps_reuse_freed_heap(tmp_path):
+    # Row blocks of a K = 50 file are 512 KiB each; under glibc's dynamic
+    # thresholds the heap they used was trimmed as each step ended, and every
+    # repeat of calibrate, predict or evaluate faulted in 190-640 fresh pages.
+    cal = synth_file(tmp_path, name="cal.bin", n=2000, k=50, seed=7)
+    test = synth_file(tmp_path, name="test.bin", n=5500, k=50, seed=8)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "platt", "params": {"a": 0.5, "b": 0.1}}\n')
+    threshold, sets = tmp_path / "threshold.json", tmp_path / "sets.jsonl"
+    steps = [
+        ["calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+         "--randomized", "true", "--params", str(params), "--seed", "7",
+         "--out", str(threshold)],
+        ["predict", "--in", str(test), "--threshold", str(threshold), "--seed", "7",
+         "--out", str(sets)],
+        ["evaluate", "--sets", str(sets), "--in", str(test), "--bins", "default",
+         "--threshold", str(threshold), "--out", str(tmp_path / "report.json")],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_STEPS, json.dumps(steps)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    # the first pass maps the pages; a repeat should need next to none
+    assert all(min(counts[1:]) <= 32 for counts in faults.values()), faults
 
 
 def test_predict_accepts_include_all_from_too_few_rows(tmp_path):

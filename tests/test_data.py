@@ -1,3 +1,6 @@
+import functools
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,12 +14,31 @@ from confsets import (
     save_dataset,
     split_dataset,
 )
-from confsets.data import sniff_format
+from confsets import data
+from confsets.data import LogitsFile, sniff_format
 
 
 def make_ds(n, k, seed=0):
     rng = np.random.default_rng(seed)
     return LogitsDataset(rng.standard_normal((n, k)), rng.integers(0, k, n))
+
+
+def _open_binary(path):
+    """Open and close a LogitsFile: it checks the whole file as it opens."""
+    with LogitsFile(path):
+        pass
+
+
+# Both readers of the binary format; each must reject a bad file with the same message.
+BINARY_READERS = (functools.partial(load_dataset, format="binary"), _open_binary)
+
+
+def _write_binary(path, labels, logits):
+    """Write a binary dataset file from arrays that need not make a valid LogitsDataset."""
+    logits = np.asarray(logits, dtype="<f8")
+    n, k = logits.shape
+    path.write_bytes(b"CPLG\x01" + n.to_bytes(8, "little") + k.to_bytes(4, "little")
+                     + np.asarray(labels, dtype="<u4").tobytes() + logits.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +151,9 @@ def test_binary_round_trip_bit_exact(tmp_path):
 def test_binary_empty_dataset(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"CPLG\x01" + (0).to_bytes(8, "little") + (3).to_bytes(4, "little"))
-    with pytest.raises(ValidationError, match="empty dataset"):
-        load_dataset(path, "binary")
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match="empty dataset"):
+            read(path)
 
 
 def test_binary_truncated(tmp_path):
@@ -139,15 +162,17 @@ def test_binary_truncated(tmp_path):
     save_dataset(ds, path, "binary")
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
-    with pytest.raises(ValidationError, match="truncated"):
-        load_dataset(path, "binary")
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match="truncated"):
+            read(path)
 
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "ds.bin"
     path.write_bytes(b"NOPE" + bytes(64))
-    with pytest.raises(ValidationError, match="magic"):
-        load_dataset(path, "binary")
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match="magic"):
+            read(path)
 
 
 @pytest.mark.parametrize("labels, logits, message", [
@@ -156,13 +181,66 @@ def test_binary_bad_magic(tmp_path):
     ([0, 1], [[0.5, 1.0], [np.inf, 0.0]], "non-finite logit in row 1"),
 ])
 def test_binary_rejects_invalid_content(tmp_path, labels, logits, message):
-    logits = np.asarray(logits, dtype="<f8")
-    n, k = logits.shape
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"CPLG\x01" + n.to_bytes(8, "little") + k.to_bytes(4, "little")
-                     + np.asarray(labels, dtype="<u4").tobytes() + logits.tobytes())
-    with pytest.raises(ValidationError, match=message):
-        load_dataset(path, "binary")
+    _write_binary(path, labels, logits)
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match=message):
+            read(path)
+
+
+@pytest.mark.parametrize("bad_label_row, inf_row", [(0, 5), (None, 6)],
+                         ids=["label-before-a-later-block", "last-block-only"])
+def test_binary_checks_every_block_for_non_finite_rows_before_labels(
+        tmp_path, monkeypatch, bad_label_row, inf_row):
+    # LogitsFile checks 2 rows of K = 2 at a time, so row 6 is alone in the
+    # last of 4 blocks; a label out of range in an earlier block still loses
+    monkeypatch.setattr(data, "_CHECK_CELLS", 4)
+    labels, logits = np.zeros(7, dtype=int), np.zeros((7, 2))
+    if bad_label_row is not None:
+        labels[bad_label_row] = 2
+    logits[inf_row, 1] = -np.inf
+    path = tmp_path / "bad.bin"
+    _write_binary(path, labels, logits)
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match=f"^non-finite logit in row {inf_row}$"):
+            read(path)
+
+
+@pytest.mark.parametrize("cells", [4, 1 << 16])
+def test_logits_file_reads_the_loaded_rows(tmp_path, monkeypatch, cells):
+    monkeypatch.setattr(data, "_CHECK_CELLS", cells)
+    ds = make_ds(9, 3, seed=4)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path, "binary")
+    with LogitsFile(path) as opened:
+        assert (opened.n, opened.k) == (ds.n, ds.k)
+        np.testing.assert_array_equal(opened.labels, ds.labels)
+        assert not opened.labels.flags.writeable
+        for rows in (slice(None), slice(0, 4), slice(4, 9), slice(8, 20), slice(5, 5)):
+            assert opened.logit_rows(rows).tobytes() == ds.logit_rows(rows).tobytes()
+        with pytest.raises(ValueError, match="consecutive rows"):
+            opened.logit_rows(slice(0, 9, 2))
+
+
+@pytest.mark.parametrize("change, message", [
+    ("truncate", "^truncated file: data shorter than its header says$"),
+    ("nan", "^non-finite logit in row 3$"),
+])
+def test_logits_file_rejects_rows_changed_after_it_opened(tmp_path, change, message):
+    ds = make_ds(4, 3)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path, "binary")
+    with LogitsFile(path) as opened:
+        # a buffered read of rows 0-2 would take in row 3 as it was
+        assert opened.logit_rows(slice(0, 3)).tobytes() == ds.logits[:3].tobytes()
+        if change == "truncate":
+            os.truncate(path, path.stat().st_size - 8)
+        else:
+            with open(path, "r+b") as fh:
+                fh.seek(-8, os.SEEK_END)
+                fh.write(np.array([np.nan]).tobytes())
+        with pytest.raises(ValidationError, match=message):
+            opened.logit_rows(slice(3, 4))
 
 
 def test_save_to_unwritable_location(tmp_path):

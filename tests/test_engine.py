@@ -614,6 +614,29 @@ def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
     np.testing.assert_array_equal(got, expected)
 
 
+def _decoded_nonblank_lines(path) -> int:
+    """Reference for `errors.count_nonblank_lines`: every `line_chunks` line
+    decoded, less those ``str.isspace`` calls blank."""
+    return sum(len(lines) - sum(map(str.isspace, lines))
+               for _, lines in errors.line_chunks(path))
+
+
+# Bytes that end lines, that str.isspace calls blank, past ASCII, and others.
+_LINE_BYTES = st.sampled_from(list(b"\r\n \t\x0b\x0c\x1c\x1f\x00\x85\xa0\xffx{"))
+
+
+@example(b"\r\n\r\n", 1)
+@example(b"a\rb\r\n c\n\n\x1c\r\t\x85", 2)
+@example(b"\x0b\x0c\x1c\x1d\x1e\x1f \t", 3)
+@given(st.one_of(st.binary(max_size=300), st.lists(_LINE_BYTES, max_size=300).map(bytes)),
+       st.sampled_from([1, 2, 3, 7, 1 << 14]))
+def test_count_nonblank_lines_is_the_decoded_count(tmp_path_factory, blob, chunk):
+    path = tmp_path_factory.mktemp("lines") / "sets.jsonl"
+    path.write_bytes(blob)
+    with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
+        assert errors.count_nonblank_lines(path) == _decoded_nonblank_lines(path)
+
+
 # Sets-file text the writer never makes but the loader accepts: key order,
 # escaped key names, spacing, whitespace that `str.strip` removes around a
 # record, and blank lines.
