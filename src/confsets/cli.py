@@ -76,13 +76,13 @@ def _load_dataset(path) -> data.LogitsDataset:
 def _keep_freed_heap() -> None:
     """Pin glibc's malloc thresholds at the ceilings of its dynamic rule.
 
-    calibrate, predict and evaluate read a binary dataset a row block at a
-    time (`_open_dataset`), so no array they free is larger than a few
-    MiB.  Under glibc's dynamic thresholds (the trim threshold is twice
-    the largest freed mapped chunk) the heap is then returned to the system
-    as each step ends, and the next step in the same process faults the
-    same pages in again: about 600 minor faults per K = 50 predict or
-    evaluate, whose cost varies with the load on the host.  With the mmap
+    tune, calibrate, predict and evaluate read a binary dataset a row
+    block at a time (`_open_dataset`), so no array they free is larger
+    than a few MiB.  Under glibc's dynamic thresholds (the trim threshold
+    is twice the largest freed mapped chunk) the heap is then returned to
+    the system as each step ends, and the next step in the same process
+    faults the same pages in again: about 600 minor faults per K = 50
+    predict or evaluate, whose cost varies with the load on the host.  With the mmap
     threshold at 32 MiB and the trim threshold at 64 MiB, the values the
     dynamic rule can reach, freed blocks are reused.  Elsewhere than on
     glibc this does nothing.
@@ -102,7 +102,7 @@ def _keep_freed_heap() -> None:
 
 def _open_dataset(path):
     """A context manager that gives the dataset at ``path``, validated, to a
-    step that walks it in row blocks: a binary file as a `data.LogitsFile`,
+    step that reads it in row blocks: a binary file as a `data.LogitsFile`,
     a CSV file loaded whole, since it is parsed row by row anyway."""
     _keep_freed_heap()
     if data.sniff_format(path) == "binary":
@@ -147,10 +147,10 @@ def cmd_split(args) -> None:
 
 
 def cmd_tune(args) -> None:
-    ds = _load_dataset(args.input)
-    cfg = tuning.TuneConfig(grid_points=args.grid_points, t_min=args.t_min,
-                            t_max=args.t_max, seed=args.seed)
-    tuned, report = tuning.tune_map(ds, args.alpha, args.map, cfg)
+    with _open_dataset(args.input) as ds:
+        cfg = tuning.TuneConfig(grid_points=args.grid_points, t_min=args.t_min,
+                                t_max=args.t_max, seed=args.seed)
+        tuned, report = tuning.tune_map(ds, args.alpha, args.map, cfg)
     maps.save_map(tuned, args.out)
     tuning.save_tune_report(report, Path(args.out).with_suffix(".report.json"))
 
@@ -188,21 +188,20 @@ def cmd_predict(args) -> None:
             f"{threshold.score_spec.rng_seed}; predict draws u from the calibration seed"
         )
     with _open_dataset(args.input) as ds:
-        mask = engine.predict(threshold, ds)
-    engine.save_prediction_sets(mask, args.out)
+        engine.predict_to_file(threshold, ds, args.out)
 
 
 def cmd_evaluate(args) -> None:
     with _open_dataset(args.input) as ds:
-        mask = engine.load_prediction_sets(args.sets, ds.k)
-        if mask.shape[0] != ds.n:
+        sizes, covered = engine.load_set_sizes(args.sets, ds.labels, ds.k)
+        if sizes.shape[0] != ds.n:
             raise ValidationError(
-                f"--sets has {mask.shape[0]} entries but --in has {ds.n} rows"
+                f"--sets has {sizes.shape[0]} entries but --in has {ds.n} rows"
             )
         threshold = None if args.threshold is None else engine.load_threshold(args.threshold)
-        report = metrics.build_report(mask, ds, threshold,
-                                      rank_edges=_parse_rank_edges(args.bins),
-                                      ece_bins=args.ece_bins)
+        report = metrics.report_from_sizes(sizes, covered, ds, threshold,
+                                           rank_edges=_parse_rank_edges(args.bins),
+                                           ece_bins=args.ece_bins)
     metrics.save_report(report, args.out)
 
 

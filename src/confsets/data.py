@@ -14,9 +14,12 @@ rejected.  Two on-disk formats are supported:
 Both readers of the binary format share its header, size and label code
 and apply the rules of `LogitsDataset` with its messages.  `load_dataset`
 reads the whole matrix in one call, for callers that need it in memory
-(splits, tuning).  `LogitsFile` keeps the file open and reads the logits
-a row block at a time, for callers that walk `maps.row_blocks` (the CLI's
-calibrate, predict and evaluate): they then hold no n-by-K float matrix.
+(the CLI's split and demo-precision).  `LogitsFile` keeps the file open
+and reads the logits a row block at a time, for callers that walk
+`maps.row_blocks` (the CLI's calibrate, predict and evaluate): they then
+hold no n-by-K float matrix.  `split_dataset` reads either one a row
+block at a time too, so the CLI's tune holds its two halves but never
+the whole matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ _VERSION = 1
 _FRACTION_SUM_TOL = 1e-12
 
 # Matrix cells (rows x classes) that `LogitsFile` checks at a time when it
-# opens a file.
+# opens a file, and that `split_dataset` gathers at a time.
 _CHECK_CELLS = 1 << 16
 
 
@@ -198,11 +201,13 @@ class SplitSpec:
             raise ValidationError(f"shuffle must be a boolean, got {self.shuffle!r}")
 
 
-def split_dataset(ds: LogitsDataset, spec: SplitSpec) -> dict[str, LogitsDataset]:
+def split_dataset(ds: LogitsDataset | LogitsFile, spec: SplitSpec) -> dict[str, LogitsDataset]:
     """Partition ``ds`` into named parts per ``spec``.
 
     Parts are disjoint and exhaustive.  Identical (ds, spec) always
-    produce identical partitions.
+    produce identical partitions.  Each part's rows are gathered from
+    ``ds.logit_rows`` a block of about ``_CHECK_CELLS`` cells at a time, so
+    on a `LogitsFile` the parts are all that is held.
     """
     names = list(spec.fractions)
     if ds.n < len(names):
@@ -216,16 +221,22 @@ def split_dataset(ds: LogitsDataset, spec: SplitSpec) -> dict[str, LogitsDataset
 
     sizes = [int(np.floor(spec.fractions[name] * ds.n)) for name in names[:-1]]
     sizes.append(ds.n - sum(sizes))
-    parts: dict[str, LogitsDataset] = {}
-    start = 0
     for name, size in zip(names, sizes):
         if size < 1:
             raise ValidationError(
                 f"part {name!r} would be empty; use a larger dataset or fraction"
             )
-        parts[name] = ds.take(order[start : start + size])
-        start += size
-    return parts
+    # out holds the parts one after another: row order[j] goes to out[j]
+    pos = np.empty(ds.n, dtype=np.intp)
+    pos[order] = np.arange(ds.n)
+    out = np.empty((ds.n, ds.k))
+    step = max(1, _CHECK_CELLS // ds.k)
+    for first in range(0, ds.n, step):
+        rows = slice(first, min(first + step, ds.n))
+        out[pos[rows]] = ds.logit_rows(rows)
+    bounds = np.cumsum([0, *sizes])
+    return {name: LogitsDataset(out[a:b], ds.labels[order[a:b]])
+            for name, a, b in zip(names, bounds, bounds[1:])}
 
 
 def save_dataset(ds: LogitsDataset, path, format: str = "binary") -> None:

@@ -7,23 +7,31 @@ When that level exceeds n, tau = +inf and every prediction set is the
 full label set; threshold files spell it "include_all".
 
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
-True when class k is in row i's set; `scores.set_mask` builds it.  The
-JSONL sets file is converted to and from that mask only at the file edge,
-a whole chunk at a time.  `save_prediction_sets` builds each chunk's text
-with one ``"".join``.  `load_prediction_sets` allocates the mask once and
-fills it one chunk of lines at a time: a chunk that is exactly the
-writer's bytes (`_WRITTEN`) with one C-level parse of its numbers and
-three array checks, any other chunk one ``json.loads`` per line, so that
-other valid JSON spellings load to the same mask and an error names its
-line.  A record holds the keys "index" and "set" once each and no other.
+True when class k is in row i's set; `scores.set_mask` builds it.
+`_set_blocks` is the one walk that makes sets: it yields the mask rows
+of one `maps.probability_blocks` block at a time.  `predict` fills the
+whole mask from it; `predict_to_file`, the CLI's predict, formats and
+writes each block's rows before the next, so it never holds the mask,
+and its file changes the output path only once it is whole.  A row's u
+draw is keyed by its sample index, so no output depends on the block
+size.
 
-`label_scores` and `predict` take the map's probabilities one row block
-of `maps.probability_blocks` at a time: label_scores keeps one true-label
-score per row, predict writes each block's rows of the mask.  A row's u
-draw is keyed by its sample index, so the outputs do not depend on the
-block size.  `tuning.efficiency_gap_loss` and the vector tuner score
-both halves with `label_scores` too; the scalar tuner's evaluation gives
-its scores bit for bit.
+The JSONL sets file is converted to and from mask rows only at the file
+edge, a whole chunk at a time.  `save_prediction_sets` and
+`predict_to_file` build each chunk or block's text with one ``"".join``
+(`_format_sets`).  `_set_records` is the one reader: it yields each
+chunk of lines as its rows and members, taking a chunk that is exactly
+the writer's bytes (`_WRITTEN`) with one C-level parse of its numbers
+and three array checks, any other chunk one ``json.loads`` per line, so
+that other valid JSON spellings read the same and an error names its
+line.  A record holds the keys "index" and "set" once each and no other.
+`load_prediction_sets` fills a mask from it, allocated once;
+`load_set_sizes`, the CLI's evaluate, keeps only each row's set size and
+whether it holds the label.
+
+`label_scores` keeps one true-label score per row of each block.
+`tuning.efficiency_gap_loss` and the vector tuner score both halves
+with it too; the scalar tuner's evaluation gives its scores bit for bit.
 
 `calibrate` is the one maker of a `ConformalThreshold` (a threshold file
 is the other source): it records the tau of `label_scores` with the
@@ -43,7 +51,7 @@ import numpy as np
 
 from .data import LogitsDataset, LogitsFile
 from .errors import (ValidationError, check_keys, count_nonblank_lines, is_int, is_number,
-                     line_chunks, read_json, write_json)
+                     line_chunks, read_json, replaced_on_success, write_json)
 from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
@@ -190,21 +198,50 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
 
     Row i draws its u at sample index n_cal + i under the threshold's
     seed, so the test stream never overlaps the calibration stream.  The
-    mask is filled one `probability_blocks` block at a time.  Data with a
-    class count other than the threshold's, or too many rows for the
-    int64 sample indices after n_cal, is a ValidationError.
+    mask is filled one `_set_blocks` block at a time.  Data with a class
+    count other than the threshold's, or too many rows for the int64
+    sample indices after n_cal, is a ValidationError.
     """
+    _check_predict(threshold, ds)
+    mask = np.empty((ds.n, ds.k), dtype=bool)
+    for rows, sets in _set_blocks(threshold, ds, precision):
+        mask[rows] = sets
+    return mask
+
+
+def predict_to_file(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile, path,
+                    precision: str = "f64") -> None:
+    """Write ``save_prediction_sets(predict(threshold, ds, precision), path)``
+    without holding the mask.
+
+    Each block of `_set_blocks` is formatted as `save_prediction_sets`
+    formats a chunk and written before the next.  The text goes to
+    `replaced_on_success`, so on any error ``path`` is left as it was, or
+    absent.
+    """
+    _check_predict(threshold, ds)
+    words = _member_words(ds.k)
+    with replaced_on_success(path) as fh:
+        for rows, sets in _set_blocks(threshold, ds, precision):
+            fh.write(_format_sets(sets, rows.start, words))
+
+
+def _check_predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile) -> None:
     threshold.check_classes(ds.k)
     if threshold.score_spec.uses_u and threshold.n_cal > 2**63 - ds.n:
         raise ValidationError(
             f"threshold n_cal={threshold.n_cal} puts the u draws of {ds.n} rows past "
             "the last int64 sample index"
         )
-    mask = np.empty((ds.n, ds.k), dtype=bool)
+
+
+def _set_blocks(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
+                precision: str):
+    """Yield ``(rows, sets)``, the mask rows of ``ds``, one
+    `probability_blocks` block at a time."""
     for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
-        mask[rows] = predict_sets(threshold, probs,
-                                  _draws(threshold.score_spec, threshold.n_cal, rows))
-    return mask
+        yield rows, predict_sets(threshold, probs,
+                                 _draws(threshold.score_spec, threshold.n_cal, rows))
 
 
 def _draws(spec: ScoreSpec, first: int, rows: slice) -> np.ndarray | None:
@@ -265,60 +302,98 @@ def save_prediction_sets(mask: np.ndarray, path) -> None:
 
     The lines are the bytes ``json.dumps`` gives each record (`_WRITTEN`
     spells them out).  Each chunk of rows, at most ``_WRITE_CELLS`` mask
-    entries, is one ``"".join`` of an object array: a head per row, each
-    member's class name with or without the ", " before it, and a tail per
-    row, placed by one ``np.flatnonzero`` of the chunk.
+    entries, is one `_format_sets` call.
     """
     n, k = mask.shape
-    # class c's name is words[c] first in a set, words[k + c] after another
-    words = np.array([str(c) for c in range(k)] + [f", {c}" for c in range(k)], dtype=object)
+    words = _member_words(k)
     step = max(1, _WRITE_CELLS // max(k, 1))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for start in range(0, n, step):
-            chunk = mask[start:start + step]
-            r = len(chunk)
-            rows, cols = np.divmod(np.flatnonzero(chunk), k)
-            # row i's head goes at bounds[i] and its tail just before bounds[i + 1]
-            bounds = np.searchsorted(rows, np.arange(r + 1)) + 2 * np.arange(r + 1)
-            tokens = np.empty(r + len(cols) + r, dtype=object)
-            tokens[bounds[:-1]] = [f'{{"index": {i}, "set": [' for i in range(start, start + r)]
-            tokens[bounds[1:] - 1] = "]}\n"
-            later = np.zeros(len(cols), dtype=bool)
-            later[1:] = rows[1:] == rows[:-1]
-            tokens[np.arange(len(cols)) + 2 * rows + 1] = words[cols + k * later]
-            fh.write("".join(tokens.tolist()))
+            fh.write(_format_sets(mask[start:start + step], start, words))
+
+
+def _member_words(k: int) -> np.ndarray:
+    """Class c's name in a set: words[c] first in the set, words[k + c] after another."""
+    return np.array([str(c) for c in range(k)] + [f", {c}" for c in range(k)], dtype=object)
+
+
+def _format_sets(chunk: np.ndarray, start: int, words: np.ndarray) -> str:
+    """The sets-file lines of the mask rows ``chunk``, the first row ``start``.
+
+    One ``"".join`` of an object array: a head per row, each member's
+    name from `_member_words`, and a tail per row, placed by one
+    ``np.flatnonzero`` of the chunk.
+    """
+    r, k = chunk.shape
+    rows, cols = np.divmod(np.flatnonzero(chunk), k)
+    # row i's head goes at bounds[i] and its tail just before bounds[i + 1]
+    bounds = np.searchsorted(rows, np.arange(r + 1)) + 2 * np.arange(r + 1)
+    tokens = np.empty(r + len(cols) + r, dtype=object)
+    tokens[bounds[:-1]] = [f'{{"index": {i}, "set": [' for i in range(start, start + r)]
+    tokens[bounds[1:] - 1] = "]}\n"
+    later = np.zeros(len(cols), dtype=bool)
+    later[1:] = rows[1:] == rows[:-1]
+    tokens[np.arange(len(cols)) + 2 * rows + 1] = words[cols + k * later]
+    return "".join(tokens.tolist())
 
 
 def load_prediction_sets(path, k: int) -> np.ndarray:
-    """The n-by-k mask of a sets file.
+    """The n-by-k mask of a sets file, read by `_set_records`.
 
-    The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
-    with no other key, no key twice, and distinct integer members in
-    [0, k).  `count_nonblank_lines` counts the rows off the raw bytes, so
-    the mask is allocated once; the file is then read one `line_chunks`
-    chunk at a time.  A chunk that is exactly what `save_prediction_sets`
-    writes (`_WRITTEN`) is read whole by `_fill_written`; any other chunk,
-    and one that breaks a rule, is read by `_read_lines`, one
-    ``json.loads`` per line, which fills its rows or names the first bad
-    line.
+    `count_nonblank_lines` counts the rows off the raw bytes, so the mask
+    is allocated once.
     """
-    n = count_nonblank_lines(path)
-    mask = np.zeros((n, k), dtype=bool)
-    row = 0
-    for first, lines in line_chunks(path):
-        text = "".join(lines)
-        if _WRITTEN.fullmatch(text) and _fill_written(mask[row:row + len(lines)], text, row, k):
-            row += len(lines)
-        else:
-            row = _read_lines(mask, first, lines, row, k)
+    mask = np.zeros((count_nonblank_lines(path), k), dtype=bool)
+    for _, owners, members in _set_records(path, k):
+        mask[owners, members] = True
     return mask
 
 
-def _fill_written(block: np.ndarray, text: str, row: int, k: int) -> bool:
-    """Write the records of ``text``, which matches `_WRITTEN`, into the
-    all-False ``block``, the first at row ``row`` of the file; or return
-    False, writing nothing, when an index is not its row position or a
-    row's members are not strictly ascending and below k.
+def load_set_sizes(path, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, covered)`` of a sets file, read by `_set_records` without
+    its mask: each record's member count, and whether it holds the label
+    of its row in ``labels``.
+
+    Both have one entry per record; past the last label, covered is False.
+    """
+    n = count_nonblank_lines(path)
+    sizes = np.zeros(n, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
+    for rows, owners, members in _set_records(path, k):
+        sizes[rows] = np.bincount(owners - rows.start, minlength=rows.stop - rows.start)
+        if rows.stop > len(labels):
+            fit = owners < len(labels)
+            owners, members = owners[fit], members[fit]
+        covered[owners[members == labels[owners]]] = True
+    return sizes, covered
+
+
+def _set_records(path, k: int):
+    """Yield ``(rows, owners, members)`` for each `line_chunks` chunk of a
+    sets file: its records are the file's rows ``rows``, and row owners[j]
+    holds class members[j].
+
+    The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
+    with no other key, no key twice, and distinct integer members in
+    [0, k).  A chunk that is exactly what `save_prediction_sets` writes
+    (`_WRITTEN`) is read whole by `_written_members`; any other chunk, and
+    one that breaks a rule, is read by `_read_lines`, one ``json.loads``
+    per line, which gives its members or names the first bad line.
+    """
+    row = 0
+    for first, lines in line_chunks(path):
+        text = "".join(lines)
+        found = _WRITTEN.fullmatch(text) and _written_members(text, row, k)
+        count, owners, members = found or _read_lines(first, lines, row, k)
+        yield slice(row, row + count), owners, members
+        row += count
+
+
+def _written_members(text: str, row: int, k: int):
+    """``(count, owners, members)`` of the records of ``text``, which matches
+    `_WRITTEN`, the first at row ``row`` of the file; or None when an index
+    is not its row position or a row's members are not strictly ascending
+    and below k.
 
     `_NUMBERS` makes the text the blank-separated numbers of each record,
     its index then its members, with -1 after each: one C-level parse.
@@ -333,19 +408,21 @@ def _fill_written(block: np.ndarray, text: str, row: int, k: int) -> bool:
     if not (np.array_equal(numbers[starts], np.arange(row, row + len(ends)))
             and np.all(members < k)
             and np.all((np.diff(members) > 0) | (np.diff(owners) > 0))):
-        return False
-    block[owners, members] = True
-    return True
+        return None
+    return len(ends), owners + row, members
 
 
-def _read_lines(mask: np.ndarray, first: int, lines: list[str], row: int, k: int) -> int:
-    """Read each of ``lines`` alone and write its record's row of ``mask``,
-    the first at row ``row``; return the row after the last.
+def _read_lines(first: int, lines: list[str], row: int, k: int):
+    """``(count, owners, members)`` of the records of ``lines``, each read
+    alone, the first at row ``row`` of the file.
 
     ``first`` is the number of the first line.  Blank lines are skipped,
     and the first bad line is a ValidationError that names it, counting
     every line of the file from 0.
     """
+    owners: list[int] = []
+    members: list[int] = []
+    start = row
     for lineno, line in enumerate(lines, first):
         if not line.isascii():
             raise ValidationError(f"prediction-sets line {lineno}: non-ASCII byte")
@@ -359,9 +436,10 @@ def _read_lines(mask: np.ndarray, first: int, lines: list[str], row: int, k: int
         message = _record_error(value, line, row, k)
         if message:
             raise ValidationError(f"prediction-sets line {lineno}: {message}")
-        mask[row, value["set"]] = True
+        owners += [row] * len(value["set"])
+        members += value["set"]
         row += 1
-    return row
+    return row - start, np.array(owners, dtype=np.int64), np.array(members, dtype=np.int64)
 
 
 def _record_error(value, text: str, row: int, k: int) -> str | None:

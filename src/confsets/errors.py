@@ -8,9 +8,15 @@ prediction-sets loader takes whole chunks and checks them itself, after
 `count_nonblank_lines` has counted its rows off the raw bytes.
 `write_json` and `read_json` are the one writer and reader of the JSON
 artifacts (maps, thresholds, tune and evaluation reports).
+`replaced_on_success` writes a text file that, where its path allows,
+changes that path only once it is whole.
 """
 
+import contextlib
 import json
+import os
+import shutil
+import stat
 
 import numpy as np
 
@@ -98,6 +104,69 @@ def ascii_lines(path, what: str):
             if not line.isascii():
                 raise ValidationError(f"{what} line {lineno}: non-ASCII byte")
             yield lineno, line
+
+
+@contextlib.contextmanager
+def replaced_on_success(path):
+    """A text file to write in place of ``path``, which it changes only when
+    the ``with`` block ends without an error: a writer that fails partway
+    leaves ``path`` as it was, or absent.
+
+    The text goes to a uniquely named file beside ``path`` (a symbolic link
+    is followed), removed on any error.  On success that file is renamed
+    onto ``path`` when this changes nothing but the bytes: ``path`` is
+    absent, or a regular file with no other hard link and the new file's
+    owner and group, whose mode the new file takes.  Otherwise its bytes
+    are copied into ``path``, which keeps its links and owner.  An existing
+    file that cannot be written fails at once, naming ``path``.  A ``path``
+    that is not a regular file (a device such as /dev/null, a FIFO), or
+    beside which no file can be made, is opened with ``open(path, "w")`` at
+    once and written as the text comes, as a plain writer would.
+    """
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target)
+    except FileNotFoundError:
+        old = None
+    if old is not None and stat.S_ISREG(old.st_mode):
+        try:
+            os.close(os.open(target, os.O_WRONLY))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    fh = None if old is not None and not stat.S_ISREG(old.st_mode) else _file_beside(target)
+    if fh is None:
+        with open(path, "w", encoding="ascii", newline="\n") as out:
+            yield out
+        return
+    try:
+        with fh:
+            new = os.fstat(fh.fileno())
+            yield fh
+        if old is None or (old.st_nlink == 1
+                           and (old.st_uid, old.st_gid) == (new.st_uid, new.st_gid)):
+            if old is not None:
+                os.chmod(fh.name, old.st_mode & 0o7777)
+            os.replace(fh.name, target)
+        else:
+            with open(fh.name, "rb") as src, open(target, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(fh.name)
+
+
+def _file_beside(target):
+    """A new text file with a unique name in ``target``'s directory, with the
+    mode a new file gets; or None if none can be made there."""
+    head, tail = os.path.split(target)
+    while True:
+        try:
+            return open(os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp"), "x",
+                        encoding="ascii", newline="\n")
+        except FileExistsError:
+            continue
+        except OSError:
+            return None
 
 
 def write_json(obj, path) -> None:

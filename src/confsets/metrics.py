@@ -1,16 +1,19 @@
 """Evaluation of prediction sets and probability calibration.
 
-Prediction sets arrive as one n-by-K boolean mask (row i holds sample
-i's set).  Coverage and average size are exact ratios over the test set.  ECE uses
-M equal-width bins over top-1 confidence, bin m = ((m-1)/M, m/M] with a
-confidence of 0 assigned to the first bin.  Adaptiveness is summarized
-by binning samples on the rank of their true label and averaging set
-sizes within each bin.
+Prediction sets arrive as two n-vectors, each row's set size and whether
+its set holds its label: read off a sets file by `engine.load_set_sizes`,
+or off an n-by-K boolean mask (row i holds sample i's set) by
+`set_sizes`.  Coverage and average size are exact ratios over the test
+set.  ECE uses M equal-width bins over top-1 confidence, bin m =
+((m-1)/M, m/M] with a confidence of 0 assigned to the first bin.
+Adaptiveness is summarized by binning samples on the rank of their true
+label and averaging set sizes within each bin.
 
-`build_report` reads the calibration map off the threshold that made the
-sets and `truncation_diagnostic` takes one; neither takes probabilities:
-each row block of `maps.probability_blocks` is reduced to per-row values
-before the next is made, and every statistic is computed from those
+`report_from_sizes` is the one report path; `build_report` is it on a
+mask.  It reads the calibration map off the threshold that made the sets
+and `truncation_diagnostic` takes one; neither takes probabilities: each
+row block of `maps.probability_blocks` is reduced to per-row values
+before the next is made, and every statistic is computed from
 n-vectors.
 """
 
@@ -49,19 +52,28 @@ class EvaluationReport:
         return asdict(self)
 
 
-def coverage_and_size(mask: np.ndarray, labels) -> tuple[float, float]:
-    """(fraction of sets containing the true label, mean set size)."""
+def set_sizes(mask: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, covered)`` of a set mask: each row's set size, and whether
+    its set holds its label."""
     mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
     if mask.ndim != 2 or mask.shape[0] != labels.shape[0]:
         raise ValidationError(
             f"a set mask of shape {mask.shape} does not fit {labels.shape[0]} labels"
         )
-    n = labels.shape[0]
+    return np.count_nonzero(mask, axis=1), mask[np.arange(labels.shape[0]), labels]
+
+
+def coverage_and_size(mask: np.ndarray, labels) -> tuple[float, float]:
+    """(fraction of sets containing the true label, mean set size)."""
+    return _coverage_and_size(*set_sizes(mask, labels))
+
+
+def _coverage_and_size(sizes: np.ndarray, covered: np.ndarray) -> tuple[float, float]:
+    n = sizes.shape[0]
     if n == 0:
         raise ValidationError("coverage and size need at least one row")
-    covered = int(np.count_nonzero(mask[np.arange(n), labels]))
-    return covered / n, int(np.count_nonzero(mask)) / n
+    return int(np.count_nonzero(covered)) / n, int(sizes.sum()) / n
 
 
 def expected_calibration_error(probs: np.ndarray, labels,
@@ -134,9 +146,14 @@ def size_by_rank(mask: np.ndarray, true_ranks,
     true_ranks = np.asarray(true_ranks, dtype=np.int64)
     if mask.ndim != 2 or true_ranks.shape != (mask.shape[0],):
         raise ValidationError("the set mask and the true ranks must align")
-    sizes = mask.sum(axis=1).astype(np.float64)
+    return _size_by_rank(mask.sum(axis=1), true_ranks, edges, mask.shape[1])
+
+
+def _size_by_rank(sizes: np.ndarray, true_ranks: np.ndarray, edges,
+                  k: int) -> dict[str, tuple[int, float]]:
+    sizes = sizes.astype(np.float64)
     out: dict[str, tuple[int, float]] = {}
-    for lo, hi in rank_bins(edges, mask.shape[1]):
+    for lo, hi in rank_bins(edges, k):
         in_bin = (true_ranks >= lo) & (true_ranks <= hi)
         count = int(in_bin.sum())
         mean = float(sizes[in_bin].mean()) if count else 0.0
@@ -162,7 +179,19 @@ def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
                  threshold: ConformalThreshold | None = None,
                  rank_edges=DEFAULT_RANK_EDGES,
                  ece_bins: int = DEFAULT_ECE_BINS) -> EvaluationReport:
-    """Assemble the full evaluation report for one prediction-set mask.
+    """The evaluation report of one prediction-set mask: `report_from_sizes`
+    on its `set_sizes`."""
+    sizes, covered = set_sizes(mask, ds.labels)
+    return report_from_sizes(sizes, covered, ds, threshold, rank_edges, ece_bins)
+
+
+def report_from_sizes(sizes: np.ndarray, covered: np.ndarray,
+                      ds: LogitsDataset | LogitsFile,
+                      threshold: ConformalThreshold | None = None,
+                      rank_edges=DEFAULT_RANK_EDGES,
+                      ece_bins: int = DEFAULT_ECE_BINS) -> EvaluationReport:
+    """The full evaluation report of the prediction sets of ``ds``, given
+    each row's set size and whether its set holds its label.
 
     ``threshold`` is the one that made the sets, or None.  Its map (else
     the identity) gives the probabilities that ECE, the true-label ranks
@@ -170,8 +199,8 @@ def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
     come from it, and data with another class count is a ValidationError.
     Each `probability_blocks` block is reduced to per-row values (top-1
     confidence, the label's rank and the count of exact zeros) before the
-    next is made, so no n-by-K float matrix is held.  A row's top-1 class
-    is its label exactly when the label's rank is 1.
+    next is made, so no n-by-K matrix is held.  A row's top-1 class is its
+    label exactly when the label's rank is 1.
     """
     cal_map = CalibrationMap.identity()
     alpha = score = None
@@ -179,7 +208,12 @@ def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
         threshold.check_classes(ds.k)
         cal_map, alpha = threshold.cal_map, threshold.alpha
         score = threshold.score_spec.to_json_dict()
-    cov, avg_size = coverage_and_size(mask, ds.labels)
+    if np.shape(sizes) != (ds.n,) or np.shape(covered) != (ds.n,):
+        raise ValidationError(
+            f"set sizes of shape {np.shape(sizes)} and covered flags of shape "
+            f"{np.shape(covered)} do not fit {ds.n} rows"
+        )
+    cov, avg_size = _coverage_and_size(sizes, covered)
     conf = np.empty(ds.n)
     ranks = np.empty(ds.n, dtype=np.int64)
     zero_counts = np.empty(ds.n, dtype=np.int64)
@@ -191,7 +225,7 @@ def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
         coverage=cov,
         average_size=avg_size,
         ece=_binned_ece(conf, ranks == 1, ece_bins),
-        size_by_rank_bin=size_by_rank(mask, ranks, rank_edges),
+        size_by_rank_bin=_size_by_rank(sizes, ranks, rank_edges, ds.k),
         truncated_row_fraction=float((zero_counts > 0).mean()),
         alpha=alpha,
         n_test=ds.n,

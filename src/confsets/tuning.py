@@ -4,7 +4,9 @@ The objective is the mean squared efficiency gap: split the validation
 data into two halves, recompute the conformal threshold tau on the first
 half at every parameter evaluation, and average (tau - s_i)^2 over the
 second half, where s_i is the non-randomized aps score of the true
-label.  Randomized scores are deliberately excluded from the loss; they
+label.  ``split_validation`` gathers the halves a row block at a time,
+so the CLI's tune, which passes a binary input as a `data.LogitsFile`,
+holds the halves but never the whole matrix.  Randomized scores are deliberately excluded from the loss; they
 misestimate the gap.  One evaluation (``_evaluate``) scores both halves
 with ``engine.label_scores``, one row block at a time, and takes tau from
 one ``calibrate_threshold`` call.
@@ -67,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LogitsDataset, SplitSpec, split_dataset
+from .data import LogitsDataset, LogitsFile, SplitSpec, split_dataset
 from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, apply_map_dataset, row_blocks
@@ -264,9 +266,13 @@ class _Half:
         return out
 
 
-def split_validation(validation: LogitsDataset,
+def split_validation(validation: LogitsDataset | LogitsFile,
                      cfg: TuneConfig) -> tuple[LogitsDataset, LogitsDataset]:
-    """The tuner's canonical halves: equal tau/loss split, shuffled by cfg.seed."""
+    """The tuner's canonical halves: equal tau/loss split, shuffled by cfg.seed.
+
+    `split_dataset` gathers them a row block at a time, so a `LogitsFile`
+    is never held whole.
+    """
     parts = split_dataset(
         validation,
         SplitSpec(fractions={"tau": 0.5, "loss": 0.5}, seed=cfg.seed, shuffle=True),
@@ -322,7 +328,7 @@ _SCALAR_MAPS = {
 }
 
 
-def tune_map(validation: LogitsDataset, alpha: float, map_kind: str,
+def tune_map(validation: LogitsDataset | LogitsFile, alpha: float, map_kind: str,
              cfg: TuneConfig | None = None) -> tuple[CalibrationMap, TuneReport]:
     """The map of ``map_kind`` minimizing the mean squared efficiency gap.
 

@@ -4,6 +4,7 @@ n-by-K stages hold about one block of floats at a time."""
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from confsets import (
     predict,
     truncation_diagnostic,
 )
-from confsets import maps
+from confsets import engine, errors, maps, metrics
 from confsets.cli import main
-from confsets.data import save_dataset
-from confsets.engine import load_prediction_sets, save_prediction_sets
+from confsets.data import LogitsFile, save_dataset
+from confsets.engine import (ConformalThreshold, load_prediction_sets, predict_to_file,
+                             save_prediction_sets, save_threshold)
 from confsets.tuning import _evaluate_scalar, _Half, split_validation
 
 N_CAL, N_TEST = 23, 17
@@ -191,3 +193,117 @@ def test_include_all_sets_file_loads_within_twice_its_mask(tmp_path):
     mask, peak = _traced_peak(load_prediction_sets, path, k)
     assert mask.shape == (n, k) and mask.all()
     assert peak < 2 * mask.nbytes, f"load_prediction_sets peaked at {peak / 2**20:.1f} MiB"
+
+
+# Thresholds whose sets the streamed writer must write as save_prediction_sets does.
+SET_CASES = {
+    # saps with a tiny lambda at tau 0.6: the uniform rows hold every class,
+    # and a sharp row whose u is above 0.6 holds none
+    "saps-empty-and-full": lambda cal, k: ConformalThreshold(
+        tau=0.6, alpha=0.1, n_cal=100, cal_map=CalibrationMap.identity(), k=k,
+        score_spec=ScoreSpec(kind="saps", randomized=True, saps_lambda=1e-6, rng_seed=3)),
+    "aps-randomized": lambda cal, k: calibrate(
+        cal, CalibrationMap.temperature(0.7), ScoreSpec(kind="aps", randomized=True,
+                                                        rng_seed=5), 0.1),
+    "lac": lambda cal, k: calibrate(cal, CalibrationMap.identity(), ScoreSpec(kind="lac"), 0.1),
+    # ceil(24 * 0.98) = 24 > N_CAL: tau = +inf
+    "include-all": lambda cal, k: calibrate(cal, CalibrationMap.identity(),
+                                            ScoreSpec(kind="aps", randomized=True), 0.02),
+}
+
+
+def _sets_data(n, k, seed):
+    """Sharp rows (label bump of 9), every third row uniform (all logits 0)."""
+    ds = generate(SynthSpec(n=n, k=k, seed=seed, signal=9.0))
+    logits = np.array(ds.logits)
+    logits[::3] = 0.0
+    return LogitsDataset(logits, ds.labels)
+
+
+@pytest.mark.parametrize("k", [2, 50, 1000])
+@pytest.mark.parametrize("case", sorted(SET_CASES))
+# rows per block, which the streamed writer writes at a time, and per chunk
+# of save_prediction_sets: blocks that straddle the saver's chunks either
+# way, and the defaults
+@pytest.mark.parametrize("block, write", [(3, 7), (5, 2), (None, None)])
+def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, case,
+                                                     block, write):
+    if block is not None:
+        monkeypatch.setattr(maps, "_BLOCK_CELLS", block * k)
+        monkeypatch.setattr(engine, "_WRITE_CELLS", write * k)
+    cal, test = _sets_data(N_CAL, k, 1), _sets_data(N_TEST, k, 2)
+    threshold = SET_CASES[case](cal, k)
+    mask = predict(threshold, test)
+    sizes = mask.sum(axis=1)
+    if case == "saps-empty-and-full":
+        assert (sizes == 0).any() and (sizes == k).any()
+    saved, streamed = tmp_path / "saved.jsonl", tmp_path / "streamed.jsonl"
+    save_prediction_sets(mask, saved)
+    data = tmp_path / "test.bin"
+    save_dataset(test, data)
+    with LogitsFile(data) as ds:
+        predict_to_file(threshold, ds, streamed)
+    assert streamed.read_bytes() == saved.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.jsonl", "streamed.jsonl",
+                                                          "test.bin"]
+
+    # evaluate reads the writer's bytes, and the same records spelt otherwise
+    # (line by line), to the report of the mask
+    th_path, report = tmp_path / "threshold.json", tmp_path / "report.json"
+    save_threshold(threshold, th_path)
+    expected = tmp_path / "expected.json"
+    metrics.save_report(build_report(mask, test, threshold), expected)
+    respelt = tmp_path / "respelt.jsonl"
+    respelt.write_text("".join(
+        json.dumps({"set": np.flatnonzero(row)[::-1].tolist(), "index": i},
+                   separators=(",", ":")) + "\n" for i, row in enumerate(mask)))
+    for sets, line_by_line in ((streamed, False), (respelt, True)):
+        with mock.patch.object(errors, "_CHUNK_CHARS", 300), \
+                mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
+            assert main(["evaluate", "--sets", str(sets), "--in", str(data),
+                         "--threshold", str(th_path), "--out", str(report)]) == 0
+        assert per_line.called == line_by_line
+        assert report.read_bytes() == expected.read_bytes()
+        np.testing.assert_array_equal(load_prediction_sets(sets, k), mask)
+
+
+def _wide_calibrated(tmp_path):
+    """A 4000 x 1000 binary file and a threshold calibrated on it."""
+    wide = tmp_path / "wide.bin"
+    save_dataset(generate(SynthSpec(n=4000, k=1000, seed=0, signal=4.0)), wide)
+    params, threshold = tmp_path / "map.json", tmp_path / "threshold.json"
+    maps.save_map(CalibrationMap.temperature(0.8), params)
+    assert main(["calibrate", "--in", str(wide), "--alpha", "0.1", "--score", "aps",
+                 "--randomized", "true", "--params", str(params), "--seed", "1",
+                 "--out", str(threshold)]) == 0
+    return wide, threshold
+
+
+def test_cli_predict_and_evaluate_stay_below_the_set_mask(tmp_path):
+    # predict writes its sets a block at a time and evaluate reads them into
+    # per-row sizes: neither holds the n-by-K boolean mask
+    wide, threshold = _wide_calibrated(tmp_path)
+    sets = tmp_path / "sets.jsonl"
+    steps = (
+        ["predict", "--in", str(wide), "--threshold", str(threshold), "--seed", "1",
+         "--out", str(sets)],
+        ["evaluate", "--sets", str(sets), "--in", str(wide), "--threshold", str(threshold),
+         "--out", str(tmp_path / "report.json")],
+    )
+    budget = 4000 * 1000  # the bytes of the n-by-K boolean mask
+    for argv in steps:
+        code, peak = _traced_peak(main, argv)
+        assert code == 0
+        assert peak < budget, f"confsets {argv[0]} peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_cli_tune_holds_its_halves_but_not_the_whole_matrix(tmp_path):
+    n, k = 10000, 50
+    validation = tmp_path / "validation.bin"
+    save_dataset(generate(SynthSpec(n=n, k=k, seed=0, signal=4.0)), validation)
+    budget = 1.75 * n * k * 8  # the halves are one n-by-K float64 matrix
+    code, peak = _traced_peak(main, ["tune", "--in", str(validation), "--alpha", "0.1",
+                                     "--map", "temperature", "--seed", "1",
+                                     "--out", str(tmp_path / "map.json")])
+    assert code == 0
+    assert peak < budget, f"confsets tune peaked at {peak / (n * k * 8):.2f} times its logits"

@@ -2,8 +2,10 @@ import json
 import os
 import platform
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -392,7 +394,7 @@ def test_predict_exits_1_when_its_input_changes_after_it_was_opened(
     from confsets import engine
 
     _, test, threshold, _ = predicted
-    real_predict = engine.predict
+    real_predict = engine.predict_to_file
 
     def change_then_predict(*args):
         if change == "truncate":
@@ -403,7 +405,7 @@ def test_predict_exits_1_when_its_input_changes_after_it_was_opened(
                 fh.write(np.array([np.nan]).tobytes())
         return real_predict(*args)
 
-    monkeypatch.setattr(engine, "predict", change_then_predict)
+    monkeypatch.setattr(engine, "predict_to_file", change_then_predict)
     out = tmp_path / "out.jsonl"
     code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
                    "--seed", "7", "--out", str(out))
@@ -412,7 +414,217 @@ def test_predict_exits_1_when_its_input_changes_after_it_was_opened(
     assert not out.exists()
 
 
-# Repeats calibrate, predict and evaluate in a fresh process, as a batch
+def test_failed_predict_leaves_an_existing_out_as_it_was(tmp_path, predicted, monkeypatch,
+                                                          capsys):
+    # the input goes bad after 16 blocks of 3 rows are written
+    from confsets import engine, maps
+
+    _, test, threshold, sets = predicted
+    old = sets.read_bytes()
+    real_predict = engine.predict_to_file
+
+    def change_then_predict(*args):
+        with open(test, "r+b") as fh:
+            fh.seek(-8, os.SEEK_END)
+            fh.write(np.array([np.nan]).tobytes())
+        return real_predict(*args)
+
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 30)
+    monkeypatch.setattr(engine, "predict_to_file", change_then_predict)
+    before = sorted(os.listdir(tmp_path))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets))
+    assert code == 1
+    assert capsys.readouterr().err == "error: non-finite logit in row 49\n"
+    assert sets.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_predict_replaces_out_with_the_mode_a_plain_write_gives(tmp_path, predicted):
+    _, test, threshold, sets = predicted
+    expected = sets.read_bytes()
+    with open(tmp_path / "plain.jsonl", "w"):
+        pass
+    new = tmp_path / "new.jsonl"
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(new)) == 0
+    assert new.read_bytes() == expected
+    assert new.stat().st_mode == (tmp_path / "plain.jsonl").stat().st_mode
+    # an existing file keeps its mode, as when it is opened for writing
+    sets.write_text("old\n")
+    sets.chmod(0o640)
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets)) == 0
+    assert sets.read_bytes() == expected
+    assert sets.stat().st_mode & 0o777 == 0o640
+    # a symbolic link is written through, not replaced
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(new)
+    new.write_text("old\n")
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(link)) == 0
+    assert link.is_symlink() and new.read_bytes() == expected
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_predict_writes_a_fifo_in_place(tmp_path, predicted):
+    # as /dev/null or /dev/stdout: no file can replace it
+    _, test, threshold, sets = predicted
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                       "--seed", "7", "--out", str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert code == 0
+    assert got == [sets.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_predict_keeps_the_links_and_owner_of_out(tmp_path, predicted):
+    _, test, threshold, sets = predicted
+    expected = sets.read_bytes()
+    link = tmp_path / "link.jsonl"
+    os.link(sets, link)
+    sets.write_text("old\n")
+    before = sets.stat()
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets)) == 0
+    assert sets.read_bytes() == link.read_bytes() == expected
+    assert sets.stat().st_ino == before.st_ino
+    link.unlink()
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+    sets.write_text("old\n")
+    try:
+        os.chown(sets, 65534, 65534)
+        os.close(os.open(sets, os.O_WRONLY))
+    except PermissionError:  # only root may give away a file and still write it
+        return
+    assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets)) == 0
+    assert sets.read_bytes() == expected
+    assert (sets.stat().st_uid, sets.stat().st_gid) == (65534, 65534)
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def _skip_if_permissions_are_overridden(path):
+    """Skip when this process may write the read-only file or directory
+    ``path``, as root can."""
+    probe = path / "probe" if path.is_dir() else path
+    try:
+        os.close(os.open(probe, os.O_WRONLY | os.O_CREAT))
+    except PermissionError:
+        return
+    if probe != path:
+        probe.unlink()
+    pytest.skip("this process may write read-only files")
+
+
+def test_predict_to_a_read_only_out_fails_before_writing(tmp_path, predicted, capsys):
+    _, test, threshold, sets = predicted
+    sets.write_text("old\n")
+    sets.chmod(0o444)
+    _skip_if_permissions_are_overridden(sets)
+    before = sorted(os.listdir(tmp_path))
+    code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(sets))
+    assert code == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 13] Permission denied: '{sets}'\n"
+    assert sets.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_predict_writes_an_out_in_a_read_only_directory_in_place(tmp_path, predicted):
+    _, test, threshold, sets = predicted
+    expected = sets.read_bytes()
+    sets.write_text("old\n")
+    tmp_path.chmod(0o555)
+    try:
+        _skip_if_permissions_are_overridden(tmp_path)
+        assert run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                       "--seed", "7", "--out", str(sets)) == 0
+    finally:
+        tmp_path.chmod(0o755)
+    assert sets.read_bytes() == expected
+
+
+def test_predict_into_a_missing_directory_names_out(tmp_path, predicted, capsys):
+    _, test, threshold, _ = predicted
+    out = tmp_path / "missing" / "sets.jsonl"
+    code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
+                   "--seed", "7", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("rows", [30, 70])
+def test_evaluate_names_a_bad_line_before_a_wrong_row_count(tmp_path, predicted, rows,
+                                                           capsys):
+    # --in has 50 rows; the bad line is the file's last, past row 50 at 70 rows
+    _, test, threshold, sets = predicted
+    lines = _rows_past_first_chunk(sets.read_text().splitlines())[:rows]
+    lines[-1] = _renumbered('{"index": 0, "set": [3, 3]}', rows - 1)
+    bad = tmp_path / "bad_sets.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run_cli("evaluate", "--sets", str(bad), "--in", str(test),
+                   "--threshold", str(threshold), "--out", str(tmp_path / "report.json"))
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: prediction-sets line {rows - 1}: duplicated member\n"
+    lines[-1] = _renumbered('{"index": 0, "set": [3]}', rows - 1)
+    bad.write_text("\n".join(lines) + "\n")
+    code = run_cli("evaluate", "--sets", str(bad), "--in", str(test),
+                   "--threshold", str(threshold), "--out", str(tmp_path / "report.json"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --sets has {rows} entries but --in has 50 rows\n"
+
+
+def test_tune_reads_binary_and_csv_rows_alike(tmp_path):
+    binary = synth_file(tmp_path, name="validation.bin", n=900, k=7, signal=3.0, seed=21)
+    csv = tmp_path / "validation.csv"
+    assert run_cli("synth", "--n", "900", "--k", "7", "--signal", "3.0", "--noise", "1.0",
+                   "--overconfidence", "1.0", "--seed", "21", "--out", str(csv)) == 0
+    for kind in ("temperature", "platt", "vector"):
+        outs = []
+        for source in (binary, csv):
+            out = tmp_path / f"{kind}-{source.suffix[1:]}.json"
+            assert run_cli("tune", "--in", str(source), "--alpha", "0.1", "--map", kind,
+                           "--seed", "21", "--out", str(out), "--grid-points", "8") == 0
+            outs.append((out.read_bytes(), out.with_suffix(".report.json").read_bytes()))
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "non-finite logit in row 199"),
+    ("label", "label out of range in row 5: 6 not in [0, 6)"),
+    ("truncated", "truncated file: expected 10417 bytes, got 10409"),
+])
+def test_tune_names_a_bad_binary_input(tmp_path, defect, message, capsys):
+    path = synth_file(tmp_path, name="validation.bin", n=200, k=6, seed=3)
+    blob = bytearray(path.read_bytes())
+    if defect == "nan":
+        blob[-8:] = np.array([np.nan]).tobytes()
+    elif defect == "label":
+        # the labels follow the 17-byte header as u32
+        blob[17 + 4 * 5:17 + 4 * 6] = np.array([6], dtype="<u4").tobytes()
+    else:
+        del blob[-8:]
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "map.json"
+    code = run_cli("tune", "--in", str(path), "--alpha", "0.1", "--map", "temperature",
+                   "--seed", "3", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Repeats tune, calibrate, predict and evaluate in a fresh process, as a batch
 # driver calling `main` would, and prints each step's minor page faults.
 _REPEAT_STEPS = """
 import json, resource, sys
@@ -433,12 +645,15 @@ def test_repeated_block_steps_reuse_freed_heap(tmp_path):
     # Row blocks of a K = 50 file are 512 KiB each; under glibc's dynamic
     # thresholds the heap they used was trimmed as each step ended, and every
     # repeat of calibrate, predict or evaluate faulted in 190-640 fresh pages.
+    validation = synth_file(tmp_path, name="validation.bin", n=2000, k=50, seed=6)
     cal = synth_file(tmp_path, name="cal.bin", n=2000, k=50, seed=7)
     test = synth_file(tmp_path, name="test.bin", n=5500, k=50, seed=8)
     params = tmp_path / "map.json"
     params.write_text('{"kind": "platt", "params": {"a": 0.5, "b": 0.1}}\n')
     threshold, sets = tmp_path / "threshold.json", tmp_path / "sets.jsonl"
     steps = [
+        ["tune", "--in", str(validation), "--alpha", "0.1", "--map", "temperature",
+         "--seed", "7", "--out", str(tmp_path / "tuned.json"), "--grid-points", "3"],
         ["calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
          "--randomized", "true", "--params", str(params), "--seed", "7",
          "--out", str(threshold)],

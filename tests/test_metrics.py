@@ -20,7 +20,7 @@ from confsets import (
     size_by_rank,
     truncation_diagnostic,
 )
-from confsets.metrics import DEFAULT_RANK_EDGES, rank_bins
+from confsets.metrics import DEFAULT_RANK_EDGES, rank_bins, report_from_sizes
 from confsets.scores import label_ranks
 
 from oracles import oracle_order
@@ -274,3 +274,9 @@ def test_truncated_fraction_monotone_in_t():
         frac, _ = truncation_diagnostic(CalibrationMap.temperature(t), ds, "f32")
         fractions.append(frac)
     assert all(b >= a for a, b in zip(fractions, fractions[1:]))
+
+
+def test_report_from_sizes_rejects_vectors_of_another_length():
+    ds = generate(SynthSpec(n=5, k=4, seed=3))
+    with pytest.raises(ValidationError, match="do not fit 5 rows"):
+        report_from_sizes(np.ones(4, dtype=np.int64), np.ones(4, dtype=bool), ds)
