@@ -12,6 +12,12 @@ At K = 10, 50 and 1000 the chain runs:
     at alpha 0.1 also without it;
   * demo-precision at f32 and f64.
 
+The K = 10 rows then go through the chain once more as CSV files, under
+k10csv/: split, tune temperature, calibrate, predict and evaluate with
+randomized aps at alpha 0.1, and demo-precision at f64.  Apart from the
+CSV data files, each of its outputs has the name, and should have the
+bytes, of the same output under k10/.
+
 Every command runs in one child process whose PYTHONPATH is --src, so the
 manifests of two source trees show whether their outputs are the same:
 
@@ -38,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = "MANIFEST.sha256"
 SEED = "7"
 KS = (10, 50, 1000)
+CSV_DIR = "k10csv"
 SCORES = {
     "aps": ["--score", "aps"],
     "raps": ["--score", "raps", "--lambda", "0.001", "--kreg", "5"],
@@ -67,13 +74,7 @@ def chain(n: int) -> list[list[str]]:
     commands = []
     for k in KS:
         d, parts = f"k{k}", f"k{k}/parts"
-        commands += [
-            ["synth", "--n", str(n), "--k", str(k), "--signal", "4", "--noise", "1",
-             "--overconfidence", "3", "--seed", SEED, "--out", f"{d}/data.bin"],
-            ["split", "--in", f"{d}/data.bin", "--parts",
-             "validation:0.5,conformal:0.25,test:0.25", "--shuffle", "true",
-             "--seed", SEED, "--out-dir", parts],
-        ]
+        commands += _synth_and_split(n, k, d, "bin")
         tuned = ["temperature", "platt"] + (["vector"] if k <= 50 else [])
         commands += [["tune", "--in", f"{parts}/validation.bin", "--alpha", "0.1",
                       "--map", kind, "--seed", SEED, "--out", f"{d}/{kind}.json"]
@@ -99,7 +100,37 @@ def chain(n: int) -> list[list[str]]:
         commands += [["demo-precision", "--in", f"{parts}/test.bin", "--alpha", "0.1",
                       "--t-grid", "1,0.5,0.25,0.1", "--precision", precision, "--seed", SEED,
                       "--out", f"{d}/demo.{precision}.json"] for precision in ("f32", "f64")]
-    return commands
+    return commands + _csv_leg(n)
+
+
+def _synth_and_split(n: int, k: int, d: str, ext: str) -> list[list[str]]:
+    return [
+        ["synth", "--n", str(n), "--k", str(k), "--signal", "4", "--noise", "1",
+         "--overconfidence", "3", "--seed", SEED, "--out", f"{d}/data.{ext}"],
+        ["split", "--in", f"{d}/data.{ext}", "--parts",
+         "validation:0.5,conformal:0.25,test:0.25", "--shuffle", "true",
+         "--seed", SEED, "--out-dir", f"{d}/parts"],
+    ]
+
+
+def _csv_leg(n: int) -> list[list[str]]:
+    """The K = 10 rows as CSV files, through one map and one score."""
+    d, parts = CSV_DIR, f"{CSV_DIR}/parts"
+    stem = f"{d}/temperature.aps-true.a0.1"
+    return _synth_and_split(n, 10, d, "csv") + [
+        ["tune", "--in", f"{parts}/validation.csv", "--alpha", "0.1", "--map", "temperature",
+         "--seed", SEED, "--out", f"{d}/temperature.json"],
+        ["calibrate", "--in", f"{parts}/conformal.csv", "--alpha", "0.1", *SCORES["aps"],
+         "--randomized", "true", "--params", f"{d}/temperature.json", "--seed", SEED,
+         "--out", f"{stem}.threshold.json"],
+        ["predict", "--in", f"{parts}/test.csv", "--threshold", f"{stem}.threshold.json",
+         "--seed", SEED, "--out", f"{stem}.sets.jsonl"],
+        ["evaluate", "--sets", f"{stem}.sets.jsonl", "--in", f"{parts}/test.csv",
+         "--threshold", f"{stem}.threshold.json", "--out", f"{stem}.report.json"],
+        ["demo-precision", "--in", f"{parts}/test.csv", "--alpha", "0.1",
+         "--t-grid", "1,0.5,0.25,0.1", "--precision", "f64", "--seed", SEED,
+         "--out", f"{d}/demo.f64.json"],
+    ]
 
 
 def write_manifest(out_dir: Path) -> int:
@@ -123,8 +154,8 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     if out_dir.exists() and any(out_dir.iterdir()):
         ap.error(f"{out_dir} is not empty")
-    for k in KS:
-        (out_dir / f"k{k}").mkdir(parents=True, exist_ok=True)
+    for d in [f"k{k}" for k in KS] + [CSV_DIR]:
+        (out_dir / d).mkdir(parents=True, exist_ok=True)
     (out_dir / "identity.json").write_text('{"kind": "identity", "params": {}}\n', encoding="ascii")
     src = str(args.src.resolve())
     proc = subprocess.run([sys.executable, "-c", _RUN, src], input=json.dumps(chain(args.n)),

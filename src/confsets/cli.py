@@ -3,7 +3,9 @@
 Every subcommand reads/writes files only, takes a required --seed, and is
 byte-for-byte reproducible.  Dataset files are written as CSV when the
 path ends in .csv and in the binary format otherwise; on load the format
-is detected from the file itself.
+is detected from the file itself.  Every command that reads a dataset
+opens it with `_open_dataset`: a binary file is read a row block at a
+time, a CSV file is loaded whole.
 
 Exit codes: 0 success, 1 validation error (bad flags, schema or
 precondition violations), 2 I/O error.
@@ -68,24 +70,21 @@ def _dataset_format(path) -> str:
     return "csv" if str(path).endswith(".csv") else "binary"
 
 
-def _load_dataset(path) -> data.LogitsDataset:
-    return data.load_dataset(path, data.sniff_format(path))
-
-
 @functools.cache
 def _keep_freed_heap() -> None:
     """Pin glibc's malloc thresholds at the ceilings of its dynamic rule.
 
-    tune, calibrate, predict and evaluate read a binary dataset a row
-    block at a time (`_open_dataset`), so no array they free is larger
-    than a few MiB.  Under glibc's dynamic thresholds (the trim threshold
-    is twice the largest freed mapped chunk) the heap is then returned to
-    the system as each step ends, and the next step in the same process
-    faults the same pages in again: about 600 minor faults per K = 50
-    predict or evaluate, whose cost varies with the load on the host.  With the mmap
-    threshold at 32 MiB and the trim threshold at 64 MiB, the values the
-    dynamic rule can reach, freed blocks are reused.  Elsewhere than on
-    glibc this does nothing.
+    The six commands that read a dataset (split, tune, calibrate, predict,
+    evaluate and demo-precision) open it with `_open_dataset`, which reads
+    a binary one a row block at a time, so most arrays they free are no
+    larger than a few MiB.  Under glibc's dynamic thresholds (the trim
+    threshold is twice the largest freed mapped chunk) the heap is then
+    returned to the system as each step ends, and the next step in the
+    same process faults the same pages in again: about 600 minor faults
+    per K = 50 predict or evaluate, whose cost varies with the load on the
+    host.  With the mmap threshold at 32 MiB and the trim threshold at 64
+    MiB, the values the dynamic rule can reach, freed blocks are reused.
+    Elsewhere than on glibc this does nothing.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -134,13 +133,13 @@ def cmd_synth(args) -> None:
 
 
 def cmd_split(args) -> None:
-    ds = _load_dataset(args.input)
-    spec = data.SplitSpec(fractions=_parse_parts(args.parts), seed=args.seed,
-                          shuffle=args.shuffle)
-    parts = data.split_dataset(ds, spec)
+    with _open_dataset(args.input) as ds:
+        spec = data.SplitSpec(fractions=_parse_parts(args.parts), seed=args.seed,
+                              shuffle=args.shuffle)
+        parts = data.split_dataset(ds, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = ".csv" if data.sniff_format(args.input) == "csv" else ".bin"
+    ext = ".bin" if isinstance(ds, data.LogitsFile) else ".csv"
     for name, part in parts.items():
         path = out_dir / f"{name}{ext}"
         data.save_dataset(part, path, _dataset_format(path))
@@ -211,12 +210,12 @@ def cmd_demo_precision(args) -> None:
         raise ValidationError("--t-grid temperatures must be positive")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("--t-grid must be strictly descending")
-    ds = _load_dataset(args.input)
-    halves = data.split_dataset(
-        ds,
-        data.SplitSpec(fractions={"cal": 0.5, "test": 0.5}, seed=args.seed,
-                       shuffle=True),
-    )
+    with _open_dataset(args.input) as ds:
+        halves = data.split_dataset(
+            ds,
+            data.SplitSpec(fractions={"cal": 0.5, "test": 0.5}, seed=args.seed,
+                           shuffle=True),
+        )
     spec = ScoreSpec(kind="aps", randomized=True, rng_seed=args.seed)
     rows = []
     for t in grid:

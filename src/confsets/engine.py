@@ -10,16 +10,17 @@ A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
 True when class k is in row i's set; `scores.set_mask` builds it.
 `_set_blocks` is the one walk that makes sets: it yields the mask rows
 of one `maps.probability_blocks` block at a time.  `predict` fills the
-whole mask from it; `predict_to_file`, the CLI's predict, formats and
-writes each block's rows before the next, so it never holds the mask,
-and its file changes the output path only once it is whole.  A row's u
+whole mask from it; `predict_to_file`, the CLI's predict, writes each
+block's rows before the next, so it never holds the mask.  A row's u
 draw is keyed by its sample index, so no output depends on the block
 size.
 
 The JSONL sets file is converted to and from mask rows only at the file
-edge, a whole chunk at a time.  `save_prediction_sets` and
-`predict_to_file` build each chunk or block's text with one ``"".join``
-(`_format_sets`).  `_set_records` is the one reader: it yields each
+edge, a whole block or chunk at a time.  `_write_sets` is the one writer:
+`save_prediction_sets` and `predict_to_file` hand it their mask rows one
+`data.row_blocks` block at a time, it builds each block's text with one
+``"".join`` (`_format_sets`), and its file changes the output path only
+once it is whole.  `_set_records` is the one reader: it yields each
 chunk of lines as its rows and members, taking a chunk that is exactly
 the writer's bytes (`_WRITTEN`) with one C-level parse of its numbers
 and three array checks, any other chunk one ``json.loads`` per line, so
@@ -49,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import LogitsDataset, LogitsFile
+from .data import LogitsDataset, LogitsFile, row_blocks
 from .errors import (ValidationError, check_keys, count_nonblank_lines, is_int, is_number,
                      line_chunks, read_json, replaced_on_success, write_json)
 from .maps import CalibrationMap, probability_blocks
@@ -212,18 +213,11 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
 def predict_to_file(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile, path,
                     precision: str = "f64") -> None:
     """Write ``save_prediction_sets(predict(threshold, ds, precision), path)``
-    without holding the mask.
-
-    Each block of `_set_blocks` is formatted as `save_prediction_sets`
-    formats a chunk and written before the next.  The text goes to
-    `replaced_on_success`, so on any error ``path`` is left as it was, or
-    absent.
+    without holding the mask: `_write_sets` writes each block of
+    `_set_blocks` before the next is made.
     """
     _check_predict(threshold, ds)
-    words = _member_words(ds.k)
-    with replaced_on_success(path) as fh:
-        for rows, sets in _set_blocks(threshold, ds, precision):
-            fh.write(_format_sets(sets, rows.start, words))
+    _write_sets(_set_blocks(threshold, ds, precision), ds.k, path)
 
 
 def _check_predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile) -> None:
@@ -274,9 +268,6 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
 # ---------------------------------------------------------------------------
 # file formats
 
-# Mask entries `save_prediction_sets` turns into text at a time.
-_WRITE_CELLS = 1 << 18
-
 # The sets-file records `save_prediction_sets` writes, one per line: a decimal
 # without leading zero of at most 18 digits (so below 2**63) for the index and
 # each member, the members ascending, ", " between them and LF after each.
@@ -301,15 +292,22 @@ def save_prediction_sets(mask: np.ndarray, path) -> None:
     """One JSON object per mask row: {"index": int, "set": [int, ...]}.
 
     The lines are the bytes ``json.dumps`` gives each record (`_WRITTEN`
-    spells them out).  Each chunk of rows, at most ``_WRITE_CELLS`` mask
-    entries, is one `_format_sets` call.
+    spells them out), written by `_write_sets` one `data.row_blocks` block
+    of rows at a time.
     """
     n, k = mask.shape
+    # max(k, 1): a mask of no classes still writes one empty set per row
+    _write_sets(((rows, mask[rows]) for rows in row_blocks(n, max(k, 1))), k, path)
+
+
+def _write_sets(blocks, k: int, path) -> None:
+    """Write the sets-file lines of each ``(rows, sets)`` of ``blocks``, mask
+    rows of k classes, to ``path`` through `replaced_on_success`: on any
+    error ``path`` is left as it was, or absent."""
     words = _member_words(k)
-    step = max(1, _WRITE_CELLS // max(k, 1))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for start in range(0, n, step):
-            fh.write(_format_sets(mask[start:start + step], start, words))
+    with replaced_on_success(path) as fh:
+        for rows, sets in blocks:
+            fh.write(_format_sets(sets, rows.start, words))
 
 
 def _member_words(k: int) -> np.ndarray:

@@ -9,7 +9,8 @@ prediction-sets loader takes whole chunks and checks them itself, after
 `write_json` and `read_json` are the one writer and reader of the JSON
 artifacts (maps, thresholds, tune and evaluation reports).
 `replaced_on_success` writes a text file that, where its path allows,
-changes that path only once it is whole.
+changes that path only once it is whole; `write_json` and the sets-file
+writer write through it.
 """
 
 import contextlib
@@ -170,8 +171,10 @@ def _file_beside(target):
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as indented ASCII JSON with a trailing newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Write ``obj`` as indented ASCII JSON with a trailing newline, through
+    `replaced_on_success`: a value that cannot be written leaves ``path`` as
+    it was, or absent."""
+    with replaced_on_success(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 

@@ -10,12 +10,12 @@ Supported kinds:
 Every map ends in a softmax computed with max-subtraction so that small
 temperatures behave identically across platforms.  Probabilities are
 float64 by default; a float32 mode exists for low-precision diagnostics.
-`row_blocks` splits a dataset into consecutive row blocks, and
-`probability_blocks` yields their probabilities, so callers that reduce
-each block never hold an n-by-K float matrix.  `apply_map_dataset` reads
-a dataset's logits only through ``logit_rows``, so it takes a
-`data.LogitsFile` as well as a `LogitsDataset`: on a file, a block's
-logits are read from disk when it is made.
+`probability_blocks` yields the probabilities of each `data.row_blocks`
+block, so callers that reduce each block never hold an n-by-K float
+matrix.  `apply_map_dataset` reads a dataset's logits only through
+``logit_rows``, so it takes a `data.LogitsFile` as well as a
+`LogitsDataset`: on a file, a block's logits are read from disk when it
+is made.
 """
 
 from __future__ import annotations
@@ -25,16 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogitsDataset, LogitsFile
+from .data import LogitsDataset, LogitsFile, row_blocks
 from .errors import ValidationError, check_keys, is_number, read_json, write_json
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
-
-# Matrix cells (rows x classes) in one block of `row_blocks`.  On
-# the wide-k1000 benchmark (K = 1000, identity map, seeds 2-4, 2-core
-# host), blocks of 2**16, 2**17 and 2**18 cells gave median wall times of
-# 0.56, 0.55 and 0.58 s and peak RSS of 106, 108 and 112 MiB.
-_BLOCK_CELLS = 1 << 16
 
 # The keys of each kind's "params" object in map JSON.
 _PARAM_NAMES = {"temperature": ("t",), "platt": ("a", "b"), "vector": ("w", "c"),
@@ -182,26 +176,14 @@ def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
     return softmax(cal_map.transform_logits(work))
 
 
-def row_blocks(ds: LogitsDataset | LogitsFile) -> Iterator[slice]:
-    """Consecutive row slices that cover ``ds`` in order, the first the longest.
-
-    A block spans at most ``max(1, _BLOCK_CELLS // K)`` rows, so a caller
-    that reduces each block to per-row values never holds an n-by-K float
-    matrix.
-    """
-    step = max(1, _BLOCK_CELLS // ds.k)
-    for start in range(0, ds.n, step):
-        yield slice(start, min(start + step, ds.n))
-
-
 def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
                        precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, probs)`` for each slice of `row_blocks`.
+    """``(rows, probs)`` for each slice of `data.row_blocks`.
 
     ``probs`` is ``apply_map_dataset`` on ``rows``.  Softmax is row-wise, so
     every block equals its rows of the whole matrix bit for bit.
     """
-    for rows in row_blocks(ds):
+    for rows in row_blocks(ds.n, ds.k):
         yield rows, apply_map_dataset(cal_map, ds, precision, rows)
 
 

@@ -69,10 +69,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LogitsDataset, LogitsFile, SplitSpec, split_dataset
+from .data import LogitsDataset, LogitsFile, SplitSpec, row_blocks, split_dataset
 from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, is_int, write_json
-from .maps import CalibrationMap, apply_map_dataset, row_blocks
+from .maps import CalibrationMap, apply_map_dataset
 from .scores import ScoreSpec, aps_score_dz, descending_order, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
@@ -178,7 +178,7 @@ def _gap(score, tau_part, loss_part, alpha: float) -> _Evaluation:
 
 
 class _Block(NamedTuple):
-    """One `maps.row_blocks` block of a `_Half`, by the path each row takes."""
+    """One `data.row_blocks` block of a `_Half`, by the path each row takes."""
 
     rows: slice
     exact: np.ndarray     # rows whose label has a near tie
@@ -192,7 +192,7 @@ class _Half:
 
     Made once per half for a search over t <= t_max (the module docstring
     has the argument): each row's largest logit, and per
-    `maps.row_blocks` block the rows whose label has a near tie and, for
+    `data.row_blocks` block the rows whose label has a near tie and, for
     the rows whose label is not the largest logit, the classes ahead of it
     in `scores.descending_order`.  ``order`` holds those class
     indices in the narrowest unsigned dtype for K (one byte up to K = 256,
@@ -206,7 +206,7 @@ class _Half:
         self.ds = ds
         self.n, self.k = ds.n, ds.k
         self.row_max = ds.logits.max(axis=1)
-        slices = list(row_blocks(ds))
+        slices = list(row_blocks(ds.n, ds.k))
         self._buf = np.empty((slices[0].stop, ds.k))
         index_type = np.min_scalar_type(ds.k - 1)
         self.blocks = []

@@ -257,6 +257,21 @@ def test_criterion_7_tuner_matches_dense_grid():
           f"tuned t {tuned.t:.6f} vs dense-grid oracle {oracle_t:.6f} (|diff| {diff:.2e})")
 
 
+def test_gap_loss_keeps_falling_below_the_window_on_protocol_data():
+    # not a criterion: the efficiency-gap loss has no interior minimum on
+    # the protocol's data, so the tuned t is the window's lower bound and a
+    # t below the window scores lower still; a change to the loss meets this
+    validation, _, _ = _g3_protocol(0)
+    cfg = TuneConfig()
+    tuned, report = tune_map(validation, 0.1, "temperature", cfg)
+    assert tuned.t == cfg.t_min == 0.05
+    d_tau, d_loss = split_validation(validation, cfg)
+    assert efficiency_gap_loss(tuned, d_tau, d_loss, 0.1) == report.final_loss
+    below = efficiency_gap_loss(cs.CalibrationMap.temperature(cfg.t_min / 10), d_tau, d_loss,
+                                0.1)
+    assert below < report.final_loss
+
+
 # ---------------------------------------------------------------------------
 # 9. low-precision pathology demo
 

@@ -22,7 +22,7 @@ from confsets import (
     predict,
     truncation_diagnostic,
 )
-from confsets import engine, errors, maps, metrics
+from confsets import data, engine, errors, maps, metrics
 from confsets.cli import main
 from confsets.data import LogitsFile, save_dataset
 from confsets.engine import (ConformalThreshold, load_prediction_sets, predict_to_file,
@@ -87,7 +87,7 @@ def test_outputs_do_not_depend_on_block_size(monkeypatch, case, k):
     cal_map = make_map(k)
     results = []
     for rows in BLOCK_ROWS:
-        monkeypatch.setattr(maps, "_BLOCK_CELLS", rows * k)
+        monkeypatch.setattr(data, "_BLOCK_CELLS", rows * k)
         spans = [r.stop - r.start for r, _ in maps.probability_blocks(cal_map, cal)]
         assert spans == [rows] * (N_CAL // rows) + ([N_CAL % rows] if N_CAL % rows else [])
         results.append(_outputs(cal, test, cal_map, spec, alpha, precision))
@@ -222,15 +222,13 @@ def _sets_data(n, k, seed):
 
 @pytest.mark.parametrize("k", [2, 50, 1000])
 @pytest.mark.parametrize("case", sorted(SET_CASES))
-# rows per block, which the streamed writer writes at a time, and per chunk
-# of save_prediction_sets: blocks that straddle the saver's chunks either
-# way, and the defaults
-@pytest.mark.parametrize("block, write", [(3, 7), (5, 2), (None, None)])
+# rows per block of the streamed writer and of save_prediction_sets: blocks
+# that straddle each other either way, and the defaults
+@pytest.mark.parametrize("block, save", [(3, 7), (5, 2), (None, None)])
 def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, case,
-                                                     block, write):
+                                                     block, save):
     if block is not None:
-        monkeypatch.setattr(maps, "_BLOCK_CELLS", block * k)
-        monkeypatch.setattr(engine, "_WRITE_CELLS", write * k)
+        monkeypatch.setattr(data, "_BLOCK_CELLS", block * k)
     cal, test = _sets_data(N_CAL, k, 1), _sets_data(N_TEST, k, 2)
     threshold = SET_CASES[case](cal, k)
     mask = predict(threshold, test)
@@ -238,10 +236,11 @@ def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, c
     if case == "saps-empty-and-full":
         assert (sizes == 0).any() and (sizes == k).any()
     saved, streamed = tmp_path / "saved.jsonl", tmp_path / "streamed.jsonl"
-    save_prediction_sets(mask, saved)
-    data = tmp_path / "test.bin"
-    save_dataset(test, data)
-    with LogitsFile(data) as ds:
+    with mock.patch.object(data, "_BLOCK_CELLS", save * k if save else data._BLOCK_CELLS):
+        save_prediction_sets(mask, saved)
+    test_file = tmp_path / "test.bin"
+    save_dataset(test, test_file)
+    with LogitsFile(test_file) as ds:
         predict_to_file(threshold, ds, streamed)
     assert streamed.read_bytes() == saved.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.jsonl", "streamed.jsonl",
@@ -260,7 +259,7 @@ def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, c
     for sets, line_by_line in ((streamed, False), (respelt, True)):
         with mock.patch.object(errors, "_CHUNK_CHARS", 300), \
                 mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
-            assert main(["evaluate", "--sets", str(sets), "--in", str(data),
+            assert main(["evaluate", "--sets", str(sets), "--in", str(test_file),
                          "--threshold", str(th_path), "--out", str(report)]) == 0
         assert per_line.called == line_by_line
         assert report.read_bytes() == expected.read_bytes()
@@ -295,6 +294,18 @@ def test_cli_predict_and_evaluate_stay_below_the_set_mask(tmp_path):
         code, peak = _traced_peak(main, argv)
         assert code == 0
         assert peak < budget, f"confsets {argv[0]} peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_cli_split_holds_its_parts_but_not_a_second_matrix(tmp_path):
+    n, k = 4000, 1000
+    wide = tmp_path / "wide.bin"
+    save_dataset(generate(SynthSpec(n=n, k=k, seed=0, signal=4.0)), wide)
+    budget = 1.25 * n * k * 8  # the parts are one n-by-K float64 matrix
+    code, peak = _traced_peak(main, ["split", "--in", str(wide), "--parts", "a:0.3,b:0.7",
+                                     "--shuffle", "true", "--seed", "1",
+                                     "--out-dir", str(tmp_path / "parts")])
+    assert code == 0
+    assert peak < budget, f"confsets split peaked at {peak / (n * k * 8):.2f} times its logits"
 
 
 def test_cli_tune_holds_its_halves_but_not_the_whole_matrix(tmp_path):

@@ -417,7 +417,7 @@ def test_predict_exits_1_when_its_input_changes_after_it_was_opened(
 def test_failed_predict_leaves_an_existing_out_as_it_was(tmp_path, predicted, monkeypatch,
                                                           capsys):
     # the input goes bad after 16 blocks of 3 rows are written
-    from confsets import engine, maps
+    from confsets import data, engine
 
     _, test, threshold, sets = predicted
     old = sets.read_bytes()
@@ -429,7 +429,7 @@ def test_failed_predict_leaves_an_existing_out_as_it_was(tmp_path, predicted, mo
             fh.write(np.array([np.nan]).tobytes())
         return real_predict(*args)
 
-    monkeypatch.setattr(maps, "_BLOCK_CELLS", 30)
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 30)
     monkeypatch.setattr(engine, "predict_to_file", change_then_predict)
     before = sorted(os.listdir(tmp_path))
     code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
@@ -467,23 +467,31 @@ def test_predict_replaces_out_with_the_mode_a_plain_write_gives(tmp_path, predic
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
-def test_predict_writes_a_fifo_in_place(tmp_path, predicted):
-    # as /dev/null or /dev/stdout: no file can replace it
-    _, test, threshold, sets = predicted
+def _write_to_a_fifo(tmp_path, run):
+    """The exit code of ``run(fifo)`` and the bytes read from the FIFO, which
+    must still be one, with no temporary file left beside it."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
-        code = run_cli("predict", "--in", str(test), "--threshold", str(threshold),
-                       "--seed", "7", "--out", str(fifo))
+        code = run(fifo)
     finally:
         reader.join(timeout=30)
-    assert code == 0
-    assert got == [sets.read_bytes()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+    return code, got
+
+
+def test_predict_writes_a_fifo_in_place(tmp_path, predicted):
+    # as /dev/null or /dev/stdout: no file can replace it
+    _, test, threshold, sets = predicted
+    code, got = _write_to_a_fifo(tmp_path, lambda fifo: run_cli(
+        "predict", "--in", str(test), "--threshold", str(threshold), "--seed", "7",
+        "--out", str(fifo)))
+    assert code == 0
+    assert got == [sets.read_bytes()]
 
 
 def test_predict_keeps_the_links_and_owner_of_out(tmp_path, predicted):
@@ -563,6 +571,64 @@ def test_predict_into_a_missing_directory_names_out(tmp_path, predicted, capsys)
         f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_a_json_value_that_cannot_be_written_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        errors.write_json({"a": 1, "b": object()}, path)
+    assert path.read_text() == "old\n"
+    with pytest.raises(TypeError):
+        errors.write_json({"b": object()}, tmp_path / "new.json")
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _calibrate(predicted, out):
+    """Calibrate the `predicted` fixture's threshold again, into ``out``."""
+    cal, _, threshold, _ = predicted
+    return run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--randomized", "true", "--params", str(threshold.parent / "map.json"),
+                   "--seed", "7", "--out", str(out))
+
+
+def test_calibrate_keeps_the_mode_and_links_of_out(tmp_path, predicted):
+    # calibrate writes through write_json, which replaces --out as predict does
+    threshold = predicted[2]
+    expected = threshold.read_bytes()
+    threshold.write_text("old\n")
+    threshold.chmod(0o640)
+    link = tmp_path / "link.json"
+    os.link(threshold, link)
+    before = threshold.stat()
+    assert _calibrate(predicted, threshold) == 0
+    assert threshold.read_bytes() == link.read_bytes() == expected
+    assert threshold.stat().st_ino == before.st_ino
+    link.unlink()
+    threshold.write_text("old\n")
+    assert _calibrate(predicted, threshold) == 0
+    assert threshold.read_bytes() == expected
+    assert threshold.stat().st_mode & 0o777 == 0o640
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_calibrate_writes_a_fifo_in_place(tmp_path, predicted):
+    code, got = _write_to_a_fifo(tmp_path, lambda fifo: _calibrate(predicted, fifo))
+    assert code == 0
+    assert got == [predicted[2].read_bytes()]
+
+
+def test_calibrate_to_a_read_only_out_fails_before_writing(tmp_path, predicted, capsys):
+    threshold = predicted[2]
+    threshold.write_text("old\n")
+    threshold.chmod(0o444)
+    _skip_if_permissions_are_overridden(threshold)
+    before = sorted(os.listdir(tmp_path))
+    assert _calibrate(predicted, threshold) == 2
+    assert capsys.readouterr().err == \
+        f"i/o error: [Errno 13] Permission denied: '{threshold}'\n"
+    assert threshold.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("rows", [30, 70])
 def test_evaluate_names_a_bad_line_before_a_wrong_row_count(tmp_path, predicted, rows,
                                                            capsys):
@@ -600,12 +666,15 @@ def test_tune_reads_binary_and_csv_rows_alike(tmp_path):
         assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("defect, message", [
+# A 200 x 6 binary file made bad three ways, and the message each gives.
+BAD_BINARY = [
     ("nan", "non-finite logit in row 199"),
     ("label", "label out of range in row 5: 6 not in [0, 6)"),
     ("truncated", "truncated file: expected 10417 bytes, got 10409"),
-])
-def test_tune_names_a_bad_binary_input(tmp_path, defect, message, capsys):
+]
+
+
+def _bad_binary(tmp_path, defect):
     path = synth_file(tmp_path, name="validation.bin", n=200, k=6, seed=3)
     blob = bytearray(path.read_bytes())
     if defect == "nan":
@@ -616,12 +685,55 @@ def test_tune_names_a_bad_binary_input(tmp_path, defect, message, capsys):
     else:
         del blob[-8:]
     path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("defect, message", BAD_BINARY)
+def test_tune_names_a_bad_binary_input(tmp_path, defect, message, capsys):
+    path = _bad_binary(tmp_path, defect)
     out = tmp_path / "map.json"
     code = run_cli("tune", "--in", str(path), "--alpha", "0.1", "--map", "temperature",
                    "--seed", "3", "--out", str(out))
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("defect, message", BAD_BINARY)
+@pytest.mark.parametrize("command, flags", [
+    ("split", ["--parts", "a:0.5,b:0.5", "--shuffle", "true", "--out-dir"]),
+    ("demo-precision", ["--alpha", "0.1", "--t-grid", "1", "--precision", "f64", "--out"]),
+], ids=["split", "demo-precision"])
+def test_split_and_demo_precision_name_a_bad_binary_input(tmp_path, command, flags, defect,
+                                                          message, capsys):
+    path = _bad_binary(tmp_path, defect)
+    out = tmp_path / "out"
+    code = run_cli(command, "--in", str(path), "--seed", "3", *flags, str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_split_and_demo_precision_read_binary_and_csv_rows_alike(tmp_path):
+    from confsets import load_dataset, save_dataset
+
+    demos = []
+    for ext in ("bin", "csv"):
+        source = synth_file(tmp_path, name=f"data.{ext}", n=900, k=7, signal=3.0, seed=21)
+        assert run_cli("split", "--in", str(source), "--parts", "a:0.3,b:0.7",
+                       "--shuffle", "true", "--seed", "4", "--out-dir", str(tmp_path / ext)) == 0
+        demo = tmp_path / f"demo-{ext}.json"
+        assert run_cli("demo-precision", "--in", str(source), "--alpha", "0.1",
+                       "--t-grid", "1,0.3", "--precision", "f32", "--seed", "4",
+                       "--out", str(demo)) == 0
+        demos.append(demo.read_bytes())
+    assert demos[0] == demos[1]
+    assert sorted(os.listdir(tmp_path / "csv")) == ["a.csv", "b.csv"]
+    for name in ("a", "b"):
+        # each CSV part holds the rows of the binary part, value for value
+        again = tmp_path / f"{name}-from-csv.bin"
+        save_dataset(load_dataset(tmp_path / "csv" / f"{name}.csv", "csv"), again)
+        assert again.read_bytes() == (tmp_path / "bin" / f"{name}.bin").read_bytes()
 
 
 # Repeats tune, calibrate, predict and evaluate in a fresh process, as a batch

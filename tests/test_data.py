@@ -194,7 +194,7 @@ def test_binary_checks_every_block_for_non_finite_rows_before_labels(
         tmp_path, monkeypatch, bad_label_row, inf_row):
     # LogitsFile checks 2 rows of K = 2 at a time, so row 6 is alone in the
     # last of 4 blocks; a label out of range in an earlier block still loses
-    monkeypatch.setattr(data, "_CHECK_CELLS", 4)
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 4)
     labels, logits = np.zeros(7, dtype=int), np.zeros((7, 2))
     if bad_label_row is not None:
         labels[bad_label_row] = 2
@@ -208,7 +208,7 @@ def test_binary_checks_every_block_for_non_finite_rows_before_labels(
 
 @pytest.mark.parametrize("cells", [4, 1 << 16])
 def test_logits_file_reads_the_loaded_rows(tmp_path, monkeypatch, cells):
-    monkeypatch.setattr(data, "_CHECK_CELLS", cells)
+    monkeypatch.setattr(data, "_BLOCK_CELLS", cells)
     ds = make_ds(9, 3, seed=4)
     path = tmp_path / "ds.bin"
     save_dataset(ds, path, "binary")
