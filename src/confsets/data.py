@@ -22,6 +22,9 @@ a second copy of the matrix.
 
 `row_blocks` is the one walk of consecutive row blocks, of about
 ``_BLOCK_CELLS`` cells each, that every n-by-K stage takes.
+`buffered_row_blocks` pairs it with one reused block buffer: `LogitsFile`'s
+check, `split_dataset`'s gather and `maps.probability_blocks` read each
+block into it, so no read allocates per block.
 """
 
 from __future__ import annotations
@@ -58,6 +61,22 @@ def row_blocks(n: int, k: int) -> Iterator[slice]:
     step = max(1, _BLOCK_CELLS // k)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def buffered_row_blocks(n: int, k: int,
+                        dtype=np.float64) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, buf)`` for each slice of `row_blocks`, where ``buf`` is an
+    uninitialized array of the rows' shape.
+
+    Every ``buf`` is a view of one array, made for the first (longest)
+    block, so a block's ``buf`` is overwritten by the next one's: a caller
+    reduces it before it asks for the next.
+    """
+    whole = None
+    for rows in row_blocks(n, k):
+        if whole is None:
+            whole = np.empty((rows.stop - rows.start, k), dtype)
+        yield rows, whole[:rows.stop - rows.start]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +121,12 @@ class LogitsDataset:
     def k(self) -> int:
         return self.logits.shape[1]
 
-    def logit_rows(self, rows: slice) -> np.ndarray:
-        """``logits[rows]``, the accessor `maps.apply_map_dataset` reads."""
+    def logit_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """``logits[rows]``, the accessor `maps.apply_map_dataset` reads.
+
+        The rows are a read-only view, never a copy: ``out``, the buffer a
+        `LogitsFile` reads into, is left as it is.
+        """
         return self.logits[rows]
 
     def take(self, rows: np.ndarray) -> "LogitsDataset":
@@ -154,8 +177,8 @@ class LogitsFile:
             self.n, self.k, labels = _read_head(self._fh)
             _check_classes(self.k)
             self._logits_at = self._fh.tell()
-            for rows in row_blocks(self.n, self.k):
-                self.logit_rows(rows)
+            for rows, buf in buffered_row_blocks(self.n, self.k):
+                self.logit_rows(rows, out=buf)
             _check_labels(labels, self.k)
         except BaseException:
             self._fh.close()
@@ -163,12 +186,23 @@ class LogitsFile:
         labels.setflags(write=False)
         self.labels = labels
 
-    def logit_rows(self, rows: slice) -> np.ndarray:
-        """The logits of ``rows``, a slice of consecutive rows, read from the file."""
+    def logit_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The logits of ``rows``, a slice of consecutive rows, read from the file.
+
+        With ``out``, a C-contiguous float64 array of the rows' shape, the
+        file is read straight into it and ``out`` is returned.
+        """
         start, stop, step = rows.indices(self.n)
         if step != 1:
             raise ValueError(f"LogitsFile reads consecutive rows only, got step {step}")
-        block = np.empty((max(0, stop - start), self.k), dtype="<f8")
+        shape = (max(0, stop - start), self.k)
+        if out is None:
+            block = np.empty(shape, dtype="<f8")
+        elif out.shape == shape and out.dtype == np.dtype("<f8") and out.flags.c_contiguous:
+            block = out
+        else:
+            # a reshape of any other array would read into a copy
+            raise ValueError(f"out must be a C-contiguous {shape} float64 array")
         self._fh.seek(self._logits_at + 8 * self.k * start)
         _read_into(self._fh, block)
         _check_finite(block, start)
@@ -244,8 +278,9 @@ def split_dataset(ds: LogitsDataset | LogitsFile, spec: SplitSpec) -> dict[str, 
     pos = np.empty(ds.n, dtype=np.intp)
     pos[order] = np.arange(ds.n)
     out = np.empty((ds.n, ds.k))
-    for rows in row_blocks(ds.n, ds.k):
-        out[pos[rows]] = ds.logit_rows(rows)
+    for rows, buf in buffered_row_blocks(ds.n, ds.k):
+        out[pos[rows]] = ds.logit_rows(rows, out=buf)
+    del buf  # free the block buffer before each part checks its logits
     bounds = np.cumsum([0, *sizes])
     return {name: LogitsDataset(out[a:b], ds.labels[order[a:b]])
             for name, a, b in zip(names, bounds, bounds[1:])}

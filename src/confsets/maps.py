@@ -12,10 +12,12 @@ temperatures behave identically across platforms.  Probabilities are
 float64 by default; a float32 mode exists for low-precision diagnostics.
 `probability_blocks` yields the probabilities of each `data.row_blocks`
 block, so callers that reduce each block never hold an n-by-K float
-matrix.  `apply_map_dataset` reads a dataset's logits only through
+matrix.  It makes every block in one reused buffer: a yielded block is
+overwritten by the next one, so a caller reduces each block before it asks
+for the next.  `apply_map_dataset` reads a dataset's logits only through
 ``logit_rows``, so it takes a `data.LogitsFile` as well as a
 `LogitsDataset`: on a file, a block's logits are read from disk when it
-is made.
+is made, at f64 into the buffer that then holds its probabilities.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogitsDataset, LogitsFile, row_blocks
+from .data import LogitsDataset, LogitsFile, buffered_row_blocks
 from .errors import ValidationError, check_keys, is_number, read_json, write_json
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
@@ -85,9 +87,11 @@ class CalibrationMap:
     def transform_logits(self, logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rescaled logits, before the softmax.
 
-        With ``out`` (the shape and dtype of ``logits``) the result is
-        written there and returned; without it, the identity map returns
-        ``logits`` itself.  Either way the values have the same bits.
+        With ``out`` (the shape and dtype of ``logits``, and it may be
+        ``logits`` itself) the result is written there and returned.  The
+        identity map writes nothing and returns ``logits`` itself, with or
+        without ``out``, so a caller goes on from the result, not from
+        ``out``.  Either way the values have the same bits.
         """
         if self.kind == "temperature":
             return np.divide(logits, self.t, out=out)
@@ -103,10 +107,7 @@ class CalibrationMap:
                 )
             out = np.multiply(logits, w, out=out)
             return np.add(out, c, out=out)
-        if out is None:
-            return logits
-        np.copyto(out, logits)
-        return out
+        return logits
 
     def to_json_dict(self) -> dict:
         params = {name: getattr(self, name) for name in _PARAM_NAMES[self.kind]}
@@ -150,41 +151,56 @@ class CalibrationMap:
             raise ValidationError(f"{kind} map JSON params out of range: {exc}") from exc
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction, in the dtype of ``z``.
 
-    Allocates one output buffer: the shift, the exp and the division run
-    in place on it, in the order (and so with the bits) of ``e = exp(z -
-    max); e / e.sum()``.  ``z`` itself is never written, since the
-    identity map passes a dataset's own logits.
+    The shift, the exp and the division run in place on one buffer, in the
+    order (and so with the bits) of ``e = exp(z - max); e / e.sum()``.  The
+    buffer is ``out`` (the shape and dtype of ``z``, and it may be ``z``
+    itself), or a new array; ``z`` is written only when it is ``out``, since
+    the identity map passes a dataset's own logits.
     """
-    out = z - np.max(z, axis=-1, keepdims=True)
+    out = np.subtract(z, np.max(z, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.sum(out, axis=-1, keepdims=True)
     return out
 
 
 def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
-                      precision: str = "f64", rows: slice = slice(None)) -> np.ndarray:
-    """Probability matrix of ``ds.logit_rows(rows)``: each row is the softmax of ``cal_map``."""
+                      precision: str = "f64", rows: slice = slice(None),
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Probability matrix of ``ds.logit_rows(rows)``: each row is the softmax of ``cal_map``.
+
+    With ``out``, a C-contiguous array of the rows' shape and the
+    precision's dtype, the probabilities are made there and ``out`` is
+    returned.  No step copies a block: at f64 a `LogitsFile` reads the
+    logits into ``out`` and the map and softmax run in place, while a
+    `LogitsDataset`'s rows are read where they are and the map (or, for
+    the identity, softmax's shift) is the first write to ``out``.  The
+    probabilities have the same bits with or without ``out``.
+    """
     if precision == "f64":
-        work = ds.logit_rows(rows)
+        z = ds.logit_rows(rows, out=out)
     elif precision == "f32":
-        work = ds.logit_rows(rows).astype(np.float32)
+        z = ds.logit_rows(rows).astype(np.float32)
     else:
         raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
-    return softmax(cal_map.transform_logits(work))
+    return softmax(cal_map.transform_logits(z, out=out), out=out)
 
 
 def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
                        precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, probs)`` for each slice of `data.row_blocks`.
 
-    ``probs`` is ``apply_map_dataset`` on ``rows``.  Softmax is row-wise, so
-    every block equals its rows of the whole matrix bit for bit.
+    ``probs`` is ``apply_map_dataset`` on ``rows``, made in the reused
+    buffer of `data.buffered_row_blocks`: it is overwritten by the next
+    block, so a caller reduces it before it asks for the next.  Softmax is
+    row-wise, so every block equals its rows of the whole matrix bit for
+    bit.
     """
-    for rows in row_blocks(ds.n, ds.k):
-        yield rows, apply_map_dataset(cal_map, ds, precision, rows)
+    dtype = np.float32 if precision == "f32" else np.float64
+    for rows, buf in buffered_row_blocks(ds.n, ds.k, dtype):
+        yield rows, apply_map_dataset(cal_map, ds, precision, rows, out=buf)
 
 
 def save_map(cal_map: CalibrationMap, path) -> None:

@@ -198,19 +198,20 @@ class _Half:
     indices in the narrowest unsigned dtype for K (one byte up to K = 256,
     two up to K = 65536), each block padded to its deepest label, so it
     takes at most n*K*2 bytes, a quarter of the half's float64 probability
-    matrix, even when every label ranks last.  One reused block buffer
-    holds the evaluation's mapped logits.
+    matrix, even when every label ranks last.  ``buf``, a float64 array of
+    K columns and at least the rows of the first block, holds the
+    evaluation's mapped logits one block at a time; `pair` gives the two
+    halves one.
     """
 
-    def __init__(self, ds: LogitsDataset, t_max: float):
+    def __init__(self, ds: LogitsDataset, t_max: float, buf: np.ndarray):
         self.ds = ds
         self.n, self.k = ds.n, ds.k
         self.row_max = ds.logits.max(axis=1)
-        slices = list(row_blocks(ds.n, ds.k))
-        self._buf = np.empty((slices[0].stop, ds.k))
+        self._buf = buf
         index_type = np.min_scalar_type(ds.k - 1)
         self.blocks = []
-        for rows in slices:
+        for rows in row_blocks(ds.n, ds.k):
             z = ds.logits[rows]
             z_y = z[np.arange(z.shape[0]), ds.labels[rows]][:, None]
             tol = _TIE_REL * np.maximum(np.abs(z).max(axis=1), t_max)[:, None]
@@ -226,6 +227,15 @@ class _Half:
             order = descending_order(z[deep])[:, :width]
             self.blocks.append(_Block(rows, np.flatnonzero(near), deep, order.astype(index_type),
                                       (np.arange(deep.size), ahead[deep])))
+
+    @classmethod
+    def pair(cls, d_tau: LogitsDataset, d_loss: LogitsDataset,
+             t_max: float) -> tuple[_Half, _Half]:
+        """The facts of both halves, which share one block buffer: an
+        evaluation scores the tau half and then the loss half."""
+        first = next(row_blocks(max(d_tau.n, d_loss.n), d_tau.k))
+        buf = np.empty((first.stop, d_tau.k))
+        return cls(d_tau, t_max, buf), cls(d_loss, t_max, buf)
 
     def scores(self, cal_map: CalibrationMap) -> np.ndarray:
         """``engine.label_scores(ds, cal_map, _LOSS_SPEC)``, bit for bit.
@@ -346,7 +356,7 @@ def tune_map(validation: LogitsDataset | LogitsFile, alpha: float, map_kind: str
     d_tau, d_loss = split_validation(validation, cfg)
     if map_kind in _SCALAR_MAPS:
         scalar_map = _SCALAR_MAPS[map_kind]
-        tau_half, loss_half = _Half(d_tau, cfg.t_max), _Half(d_loss, cfg.t_max)
+        tau_half, loss_half = _Half.pair(d_tau, d_loss, cfg.t_max)
         t_best, f_best, evals = minimize_on_log_grid(
             lambda t: _evaluate_scalar(scalar_map(t), tau_half, loss_half, alpha).loss,
             cfg.t_min, cfg.t_max, cfg.grid_points,

@@ -220,6 +220,13 @@ def test_logits_file_reads_the_loaded_rows(tmp_path, monkeypatch, cells):
             assert opened.logit_rows(rows).tobytes() == ds.logit_rows(rows).tobytes()
         with pytest.raises(ValueError, match="consecutive rows"):
             opened.logit_rows(slice(0, 9, 2))
+        # a buffer is filled in place; one of another shape or dtype is refused
+        buf = np.full((4, 3), np.nan)
+        assert opened.logit_rows(slice(0, 4), out=buf) is buf
+        assert buf.tobytes() == ds.logits[:4].tobytes()
+        for wrong in (np.empty((3, 3)), np.empty((4, 3), np.float32), np.empty((3, 4)).T):
+            with pytest.raises(ValueError, match="out must be a"):
+                opened.logit_rows(slice(0, 4), out=wrong)
 
 
 @pytest.mark.parametrize("change, message", [

@@ -171,7 +171,7 @@ def _assert_scalar_matches(cal_map, tau_half, loss_half):
 
 
 def _assert_scalar_search_matches(kind, ts, d_tau, d_loss, t_max):
-    tau_half, loss_half = _Half(d_tau, t_max), _Half(d_loss, t_max)
+    tau_half, loss_half = _Half.pair(d_tau, d_loss, t_max)
     for t in ts:
         _assert_scalar_matches(_SCALAR_MAPS[kind](t), tau_half, loss_half)
 
@@ -221,7 +221,7 @@ def test_scalar_evaluation_scores_rising_ahead_values_exactly():
     # never gives) send the row to the exact path: swap the classes at
     # positions 1 and 2 of each row's order, so a smaller value comes first
     d_tau, d_loss = _halves(n=2000, k=50, seed=10)
-    tau_half, loss_half = _Half(d_tau, 5.0), _Half(d_loss, 5.0)
+    tau_half, loss_half = _Half.pair(d_tau, d_loss, 5.0)
     for half in (tau_half, loss_half):
         for block in half.blocks:
             assert block.order.shape[1] >= 3
@@ -242,7 +242,7 @@ def test_scalar_evaluation_raises_like_evaluate_when_scaling_overflows(kind):
         with pytest.raises(ValidationError) as want:
             _evaluate(cal_map, d_tau, d_loss, ALPHA)
         with pytest.raises(ValidationError) as got:
-            _evaluate_scalar(cal_map, _Half(d_tau, 5.0), _Half(d_loss, 5.0), ALPHA)
+            _evaluate_scalar(cal_map, *_Half.pair(d_tau, d_loss, 5.0), ALPHA)
     assert str(got.value) == str(want.value)
     assert "sum to 1" in str(want.value)
 

@@ -13,6 +13,7 @@ from confsets import (
     load_map,
     save_map,
 )
+from confsets.data import LogitsFile, save_dataset
 from confsets.maps import softmax
 
 from oracles import oracle_softmax
@@ -53,6 +54,44 @@ def test_softmax_is_bitwise_the_three_temporary_form(dtype, shape):
     assert got.dtype == dtype
     assert got.tobytes() == expected.tobytes()
     assert z.tobytes() == before.tobytes()
+    # into a separate buffer, and in place
+    buf = np.full_like(z, np.nan)
+    assert softmax(z, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+    assert z.tobytes() == before.tobytes()
+    assert softmax(z, out=z) is z
+    assert z.tobytes() == expected.tobytes()
+
+
+def test_identity_map_writes_nothing():
+    z = np.random.default_rng(5).standard_normal((4, 6))
+    before, buf = z.copy(), np.full_like(z, np.nan)
+    identity = CalibrationMap.identity()
+    assert identity.transform_logits(z, out=z) is z
+    assert identity.transform_logits(z, out=buf) is z
+    assert z.tobytes() == before.tobytes()
+    assert np.isnan(buf).all()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("cal_map", [
+    CalibrationMap.identity(), CalibrationMap.temperature(0.3), CalibrationMap.platt(2.0, -1.0),
+    CalibrationMap.vector([0.5, 1.0, 1.5, 2.0, 0.8], [0.0, 0.2, -0.1, 0.3, 1.0]),
+], ids=lambda m: m.kind)
+def test_apply_map_dataset_into_a_buffer_is_bitwise_the_new_array(tmp_path, cal_map, precision):
+    ds = LogitsDataset(np.random.default_rng(6).standard_normal((9, 5)) * 40.0,
+                       np.zeros(9, dtype=np.int64))
+    before = ds.logits.copy()
+    save_dataset(ds, tmp_path / "ds.bin")
+    dtype = np.float32 if precision == "f32" else np.float64
+    with LogitsFile(tmp_path / "ds.bin") as opened:
+        for source in (ds, opened):
+            for rows in (slice(None), slice(2, 7)):
+                want = apply_map_dataset(cal_map, source, precision, rows)
+                buf = np.full(want.shape, np.nan, dtype)
+                assert apply_map_dataset(cal_map, source, precision, rows, out=buf) is buf
+                assert buf.tobytes() == want.tobytes()
+    assert ds.logits.tobytes() == before.tobytes()
 
 
 def test_identity_map_leaves_dataset_logits_unchanged():
