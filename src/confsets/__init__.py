@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .maps import CalibrationMap, apply_map_dataset, load_map, save_map
 from .metrics import (
     EvaluationReport,
-    build_report,
     coverage_and_size,
     expected_calibration_error,
     size_by_rank,
@@ -51,7 +50,6 @@ __all__ = [
     "TuneReport",
     "ValidationError",
     "apply_map_dataset",
-    "build_report",
     "calibrate",
     "calibrate_threshold",
     "coverage_and_size",

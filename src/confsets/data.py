@@ -104,7 +104,9 @@ class LogitsDataset:
             raise ValidationError(
                 f"labels must have shape ({n},), got {labels.shape}"
             )
-        _check_finite(logits, 0)
+        # a block at a time, so the check holds one block of flags, not n x K
+        for rows in row_blocks(n, k):
+            _check_finite(logits[rows], rows.start)
         _check_labels(labels, k)
         # read-only views: the caller's own arrays stay writable, and nothing is copied
         logits, labels = logits.view(), labels.view()
@@ -128,10 +130,6 @@ class LogitsDataset:
         `LogitsFile` reads into, is left as it is.
         """
         return self.logits[rows]
-
-    def take(self, rows: np.ndarray) -> "LogitsDataset":
-        """Dataset restricted to the given row indices, in that order."""
-        return LogitsDataset(self.logits[rows], self.labels[rows])
 
 
 def _check_classes(k: int) -> None:

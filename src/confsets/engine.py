@@ -15,20 +15,18 @@ block's rows before the next, so it never holds the mask.  A row's u
 draw is keyed by its sample index, so no output depends on the block
 size.
 
-The JSONL sets file is converted to and from mask rows only at the file
-edge, a whole block or chunk at a time.  `_write_sets` is the one writer:
-`save_prediction_sets` and `predict_to_file` hand it their mask rows one
-`data.row_blocks` block at a time, it builds each block's text with one
-``"".join`` (`_format_sets`), and its file changes the output path only
-once it is whole.  `_set_records` is the one reader: it yields each
+The JSONL sets file is written from mask rows and read into per-row
+values, a whole block or chunk at a time.  `_write_sets`, the writer
+of `predict_to_file`, builds each block's text with one ``"".join``
+(`_format_sets`), and its file changes the output path only once it is
+whole.  `_set_records`, the reader of `load_set_sizes`, yields each
 chunk of lines as its rows and members, taking a chunk that is exactly
 the writer's bytes (`_WRITTEN`) with one C-level parse of its numbers
 and three array checks, any other chunk one ``json.loads`` per line, so
 that other valid JSON spellings read the same and an error names its
 line.  A record holds the keys "index" and "set" once each and no other.
-`load_prediction_sets` fills a mask from it, allocated once;
-`load_set_sizes`, the CLI's evaluate, keeps only each row's set size and
-whether it holds the label.
+`load_set_sizes`, the CLI's evaluate, keeps only each row's set size
+and whether it holds the label, in one pass over the file.
 
 `label_scores` keeps one true-label score per row of each block.
 `tuning.efficiency_gap_loss` and the vector tuner score both halves
@@ -50,9 +48,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import LogitsDataset, LogitsFile, row_blocks
-from .errors import (ValidationError, check_keys, count_nonblank_lines, is_int, is_number,
-                     line_chunks, read_json, replaced_on_success, write_json)
+from .data import LogitsDataset, LogitsFile
+from .errors import (ValidationError, check_keys, is_int, is_number, line_chunks, read_json,
+                     replaced_on_success, write_json)
 from .maps import CalibrationMap, probability_blocks
 from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
 
@@ -210,14 +208,13 @@ def predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
     return mask
 
 
-def predict_to_file(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile, path,
-                    precision: str = "f64") -> None:
-    """Write ``save_prediction_sets(predict(threshold, ds, precision), path)``
-    without holding the mask: `_write_sets` writes each block of
+def predict_to_file(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile, path) -> None:
+    """Write the sets of ``predict(threshold, ds)`` to ``path``, one record
+    per row, without holding the mask: `_write_sets` writes each block of
     `_set_blocks` before the next is made.
     """
     _check_predict(threshold, ds)
-    _write_sets(_set_blocks(threshold, ds, precision), ds.k, path)
+    _write_sets(_set_blocks(threshold, ds, "f64"), ds.k, path)
 
 
 def _check_predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile) -> None:
@@ -268,7 +265,7 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
 # ---------------------------------------------------------------------------
 # file formats
 
-# The sets-file records `save_prediction_sets` writes, one per line: a decimal
+# The sets-file records `_write_sets` writes, one per line: a decimal
 # without leading zero of at most 18 digits (so below 2**63) for the index and
 # each member, the members ascending, ", " between them and LF after each.
 _DECIMAL = "(?:0|[1-9][0-9]{0,17})"
@@ -288,22 +285,14 @@ def load_threshold(path) -> ConformalThreshold:
     return ConformalThreshold.from_json_dict(read_json(path, "threshold file"))
 
 
-def save_prediction_sets(mask: np.ndarray, path) -> None:
-    """One JSON object per mask row: {"index": int, "set": [int, ...]}.
-
-    The lines are the bytes ``json.dumps`` gives each record (`_WRITTEN`
-    spells them out), written by `_write_sets` one `data.row_blocks` block
-    of rows at a time.
-    """
-    n, k = mask.shape
-    # max(k, 1): a mask of no classes still writes one empty set per row
-    _write_sets(((rows, mask[rows]) for rows in row_blocks(n, max(k, 1))), k, path)
-
-
 def _write_sets(blocks, k: int, path) -> None:
     """Write the sets-file lines of each ``(rows, sets)`` of ``blocks``, mask
     rows of k classes, to ``path`` through `replaced_on_success`: on any
-    error ``path`` is left as it was, or absent."""
+    error ``path`` is left as it was, or absent.
+
+    Each row is one {"index": int, "set": [int, ...]} record, the bytes
+    ``json.dumps`` gives it (`_WRITTEN` spells them out).
+    """
     words = _member_words(k)
     with replaced_on_success(path) as fh:
         for rows, sets in blocks:
@@ -335,35 +324,26 @@ def _format_sets(chunk: np.ndarray, start: int, words: np.ndarray) -> str:
     return "".join(tokens.tolist())
 
 
-def load_prediction_sets(path, k: int) -> np.ndarray:
-    """The n-by-k mask of a sets file, read by `_set_records`.
-
-    `count_nonblank_lines` counts the rows off the raw bytes, so the mask
-    is allocated once.
-    """
-    mask = np.zeros((count_nonblank_lines(path), k), dtype=bool)
-    for _, owners, members in _set_records(path, k):
-        mask[owners, members] = True
-    return mask
-
-
 def load_set_sizes(path, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(sizes, covered)`` of a sets file, read by `_set_records` without
     its mask: each record's member count, and whether it holds the label
     of its row in ``labels``.
 
     Both have one entry per record; past the last label, covered is False.
+    Each chunk's entries are kept and joined once at the end, so the file
+    is read once.
     """
-    n = count_nonblank_lines(path)
-    sizes = np.zeros(n, dtype=np.int64)
-    covered = np.zeros(n, dtype=bool)
+    sizes, covered = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
     for rows, owners, members in _set_records(path, k):
-        sizes[rows] = np.bincount(owners - rows.start, minlength=rows.stop - rows.start)
+        count = rows.stop - rows.start
+        sizes.append(np.bincount(owners - rows.start, minlength=count))
         if rows.stop > len(labels):
             fit = owners < len(labels)
             owners, members = owners[fit], members[fit]
-        covered[owners[members == labels[owners]]] = True
-    return sizes, covered
+        held = np.zeros(count, dtype=bool)
+        held[owners[members == labels[owners]] - rows.start] = True
+        covered.append(held)
+    return np.concatenate(sizes), np.concatenate(covered)
 
 
 def _set_records(path, k: int):
@@ -373,7 +353,7 @@ def _set_records(path, k: int):
 
     The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
     with no other key, no key twice, and distinct integer members in
-    [0, k).  A chunk that is exactly what `save_prediction_sets` writes
+    [0, k).  A chunk that is exactly what `_write_sets` writes
     (`_WRITTEN`) is read whole by `_written_members`; any other chunk, and
     one that breaks a rule, is read by `_read_lines`, one ``json.loads``
     per line, which gives its members or names the first bad line.

@@ -4,8 +4,7 @@ Every text artifact is ASCII with LF line ends.  `line_chunks` is the one
 way a text file is read: runs of whole lines of about 16 KiB, each with the
 number of its first line.  `ascii_lines` yields those lines one at a time,
 and a non-ASCII byte is a ValidationError that names its line; the
-prediction-sets loader takes whole chunks and checks them itself, after
-`count_nonblank_lines` has counted its rows off the raw bytes.
+prediction-sets reader takes whole chunks and checks them itself.
 `write_json` and `read_json` are the one writer and reader of the JSON
 artifacts (maps, thresholds, tune and evaluation reports).
 `replaced_on_success` writes a text file that, where its path allows,
@@ -19,20 +18,12 @@ import os
 import shutil
 import stat
 
-import numpy as np
-
 # Characters `line_chunks` reads at a time, rounded up to whole lines.  At
-# 16 Ki the sets loader's arrays for a chunk stay small (loading a 2000 x 1000
-# include-all file peaks 0.18 MiB above its mask, 0.61 MiB at 64 Ki), and a
-# 20000-row K = 50 file loads in 19 ms against 30 ms at 4 Ki and 18 at 64 Ki.
+# 16 Ki the sets reader's arrays for a chunk stay small (reading the set sizes
+# of a 2000 x 1000 include-all file peaks at 0.93 MiB, half its mask, against
+# 3.0 MiB at 64 Ki), and on a 2-core host a 20000-row K = 50 file reads in
+# 16 ms against 24 ms at 4 Ki and 15 at 64 Ki.
 _CHUNK_CHARS = 1 << 14
-
-# `bytes.translate` arguments that make a text file's bytes 0 for each line
-# end ("\r" or "\n") and 1 for each other byte, and drop the other ASCII
-# bytes that `str.isspace` calls whitespace.  Every byte past ASCII decodes
-# in `line_chunks` to a lone surrogate, which is not whitespace.
-_MARKS = bytes(0 if b in b"\r\n" else 1 for b in range(256))
-_BLANKS = bytes(b for b in range(128) if chr(b).isspace() and b not in b"\r\n")
 
 
 class ValidationError(ValueError):
@@ -75,27 +66,6 @@ def line_chunks(path):
         while lines := fh.readlines(_CHUNK_CHARS):
             yield first, lines
             first += len(lines)
-
-
-def count_nonblank_lines(path) -> int:
-    r"""The number of lines that `line_chunks` yields from a text file and
-    ``str.isspace`` does not call blank, counted off the raw bytes.
-
-    Lines end as in universal-newline text mode: at "\n", "\r\n" or a lone
-    "\r".  Counting "\r\n" as two line ends only adds an empty line, which
-    is blank, so after `_MARKS` and `_BLANKS` the count is the number of 1
-    that follow a 0, the file taken to start after a line end.  One
-    ``bytes.translate`` and one array comparison per chunk: on a 2-core host
-    a 20000-row K = 50 sets file counts in 0.9 ms, against 1.8 ms for
-    decoding its lines.
-    """
-    count, last = 0, b"\0"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK_CHARS):
-            marks = np.frombuffer(last + chunk.translate(_MARKS, _BLANKS), dtype=np.uint8)
-            count += int(np.count_nonzero(marks[:-1] < marks[1:]))
-            last = marks[-1:].tobytes()
-    return count
 
 
 def ascii_lines(path, what: str):

@@ -9,12 +9,11 @@ set.  ECE uses M equal-width bins over top-1 confidence, bin m =
 Adaptiveness is summarized by binning samples on the rank of their true
 label and averaging set sizes within each bin.
 
-`report_from_sizes` is the one report path; `build_report` is it on a
-mask.  It reads the calibration map off the threshold that made the sets
-and `truncation_diagnostic` takes one; neither takes probabilities: each
-row block of `maps.probability_blocks` is reduced to per-row values
-before the next is made, and every statistic is computed from
-n-vectors.
+`report_from_sizes` is the one report path.  It reads the calibration
+map off the threshold that made the sets and `truncation_diagnostic`
+takes one; neither takes probabilities: each row block of
+`maps.probability_blocks` is reduced to per-row values before the next
+is made, and every statistic is computed from n-vectors.
 """
 
 from __future__ import annotations
@@ -173,16 +172,6 @@ def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
     zero_counts = np.concatenate([np.count_nonzero(probs == 0.0, axis=1)
                                   for _, probs in probability_blocks(cal_map, ds, precision)])
     return float((zero_counts > 0).mean()), zero_counts
-
-
-def build_report(mask: np.ndarray, ds: LogitsDataset | LogitsFile,
-                 threshold: ConformalThreshold | None = None,
-                 rank_edges=DEFAULT_RANK_EDGES,
-                 ece_bins: int = DEFAULT_ECE_BINS) -> EvaluationReport:
-    """The evaluation report of one prediction-set mask: `report_from_sizes`
-    on its `set_sizes`."""
-    sizes, covered = set_sizes(mask, ds.labels)
-    return report_from_sizes(sizes, covered, ds, threshold, rank_edges, ece_bins)
 
 
 def report_from_sizes(sizes: np.ndarray, covered: np.ndarray,

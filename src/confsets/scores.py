@@ -15,8 +15,7 @@ A row's rank-1 class is its first largest value, which is what
 `np.argmax` returns: the stable descending order puts the largest values
 first and breaks their ties by ascending class.  So a label equal to its
 row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
-ranks only the other rows, and so does `label_ranks` unless most rows are
-below rank 1.
+ranks only the other rows, and so does `label_ranks`.
 
 `score_matrix`, `true_label_scores` and `set_mask` share one entry check,
 `_checked`.  `score_matrix` sorts every row with `_descending`, and stays
@@ -170,13 +169,10 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1-indexed rank of each row's label, without sorting.
 
-    When fewer than half the labels are at their row's argmax, the whole
-    block is counted in place, and a rank-1 label counts 1 by itself;
-    otherwise only the other rows are copied and counted.
+    A label at its row's argmax has rank 1; only the other rows are copied
+    and counted.
     """
     rest = np.flatnonzero(probs.argmax(axis=1) != labels)
-    if 2 * rest.size > len(labels):
-        return np.count_nonzero(_at_or_ahead(probs, labels), axis=1)
     ranks = np.ones(len(labels), dtype=np.int64)
     ranks[rest] = np.count_nonzero(_at_or_ahead(probs[rest], labels[rest]), axis=1)
     return ranks

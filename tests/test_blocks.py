@@ -15,7 +15,6 @@ from confsets import (
     ScoreSpec,
     SynthSpec,
     TuneConfig,
-    build_report,
     calibrate,
     efficiency_gap_loss,
     generate,
@@ -25,9 +24,10 @@ from confsets import (
 from confsets import data, engine, errors, maps, metrics
 from confsets.cli import main
 from confsets.data import LogitsFile, save_dataset
-from confsets.engine import (ConformalThreshold, load_prediction_sets, predict_to_file,
-                             save_prediction_sets, save_threshold)
+from confsets.engine import ConformalThreshold, load_set_sizes, predict_to_file, save_threshold
 from confsets.tuning import _evaluate_scalar, _Half, split_validation
+
+from oracles import oracle_load_sets
 
 N_CAL, N_TEST = 23, 17
 # Rows per block: one, counts that divide neither N_CAL nor N_TEST, and all rows.
@@ -69,10 +69,15 @@ CASES = {
 }
 
 
+def _report(mask, ds, threshold):
+    """The evaluation report of a prediction-set mask."""
+    return metrics.report_from_sizes(*metrics.set_sizes(mask, ds.labels), ds, threshold)
+
+
 def _outputs(cal, test, cal_map, spec, alpha, precision):
     threshold = calibrate(cal, cal_map, spec, alpha, precision)
     mask = predict(threshold, test, precision)
-    report = build_report(mask, test, threshold)
+    report = _report(mask, test, threshold)
     fraction, zeros = truncation_diagnostic(CalibrationMap.temperature(0.05), test, precision)
     loss = efficiency_gap_loss(cal_map, cal, test, 0.1)
     return (json.dumps(threshold.to_json_dict()), mask, json.dumps(report.to_json_dict()),
@@ -127,8 +132,8 @@ def test_wide_stages_stay_below_half_a_probability_matrix():
     assert peak < budget, f"calibrate peaked at {peak / 2**20:.1f} MiB"
     mask, peak = _traced_peak(predict, threshold, ds)
     assert peak < budget, f"predict peaked at {peak / 2**20:.1f} MiB"
-    _, peak = _traced_peak(build_report, mask, ds, threshold)
-    assert peak < budget, f"build_report peaked at {peak / 2**20:.1f} MiB"
+    _, peak = _traced_peak(_report, mask, ds, threshold)
+    assert peak < budget, f"the report peaked at {peak / 2**20:.1f} MiB"
     d_tau, d_loss = split_validation(ds, TuneConfig())
     loss, peak = _traced_peak(efficiency_gap_loss, cal_map, d_tau, d_loss, 0.1)
     assert math.isfinite(loss)
@@ -185,18 +190,32 @@ def test_scalar_tuner_stays_below_half_a_probability_matrix_at_chance_level():
     _assert_scalar_tuner_stays_below(n * k * 8 / 2, d_tau, d_loss)
 
 
-def test_include_all_sets_file_loads_within_twice_its_mask(tmp_path):
+def test_include_all_sets_file_sizes_load_below_its_mask(tmp_path):
     # every row holds all K members; a loader that keeps each member as a
     # Python int until the end peaks at about 45 times the mask
     n, k = 2000, 1000
     path = tmp_path / "sets.jsonl"
-    save_prediction_sets(np.ones((n, k), dtype=bool), path)
-    mask, peak = _traced_peak(load_prediction_sets, path, k)
-    assert mask.shape == (n, k) and mask.all()
-    assert peak < 2 * mask.nbytes, f"load_prediction_sets peaked at {peak / 2**20:.1f} MiB"
+    engine._write_sets(((rows, np.ones((rows.stop - rows.start, k), dtype=bool))
+                        for rows in data.row_blocks(n, k)), k, path)
+    labels = np.arange(n) % k
+    (sizes, covered), peak = _traced_peak(load_set_sizes, path, labels, k)
+    assert (sizes == k).all() and covered.all() and sizes.shape == (n,)
+    assert peak < n * k, f"load_set_sizes peaked at {peak / 2**20:.2f} MiB"
 
 
-# Thresholds whose sets the streamed writer must write as save_prediction_sets does.
+def test_dataset_checks_its_logits_a_block_at_a_time():
+    # the finiteness check of the constructor holds one block of flags at a
+    # time, not an n-by-K boolean matrix
+    n, k = 4000, 1000
+    rng = np.random.default_rng(0)
+    logits, labels = rng.standard_normal((n, k)), rng.integers(0, k, n)
+    block = 8 * data._BLOCK_CELLS  # the bytes of one float64 row block
+    ds, peak = _traced_peak(LogitsDataset, logits, labels)
+    assert ds.n == n
+    assert peak < block, f"LogitsDataset peaked at {peak / block:.2f} blocks"
+
+
+# Thresholds whose sets the streamed writer must write as json.dumps does.
 SET_CASES = {
     # saps with a tiny lambda at tau 0.6: the uniform rows hold every class,
     # and a sharp row whose u is above 0.6 holds none
@@ -223,11 +242,12 @@ def _sets_data(n, k, seed):
 
 @pytest.mark.parametrize("k", [2, 50, 1000])
 @pytest.mark.parametrize("case", sorted(SET_CASES))
-# rows per block of the streamed writer and of save_prediction_sets: blocks
-# that straddle each other either way, and the defaults
-@pytest.mark.parametrize("block, save", [(3, 7), (5, 2), (None, None)])
+# rows per block of the streamed writer and hundreds of characters per
+# chunk of evaluate's reader: blocks and chunks that straddle each other,
+# and the defaults
+@pytest.mark.parametrize("block, chunk", [(3, 7), (5, 2), (None, None)])
 def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, case,
-                                                     block, save):
+                                                     block, chunk):
     if block is not None:
         monkeypatch.setattr(data, "_BLOCK_CELLS", block * k)
     cal, test = _sets_data(N_CAL, k, 1), _sets_data(N_TEST, k, 2)
@@ -236,35 +256,36 @@ def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, c
     sizes = mask.sum(axis=1)
     if case == "saps-empty-and-full":
         assert (sizes == 0).any() and (sizes == k).any()
-    saved, streamed = tmp_path / "saved.jsonl", tmp_path / "streamed.jsonl"
-    with mock.patch.object(data, "_BLOCK_CELLS", save * k if save else data._BLOCK_CELLS):
-        save_prediction_sets(mask, saved)
+    streamed = tmp_path / "streamed.jsonl"
     test_file = tmp_path / "test.bin"
     save_dataset(test, test_file)
     with LogitsFile(test_file) as ds:
         predict_to_file(threshold, ds, streamed)
-    assert streamed.read_bytes() == saved.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.jsonl", "streamed.jsonl",
-                                                          "test.bin"]
+    assert streamed.read_bytes() == "".join(
+        json.dumps({"index": i, "set": np.flatnonzero(row).tolist()}) + "\n"
+        for i, row in enumerate(mask)).encode("ascii")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.jsonl", "test.bin"]
 
     # evaluate reads the writer's bytes, and the same records spelt otherwise
     # (line by line), to the report of the mask
     th_path, report = tmp_path / "threshold.json", tmp_path / "report.json"
     save_threshold(threshold, th_path)
     expected = tmp_path / "expected.json"
-    metrics.save_report(build_report(mask, test, threshold), expected)
+    metrics.save_report(_report(mask, test, threshold), expected)
     respelt = tmp_path / "respelt.jsonl"
     respelt.write_text("".join(
         json.dumps({"set": np.flatnonzero(row)[::-1].tolist(), "index": i},
                    separators=(",", ":")) + "\n" for i, row in enumerate(mask)))
+    chars = 100 * chunk if chunk else errors._CHUNK_CHARS
     for sets, line_by_line in ((streamed, False), (respelt, True)):
-        with mock.patch.object(errors, "_CHUNK_CHARS", 300), \
+        with mock.patch.object(errors, "_CHUNK_CHARS", chars), \
                 mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
             assert main(["evaluate", "--sets", str(sets), "--in", str(test_file),
                          "--threshold", str(th_path), "--out", str(report)]) == 0
         assert per_line.called == line_by_line
         assert report.read_bytes() == expected.read_bytes()
-        np.testing.assert_array_equal(load_prediction_sets(sets, k), mask)
+        assert [sorted(members) for members in oracle_load_sets(sets, k)] == \
+            [np.flatnonzero(row).tolist() for row in mask]
 
 
 def _wide_calibrated(tmp_path):

@@ -23,13 +23,8 @@ from confsets import (
     predict_sets,
     run_pipeline,
 )
-from confsets.engine import (
-    conformal_level,
-    load_prediction_sets,
-    load_threshold,
-    save_prediction_sets,
-    save_threshold,
-)
+from confsets.data import row_blocks
+from confsets.engine import conformal_level, load_set_sizes, load_threshold, save_threshold
 from confsets import engine, errors
 from confsets.scores import (_BLOCK, _descending, _top_block, _top_classes, score_matrix,
                              set_mask)
@@ -564,14 +559,52 @@ def test_include_all_serializes_as_string(tmp_path):
     assert load_threshold(path).tau == math.inf
 
 
+def _write_mask(mask, path):
+    """Write the sets file of a mask with `engine._write_sets`, one
+    `data.row_blocks` block of rows at a time."""
+    n, k = mask.shape
+    engine._write_sets(((rows, mask[rows]) for rows in row_blocks(n, k)), k, path)
+
+
+def _records_mask(path, k):
+    """The n-by-k mask of a sets file, filled from `engine._set_records`."""
+    chunks = list(engine._set_records(path, k))
+    mask = np.zeros((chunks[-1][0].stop if chunks else 0, k), dtype=bool)
+    for _, owners, members in chunks:
+        mask[owners, members] = True
+    return mask
+
+
+def _assert_sizes_are_the_reference(path, k, expected, rng):
+    """`load_set_sizes` gives the sizes and covered flags of the member lists
+    ``expected`` under random labels, one fewer than the rows when there
+    are rows (past the last label, covered is False)."""
+    labels = rng.integers(0, k, max(len(expected) - 1, 0))
+    sizes, covered = load_set_sizes(path, labels, k)
+    assert sizes.dtype == np.int64 and covered.dtype == bool
+    assert sizes.tolist() == [len(members) for members in expected]
+    assert covered.tolist() == [i < len(labels) and int(labels[i]) in members
+                                for i, members in enumerate(expected)]
+
+
+def _assert_loaders_raise(path, k, exc):
+    """`engine._set_records` and `load_set_sizes` both reject a sets file
+    with the reference's message ``exc``."""
+    with pytest.raises(ValidationError) as got:
+        _records_mask(path, k)
+    with pytest.raises(ValidationError) as sized:
+        load_set_sizes(path, np.zeros(0, dtype=np.int64), k)
+    assert str(got.value) == str(sized.value) == str(exc)
+
+
 def test_prediction_sets_file_round_trip(tmp_path):
     cal = generate(SynthSpec(n=100, k=6, seed=1))
     test = generate(SynthSpec(n=50, k=6, seed=2))
     result = run_pipeline(cal, test, CalibrationMap.identity(),
                           ScoreSpec(kind="aps", randomized=True), 0.1)
     path = tmp_path / "sets.jsonl"
-    save_prediction_sets(result.mask, path)
-    np.testing.assert_array_equal(load_prediction_sets(path, test.k), result.mask)
+    _write_mask(result.mask, path)
+    np.testing.assert_array_equal(_records_mask(path, test.k), result.mask)
     # the per-row records are the mask rows, in order
     records = result.sets
     assert len(records) == test.n
@@ -588,11 +621,11 @@ def test_prediction_sets_file_is_per_row_json_dumps(tmp_path, n, k, density):
     mask[0] = False
     mask[-1] = True
     path = tmp_path / "sets.jsonl"
-    save_prediction_sets(mask, path)
+    _write_mask(mask, path)
     expected = "".join(json.dumps({"index": i, "set": np.flatnonzero(row).tolist()}) + "\n"
                        for i, row in enumerate(mask))
     assert path.read_bytes() == expected.encode("ascii")
-    np.testing.assert_array_equal(load_prediction_sets(path, k), mask)
+    np.testing.assert_array_equal(_records_mask(path, k), mask)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -609,32 +642,10 @@ def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
     expected = np.zeros((n, k), dtype=bool)
     for i, members in enumerate(member_lists):
         expected[i, members] = True
-    got = load_prediction_sets(path, k)
+    got = _records_mask(path, k)
     assert got.shape == (n, k)
     np.testing.assert_array_equal(got, expected)
-
-
-def _decoded_nonblank_lines(path) -> int:
-    """Reference for `errors.count_nonblank_lines`: every `line_chunks` line
-    decoded, less those ``str.isspace`` calls blank."""
-    return sum(len(lines) - sum(map(str.isspace, lines))
-               for _, lines in errors.line_chunks(path))
-
-
-# Bytes that end lines, that str.isspace calls blank, past ASCII, and others.
-_LINE_BYTES = st.sampled_from(list(b"\r\n \t\x0b\x0c\x1c\x1f\x00\x85\xa0\xffx{"))
-
-
-@example(b"\r\n\r\n", 1)
-@example(b"a\rb\r\n c\n\n\x1c\r\t\x85", 2)
-@example(b"\x0b\x0c\x1c\x1d\x1e\x1f \t", 3)
-@given(st.one_of(st.binary(max_size=300), st.lists(_LINE_BYTES, max_size=300).map(bytes)),
-       st.sampled_from([1, 2, 3, 7, 1 << 14]))
-def test_count_nonblank_lines_is_the_decoded_count(tmp_path_factory, blob, chunk):
-    path = tmp_path_factory.mktemp("lines") / "sets.jsonl"
-    path.write_bytes(blob)
-    with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
-        assert errors.count_nonblank_lines(path) == _decoded_nonblank_lines(path)
+    _assert_sizes_are_the_reference(path, k, oracle_load_sets(path, k), rng)
 
 
 # Sets-file text the writer never makes but the loader accepts: key order,
@@ -726,13 +737,12 @@ def test_sets_loader_matches_line_by_line_reference(tmp_path_factory, k, max_row
     except ValueError as exc:
         assert bad is not None
         with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
-            with pytest.raises(ValidationError) as got:
-                load_prediction_sets(path, k)
-        assert str(got.value) == str(exc)
+            _assert_loaders_raise(path, k, exc)
         return
     assert bad is None
     with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
-        got = load_prediction_sets(path, k)
+        got = _records_mask(path, k)
+        _assert_sizes_are_the_reference(path, k, expected, rng)
     reference = np.zeros((len(expected), k), dtype=bool)
     for i, members in enumerate(expected):
         reference[i, members] = True
@@ -778,7 +788,7 @@ def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, m
     empty, full = rng.permutation(n)[:2]
     mask[empty], mask[full] = False, True
     path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
-    save_prediction_sets(mask, path)
+    _write_mask(mask, path)
     lines = path.read_text().splitlines(keepends=True)
     j = int(full if defect == "record-past-a-chunk" else rng.integers(n))
     if defect == "record-past-a-chunk":
@@ -792,12 +802,11 @@ def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, m
         try:
             expected = oracle_load_sets(path, k)
         except ValueError as exc:
-            with pytest.raises(ValidationError) as got:
-                load_prediction_sets(path, k)
-            assert str(got.value) == str(exc)
+            _assert_loaders_raise(path, k, exc)
             return
         with mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
-            got = load_prediction_sets(path, k)
+            got = _records_mask(path, k)
+            _assert_sizes_are_the_reference(path, k, expected, rng)
     if defect in (None, "record-past-a-chunk"):
         # the writer's bytes, in chunks of any size, never go line by line
         per_line.assert_not_called()

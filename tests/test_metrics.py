@@ -12,7 +12,6 @@ from confsets import (
     SynthSpec,
     ValidationError,
     apply_map_dataset,
-    build_report,
     calibrate,
     coverage_and_size,
     expected_calibration_error,
@@ -20,7 +19,7 @@ from confsets import (
     size_by_rank,
     truncation_diagnostic,
 )
-from confsets.metrics import DEFAULT_RANK_EDGES, rank_bins, report_from_sizes
+from confsets.metrics import DEFAULT_RANK_EDGES, rank_bins, report_from_sizes, set_sizes
 from confsets.scores import label_ranks
 
 from oracles import oracle_order
@@ -217,7 +216,7 @@ def test_report_rank_bins_match_per_row_reference(seed):
     ds = LogitsDataset(np.where(levels == 0, -800.0, levels), labels)
     probs = apply_map_dataset(CalibrationMap.identity(), ds)
     assert (probs == 0.0).any() or (levels > 0).all()
-    got = build_report(mask, ds).size_by_rank_bin
+    got = report_from_sizes(*set_sizes(mask, labels), ds).size_by_rank_bin
     ranks = [oracle_order(list(row)).index(y) + 1 for row, y in zip(probs, labels)]
     sizes = [int(row.sum()) for row in mask]
     expected = {}
@@ -233,7 +232,8 @@ def test_report_rejects_data_with_another_class_count():
                           ScoreSpec(kind="aps"), 0.1)
     wider = generate(SynthSpec(n=5, k=20, seed=2))
     with pytest.raises(ValidationError, match="10 classes, the data has 20"):
-        build_report(np.ones((5, 20), dtype=bool), wider, threshold)
+        report_from_sizes(*set_sizes(np.ones((5, 20), dtype=bool), wider.labels), wider,
+                          threshold)
 
 
 # ---------------------------------------------------------------------------

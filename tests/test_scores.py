@@ -109,8 +109,8 @@ def test_label_ranks_match_oracle_order(probs):
 
 
 def test_label_ranks_at_chance_level_match_oracle_order():
-    # fewer than half the labels are at rank 1, so the whole block is
-    # counted in place; the rank-1 labels among them count 1 by themselves
+    # fewer than half the labels are at rank 1: the rows below it, nearly
+    # the whole block, are copied and counted, and the others rank 1
     ds = generate(SynthSpec(n=300, k=30, seed=4, signal=1e-9))
     probs = apply_map_dataset(CalibrationMap.identity(), ds)
     labels = ds.labels.copy()

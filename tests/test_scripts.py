@@ -1,6 +1,9 @@
-"""Smoke test: the experiment scripts run end to end on small inputs."""
+"""Smoke test: the experiment scripts run end to end on small inputs, and
+the README names only symbols that exist."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +50,30 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
                 if name.startswith("k10csv/") and not name.endswith(".csv")}
     assert len(from_csv) == 6
     assert from_csv == {name: digests[f"k10/{name}"] for name in from_csv}
+
+
+def _readme_section(title):
+    """The text of the README section headed ``## title``, up to the next one."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_only_existing_symbols():
+    # a backticked name with an underscore or a capital letter in a module's
+    # row of "What's inside" is an attribute of that module
+    rows = re.findall(r"^\| `(confsets\.\w+)` \| (.*) \|$", _readme_section("What's inside"),
+                      re.MULTILINE)
+    assert len(rows) >= 9
+    checked = 0
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", contents):
+            if re.fullmatch(r"[A-Za-z_]\w*", name) and (name != name.lower() or "_" in name):
+                assert hasattr(module, name), f"README names {module_name}.{name}"
+                checked += 1
+    assert checked >= 10
+    # each cs.X of the quickstart is an attribute of the package
+    names = set(re.findall(r"\bcs\.(\w+)", _readme_section("Library quickstart")))
+    assert {"run_pipeline", "calibrate", "predict", "tune_map"} <= names
+    for name in sorted(names):
+        assert hasattr(confsets, name), f"README's quickstart names cs.{name}"

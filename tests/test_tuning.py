@@ -37,7 +37,7 @@ def test_efficiency_gap_examples():
                                                 d_tau.labels), 0.1)
     signs = set()
     for i in range(20):
-        row = d_loss.take(np.asarray([i]))
+        row = LogitsDataset(d_loss.logits[[i]], d_loss.labels[[i]])
         s = true_label_scores(spec, apply_map_dataset(cal_map, row), row.labels)[0]
         signs.add(bool(tau - s >= 0))
         assert efficiency_gap_loss(cal_map, d_tau, row, 0.1) == pytest.approx((tau - s) ** 2,
@@ -300,7 +300,8 @@ def test_vector_gradient_takes_tau_from_the_first_tied_row():
     assert tied.size >= 3
 
     def gradient(order):
-        return _gradient_at(cal_map, d_tau.take(order), d_loss, 0.1)
+        return _gradient_at(cal_map, LogitsDataset(d_tau.logits[order], d_tau.labels[order]),
+                            d_loss, 0.1)
 
     rows = np.arange(d_tau.n)
     grad = gradient(rows)
