@@ -330,20 +330,24 @@ def load_set_sizes(path, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     of its row in ``labels``.
 
     Both have one entry per record; past the last label, covered is False.
-    Each chunk's entries are kept and joined once at the end, so the file
-    is read once.
+    The file is read once, into two vectors of one entry per label; only a
+    file with more records than labels grows them.
     """
-    sizes, covered = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
+    sizes = np.zeros(len(labels), dtype=np.int64)
+    covered = np.zeros(len(labels), dtype=bool)
+    records = 0
     for rows, owners, members in _set_records(path, k):
-        count = rows.stop - rows.start
-        sizes.append(np.bincount(owners - rows.start, minlength=count))
-        if rows.stop > len(labels):
+        records = rows.stop
+        if records > sizes.size:
+            more = max(records, 2 * sizes.size) - sizes.size
+            sizes = np.concatenate([sizes, np.zeros(more, dtype=np.int64)])
+            covered = np.concatenate([covered, np.zeros(more, dtype=bool)])
+        sizes[rows] = np.bincount(owners - rows.start, minlength=rows.stop - rows.start)
+        if records > len(labels):
             fit = owners < len(labels)
             owners, members = owners[fit], members[fit]
-        held = np.zeros(count, dtype=bool)
-        held[owners[members == labels[owners]] - rows.start] = True
-        covered.append(held)
-    return np.concatenate(sizes), np.concatenate(covered)
+        covered[owners[members == labels[owners]]] = True
+    return sizes[:records], covered[:records]
 
 
 def _set_records(path, k: int):

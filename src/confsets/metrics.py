@@ -187,8 +187,9 @@ def report_from_sizes(sizes: np.ndarray, covered: np.ndarray,
     and the truncated-row fraction read; the report's alpha, score and map
     come from it, and data with another class count is a ValidationError.
     Each `probability_blocks` block is reduced to per-row values (top-1
-    confidence, the label's rank and the count of exact zeros) before the
-    next is made, so no n-by-K matrix is held.  A row's top-1 class is its
+    confidence, the label's rank and whether the row holds an exact zero,
+    read off its minimum: softmax output is never negative) before the next
+    is made, so no n-by-K matrix is held.  A row's top-1 class is its
     label exactly when the label's rank is 1.
     """
     cal_map = CalibrationMap.identity()
@@ -205,17 +206,17 @@ def report_from_sizes(sizes: np.ndarray, covered: np.ndarray,
     cov, avg_size = _coverage_and_size(sizes, covered)
     conf = np.empty(ds.n)
     ranks = np.empty(ds.n, dtype=np.int64)
-    zero_counts = np.empty(ds.n, dtype=np.int64)
+    truncated = np.empty(ds.n, dtype=bool)
     for rows, probs in probability_blocks(cal_map, ds):
         conf[rows] = probs.max(axis=1)
         ranks[rows] = label_ranks(probs, ds.labels[rows])
-        zero_counts[rows] = np.count_nonzero(probs == 0.0, axis=1)
+        truncated[rows] = probs.min(axis=1) == 0.0
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,
         ece=_binned_ece(conf, ranks == 1, ece_bins),
         size_by_rank_bin=_size_by_rank(sizes, ranks, rank_edges, ds.k),
-        truncated_row_fraction=float((zero_counts > 0).mean()),
+        truncated_row_fraction=float(truncated.mean()),
         alpha=alpha,
         n_test=ds.n,
         score=score,

@@ -27,12 +27,16 @@ scores of that sample.  Draws come from a counter-based generator keyed
 by (seed, sample_index), so parallel evaluation cannot change results.
 
 `set_mask` builds prediction sets (the classes scoring <= tau).  An
-aps/raps/saps set is a prefix of its row's order, so each row is read off
-a block of its top classes; one floor, the u = 0 score at the block's
-last rank, certifies that no class beyond the block enters the set.  The
-block is min(_BLOCK, K) wide, or 2 wide when K <= _BLOCK and most rows
-hold a probability above tau (sharp rows, whose set is at most their top
-class).  An uncertified row is read again off a block of all K classes.
+aps/raps/saps set is a prefix of its row's order.  A row no wider than
+_BLOCK is scored whole and its mask put back in class order.  A wider row
+is read off a block of its top _BLOCK values, with no class indices: one
+floor, the u = 0 score at the block's last rank, certifies that no class
+beyond the block enters the set, and the set is then the classes at or
+above one boundary value per row, the value at its last rank (a tie at
+that value is split by ascending class).  The block is 2 wide instead
+when K <= _BLOCK and most rows hold a probability above tau (sharp rows,
+whose set is at most their top class).  An uncertified row is read again
+whole.
 """
 
 from __future__ import annotations
@@ -49,11 +53,11 @@ SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
 _PROB_SUM_TOL = 1e-6
 
-# Classes per row that `set_mask` sorts first; rows no wider than this are
-# read whole, or off their top 2 classes when most of them are sharp.  On
+# Values per row that `set_mask` sorts first; rows no wider than this are
+# read whole, or off their top 2 values when most of them are sharp.  On
 # 7.5k x 1000 synthetic rows at alpha 0.1 (randomized aps), blocks of 16,
-# 32, 64 and 128 left 1697, 518, 8 and 0 rows uncertified; 64 was the
-# fastest.
+# 32, 64 and 128 left 1697, 518, 8 and 0 rows uncertified, and `set_mask`
+# took 183, 93, 47 and 50 ms on 2 Xeon cores; 64 was the fastest.
 _BLOCK = 64
 
 
@@ -229,13 +233,7 @@ def score_matrix(spec: ScoreSpec, probs: np.ndarray,
     p, u_eff = _checked(spec, probs, u)
     if spec.kind == "lac":
         return 1.0 - p
-    sorted_probs, perm = _descending(p)
-    by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
-                                sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
-                                u_eff[:, None])
-    out = np.empty_like(by_rank)
-    np.put_along_axis(out, perm, by_rank, axis=1)
-    return out
+    return _full_read(spec, p, u_eff)
 
 
 def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
@@ -309,21 +307,22 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     """n-by-K mask of the classes whose score is <= tau.
 
     Equals ``score_matrix(spec, probs, u) <= tau`` bit for bit.  lac
-    compares 1 - p directly and tau = +inf is the full set.  Every other
-    row is read off its top min(``_BLOCK``, K) classes (`_top_block`), and
-    the rows that block cannot certify are read again off all K.
+    compares 1 - p directly and tau = +inf is the full set.  Rows no wider
+    than ``_BLOCK`` are read whole (`_full_read`).  Wider rows are read off
+    their top ``_BLOCK`` values (`_top_block`), and the rows that block
+    cannot certify are read again whole.
 
-    When K <= ``_BLOCK`` and more than half the block's values are above
-    tau, the first read takes each row's top 2 classes instead of sorting
-    the whole row.  The count routes and decides nothing: each block's
+    When K <= ``_BLOCK`` and the matrix holds more values above tau than
+    half its rows, the first read takes each row's top 2 values instead of
+    sorting the whole row.  The count routes and decides nothing: each block's
     certificate is exact, so the mask is the same on either route.  It is
     one flat pass, cheaper than a row maximum.  At tau >= 1/2 a row holds
     at most one value above tau, so the count is then the number of rows
-    whose top class is above tau.  Such a row's 2-class floor is at least
-    p_1 > tau, so the 2-class block certifies it unless its second value
-    recurs beyond the block or it holds a negative value.  Wider rows skip
-    the 2-class block: their first read sorts only ``_BLOCK`` classes, and
-    there the count and the copied rows cost about what it would save.
+    whose top class is above tau.  Such a row's 2-value floor is p_1 > tau
+    up to rounding, so the 2-value block certifies it unless it holds a
+    negative value.  Wider rows skip the 2-value block: their first read
+    takes only ``_BLOCK`` values, and there the count and the copied rows
+    cost about what it would save.
     """
     p, u_eff = _checked(spec, probs, u)
     if spec.kind == "lac":
@@ -332,76 +331,106 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
         return np.ones(p.shape, dtype=bool)
     n, k = p.shape
     sharp = k <= _BLOCK and 2 * np.count_nonzero(p > tau) > n
-    mask, rest = _top_block(spec, p, tau, u_eff, 2 if sharp else min(_BLOCK, k))
+    m = 2 if sharp else min(_BLOCK, k)
+    if m == k:
+        return _full_read(spec, p, u_eff, tau)
+    mask, rest = _top_block(spec, p, tau, u_eff, m)
     if rest.size:
-        mask[rest] = _top_block(spec, p[rest], tau, u_eff[rest], k)[0]
+        mask[rest] = _full_read(spec, p[rest], u_eff[rest], tau)
     return mask
+
+
+def _full_read(spec: ScoreSpec, p: np.ndarray, u: np.ndarray,
+               tau: float | None = None) -> np.ndarray:
+    """Every aps/raps/saps score of a checked matrix, or with ``tau`` the
+    mask ``score <= tau``: each row is scored in its `descending_order`
+    and put back in class order.
+    """
+    sorted_probs, perm = _descending(p)
+    by_rank = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1), sorted_probs,
+                                sorted_probs[:, :1], np.arange(1, p.shape[1] + 1),
+                                u[:, None])
+    if tau is not None:
+        by_rank = by_rank <= tau
+    out = np.empty_like(by_rank)
+    np.put_along_axis(out, perm, by_rank, axis=1)
+    return out
 
 
 def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
                m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``score <= tau`` for aps/raps/saps read off each row's m largest classes.
+    """``score <= tau`` for aps/raps/saps read off each row's m largest values.
 
-    ``p`` is a checked, normalized matrix, ``u`` one draw per row (ones when
-    not randomized) and 1 <= m <= K.  Returns ``(mask, rest)``: every row of
-    ``mask`` not listed in ``rest`` equals the full comparison bit for bit;
-    the rows in ``rest`` are all False and need m = K.
+    ``p`` is a checked, normalized n-by-K matrix, ``u`` one draw per row
+    (ones when not randomized) and 2 <= m < K.  Returns ``(mask, rest)``:
+    every row of ``mask`` not listed in ``rest`` equals the full comparison
+    bit for bit; the rows in ``rest`` are all False and need `_full_read`.
 
-    The set is a prefix of the row's stable order, so only the m largest
-    classes are ranked (`_top_classes`).  When m = K that is the whole row,
-    and ``rest`` is empty.  The block's cumsum adds the same values in the
-    same order as the full row's, so ranks 1..m get the same floats from
-    ``_cumulative_score``.  A row wider than the block is accepted only
-    when every rank r > m provably scores above tau:
+    The block is the first m values of the row's stable order
+    (`_top_values`).  Tied classes hold equal values, so the block's cumsum
+    adds the same values in the same order as the full row's, and ranks
+    1..m get the same floats from ``_cumulative_score`` whichever tied
+    classes hold them.  A row is accepted when every rank r > m provably
+    scores above tau and its ranks 1..m read as a set size s:
 
-    * the m-th value appears nowhere outside the block, so the block is
-      exactly the first m classes of the stable order;
     * the row has no negative value, so its prefix sums c_r never fall;
     * the score at rank r is at least its u = 0 value: fl((1 - u) p_r)
       <= p_r, and on the float values c_r - p_r >= c_{r-1} - p_r >= c_m -
       p_m, so rounding, the raps penalty and the saps rank term, all
       monotone, keep it at or above the u = 0 score at rank m.  That floor
-      above tau certifies the row.
+      above tau certifies the row, and since rank m scores at least the
+      floor, s < m;
+    * ranks 1..s score <= tau and ranks s+1..m above it.  This is
+      checked, not assumed: the u <= 2**-54 branch of
+      ``_cumulative_score`` rounds in another order (no input that breaks
+      the prefix is known).
+
+    The set is then ranks 1..s.  With b the value at rank s (b = +inf when
+    s = 0), it holds every class of value above b and the first
+    s - #(p > b) classes of value b, by ascending class.  That is all the
+    classes at b unless rank s + 1 holds b too, so the mask is one
+    comparison p >= b, and only rows whose boundary splits a tie count
+    their tied classes one by one.
     """
-    n, k = p.shape
-    vals, cols = _top_classes(p, m)
+    n = p.shape[0]
+    vals = _top_values(p, m)
     prefix = np.cumsum(vals, axis=1)
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
-    certified = np.ones(n, dtype=bool)
-    if m < k:
-        floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
-        certified = ((floor > tau) & (np.count_nonzero(p >= vals[:, -1:], axis=1) == m)
-                     & (p.min(axis=1) >= 0.0))
-        inside &= certified[:, None]
-    mask = np.zeros((n, k), dtype=bool)
-    np.put_along_axis(mask, cols, inside, axis=1)
+    floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
+    certified = ((floor > tau) & (p.min(axis=1) >= 0.0)
+                 & ~np.any(inside[:, 1:] > inside[:, :-1], axis=1))
+    size = np.count_nonzero(inside, axis=1)
+    rows = np.arange(n)
+    bound = np.where(certified & (size > 0), vals[rows, size - 1], np.inf)
+    mask = p >= bound[:, None]
+    # a certified row has s < m; every other row's bound is +inf
+    split = np.flatnonzero(vals[rows, np.minimum(size, m - 1)] == bound)
+    if split.size:
+        q, b = p[split], bound[split, None]
+        tied = q == b
+        take = size[split] - np.count_nonzero(vals[split] > b, axis=1)
+        mask[split] = (q > b) | (tied & (np.cumsum(tied, axis=1) <= take[:, None]))
     return mask, np.flatnonzero(~certified)
 
 
-def _top_classes(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(vals, cols)``: the first m columns of each row of a checked matrix
-    in `descending_order`, and their values.
+def _top_values(p: np.ndarray, m: int) -> np.ndarray:
+    """The m largest values of each row of a checked matrix, in descending
+    order (1 < m < K): the first m values of its `descending_order`.
 
-    At m = K that is `_descending`.  At m = 2 it is two argmax passes, the
-    second with the first column masked: argmax takes the first of equal
-    values, as the stable order does, and -inf is below every value of a
-    checked row.  Otherwise argpartition picks the m largest, any of the
-    classes tied at the m-th value among them, and the stable sort, run on
-    them in ascending class order, gives them the full row's order.
+    At m = 2 that is two argmax passes, the second with the first column
+    masked: -inf is below every value of a checked row.  Otherwise one
+    ``np.partition`` leaves the m largest values at the top of each row,
+    and only they are sorted.
     """
     n, k = p.shape
-    if m == k:
-        return _descending(p)
     if m == 2:
+        rows = np.arange(n)
         top = p.argmax(axis=1)
         others = p.copy()
-        others[np.arange(n), top] = -np.inf
-        cols = np.stack([top, others.argmax(axis=1)], axis=1)
-        return np.take_along_axis(p, cols, axis=1), cols
-    cols = np.sort(np.argpartition(p, k - m, axis=1)[:, k - m:], axis=1)
-    vals, order = _descending(np.take_along_axis(p, cols, axis=1))
-    return vals, np.take_along_axis(cols, order, axis=1)
+        others[rows, top] = -np.inf
+        return np.stack([p[rows, top], others.max(axis=1)], axis=1)
+    return np.sort(np.partition(p, k - m, axis=1)[:, k - m:], axis=1)[:, ::-1]
 
 
 def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:

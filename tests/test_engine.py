@@ -26,10 +26,10 @@ from confsets import (
 from confsets.data import row_blocks
 from confsets.engine import conformal_level, load_set_sizes, load_threshold, save_threshold
 from confsets import engine, errors
-from confsets.scores import (_BLOCK, _descending, _top_block, _top_classes, score_matrix,
-                             set_mask)
+from confsets.scores import (_BLOCK, _descending, _full_read, _top_block, _top_values,
+                             score_matrix, set_mask)
 
-from oracles import oracle_load_sets, oracle_quantile, oracle_set
+from oracles import oracle_load_sets, oracle_quantile, oracle_score, oracle_set
 
 score_vectors = st.lists(
     st.floats(0.0, 2.0, allow_nan=False).map(lambda v: round(v, 6)),
@@ -310,6 +310,104 @@ def _block(spec, probs, tau, m, u=None):
     return _top_block(spec, probs, tau, np.ones(probs.shape[0]) if u is None else u, m)
 
 
+def _bf16(x):
+    """``x`` rounded to bfloat16 precision (8 significant bits), ties to even."""
+    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
+    bits = (bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000
+    return bits.view(np.float32).astype(float)
+
+
+@st.composite
+def boundary_cases(draw):
+    """Rows wider than the block, with tau where their sets end in a tie.
+
+    Softmax rows of normal logits, which half the draws round to bfloat16
+    precision so that equal values are common.  A row may also tie a run of
+    ranks inside the block, or a run across its last rank, and one row may
+    hold a value below 0 (by 1e-3, or by 0.5, so that prefix sums past the
+    block fall below the block's).  tau is one row's score at a chosen
+    rank, nudged by at most one ulp: the middle of a tie, rank 1 (an empty
+    set), rank ``_BLOCK`` (a set of the whole block), the last rank or any
+    rank; that row is the one with a value below 0, if there is one.  A
+    randomized row may draw u = 2**-60, where 1 - u rounds to 1.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([_BLOCK + 1, 200, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 4.0])), size=(n, k))
+    if draw(st.booleans()):
+        logits = _bf16(logits)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    for row, tie in enumerate(draw(st.lists(st.sampled_from(["none", "inside", "across"]),
+                                            min_size=n, max_size=n))):
+        if tie == "inside":
+            start = int(rng.integers(0, _BLOCK - 5))
+            length = int(rng.integers(2, 5))
+        elif tie == "across":
+            start = _BLOCK - int(rng.integers(1, 4))
+            length = _BLOCK - start + int(rng.integers(1, 4))
+        else:
+            continue
+        cols = np.argsort(-probs[row], kind="stable")[start:start + length]
+        probs[row, cols] = probs[row, cols[0]]
+    probs /= probs.sum(axis=1, keepdims=True)
+    row = int(rng.integers(n))
+    if draw(st.booleans()):
+        # still sums to 1: the smallest value moves to another class, past 0
+        low, other = np.argsort(probs[row])[:2]
+        shift = probs[row, low] + draw(st.sampled_from([1e-3, 0.5]))
+        probs[row, [low, other]] += [-shift, shift]
+    spec = _spec(draw(st.sampled_from(["aps", "raps", "saps"])), draw(st.booleans()))
+    u = rng.random(n) if spec.uses_u else None
+    if u is not None and draw(st.booleans()):
+        u[rng.integers(n)] = draw(st.sampled_from([0.0, 2.0**-60, 1.0]))
+    ordered, order = _descending(probs[row:row + 1])
+    by_rank = score_matrix(spec, probs, u)[row, order[0]]
+    where = draw(st.sampled_from(["tie", "empty", "block", "last", "any"]))
+    if where == "tie":
+        ties = np.flatnonzero(ordered[0, :_BLOCK] == ordered[0, 1:_BLOCK + 1])
+        rank = int(ties[rng.integers(ties.size)]) if ties.size else 0
+    else:
+        rank = {"empty": 0, "block": _BLOCK - 1, "last": k - 1,
+                "any": int(rng.integers(k))}[where]
+    tau = float(by_rank[rank])
+    if where == "empty":
+        tau = float(np.nextafter(tau, -math.inf))
+    else:
+        tau = float(np.nextafter(tau, draw(st.sampled_from([-math.inf, tau, math.inf]))))
+    return spec, probs, u, tau
+
+
+def _negative_tail_case():
+    """One row of ``_BLOCK + 1`` values whose smallest is pushed 0.5 below 0,
+    and tau at its last rank's score: the prefix sums past the block fall
+    back to 1, below the block's floor, so only the row's negative value
+    keeps the block from certifying it."""
+    probs = _wide_row([], k=_BLOCK + 1)
+    probs[-2:] += [probs[-1] + 0.5, -probs[-1] - 0.5]
+    probs = probs[None, :]
+    spec = _spec("aps", False)
+    return spec, probs, None, float(score_matrix(spec, probs)[0, -1])
+
+
+@settings(max_examples=200)
+@given(boundary_cases())
+@example(_negative_tail_case())
+def test_set_mask_reads_wide_rows_off_their_boundary_value(case):
+    spec, probs, u, tau = case
+    mask = set_mask(spec, probs, tau, u)
+    np.testing.assert_array_equal(mask, score_matrix(spec, probs, u) <= tau)
+    if probs.shape[1] <= 200:
+        # the oracle adds in another order, so classes whose oracle score is
+        # within rounding of tau may fall either way
+        u_0 = 1.0 if u is None else float(u[0])
+        oracle = np.asarray([oracle_score(spec.kind, probs[0].tolist(), c, u_0, 0.002, 3, 0.01)
+                             for c in range(probs.shape[1])])
+        clear = np.abs(oracle - tau) > 1e-9
+        np.testing.assert_array_equal(mask[0, clear], (oracle <= tau)[clear])
+
+
 def test_top_block_certifies_plain_wide_rows():
     # the top block holds most of each row's mass and no tie crosses it
     probs = np.stack([STEEP] * 3)
@@ -320,18 +418,26 @@ def test_top_block_certifies_plain_wide_rows():
         np.testing.assert_array_equal(mask, score_matrix(spec, probs) <= 0.7)
 
 
-def test_top_block_sends_boundary_ties_to_full_path():
-    # row 1's m-th and (m+1)-th largest values are equal: the block cannot
-    # know which of the tied classes the stable order ranks m-th
+def test_top_block_reads_boundary_ties_off_values():
+    # row 1's m-th and (m+1)-th largest values are equal, and row 2 ties
+    # classes 1, 2 and 100 at ranks 2-4, where tau ends its set at rank 3,
+    # so the set takes the first two of them by class: the block holds
+    # values, so neither tie sends a row to the whole-row read
     tied = STEEP.copy()
     tied[_BLOCK] = tied[_BLOCK - 1]
-    probs = np.stack([STEEP, tied / tied.sum()])
-    u = np.asarray([0.3, 0.6])
+    split = STEEP.copy()
+    split[[1, 2, 100]] = 0.2
+    probs = np.stack([STEEP, tied / tied.sum(), split / split.sum()])
+    u = np.asarray([0.3, 0.6, 1.0])
     for kind in ("aps", "raps", "saps"):
         spec = _spec(kind, True)
-        _, rest = _block(spec, probs, 0.7, _BLOCK, u)
-        assert rest.tolist() == [1]
-        _assert_mask_is_full_path(spec, probs, u, 0.7)
+        order = np.argsort(-probs[2], kind="stable")
+        tau = float(score_matrix(spec, probs, u)[2, order[2]])
+        for t in (0.7, tau):
+            mask, rest = _block(spec, probs, t, _BLOCK, u)
+            assert rest.size == 0
+            np.testing.assert_array_equal(mask, score_matrix(spec, probs, u) <= t)
+        assert np.flatnonzero(mask[2]).tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("crossing", [0.5, 1.0])
@@ -359,10 +465,10 @@ def test_top_block_sends_negative_rows_to_full_path():
     _assert_mask_is_full_path(spec, negative, None, 0.5)
 
 
-def test_top_block_certifies_narrow_rows_in_one_pass():
-    # with m = K the block is the whole row, so no row is left over, even
-    # one with a negative value or tau above every score; K <= _BLOCK rows
-    # take this block first unless the 2-class block comes first, wider rows
+def test_full_read_needs_no_certificate():
+    # the whole-row read ranks every class, so it is exact on every row,
+    # even one with a negative value or tau above every score; K <= _BLOCK
+    # rows take it first unless the 2-value block comes first, wider rows
     # on their second read
     wide = np.stack([STEEP] * 2)
     narrow = wide[:, :_BLOCK] / wide[:, :_BLOCK].sum(axis=1, keepdims=True)
@@ -382,40 +488,36 @@ def test_top_block_certifies_narrow_rows_in_one_pass():
                                 (hard, (0.0, 0.5, 0.7, below_binade, 1.5))):
                 u_spec = u[:probs.shape[0]] if randomized else None
                 for tau in taus:
-                    mask, rest = _block(spec, probs, tau, probs.shape[1], u_spec)
-                    assert rest.size == 0
-                    np.testing.assert_array_equal(
-                        mask, score_matrix(spec, probs, u_spec) <= tau)
+                    u_eff = np.ones(probs.shape[0]) if u_spec is None else u_spec
+                    np.testing.assert_array_equal(_full_read(spec, probs, u_eff, tau),
+                                                  score_matrix(spec, probs, u_spec) <= tau)
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_top_classes_follow_the_stable_order_through_ties(seed):
+def test_top_values_follow_the_stable_order_through_ties(seed):
     # rows of a few distinct values: repeated maxima, ties at second place
-    # and -0.0 next to 0.0.  The 2-class argmax reads and the whole row give
-    # the first m columns of the stable order; the argpartition block may
-    # take any of the classes tied at its m-th value, so it does only on the
-    # rows where that value does not recur past the block (those that
-    # `_top_block` can certify)
+    # and -0.0 next to 0.0.  Both the 2-value argmax read and the
+    # partitioned block give the first m values of the stable order, also
+    # where the m-th value recurs past the block.  -0.0 and 0.0 compare
+    # equal, so the block may hold either where the order holds the other;
+    # no score or comparison can tell them apart, since every prefix sum is
+    # above 0
     rng = np.random.default_rng(seed)
     n, k = 30, int(rng.integers(3, 2 * _BLOCK))
     weights = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], size=(n, k))
     weights[np.arange(n), rng.integers(k, size=n)] = 3.0
     p = weights / weights.sum(axis=1, keepdims=True)
-    ordered, order = _descending(p)
-    for m in sorted({2, 3, min(_BLOCK, k), k}):
-        vals, cols = _top_classes(p, m)
-        rows = np.arange(n)
-        if 2 < m < k:
-            rows = np.flatnonzero(np.count_nonzero(p >= ordered[:, m - 1:m], axis=1) == m)
-        np.testing.assert_array_equal(cols[rows], order[rows, :m])
-        np.testing.assert_array_equal(np.signbit(vals[rows]), np.signbit(ordered[rows, :m]))
-        np.testing.assert_array_equal(vals[rows], ordered[rows, :m])
+    ordered = _descending(p)[0]
+    for m in sorted({2, min(3, k - 1), min(_BLOCK, k - 1)}):
+        np.testing.assert_array_equal(_top_values(p, m), ordered[:, :m])
 
 
 def test_set_mask_reads_sharp_blocks_off_two_classes_first():
-    # the 2-class block comes first exactly when K <= _BLOCK and more than
-    # half the block's values are above tau; the mask never depends on the
-    # block that came first
+    # the 2-value block comes first exactly when K <= _BLOCK and more
+    # values are above tau than half the rows; other rows no wider than
+    # _BLOCK are read whole at once, and wider rows always take the
+    # _BLOCK-value block first.  The mask never depends on the read that
+    # came first
     routes = set()
     for k in (3, 50, _BLOCK + 1, 3 * _BLOCK):
         ds = generate(SynthSpec(n=40, k=k, seed=k, signal=4.0, overconfidence=3.0))
@@ -427,12 +529,13 @@ def test_set_mask_reads_sharp_blocks_off_two_classes_first():
             spec = _spec(kind, True)
             u = np.random.default_rng(k).random(probs.shape[0])
             for tau in taus:
-                with mock.patch("confsets.scores._top_block", wraps=_top_block) as spy:
+                with (mock.patch("confsets.scores._top_block", wraps=_top_block) as block,
+                      mock.patch("confsets.scores._full_read", wraps=_full_read) as whole):
                     mask = set_mask(spec, probs, tau, u)
-                widths = [c.args[4] for c in spy.call_args_list]
+                widths = [c.args[4] for c in block.call_args_list]
                 routed = 2 * np.count_nonzero(probs > tau) > probs.shape[0]
-                assert widths[0] == (2 if routed and k <= _BLOCK else min(_BLOCK, k))
-                assert widths[1:] in ([], [k])
+                assert widths == (([2] if routed else []) if k <= _BLOCK else [_BLOCK])
+                assert whole.call_count == 1 if not widths else whole.call_count in (0, 1)
                 routes.add((routed, k <= _BLOCK))
                 np.testing.assert_array_equal(mask, score_matrix(spec, probs, u) <= tau)
     assert routes == {(False, False), (False, True), (True, False), (True, True)}
@@ -585,6 +688,22 @@ def _assert_sizes_are_the_reference(path, k, expected, rng):
     assert sizes.tolist() == [len(members) for members in expected]
     assert covered.tolist() == [i < len(labels) and int(labels[i]) in members
                                 for i, members in enumerate(expected)]
+
+
+@pytest.mark.parametrize("labels_per_record", [0.0, 0.5, 1.0, 3.0])
+def test_set_sizes_fit_any_number_of_labels(tmp_path, labels_per_record):
+    # the vectors start at one entry per label; a file with more records
+    # (several chunks of them) grows them, and one with fewer gives only
+    # its own records' entries
+    rng = np.random.default_rng(5)
+    mask = rng.random((3000, 7)) < 0.3
+    path = tmp_path / "sets.jsonl"
+    _write_mask(mask, path)
+    labels = rng.integers(0, 7, int(labels_per_record * 3000))
+    sizes, covered = load_set_sizes(path, labels, 7)
+    assert sizes.tolist() == np.count_nonzero(mask, axis=1).tolist()
+    assert covered.tolist() == [i < len(labels) and bool(mask[i, labels[i]])
+                                for i in range(3000)]
 
 
 def _assert_loaders_raise(path, k, exc):
