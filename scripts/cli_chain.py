@@ -18,6 +18,17 @@ randomized aps at alpha 0.1, and demo-precision at f64.  Apart from the
 CSV data files, each of its outputs has the name, and should have the
 bytes, of the same output under k10/.
 
+Last, under errors/, every command that reads a dataset (split, tune,
+calibrate, predict, evaluate and demo-precision) runs on K = 10 binary
+files of 7000 rows, two row blocks, that this script writes with a
+defect: a non-finite row in the first block (and a later one in the last),
+a non-finite row in the last block, a label out of range, both of those,
+and a truncated file.  Then predict, evaluate and calibrate run with an
+error of their own (another class count, a bad sets line, too few sets,
+a misused --lambda, a bad --params) on the clean file and on the one with
+a non-finite last row.  Each of these commands must fail; its exit code
+and stderr go to errors/<file>.<case>.txt.
+
 Every command runs in one child process whose PYTHONPATH is --src, so the
 manifests of two source trees show whether their outputs are the same:
 
@@ -36,6 +47,7 @@ import argparse
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -51,22 +63,37 @@ SCORES = {
     "saps": ["--score", "saps", "--lambda", "0.05"],
 }
 
+ERRORS_DIR = "errors"
+ERR_N, ERR_K = 7000, 10
+
 # Runs the commands read from stdin, in order, with confsets from argv[1].
+# A command is an argument list that must succeed, or [argument list, log
+# path] for one that must fail: its exit code and stderr go to the log.
 _RUN = """
-import json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 import confsets
 from confsets.cli import main
 if Path(confsets.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
     sys.exit(f"confsets was imported from {confsets.__file__}, not from {sys.argv[1]}")
-for argv in json.load(sys.stdin):
-    if main(argv) != 0:
-        sys.exit("failed: confsets " + " ".join(argv))
+for command in json.load(sys.stdin):
+    if isinstance(command[0], str):
+        if main(command) != 0:
+            sys.exit("failed: confsets " + " ".join(command))
+        continue
+    argv, log = command
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        sys.exit("did not fail: confsets " + " ".join(argv))
+    Path(log).write_text(f"exit {code}\\n{err.getvalue()}", encoding="utf-8")
 """
 
 
-def chain(n: int) -> list[list[str]]:
-    """The CLI commands, as argument lists with paths relative to OUT_DIR."""
+def chain(n: int) -> list:
+    """The CLI commands, as argument lists with paths relative to OUT_DIR;
+    the error leg's carry their logs (see `_RUN`)."""
     scores = [(f"{name}-{r}", [*flags, "--randomized", r])
               for name, flags in SCORES.items() for r in ("false", "true")]
     scores.append(("lac", ["--score", "lac"]))
@@ -100,7 +127,7 @@ def chain(n: int) -> list[list[str]]:
         commands += [["demo-precision", "--in", f"{parts}/test.bin", "--alpha", "0.1",
                       "--t-grid", "1,0.5,0.25,0.1", "--precision", precision, "--seed", SEED,
                       "--out", f"{d}/demo.{precision}.json"] for precision in ("f32", "f64")]
-    return commands + _csv_leg(n)
+    return commands + _csv_leg(n) + _error_leg()
 
 
 def _synth_and_split(n: int, k: int, d: str, ext: str) -> list[list[str]]:
@@ -133,6 +160,83 @@ def _csv_leg(n: int) -> list[list[str]]:
     ]
 
 
+# The defective inputs of the error leg: (NaN rows, row with a label out of
+# range, bytes cut off the end).  At K = 10 a row block of confsets.data
+# spans 6553 rows.
+DEFECTS = {
+    "clean": ((), None, 0),
+    "nan-first": ((3, 6998), None, 0),
+    "nan-last": ((6999,), None, 0),
+    "label": ((), 5, 0),
+    "label-nan-last": ((6999,), 5, 0),
+    "truncated": ((), None, 8),
+}
+
+
+def _write_error_inputs(d: Path) -> None:
+    """Write into ``d`` the binary files of `DEFECTS`, a sets file of three
+    records, one with a bad fourth line, and a map file with a bad
+    temperature."""
+    labels = [i % ERR_K for i in range(ERR_N)]
+    logits = [((i * 7 + j * 3) % 11) / 4 for i in range(ERR_N) for j in range(ERR_K)]
+    for name, (nan_rows, label_row, cut) in DEFECTS.items():
+        row_labels, row_logits = list(labels), list(logits)
+        for row in nan_rows:
+            row_logits[row * ERR_K + 3] = float("nan")
+        if label_row is not None:
+            row_labels[label_row] = ERR_K
+        blob = (b"CPLG\x01" + struct.pack("<QI", ERR_N, ERR_K)
+                + struct.pack(f"<{ERR_N}I", *row_labels)
+                + struct.pack(f"<{ERR_N * ERR_K}d", *row_logits))
+        (d / f"{name}.bin").write_bytes(blob[:len(blob) - cut])
+    lines = [f'{{"index": {i}, "set": [{i}]}}' for i in range(3)]
+    (d / "three-sets.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
+    (d / "bad-sets.jsonl").write_text("\n".join([*lines, '{"index": 3, "set": [3, 3]}']) + "\n",
+                                      encoding="ascii")
+    (d / "bad-map.json").write_text('{"kind": "temperature", "params": {"t": -1.0}}\n',
+                                    encoding="ascii")
+
+
+def _error_leg() -> list:
+    """The commands of the error leg, each with the log of its failure."""
+    d = ERRORS_DIR
+    threshold = "k10/identity.aps-true.a0.1"
+    reads = {
+        "split": ["split", "--parts", "a:0.5,b:0.5", "--shuffle", "true", "--seed", SEED,
+                  "--out-dir", f"{d}/out.split"],
+        "tune": ["tune", "--alpha", "0.1", "--map", "temperature", "--seed", SEED,
+                 "--out", f"{d}/out.tune.json"],
+        "calibrate": ["calibrate", "--alpha", "0.1", *SCORES["aps"], "--params", "identity.json",
+                      "--seed", SEED, "--out", f"{d}/out.threshold.json"],
+        "predict": ["predict", "--threshold", f"{threshold}.threshold.json", "--seed", SEED,
+                    "--out", f"{d}/out.sets.jsonl"],
+        "evaluate": ["evaluate", "--sets", f"{threshold}.sets.jsonl",
+                     "--threshold", f"{threshold}.threshold.json", "--out", f"{d}/out.report.json"],
+        "demo-precision": ["demo-precision", "--alpha", "0.1", "--t-grid", "1,0.5",
+                           "--precision", "f64", "--seed", SEED, "--out", f"{d}/out.demo.json"],
+    }
+    # each command's own error, raised after its input is opened
+    in_body = {
+        "class-count": _replaced(reads["predict"], "--threshold",
+                                 "k50/identity.aps-true.a0.1.threshold.json"),
+        "bad-sets-line": _replaced(reads["evaluate"], "--sets", f"{d}/bad-sets.jsonl"),
+        "sets-count": _replaced(reads["evaluate"], "--sets", f"{d}/three-sets.jsonl"),
+        "lambda": [*reads["calibrate"], "--lambda", "0.1"],
+        "bad-params": _replaced(reads["calibrate"], "--params", f"{d}/bad-map.json"),
+    }
+    commands = [[[*argv, "--in", f"{d}/{name}.bin"], f"{d}/{name}.{command}.txt"]
+                for name in DEFECTS if name != "clean" for command, argv in reads.items()]
+    commands += [[[*argv, "--in", f"{d}/{name}.bin"], f"{d}/{name}.{case}.txt"]
+                 for name in ("clean", "nan-last") for case, argv in in_body.items()]
+    return commands
+
+
+def _replaced(argv: list[str], flag: str, value: str) -> list[str]:
+    """``argv`` with ``value`` after ``flag`` in place of the one there."""
+    at = argv.index(flag) + 1
+    return [*argv[:at], value, *argv[at + 1:]]
+
+
 def write_manifest(out_dir: Path) -> int:
     """Write OUT_DIR/MANIFEST.sha256 over every other file; returns the file count."""
     files = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")
@@ -154,8 +258,9 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     if out_dir.exists() and any(out_dir.iterdir()):
         ap.error(f"{out_dir} is not empty")
-    for d in [f"k{k}" for k in KS] + [CSV_DIR]:
+    for d in [f"k{k}" for k in KS] + [CSV_DIR, ERRORS_DIR]:
         (out_dir / d).mkdir(parents=True, exist_ok=True)
+    _write_error_inputs(out_dir / ERRORS_DIR)
     (out_dir / "identity.json").write_text('{"kind": "identity", "params": {}}\n', encoding="ascii")
     src = str(args.src.resolve())
     proc = subprocess.run([sys.executable, "-c", _RUN, src], input=json.dumps(chain(args.n)),

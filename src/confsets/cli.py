@@ -100,9 +100,14 @@ def _keep_freed_heap() -> None:
 
 
 def _open_dataset(path):
-    """A context manager that gives the dataset at ``path``, validated, to a
-    step that reads it in row blocks: a binary file as a `data.LogitsFile`,
-    a CSV file loaded whole, since it is parsed row by row anyway."""
+    """A context manager that gives the dataset at ``path`` to a step that
+    reads it in row blocks: a binary file as a `data.LogitsFile`, a CSV
+    file loaded whole, since it is parsed row by row anyway.
+
+    A CSV file is checked whole as it loads.  A binary file's rows are
+    checked as the step reads them, and the rows it has not read when its
+    ``with`` block ends, so a bad row's error comes before any the step
+    raises itself, as it does for a CSV file."""
     _keep_freed_heap()
     if data.sniff_format(path) == "binary":
         return data.LogitsFile(path)

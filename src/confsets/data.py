@@ -11,20 +11,21 @@ rejected.  Two on-disk formats are supported:
   n labels as u32 LE, then n*K doubles (f64 LE, row major).  Bit-exact
   round trip.
 
-`LogitsFile` is the one reader of the binary format.  It checks the
-header, the file size, every logit and then the labels, with the rules,
-order and messages of `LogitsDataset`, one `row_blocks` block at a time,
-and then reads the rows asked for from the open file.  The CLI opens
-every binary input as one, and `load_dataset` reads a binary file whole
-through it.  `split_dataset` gathers its parts from either one a row
-block at a time, so split holds its parts, and tune its halves, but never
-a second copy of the matrix.
+`LogitsFile` is the one reader of the binary format, with the rules,
+order and messages of `LogitsDataset`.  Opening it checks the header, the
+file size, the class count and the labels; each logit is read once, and
+checked as it is first read, and a ``with`` block over it reads and
+checks at its end the rows nothing read.  The CLI opens every binary
+input as one, and `load_dataset` reads a binary file whole through it.
+`split_dataset` gathers its parts from either one a row block at a time,
+so split holds its parts, and tune its halves, but never a second copy of
+the matrix.
 
 `row_blocks` is the one walk of consecutive row blocks, of about
 ``_BLOCK_CELLS`` cells each, that every n-by-K stage takes.
-`buffered_row_blocks` pairs it with one reused block buffer: `LogitsFile`'s
-check, `split_dataset`'s gather and `maps.probability_blocks` read each
-block into it, so no read allocates per block.
+`buffered_row_blocks` pairs it with one reused block buffer:
+`split_dataset`'s gather and `maps.probability_blocks` read each block
+into it, so no read allocates per block.
 """
 
 from __future__ import annotations
@@ -158,12 +159,17 @@ class LogitsFile:
     """A binary dataset file, validated with the rules of `LogitsDataset`,
     whose logits are read a row block at a time.
 
-    Opening reads the header and the labels, then reads every row once
-    through `logit_rows`, one `row_blocks` block at a time, with the rules,
-    order and messages of `LogitsDataset`: every row finite, then every
-    label in range.  `logit_rows` checks that the file still holds the rows
-    asked for and that they are finite, so a file changed after it was
-    opened is a ValidationError too.
+    Opening reads the header and the labels and checks the file size and
+    the class count; it reads no logit.  Each row is checked when a read
+    first takes it in: `logit_rows` checks that the file still holds the
+    rows asked for and that they are finite, so a file changed after it
+    was opened is a ValidationError too.  A ``with`` block that leaves
+    rows unread, on a normal exit or when an Exception escapes it, reads
+    and checks them as it ends, and a bad row's error then replaces the
+    block's own (chained to it).  A label out of range is raised at open,
+    after every row is checked.  So the errors come in the order of
+    `LogitsDataset` (every row finite, then every label in range), and
+    before any the block raises.  `close` alone checks nothing.
     ``n``, ``k`` and the read-only ``labels`` are those of `LogitsDataset`.
     Use it in a ``with`` statement, or call `close`.
     """
@@ -175,9 +181,14 @@ class LogitsFile:
             self.n, self.k, labels = _read_head(self._fh)
             _check_classes(self.k)
             self._logits_at = self._fh.tell()
-            for rows, buf in buffered_row_blocks(self.n, self.k):
-                self.logit_rows(rows, out=buf)
-            _check_labels(labels, self.k)
+            # rows [0, _checked) are read and finite; _failed: a read has
+            # raised the file's first error
+            self._checked, self._failed = 0, False
+            try:
+                _check_labels(labels, self.k)
+            except ValidationError:
+                self._check_unread()  # a non-finite row wins over a label
+                raise
         except BaseException:
             self._fh.close()
             raise
@@ -202,9 +213,27 @@ class LogitsFile:
             # a reshape of any other array would read into a copy
             raise ValueError(f"out must be a C-contiguous {shape} float64 array")
         self._fh.seek(self._logits_at + 8 * self.k * start)
-        _read_into(self._fh, block)
-        _check_finite(block, start)
+        try:
+            _read_into(self._fh, block)
+            _check_finite(block, start)
+        except Exception:
+            # a read past the checked rows leaves the rows before it to
+            # `__exit__`, which names an earlier bad one first
+            self._failed = self._failed or start <= self._checked
+            raise
+        if start <= self._checked:
+            self._checked = max(self._checked, stop)
         return block
+
+    def _check_unread(self) -> None:
+        """Read and check every row past the checked prefix, a block at a time.
+
+        A block is allocated only when it is read: one untouched buffer per
+        step, after a step that read every row, moved the heap enough to
+        raise a K = 50 chain's peak RSS by about 3 MiB."""
+        for rows in row_blocks(self.n, self.k):
+            if rows.stop > self._checked:
+                self.logit_rows(rows)
 
     def close(self) -> None:
         self._fh.close()
@@ -212,8 +241,12 @@ class LogitsFile:
     def __enter__(self) -> "LogitsFile":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if not self._failed and (exc_type is None or issubclass(exc_type, Exception)):
+                self._check_unread()
+        finally:
+            self.close()
 
 
 @dataclass(frozen=True)
@@ -300,7 +333,11 @@ def load_dataset(path, format: str = "binary") -> LogitsDataset:
         return _load_csv(path)
     if format == "binary":
         with LogitsFile(path) as opened:
-            return LogitsDataset(opened.logit_rows(slice(None)), opened.labels)
+            # a block at a time, so the check holds one block of flags, not n x K
+            logits = np.empty((opened.n, opened.k))
+            for rows in row_blocks(opened.n, opened.k):
+                opened.logit_rows(rows, out=logits[rows])
+            return LogitsDataset(logits, opened.labels)
     raise ValidationError(f"unknown dataset format {format!r}")
 
 

@@ -372,7 +372,8 @@ def test_threshold_rejects_data_with_another_class_count(tmp_path, predicted, ca
 
 def test_predict_names_a_non_finite_input_before_a_wrong_class_count(tmp_path, predicted,
                                                                    capsys):
-    # the whole dataset is checked as it is opened, before the threshold reads its K
+    # predict compares the threshold's K before it reads a row; the end of its with
+    # block then checks every row, and the bad row's error replaces the K error
     _, _, threshold, _ = predicted
     wide = synth_file(tmp_path, name="wide.bin", n=50, k=20, seed=9)
     blob = bytearray(wide.read_bytes())
@@ -733,6 +734,154 @@ def test_split_and_demo_precision_read_binary_and_csv_rows_alike(tmp_path):
         again = tmp_path / f"{name}-from-csv.bin"
         save_dataset(load_dataset(tmp_path / "csv" / f"{name}.csv", "csv"), again)
         assert again.read_bytes() == (tmp_path / "bin" / f"{name}.bin").read_bytes()
+
+
+# The commands that read a dataset, with the flags they need but --in, on
+# the files of `predicted` and a map file; ``{out}`` is their output.
+READING_COMMANDS = {
+    "split": ["split", "--parts", "a:0.5,b:0.5", "--shuffle", "true", "--seed", "7",
+              "--out-dir", "{out}"],
+    "tune": ["tune", "--alpha", "0.1", "--map", "temperature", "--seed", "7",
+             "--grid-points", "3", "--out", "{out}"],
+    "calibrate": ["calibrate", "--alpha", "0.1", "--score", "aps", "--params", "{params}",
+                  "--seed", "7", "--out", "{out}"],
+    "predict": ["predict", "--threshold", "{threshold}", "--seed", "7", "--out", "{out}"],
+    "evaluate": ["evaluate", "--sets", "{sets}", "--threshold", "{threshold}",
+                 "--out", "{out}"],
+    "demo-precision": ["demo-precision", "--alpha", "0.1", "--t-grid", "1,0.5",
+                       "--precision", "f64", "--seed", "7", "--out", "{out}"],
+}
+
+
+def _reading_command(name, predicted, path, out):
+    _, _, threshold, sets = predicted
+    fill = {"out": out, "params": threshold.parent / "map.json", "threshold": threshold,
+            "sets": sets}
+    return [*(arg.format(**fill) for arg in READING_COMMANDS[name]), "--in", str(path)]
+
+
+@pytest.mark.parametrize("command", READING_COMMANDS)
+def test_every_command_reads_each_logit_once(tmp_path, predicted, monkeypatch, command):
+    # 10 blocks of 5 rows; only what lies past the labels is counted
+    from confsets import data
+
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 50)
+    _, test, _, _ = predicted
+    n, k = 50, 10
+    read = []
+    real_read_into = data._read_into
+
+    def counting_read_into(fh, arr):
+        if fh.tell() >= 17 + 4 * n:
+            read.append(arr.nbytes)
+        real_read_into(fh, arr)
+
+    monkeypatch.setattr(data, "_read_into", counting_read_into)
+    assert run_cli(*_reading_command(command, predicted, test, str(tmp_path / "out"))) == 0
+    assert read == [8 * 5 * k] * 10
+
+
+def _with_bad_rows(path, rows=(), label_row=None):
+    """Set a NaN in each of ``rows`` of the K = 10 binary file at ``path``,
+    and a label out of range in ``label_row``."""
+    blob = bytearray(path.read_bytes())
+    n = int.from_bytes(blob[5:13], "little")
+    for row in rows:
+        at = 17 + 4 * n + 8 * 10 * row + 8 * 3
+        blob[at:at + 8] = np.array([np.nan]).tobytes()
+    if label_row is not None:
+        blob[17 + 4 * label_row:21 + 4 * label_row] = np.array([10], dtype="<u4").tobytes()
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("command", READING_COMMANDS)
+@pytest.mark.parametrize("rows, label_row, message", [
+    ((12, 47), None, "non-finite logit in row 12"),
+    ((47,), 2, "non-finite logit in row 47"),
+], ids=["two-bad-rows", "bad-label-and-row"])
+def test_every_command_names_the_first_bad_row_across_blocks(
+        tmp_path, predicted, monkeypatch, command, rows, label_row, message, capsys):
+    # 10 blocks of 5 rows: the bad rows are in the third and the last
+    from confsets import data
+
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 50)
+    _, test, _, _ = predicted
+    _with_bad_rows(test, rows, label_row)
+    before = sorted(os.listdir(tmp_path))
+    code = run_cli(*_reading_command(command, predicted, test, str(tmp_path / "out")))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def _bad_sets_line(tmp_path, predicted):
+    lines = predicted[3].read_text().splitlines()
+    lines[20] = '{"index": 20, "set": [3, 3]}'
+    bad = tmp_path / "bad-sets.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    return {"--sets": str(bad)}
+
+
+def _too_few_sets(tmp_path, predicted):
+    short = tmp_path / "short-sets.jsonl"
+    short.write_text("".join(predicted[3].read_text().splitlines(keepends=True)[:30]))
+    return {"--sets": str(short)}
+
+
+def _other_class_count(tmp_path, predicted):
+    wide = synth_file(tmp_path, name="wide.bin", n=300, k=20, seed=7)
+    threshold = tmp_path / "wide-threshold.json"
+    assert run_cli("calibrate", "--in", str(wide), "--alpha", "0.1", "--score", "aps",
+                   "--params", str(tmp_path / "map.json"), "--seed", "7",
+                   "--out", str(threshold)) == 0
+    return {"--threshold": str(threshold)}
+
+
+def _bad_params(tmp_path, predicted):
+    params = tmp_path / "bad-map.json"
+    params.write_text('{"kind": "temperature", "params": {"t": -1.0}}\n')
+    return {"--params": str(params)}
+
+
+# An error each command raises inside its with block, as flags that replace
+# those of READING_COMMANDS or are added to them.
+IN_BODY_ERRORS = {
+    "predict-class-count": ("predict", _other_class_count,
+                            "the threshold was calibrated on 20 classes, the data has 10"),
+    "evaluate-bad-line": ("evaluate", _bad_sets_line,
+                          "prediction-sets line 20: duplicated member"),
+    "evaluate-row-count": ("evaluate", _too_few_sets,
+                           "--sets has 30 entries but --in has 50 rows"),
+    "calibrate-lambda": ("calibrate", lambda *_: {"--lambda": "0.1"},
+                         "--lambda is not valid for --score aps"),
+    "calibrate-params": ("calibrate", _bad_params, "temperature must be > 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("bad_last_row", [False, True], ids=["clean", "bad-last-row"])
+@pytest.mark.parametrize("case", IN_BODY_ERRORS)
+def test_a_bad_row_wins_over_each_in_body_error(tmp_path, predicted, monkeypatch, case,
+                                                bad_last_row, capsys):
+    from confsets import data
+
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 50)
+    command, flags, body_message = IN_BODY_ERRORS[case]
+    argv = _reading_command(command, predicted, predicted[1], str(tmp_path / "out"))
+    for flag, value in flags(tmp_path, predicted).items():
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    if bad_last_row:
+        _with_bad_rows(predicted[1], (49,))
+    (tmp_path / "out").write_text("old\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(*argv) == 1
+    expected = "non-finite logit in row 49" if bad_last_row else body_message
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert (tmp_path / "out").read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # Repeats tune, calibrate, predict and evaluate in a fresh process, as a batch

@@ -24,7 +24,8 @@ def make_ds(n, k, seed=0):
 
 
 def _open_binary(path):
-    """Open and close a LogitsFile: it checks the whole file as it opens."""
+    """Open a LogitsFile and end an empty ``with`` block: the block's end
+    reads and checks every row that nothing read."""
     with LogitsFile(path):
         pass
 
@@ -248,6 +249,78 @@ def test_logits_file_rejects_rows_changed_after_it_opened(tmp_path, change, mess
                 fh.write(np.array([np.nan]).tobytes())
         with pytest.raises(ValidationError, match=message):
             opened.logit_rows(slice(3, 4))
+
+
+def _two_bad_rows(tmp_path, monkeypatch):
+    """A 7-row K = 2 file in 4 blocks of 2 rows, rows 2 and 5 non-finite."""
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 4)
+    logits = np.zeros((7, 2))
+    logits[2, 0], logits[5, 1] = np.nan, np.inf
+    path = tmp_path / "bad.bin"
+    _write_binary(path, np.zeros(7, dtype=int), logits)
+    return path
+
+
+def test_the_first_of_two_non_finite_rows_in_different_blocks_is_named(tmp_path,
+                                                                       monkeypatch):
+    path = _two_bad_rows(tmp_path, monkeypatch)
+    for read in BINARY_READERS:
+        with pytest.raises(ValidationError, match="^non-finite logit in row 2$"):
+            read(path)
+    # a walk stops at the first bad block, and the end of the block checks no further
+    with pytest.raises(ValidationError, match="^non-finite logit in row 2$") as caught:
+        with LogitsFile(path) as opened:
+            for rows in data.row_blocks(opened.n, opened.k):
+                opened.logit_rows(rows)
+    assert caught.value.__context__ is None
+    # a read past the checked rows that fails leaves the earlier rows to the end
+    with pytest.raises(ValidationError, match="^non-finite logit in row 2$"):
+        with LogitsFile(path) as opened:
+            opened.logit_rows(slice(4, 7))
+
+
+# rows read before the error: none, the good first block, or good rows past the bad one
+@pytest.mark.parametrize("read_first", [slice(0, 0), slice(0, 2), slice(3, 5)])
+def test_a_bad_row_replaces_the_error_that_ends_a_with_block(tmp_path, monkeypatch,
+                                                             read_first):
+    path = _two_bad_rows(tmp_path, monkeypatch)
+    with pytest.raises(ValidationError, match="^non-finite logit in row 2$") as caught:
+        with LogitsFile(path) as opened:
+            opened.logit_rows(read_first)
+            raise OSError("the block's own error")
+    assert isinstance(caught.value.__context__, OSError)
+    assert opened._fh.closed
+
+
+def test_only_an_exception_or_a_normal_end_checks_unread_rows(tmp_path, monkeypatch):
+    path = _two_bad_rows(tmp_path, monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        with LogitsFile(path) as opened:
+            raise KeyboardInterrupt
+    assert opened._fh.closed
+    opened = LogitsFile(path)
+    opened.close()  # close alone checks nothing
+    assert opened._fh.closed
+
+
+def test_load_dataset_reads_each_logit_once(tmp_path, monkeypatch):
+    # 5 blocks of 4 rows; only what lies past the labels is counted
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 12)
+    ds = make_ds(20, 3)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path, "binary")
+    logits_at = 17 + 4 * ds.n
+    read = []
+    real_read_into = data._read_into
+
+    def counting_read_into(fh, arr):
+        if fh.tell() >= logits_at:
+            read.append(arr.nbytes)
+        real_read_into(fh, arr)
+
+    monkeypatch.setattr(data, "_read_into", counting_read_into)
+    assert load_dataset(path, "binary").logits.tobytes() == ds.logits.tobytes()
+    assert read == [8 * 4 * ds.k] * 5
 
 
 def test_save_to_unwritable_location(tmp_path):

@@ -144,6 +144,15 @@ def test_invalid_maps_rejected():
         probs_of(CalibrationMap.vector([1.0, 1.0], [0.0, 0.0]), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["w", "c"])
+def test_vector_map_rejects_each_non_finite_parameter(bad, where):
+    params = {"w": [1.0, 2.0, 0.5], "c": [0.0, -1.0, 3.0]}
+    params[where][2] = bad
+    with pytest.raises(ValidationError, match="^vector parameters must be finite$"):
+        CalibrationMap.vector(**params)
+
+
 @given(logit_rows)
 def test_rows_normalize(row):
     got = probs_of(CalibrationMap.temperature(0.8), row)

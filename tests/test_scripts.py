@@ -50,6 +50,14 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
                 if name.startswith("k10csv/") and not name.endswith(".csv")}
     assert len(from_csv) == 6
     assert from_csv == {name: digests[f"k10/{name}"] for name in from_csv}
+    # the error leg logs each failure: 5 defective files x 6 commands, and
+    # 5 in-body errors on a clean file and on one with a bad last row
+    errors = tmp_path / "a" / "errors"
+    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 40
+    assert (errors / "nan-first.split.txt").read_text() == \
+        "exit 1\nerror: non-finite logit in row 3\n"
+    assert (errors / "nan-last.class-count.txt").read_text() == \
+        "exit 1\nerror: non-finite logit in row 6999\n"
 
 
 def _readme_section(title):
