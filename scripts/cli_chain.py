@@ -26,8 +26,11 @@ a non-finite row in the last block, a label out of range, both of those,
 and a truncated file.  Then predict, evaluate and calibrate run with an
 error of their own (another class count, a bad sets line, too few sets,
 a misused --lambda, a bad --params) on the clean file and on the one with
-a non-finite last row.  Each of these commands must fail; its exit code
-and stderr go to errors/<file>.<case>.txt.
+a non-finite last row.  Last, a map whose scaled logits overflow makes
+every softmax row of the clean file NaN: calibrate with lac and with aps,
+and predict and evaluate --threshold with a hand-written lac threshold
+under that map.  Each of these commands must fail; its exit code and
+stderr go to errors/<file>.<case>.txt.
 
 Every command runs in one child process whose PYTHONPATH is --src, so the
 manifests of two source trees show whether their outputs are the same:
@@ -69,9 +72,13 @@ ERR_N, ERR_K = 7000, 10
 # Runs the commands read from stdin, in order, with confsets from argv[1].
 # A command is an argument list that must succeed, or [argument list, log
 # path] for one that must fail: its exit code and stderr go to the log.
+# numpy's floating-point warnings are off: their text names the source
+# file, so a log would differ between checkouts.
 _RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
+import numpy
+numpy.seterr(all="ignore")
 import confsets
 from confsets.cli import main
 if Path(confsets.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
@@ -173,10 +180,19 @@ DEFECTS = {
 }
 
 
+# A Platt map whose a * z overflows to +inf at every row's largest logit
+# of the error leg's files, and a lac threshold under it.
+OVERFLOW_MAP = {"kind": "platt", "params": {"a": 1e308, "b": 0.0}}
+OVERFLOW_THRESHOLD = {"tau": 0.5, "alpha": 0.1, "n_cal": 1000,
+                      "score": {"kind": "lac", "randomized": False, "rng_seed": int(SEED)},
+                      "map": OVERFLOW_MAP, "k": ERR_K}
+
+
 def _write_error_inputs(d: Path) -> None:
     """Write into ``d`` the binary files of `DEFECTS`, a sets file of three
-    records, one with a bad fourth line, and a map file with a bad
-    temperature."""
+    records, one with a bad fourth line, one of an empty set per row, a map
+    file with a bad temperature, and the overflowing map and its
+    threshold."""
     labels = [i % ERR_K for i in range(ERR_N)]
     logits = [((i * 7 + j * 3) % 11) / 4 for i in range(ERR_N) for j in range(ERR_K)]
     for name, (nan_rows, label_row, cut) in DEFECTS.items():
@@ -195,6 +211,11 @@ def _write_error_inputs(d: Path) -> None:
                                       encoding="ascii")
     (d / "bad-map.json").write_text('{"kind": "temperature", "params": {"t": -1.0}}\n',
                                     encoding="ascii")
+    (d / "empty-sets.jsonl").write_text("".join(f'{{"index": {i}, "set": []}}\n'
+                                                for i in range(ERR_N)), encoding="ascii")
+    (d / "overflow-map.json").write_text(json.dumps(OVERFLOW_MAP) + "\n", encoding="ascii")
+    (d / "overflow.threshold.json").write_text(json.dumps(OVERFLOW_THRESHOLD) + "\n",
+                                               encoding="ascii")
 
 
 def _error_leg() -> list:
@@ -228,6 +249,19 @@ def _error_leg() -> list:
                 for name in DEFECTS if name != "clean" for command, argv in reads.items()]
     commands += [[[*argv, "--in", f"{d}/{name}.bin"], f"{d}/{name}.{case}.txt"]
                  for name in ("clean", "nan-last") for case, argv in in_body.items()]
+    overflow = {
+        "overflow-calibrate-lac": _replaced(_replaced(reads["calibrate"], "--score", "lac"),
+                                            "--params", f"{d}/overflow-map.json"),
+        "overflow-calibrate-aps": _replaced(reads["calibrate"], "--params",
+                                            f"{d}/overflow-map.json"),
+        "overflow-predict": _replaced(reads["predict"], "--threshold",
+                                      f"{d}/overflow.threshold.json"),
+        "overflow-evaluate": _replaced(_replaced(reads["evaluate"], "--sets",
+                                                 f"{d}/empty-sets.jsonl"),
+                                       "--threshold", f"{d}/overflow.threshold.json"),
+    }
+    commands += [[[*argv, "--in", f"{d}/clean.bin"], f"{d}/clean.{case}.txt"]
+                 for case, argv in overflow.items()]
     return commands
 
 

@@ -13,7 +13,11 @@ of one `maps.probability_blocks` block at a time.  `predict` fills the
 whole mask from it; `predict_to_file`, the CLI's predict, writes each
 block's rows before the next, so it never holds the mask.  A row's u
 draw is keyed by its sample index, so no output depends on the block
-size.
+size: each walk draws the u of all its rows at once, one n-vector like
+the scores it fills, and hands each block its slice.  The walks give a
+float64 block straight to the scores module's unchecked kernels (its
+docstring says why such a block needs no check) and a float32 block to
+the checked public functions.
 
 The JSONL sets file is written from mask rows and read into per-row
 values, a whole block or chunk at a time.  `_write_sets`, the writer
@@ -52,7 +56,8 @@ from .data import LogitsDataset, LogitsFile
 from .errors import (ValidationError, check_keys, is_int, is_number, line_chunks, read_json,
                      replaced_on_success, write_json)
 from .maps import CalibrationMap, probability_blocks
-from .scores import ScoreSpec, draw_u_many, set_mask, true_label_scores
+from .scores import (ScoreSpec, _set_mask, _true_label_scores, draw_u_many, set_mask,
+                     true_label_scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +180,14 @@ def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: 
     """The n-vector of true-label scores of ``ds`` under ``cal_map``.
 
     Row i draws its u at sample index i under spec.rng_seed.  Rows are
-    scored one `probability_blocks` block at a time.
+    scored one `probability_blocks` block at a time, by
+    `scores._true_label_scores` at f64 and `true_label_scores` at f32.
     """
     scores = np.empty(ds.n)
+    u = _draws(spec, 0, ds.n)
+    score = _true_label_scores if precision == "f64" else true_label_scores
     for rows, probs in probability_blocks(cal_map, ds, precision):
-        scores[rows] = true_label_scores(spec, probs, ds.labels[rows], _draws(spec, 0, rows))
+        scores[rows] = score(spec, probs, ds.labels[rows], None if u is None else u[rows])
     return scores
 
 
@@ -229,17 +237,24 @@ def _check_predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile
 def _set_blocks(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
                 precision: str):
     """Yield ``(rows, sets)``, the mask rows of ``ds``, one
-    `probability_blocks` block at a time."""
+    `probability_blocks` block at a time: `scores._set_mask` at f64,
+    `predict_sets` at f32."""
+    spec, tau = threshold.score_spec, threshold.tau
+    u = _draws(spec, threshold.n_cal, ds.n)
     for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
-        yield rows, predict_sets(threshold, probs,
-                                 _draws(threshold.score_spec, threshold.n_cal, rows))
+        u_rows = None if u is None else u[rows]
+        if precision == "f64":
+            yield rows, _set_mask(spec, probs, tau, u_rows, nonnegative=True)
+        else:
+            yield rows, predict_sets(threshold, probs, u_rows)
 
 
-def _draws(spec: ScoreSpec, first: int, rows: slice) -> np.ndarray | None:
-    """The u draws of ``rows`` at sample indices first + row, or None without u."""
+def _draws(spec: ScoreSpec, first: int, n: int) -> np.ndarray | None:
+    """The u draws of n rows at sample indices first, ..., first + n - 1, or
+    None without u."""
     if not spec.uses_u:
         return None
-    return draw_u_many(spec.rng_seed, first + np.arange(rows.start, rows.stop))
+    return draw_u_many(spec.rng_seed, first + np.arange(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .data import LogitsDataset, LogitsFile, buffered_row_blocks
 from .errors import ValidationError, check_keys, is_number, read_json, write_json
+from .scores import _check_normalized
 
 MAP_KINDS = ("temperature", "platt", "vector", "identity")
 
@@ -198,10 +199,20 @@ def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
     block, so a caller reduces it before it asks for the next.  Softmax is
     row-wise, so every block equals its rows of the whole matrix bit for
     bit.
+
+    A block that holds a NaN row is a ValidationError, with the message
+    of `scores._check_normalized` ("probabilities must sum to 1").  A
+    map's logits are finite or +-inf, so a softmax row is NaN in every
+    entry (its maximum is +inf, or every entry is -inf) or in none (its
+    maximum is finite, so every shifted entry is at most 0 and the sum at
+    least 1), and the guard reads only each row's first entry.
     """
     dtype = np.float32 if precision == "f32" else np.float64
     for rows, buf in buffered_row_blocks(ds.n, ds.k, dtype):
-        yield rows, apply_map_dataset(cal_map, ds, precision, rows, out=buf)
+        probs = apply_map_dataset(cal_map, ds, precision, rows, out=buf)
+        if np.isnan(probs[:, 0]).any():
+            _check_normalized(probs.astype(np.float64))
+        yield rows, probs
 
 
 def save_map(cal_map: CalibrationMap, path) -> None:

@@ -15,12 +15,29 @@ A row's rank-1 class is its first largest value, which is what
 `np.argmax` returns: the stable descending order puts the largest values
 first and breaks their ties by ascending class.  So a label equal to its
 row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
-ranks only the other rows, and so does `label_ranks`.
+ranks only the other rows, and so does `label_ranks`.  Both count each such
+row's values at or above p_y (`_at_or_above`), which is the label's rank
+unless another class holds p_y too; only such tied rows are ranked again
+by `_at_or_ahead`.
 
-`score_matrix`, `true_label_scores` and `set_mask` share one entry check,
-`_checked`.  `score_matrix` sorts every row with `_descending`, and stays
-the reference `set_mask` is tested against.  `descending_order` is the one
-stable sort, which the scalar tuner shares.
+`score_matrix`, `true_label_scores` and `set_mask` are the public entries.
+Each checks its input with `_checked` (a float64 n-by-K matrix whose rows
+sum to 1 within _PROB_SUM_TOL unless the kind is lac, and one u in [0, 1]
+per row when the score takes u) and then calls a kernel that checks
+nothing: `_full_read`, `_true_label_scores` or `_set_mask`.  `engine` calls
+the kernels itself on each float64 block of `maps.probability_blocks`,
+which holds no NaN row, with u from `draw_u_many`, which lies in [0, 1).
+Such a block passes `_checked` by construction.  Its rows are softmax
+rows fl(e_j / S), with e_j = exp(z_j - max z) in [0, 1] and e_j = 1 at the
+maximum, so S >= 1, no value is negative and none exceeds 1.  S is a
+pairwise float64 sum and each division rounds once, so a row sums to 1
+within about (log2 K + 1) * 2**-53, far inside _PROB_SUM_TOL for any K;
+and with no negative value, `_set_mask` skips `_top_block`'s row-minimum
+test.  A float32 row's sum is only within about (log2 K + 1) * 2**-24 of 1,
+which is not inside _PROB_SUM_TOL for every K, so `engine` passes float32
+blocks to the public entries.  `score_matrix` sorts every row with
+`_descending`, and stays the reference `set_mask` is tested against.
+`descending_order` is the one stable sort, which the scalar tuner shares.
 
 Randomization uses one uniform draw per sample, shared by all K class
 scores of that sample.  Draws come from a counter-based generator keyed
@@ -174,12 +191,28 @@ def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1-indexed rank of each row's label, without sorting.
 
     A label at its row's argmax has rank 1; only the other rows are copied
-    and counted.
+    and counted (`_at_or_above`).  A row where another class holds the
+    label's value too is counted again by `_at_or_ahead`.
     """
     rest = np.flatnonzero(probs.argmax(axis=1) != labels)
     ranks = np.ones(len(labels), dtype=np.int64)
-    ranks[rest] = np.count_nonzero(_at_or_ahead(probs[rest], labels[rest]), axis=1)
+    q, y = probs[rest], labels[rest]
+    p_y = q[np.arange(rest.size), y]
+    level = _at_or_above(q, p_y)
+    tied = np.flatnonzero(np.count_nonzero(q == p_y[:, None], axis=1) > 1)
+    level[tied] = np.count_nonzero(_at_or_ahead(q[tied], y[tied]), axis=1)
+    ranks[rest] = level
     return ranks
+
+
+def _at_or_above(q: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+    """Each row's count of values at or above its label's value p_y.
+
+    That is the label's 1-indexed rank when no other class of the row
+    holds p_y; otherwise the tied classes of smaller index are ahead of the
+    label and the others behind it, which `_at_or_ahead` tells apart.
+    """
+    return np.count_nonzero(q >= p_y[:, None], axis=1)
 
 
 def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -213,7 +246,7 @@ def _check_normalized(probs: np.ndarray) -> None:
 
 def _checked(spec: ScoreSpec, probs: np.ndarray,
              u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The scorers' entry check: ``(p, u_eff)``.
+    """The public entries' check: ``(p, u_eff)``.
 
     ``p`` is float64 n-by-K, with rows that sum to 1 unless the kind is
     lac; ``u_eff`` is one draw per row, ones when the score takes no u.
@@ -238,36 +271,78 @@ def score_matrix(spec: ScoreSpec, probs: np.ndarray,
 
 def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
                       u: np.ndarray | None = None) -> np.ndarray:
-    """Score of each row's true label (the calibration-side quantity).
+    """Score of each row's true label (the calibration-side quantity):
+    `_checked`, then `_true_label_scores`."""
+    p, u_eff = _checked(spec, probs, u)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (p.shape[0],):
+        raise ValidationError("probs must be n-by-K with one label per row")
+    return _true_label_scores(spec, p, labels, u_eff)
+
+
+def _true_label_scores(spec: ScoreSpec, p: np.ndarray, labels: np.ndarray,
+                       u: np.ndarray | None) -> np.ndarray:
+    """`true_label_scores` of a matrix that passes `_checked`, with one
+    int64 label and one draw (or, with ``u`` None, none) per row.
 
     A label at its row's argmax has rank 1: ``np.argmax`` returns the
     first largest value, and the stable descending order puts the largest
     values first with ties by ascending class.  Such a label's prefix sum,
     its own probability and the row's maximum are then all p_y, the same
-    floats the sort and cumsum give.  Only the other rows are ranked,
-    sorted and summed.
+    floats the sort and cumsum give.  Only the other rows are copied and
+    counted (`_at_or_above`).  A label's prefix sum needs the row's values
+    in descending order, not the classes that hold them: tied classes hold
+    equal values, so any descending copy sums the same numbers in the same
+    order as the stable argsort.  When K > _BLOCK and the count is at most
+    _BLOCK, that copy is the row's top _BLOCK values, which one
+    ``np.partition`` of the copied rows, in place, and a sort of the block
+    give; every other row is sorted whole.  `_label_at_level` reads each
+    label's score off its row's values.
     """
-    p, u_eff = _checked(spec, probs, u)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (p.shape[0],):
-        raise ValidationError("probs must be n-by-K with one label per row")
-    p_y = p[np.arange(p.shape[0]), labels]
+    n, k = p.shape
+    p_y = p[np.arange(n), labels]
     if spec.kind == "lac":
         return 1.0 - p_y
-    scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u_eff)
+    if u is None:
+        u = np.ones(n)
+    scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u)
     rest = np.flatnonzero(p.argmax(axis=1) != labels)
     q = p[rest]
-    ranks = np.count_nonzero(_at_or_ahead(q, labels[rest]), axis=1)
-    # A label's prefix sum needs the row's values in descending order, not
-    # the classes that hold them: tied classes hold equal values, so this
-    # sums the same numbers in the same order as the stable argsort.  ``q``
-    # is a copy, so it is sorted in place.
+    level = _at_or_above(q, p_y[rest])
+    deep = np.arange(rest.size)
+    if k > _BLOCK:
+        q.partition(k - _BLOCK, axis=1)
+        near = np.flatnonzero(level <= _BLOCK)
+        top = np.sort(q[near, k - _BLOCK:], axis=1)[:, ::-1]
+        scores[rest[near]] = _label_at_level(spec, p, labels, u, rest[near], top, level[near])
+        deep = np.flatnonzero(level > _BLOCK)
+        q = q[deep]
     q.sort(axis=1)
-    sorted_probs = q[:, ::-1]
-    at = (np.arange(rest.size), ranks - 1)
-    scores[rest] = _cumulative_score(spec, np.cumsum(sorted_probs, axis=1)[at],
-                                     sorted_probs[at], sorted_probs[:, 0], ranks, u_eff[rest])
+    scores[rest[deep]] = _label_at_level(spec, p, labels, u, rest[deep], q[:, ::-1], level[deep])
     return scores
+
+
+def _label_at_level(spec: ScoreSpec, p: np.ndarray, labels: np.ndarray, u: np.ndarray,
+                    rows: np.ndarray, ordered: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The scores of the labels of ``rows`` of ``p``, whose labels are not at
+    rank 1.
+
+    ``ordered`` holds each row's largest values in descending order, at
+    least ``level`` of them, the count of its values at or above p_y.  So
+    p_y sits at rank ``level`` (1-indexed), and at rank level - 1 too when
+    another class ties it: only then is the rank not ``level``, and
+    `_at_or_ahead` counts it, which leaves it at most ``level``.  The score
+    is `_cumulative_score` of the values' cumsum at that rank.
+    """
+    at = (np.arange(rows.size), level - 1)
+    ranks = level
+    tied = np.flatnonzero(ordered[at[0], level - 2] == ordered[at])
+    if tied.size:
+        ranks = level.copy()
+        ranks[tied] = np.count_nonzero(_at_or_ahead(p[rows[tied]], labels[rows[tied]]), axis=1)
+        at = (at[0], ranks - 1)
+    return _cumulative_score(spec, np.cumsum(ordered, axis=1)[at], ordered[at], ordered[:, 0],
+                             ranks, u[rows])
 
 
 def aps_score_dz(probs: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -325,18 +400,28 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     cost about what it would save.
     """
     p, u_eff = _checked(spec, probs, u)
+    return _set_mask(spec, p, tau, u_eff)
+
+
+def _set_mask(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray | None,
+              nonnegative: bool = False) -> np.ndarray:
+    """`set_mask` of a matrix that passes `_checked`, with one draw (or, with
+    ``u`` None, none) per row.  ``nonnegative`` says that no value of ``p``
+    is below 0, as in a softmax block, so `_top_block` need not look."""
     if spec.kind == "lac":
         return 1.0 - p <= tau
     if tau == math.inf:
         return np.ones(p.shape, dtype=bool)
     n, k = p.shape
+    if u is None:
+        u = np.ones(n)
     sharp = k <= _BLOCK and 2 * np.count_nonzero(p > tau) > n
     m = 2 if sharp else min(_BLOCK, k)
     if m == k:
-        return _full_read(spec, p, u_eff, tau)
-    mask, rest = _top_block(spec, p, tau, u_eff, m)
+        return _full_read(spec, p, u, tau)
+    mask, rest = _top_block(spec, p, tau, u, m, nonnegative)
     if rest.size:
-        mask[rest] = _full_read(spec, p[rest], u_eff[rest], tau)
+        mask[rest] = _full_read(spec, p[rest], u[rest], tau)
     return mask
 
 
@@ -358,11 +443,13 @@ def _full_read(spec: ScoreSpec, p: np.ndarray, u: np.ndarray,
 
 
 def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
-               m: int) -> tuple[np.ndarray, np.ndarray]:
+               m: int, nonnegative: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``score <= tau`` for aps/raps/saps read off each row's m largest values.
 
     ``p`` is a checked, normalized n-by-K matrix, ``u`` one draw per row
-    (ones when not randomized) and 2 <= m < K.  Returns ``(mask, rest)``:
+    (ones when not randomized) and 2 <= m < K; ``nonnegative`` says that no
+    value of ``p`` is below 0, which is otherwise tested row by row.
+    Returns ``(mask, rest)``:
     every row of ``mask`` not listed in ``rest`` equals the full comparison
     bit for bit; the rows in ``rest`` are all False and need `_full_read`.
 
@@ -380,10 +467,12 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
       monotone, keep it at or above the u = 0 score at rank m.  That floor
       above tau certifies the row, and since rank m scores at least the
       floor, s < m;
-    * ranks 1..s score <= tau and ranks s+1..m above it.  This is
-      checked, not assumed: the u <= 2**-54 branch of
-      ``_cumulative_score`` rounds in another order (no input that breaks
-      the prefix is known).
+    * on a row with no negative value the scores never fall with rank,
+      on either branch of ``_cumulative_score`` (`tests/test_engine.py`
+      gives the float argument, in
+      ``test_scores_never_fall_with_rank_on_rows_without_a_negative_value``),
+      so ranks 1..s score <= tau and ranks s+1..m above it, with s the
+      count of ranks 1..m that score <= tau.
 
     The set is then ranks 1..s.  With b the value at rank s (b = +inf when
     s = 0), it holds every class of value above b and the first
@@ -398,8 +487,9 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
     floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
-    certified = ((floor > tau) & (p.min(axis=1) >= 0.0)
-                 & ~np.any(inside[:, 1:] > inside[:, :-1], axis=1))
+    certified = floor > tau
+    if not nonnegative:
+        certified &= p.min(axis=1) >= 0.0
     size = np.count_nonzero(inside, axis=1)
     rows = np.arange(n)
     bound = np.where(certified & (size > 0), vals[rows, size - 1], np.inf)

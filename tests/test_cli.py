@@ -884,6 +884,55 @@ def test_a_bad_row_wins_over_each_in_body_error(tmp_path, predicted, monkeypatch
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def _nan_rows_inputs(tmp_path):
+    """A 200 x 5 binary file with 1e9 added to column 0; a temperature map
+    whose z / t overflows to +inf there, so every softmax row is NaN; a lac
+    threshold under that map; and a sets file of one empty set per row."""
+    path = synth_file(tmp_path, name="data.bin", n=200, k=5, seed=9)
+    blob = bytearray(path.read_bytes())
+    start = 17 + 4 * 200
+    logits = np.frombuffer(bytes(blob[start:]), dtype="<f8").reshape(200, 5).copy()
+    logits[:, 0] += 1e9
+    blob[start:] = logits.tobytes()
+    path.write_bytes(bytes(blob))
+    overflow = {"kind": "temperature", "params": {"t": 1e-300}}
+    params = tmp_path / "map.json"
+    params.write_text(json.dumps(overflow))
+    threshold = tmp_path / "threshold.json"
+    threshold.write_text(json.dumps({
+        "tau": 0.5, "alpha": 0.1, "n_cal": 200,
+        "score": {"kind": "lac", "randomized": False, "rng_seed": 9}, "map": overflow, "k": 5,
+    }))
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text("".join(f'{{"index": {i}, "set": []}}\n' for i in range(200)))
+    return path, params, threshold, sets
+
+
+@pytest.mark.parametrize("command", ["calibrate-lac", "calibrate-aps", "predict", "evaluate"])
+def test_a_map_that_makes_every_softmax_row_nan_exits_1(tmp_path, command, capsys):
+    # lac reads no row sum: calibrate wrote "tau": NaN, predict empty sets
+    # and evaluate a report of NaNs, each exiting 0
+    data, params, threshold, sets = _nan_rows_inputs(tmp_path)
+    argv = {
+        "calibrate-lac": ["calibrate", "--alpha", "0.1", "--score", "lac",
+                          "--params", str(params), "--seed", "9"],
+        "calibrate-aps": ["calibrate", "--alpha", "0.1", "--score", "aps",
+                          "--randomized", "true", "--params", str(params), "--seed", "9"],
+        "predict": ["predict", "--threshold", str(threshold), "--seed", "9"],
+        "evaluate": ["evaluate", "--sets", str(sets), "--threshold", str(threshold)],
+    }[command]
+    out = tmp_path / "out"
+    out.write_text("old\n")
+    before = sorted(os.listdir(tmp_path))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(*argv, "--in", str(data), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: probabilities must sum to 1 (row 0 sums to np.float64(nan))\n"
+    assert out.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # Repeats tune, calibrate, predict and evaluate in a fresh process, as a batch
 # driver calling `main` would, and prints each step's minor page faults.
 _REPEAT_STEPS = """

@@ -26,8 +26,8 @@ from confsets import (
 from confsets.data import row_blocks
 from confsets.engine import conformal_level, load_set_sizes, load_threshold, save_threshold
 from confsets import engine, errors
-from confsets.scores import (_BLOCK, _descending, _full_read, _top_block, _top_values,
-                             score_matrix, set_mask)
+from confsets.scores import (_BLOCK, _cumulative_score, _descending, _full_read, _top_block,
+                             _top_values, score_matrix, set_mask)
 
 from oracles import oracle_load_sets, oracle_quantile, oracle_score, oracle_set
 
@@ -463,6 +463,72 @@ def test_top_block_sends_negative_rows_to_full_path():
     _, rest = _block(spec, negative, 0.5, _BLOCK)
     assert rest.tolist() == [1]
     _assert_mask_is_full_path(spec, negative, None, 0.5)
+
+
+@st.composite
+def ordered_rows(draw):
+    """Rows with no negative value, in descending order, and one u per row.
+
+    Softmax rows of normal logits, half of them rounded to bfloat16
+    precision so that values tie; or one large value over tails of at most
+    2**-50, some of them exact zeros or subnormal.  Each row's u comes from
+    one branch of `_cumulative_score`: [0, 1] (0 and 1 included), or
+    (0, 2**-54], where 1 - u rounds to 1.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([2, 3, 8, _BLOCK + 1, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        logits = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0, 40.0])), size=(n, k))
+        if draw(st.booleans()):
+            logits = _bf16(logits)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+    else:
+        tails = rng.choice([0.0, 5e-324, 2.0**-1060, 2.0**-60, 2.0**-52], size=(n, k))
+        tails *= rng.integers(1, 5, size=(n, k))
+        tails[:, 0] = 1.0 - tails[:, 1:].sum(axis=1)
+        probs = tails
+    u = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(5e-324, 2.0**-54),
+                                st.sampled_from([0.0, 2.0**-54, 1.0])),
+                      min_size=n, max_size=n))
+    return _descending(probs)[0], np.asarray(u)
+
+
+@settings(max_examples=300)
+@given(ordered_rows(),
+       st.sampled_from([_spec("aps", True),
+                        ScoreSpec(kind="raps", raps_lambda=0.1, raps_kreg=1, randomized=True),
+                        ScoreSpec(kind="raps", raps_lambda=1.7976931348623157e308, raps_kreg=3,
+                                  randomized=True),
+                        _spec("saps", True),
+                        ScoreSpec(kind="saps", saps_lambda=0.5, randomized=True)]))
+def test_scores_never_fall_with_rank_on_rows_without_a_negative_value(case, spec):
+    """`_top_block` reads the ranks that score <= tau as a prefix, 1..s,
+    with s their count; this is why it needs no check.
+
+    Let v_1 >= v_2 >= ... >= 0 be a row's values in order and c_r =
+    fl(c_{r-1} + v_r) its prefix sums, which never fall.
+
+    * u = 0, or u > 2**-54: the score is fl(c_r - fl(fl(1 - u) v_r)).
+      fl(1 - u) <= 1 and rounding is monotone, so the subtracted term never
+      rises with r, the exact difference never falls and nor does its
+      rounding.
+    * 0 < u <= 2**-54: the score is fl(d_r + fl(u v_r)) with d_r =
+      fl(c_r - v_r).  Exactly, c_{r+1} - v_{r+1} = c_r - e, where e is the
+      rounding error of c_{r+1}; c_{r+1} >= c_r gives e <= v_{r+1} <= v_r,
+      so d_r never falls.  From rank 2 on d_r is at least about v_r, so
+      fl(u v_r) <= 2**-54 v_r is below half an ulp of d_r and the score is
+      d_r; at rank 1 it is fl(u v_1) <= d_2.
+    * The raps penalty and the saps rank term never fall with r, and saps's
+      rank-1 score fl(u p_max) is at most p_max.
+    """
+    ordered, u = case
+    ranks = np.arange(1, ordered.shape[1] + 1)
+    with np.errstate(over="ignore"):  # a huge raps lambda overflows deep ranks to inf
+        by_rank = _cumulative_score(spec, np.cumsum(ordered, axis=1), ordered,
+                                    ordered[:, :1], ranks, u[:, None])
+    assert np.all(by_rank[:, 1:] >= by_rank[:, :-1])
 
 
 def test_full_read_needs_no_certificate():

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -7,10 +8,16 @@ from hypothesis import strategies as st
 
 from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, SynthSpec, ValidationError,
                       apply_map_dataset, draw_u_many, generate)
+from confsets.maps import probability_blocks
 from confsets.scores import (
+    _BLOCK,
+    _at_or_ahead,
     _descending,
+    _set_mask,
+    _true_label_scores,
     label_ranks,
     score_matrix,
+    set_mask,
     true_label_scores,
 )
 
@@ -232,6 +239,90 @@ def test_true_label_scores_match_rank_of_formulation(probs, spec, seed):
     np.testing.assert_array_equal(got, expected)
     # calibration and prediction score a label identically, ties and zeros included
     np.testing.assert_array_equal(got, score_matrix(spec, probs, u)[np.arange(n), labels])
+
+
+def _tied_logits(rng, n, k):
+    """Normal logits, half the rows rounded to integers (tied classes) and
+    some entries 800 below the rest (probability exactly 0)."""
+    logits = rng.standard_normal((n, k))
+    logits[::2] = np.round(logits[::2])
+    logits[rng.random((n, k)) < 0.2] = -800.0
+    return logits
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 7, _BLOCK, _BLOCK + 1, 200]),
+       spec_strategy(), st.booleans())
+def test_kernels_equal_the_public_functions_block_for_block(seed, k, spec, randomized):
+    """The unchecked kernels the engine calls on float64 softmax blocks give
+    the public functions' results bit for bit: every kind, randomized or
+    not, at tau 0, a calibrated tau, 1 and +inf, on rows with ties and
+    exact zeros."""
+    if spec.kind != "lac":
+        spec = ScoreSpec(kind=spec.kind, randomized=randomized, raps_lambda=spec.raps_lambda,
+                         raps_kreg=spec.raps_kreg, saps_lambda=spec.saps_lambda)
+    rng = np.random.default_rng(seed)
+    n = 40
+    ds = LogitsDataset(_tied_logits(rng, n, k), rng.integers(0, k, n))
+    u = draw_u_many(seed, np.arange(n)) if spec.uses_u else None
+    tau = None
+    for rows, probs in probability_blocks(CalibrationMap.temperature(0.7), ds):
+        assert probs.dtype == np.float64
+        labels, u_rows = ds.labels[rows], None if u is None else u[rows]
+        expected = true_label_scores(spec, probs, labels, u_rows)
+        np.testing.assert_array_equal(_true_label_scores(spec, probs, labels, u_rows), expected)
+        tau = float(np.quantile(expected, 0.8, method="inverted_cdf")) if tau is None else tau
+        for t in (0.0, tau, 1.0, math.inf):
+            np.testing.assert_array_equal(_set_mask(spec, probs, t, u_rows, nonnegative=True),
+                                          set_mask(spec, probs, t, u_rows))
+
+
+def _straddling_tie_row(rng, k):
+    """Softmax row of k normal logits whose ranks 62-67 (those up to k) hold
+    one value, and its stable order."""
+    e = np.exp(rng.normal(0.0, 2.0, k))
+    order = np.argsort(-e, kind="stable")
+    e[order[_BLOCK - 3:_BLOCK + 3]] = e[order[_BLOCK - 3]]
+    probs = e / e.sum()
+    return probs, np.argsort(-probs, kind="stable")
+
+
+@pytest.mark.parametrize("kind", ["aps", "raps", "saps"])
+@pytest.mark.parametrize("randomized", [False, True])
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([_BLOCK + 1, 200, 1000]))
+def test_wide_true_label_scores_read_the_top_block(kind, randomized, seed, k):
+    """K > _BLOCK: a label ranked within the first _BLOCK is scored off the
+    row's top block, others off the whole sorted row.  Labels at ranks 1,
+    2, _BLOCK, _BLOCK + 1 and K, and at each rank of a tie that straddles
+    rank _BLOCK, score as in `score_matrix` and rank as in the stable
+    order."""
+    rng = np.random.default_rng(seed)
+    spec = ScoreSpec(kind=kind, randomized=randomized,
+                     raps_lambda=0.01 if kind == "raps" else None,
+                     raps_kreg=5 if kind == "raps" else None,
+                     saps_lambda=0.05 if kind == "saps" else None)
+    probs, order = _straddling_tie_row(rng, k)
+    ranks = np.asarray(sorted({1, 2, _BLOCK, _BLOCK + 1, k,
+                               *range(_BLOCK - 2, min(k, _BLOCK + 3) + 1)}))
+    matrix = np.tile(probs, (ranks.size, 1))
+    labels = order[ranks - 1]
+    u = rng.random(ranks.size) if randomized else None
+    rows = np.arange(ranks.size)
+    np.testing.assert_array_equal(true_label_scores(spec, matrix, labels, u),
+                                  score_matrix(spec, matrix, u)[rows, labels])
+    np.testing.assert_array_equal(label_ranks(matrix, labels), ranks)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 5, _BLOCK + 1, 200]))
+def test_label_ranks_on_tied_rows_are_the_at_or_ahead_count(seed, k):
+    rng = np.random.default_rng(seed)
+    n = 30
+    probs = apply_map_dataset(CalibrationMap.identity(),
+                              LogitsDataset(_tied_logits(rng, n, k), np.zeros(n, dtype=int)))
+    labels = rng.integers(0, k, n)
+    tied = np.count_nonzero(probs == probs[np.arange(n), labels][:, None], axis=1) > 1
+    assert tied.any()
+    np.testing.assert_array_equal(label_ranks(probs, labels),
+                                  np.count_nonzero(_at_or_ahead(probs, labels), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,17 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
                 if name.startswith("k10csv/") and not name.endswith(".csv")}
     assert len(from_csv) == 6
     assert from_csv == {name: digests[f"k10/{name}"] for name in from_csv}
-    # the error leg logs each failure: 5 defective files x 6 commands, and
-    # 5 in-body errors on a clean file and on one with a bad last row
+    # the error leg logs each failure: 5 defective files x 6 commands, 5
+    # in-body errors on a clean file and on one with a bad last row, and 4
+    # commands under a map that makes every softmax row NaN
     errors = tmp_path / "a" / "errors"
-    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 40
+    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 44
     assert (errors / "nan-first.split.txt").read_text() == \
         "exit 1\nerror: non-finite logit in row 3\n"
     assert (errors / "nan-last.class-count.txt").read_text() == \
         "exit 1\nerror: non-finite logit in row 6999\n"
+    assert (errors / "clean.overflow-calibrate-lac.txt").read_text() == \
+        "exit 1\nerror: probabilities must sum to 1 (row 0 sums to np.float64(nan))\n"
 
 
 def _readme_section(title):
