@@ -29,8 +29,9 @@ a misused --lambda, a bad --params) on the clean file and on the one with
 a non-finite last row.  Last, a map whose scaled logits overflow makes
 every softmax row of the clean file NaN: calibrate with lac and with aps,
 and predict and evaluate --threshold with a hand-written lac threshold
-under that map.  Each of these commands must fail; its exit code and
-stderr go to errors/<file>.<case>.txt.
+under that map; and so does demo-precision at f32 with --t-grid 1e-300,
+which is 0 as a float32.  Each of these commands must fail; its exit code
+and stderr go to errors/<file>.<case>.txt.
 
 Every command runs in one child process whose PYTHONPATH is --src, so the
 manifests of two source trees show whether their outputs are the same:
@@ -259,6 +260,9 @@ def _error_leg() -> list:
         "overflow-evaluate": _replaced(_replaced(reads["evaluate"], "--sets",
                                                  f"{d}/empty-sets.jsonl"),
                                        "--threshold", f"{d}/overflow.threshold.json"),
+        "overflow-demo-precision-f32": _replaced(_replaced(reads["demo-precision"],
+                                                           "--precision", "f32"),
+                                                 "--t-grid", "1e-300"),
     }
     commands += [[[*argv, "--in", f"{d}/clean.bin"], f"{d}/clean.{case}.txt"]
                  for case, argv in overflow.items()]

@@ -13,7 +13,6 @@ from .engine import (
     calibrate,
     calibrate_threshold,
     predict,
-    predict_sets,
     run_pipeline,
 )
 from .errors import ValidationError
@@ -61,7 +60,6 @@ __all__ = [
     "load_dataset",
     "load_map",
     "predict",
-    "predict_sets",
     "run_pipeline",
     "save_dataset",
     "save_map",

@@ -19,6 +19,8 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data, engine, maps, metrics, synth, tuning
 from .errors import ValidationError, write_json
 from .scores import ScoreSpec
@@ -329,7 +331,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # each floating-point condition ends in a checked NaN row or value
+        with np.errstate(all="ignore"):
+            args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,9 +23,9 @@ the matrix.
 
 `row_blocks` is the one walk of consecutive row blocks, of about
 ``_BLOCK_CELLS`` cells each, that every n-by-K stage takes.
-`buffered_row_blocks` pairs it with one reused block buffer:
-`split_dataset`'s gather and `maps.probability_blocks` read each block
-into it, so no read allocates per block.
+`buffered_row_blocks` pairs it with one reused float64 block buffer:
+`split_dataset`'s gather and `maps.probability_blocks` make each block
+in it, so no float64 read allocates per block.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ def row_blocks(n: int, k: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n))
 
 
-def buffered_row_blocks(n: int, k: int,
-                        dtype=np.float64) -> Iterator[tuple[slice, np.ndarray]]:
+def buffered_row_blocks(n: int, k: int) -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, buf)`` for each slice of `row_blocks`, where ``buf`` is an
-    uninitialized array of the rows' shape.
+    uninitialized float64 array of the rows' shape.
 
     Every ``buf`` is a view of one array, made for the first (longest)
     block, so a block's ``buf`` is overwritten by the next one's: a caller
@@ -76,7 +75,7 @@ def buffered_row_blocks(n: int, k: int,
     whole = None
     for rows in row_blocks(n, k):
         if whole is None:
-            whole = np.empty((rows.stop - rows.start, k), dtype)
+            whole = np.empty((rows.stop - rows.start, k))
         yield rows, whole[:rows.stop - rows.start]
 
 

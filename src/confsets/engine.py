@@ -14,10 +14,10 @@ whole mask from it; `predict_to_file`, the CLI's predict, writes each
 block's rows before the next, so it never holds the mask.  A row's u
 draw is keyed by its sample index, so no output depends on the block
 size: each walk draws the u of all its rows at once, one n-vector like
-the scores it fills, and hands each block its slice.  The walks give a
-float64 block straight to the scores module's unchecked kernels (its
-docstring says why such a block needs no check) and a float32 block to
-the checked public functions.
+the scores it fills, and hands each block its slice.  At either
+precision a block is a float64 one that `probability_blocks` has
+checked, so both walks give every block straight to the scores module's
+unchecked kernels (its docstring says why such a block needs no check).
 
 The JSONL sets file is written from mask rows and read into per-row
 values, a whole block or chunk at a time.  `_write_sets`, the writer
@@ -56,8 +56,7 @@ from .data import LogitsDataset, LogitsFile
 from .errors import (ValidationError, check_keys, is_int, is_number, line_chunks, read_json,
                      replaced_on_success, write_json)
 from .maps import CalibrationMap, probability_blocks
-from .scores import (ScoreSpec, _set_mask, _true_label_scores, draw_u_many, set_mask,
-                     true_label_scores)
+from .scores import ScoreSpec, _set_mask, _true_label_scores, draw_u_many
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,25 +168,18 @@ def calibrate_threshold(cal_scores, alpha: float) -> float:
     return float(np.partition(scores, level - 1)[level - 1])
 
 
-def predict_sets(threshold: ConformalThreshold, probs: np.ndarray,
-                 u: np.ndarray | None = None) -> np.ndarray:
-    """n-by-K boolean mask of the classes whose score is <= tau."""
-    return set_mask(threshold.score_spec, probs, threshold.tau, u)
-
-
 def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: ScoreSpec,
                  precision: str = "f64") -> np.ndarray:
     """The n-vector of true-label scores of ``ds`` under ``cal_map``.
 
-    Row i draws its u at sample index i under spec.rng_seed.  Rows are
-    scored one `probability_blocks` block at a time, by
-    `scores._true_label_scores` at f64 and `true_label_scores` at f32.
+    Row i draws its u at sample index i under spec.rng_seed, and each
+    `probability_blocks` block is scored by `scores._true_label_scores`.
     """
     scores = np.empty(ds.n)
     u = _draws(spec, 0, ds.n)
-    score = _true_label_scores if precision == "f64" else true_label_scores
     for rows, probs in probability_blocks(cal_map, ds, precision):
-        scores[rows] = score(spec, probs, ds.labels[rows], None if u is None else u[rows])
+        scores[rows] = _true_label_scores(spec, probs, ds.labels[rows],
+                                          None if u is None else u[rows])
     return scores
 
 
@@ -237,16 +229,12 @@ def _check_predict(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile
 def _set_blocks(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
                 precision: str):
     """Yield ``(rows, sets)``, the mask rows of ``ds``, one
-    `probability_blocks` block at a time: `scores._set_mask` at f64,
-    `predict_sets` at f32."""
+    `probability_blocks` block at a time, by `scores._set_mask`."""
     spec, tau = threshold.score_spec, threshold.tau
     u = _draws(spec, threshold.n_cal, ds.n)
     for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
-        u_rows = None if u is None else u[rows]
-        if precision == "f64":
-            yield rows, _set_mask(spec, probs, tau, u_rows, nonnegative=True)
-        else:
-            yield rows, predict_sets(threshold, probs, u_rows)
+        yield rows, _set_mask(spec, probs, tau, None if u is None else u[rows],
+                              nonnegative=True)
 
 
 def _draws(spec: ScoreSpec, first: int, n: int) -> np.ndarray | None:

@@ -25,18 +25,17 @@ Each checks its input with `_checked` (a float64 n-by-K matrix whose rows
 sum to 1 within _PROB_SUM_TOL unless the kind is lac, and one u in [0, 1]
 per row when the score takes u) and then calls a kernel that checks
 nothing: `_full_read`, `_true_label_scores` or `_set_mask`.  `engine` calls
-the kernels itself on each float64 block of `maps.probability_blocks`,
-which holds no NaN row, with u from `draw_u_many`, which lies in [0, 1).
-Such a block passes `_checked` by construction.  Its rows are softmax
-rows fl(e_j / S), with e_j = exp(z_j - max z) in [0, 1] and e_j = 1 at the
-maximum, so S >= 1, no value is negative and none exceeds 1.  S is a
-pairwise float64 sum and each division rounds once, so a row sums to 1
-within about (log2 K + 1) * 2**-53, far inside _PROB_SUM_TOL for any K;
-and with no negative value, `_set_mask` skips `_top_block`'s row-minimum
-test.  A float32 row's sum is only within about (log2 K + 1) * 2**-24 of 1,
-which is not inside _PROB_SUM_TOL for every K, so `engine` passes float32
-blocks to the public entries.  `score_matrix` sorts every row with
-`_descending`, and stays the reference `set_mask` is tested against.
+the kernels itself on every block of `maps.probability_blocks`, with u from
+`draw_u_many`, which lies in [0, 1): such a block passes `_checked` by
+construction.  An f32 block has passed `_check_normalized`; an f64 block
+holds no NaN row, and its rows are softmax rows fl(e_j / S), with
+e_j = exp(z_j - max z) in [0, 1] and e_j = 1 at the maximum, so S >= 1, no
+value is negative and none exceeds 1.  S is a pairwise float64 sum and each
+division rounds once, so a row sums to 1 within about (log2 K + 1) * 2**-53,
+far inside _PROB_SUM_TOL for any K.  With no negative value at either
+precision, `_set_mask` skips `_top_block`'s row-minimum test.
+`score_matrix` sorts every row with `_descending`, and stays the reference
+`set_mask` is tested against.
 `descending_order` is the one stable sort, which the scalar tuner shares.
 
 Randomization uses one uniform draw per sample, shared by all K class
@@ -148,10 +147,9 @@ def _check_lambda(name: str, value) -> None:
 # counter-based uniform draws
 
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
@@ -164,12 +162,17 @@ def draw_u_many(seed: int, sample_indices: np.ndarray) -> np.ndarray:
     raw = np.asarray(sample_indices)
     if raw.size and int(raw.min()) < 0:
         raise ValidationError("sample indices must be non-negative")
-    idx = raw.astype(np.uint64)
-    x = (np.uint64(seed & int(_MASK64)) + (idx + np.uint64(1)) * np.uint64(_GAMMA)) & _MASK64
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)) & _MASK64
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)) & _MASK64
-    x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    x = raw.astype(np.uint64)
+    x += np.uint64(1)
+    x *= _GAMMA
+    x += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        x ^= x >> np.uint64(shift)
+        x *= mix
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    return np.multiply(u, 2.0**-53, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,18 @@ def oracle_set(kind, probs, u, tau, raps_lam=0.0, raps_kreg=1, saps_lam=0.0):
     return members
 
 
+def oracle_draw_u(seed, index):
+    """The u draw of ``index`` under ``seed``: the SplitMix64 finalizer on
+    seed + (index + 1) * golden gamma, in Python ints reduced mod 2**64,
+    scaled from its top 53 bits."""
+    m = 2**64 - 1
+    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & m
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m
+    x ^= x >> 31
+    return (x >> 11) / 2**53
+
+
 def oracle_quantile(scores, alpha):
     """Sort-and-scan threshold; returns None for the include-all regime."""
     n = len(scores)

@@ -12,7 +12,7 @@ import pytest
 import confsets as cs
 from confsets.engine import conformal_level
 from confsets.maps import apply_map_dataset
-from confsets.scores import draw_u_many, label_ranks, score_matrix, true_label_scores
+from confsets.scores import draw_u_many, label_ranks, score_matrix, set_mask, true_label_scores
 from confsets.tuning import (
     TuneConfig,
     efficiency_gap_loss,
@@ -129,7 +129,8 @@ def test_criterion_4_oracle_equivalence():
         threshold = cs.ConformalThreshold(tau=cs.calibrate_threshold([tau], 0.5), alpha=0.5,
                                           n_cal=1, score_spec=spec,
                                           cal_map=cs.CalibrationMap.identity())
-        mask = cs.predict_sets(threshold, probs[None, :], None if u is None else np.asarray([u]))
+        mask = set_mask(threshold.score_spec, probs[None, :], threshold.tau,
+                        None if u is None else np.asarray([u]))
         got = np.flatnonzero(mask[0]).tolist()
         expected = oracle_set(kind, list(probs), u if spec.uses_u else 1.0, tau,
                               raps_lam=lam, raps_kreg=kreg, saps_lam=slam)

@@ -1,9 +1,11 @@
 """Row-block streaming: outputs do not depend on the block size, and the
 n-by-K stages hold about one block of floats at a time."""
 
+import contextlib
 import json
 import math
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -15,13 +17,14 @@ from confsets import (
     ScoreSpec,
     SynthSpec,
     TuneConfig,
+    ValidationError,
     calibrate,
     efficiency_gap_loss,
     generate,
     predict,
     truncation_diagnostic,
 )
-from confsets import data, engine, errors, maps, metrics
+from confsets import data, engine, errors, maps, metrics, scores
 from confsets.cli import main
 from confsets.data import LogitsFile, save_dataset
 from confsets.engine import ConformalThreshold, load_set_sizes, predict_to_file, save_threshold
@@ -60,6 +63,10 @@ CASES = {
                                    lambda k: CalibrationMap.temperature(0.5), "f64", 0.1),
     "raps-vector": (ScoreSpec(kind="raps", randomized=True, raps_lambda=0.01,
                               raps_kreg=2, rng_seed=3), _vector, "f64", 0.2),
+    "aps-randomized-temperature-f32": (ScoreSpec(kind="aps", randomized=True, rng_seed=7),
+                                       lambda k: CalibrationMap.temperature(0.5), "f32", 0.1),
+    "raps-vector-f32": (ScoreSpec(kind="raps", randomized=True, raps_lambda=0.01,
+                                  raps_kreg=2, rng_seed=3), _vector, "f32", 0.2),
     "saps-identity-f32": (ScoreSpec(kind="saps", randomized=True, saps_lambda=0.1,
                                     rng_seed=5), lambda k: CalibrationMap.identity(), "f32", 0.1),
     "lac-temperature-f32": (ScoreSpec(kind="lac"), lambda k: CalibrationMap.temperature(2.0),
@@ -108,6 +115,58 @@ def test_outputs_do_not_depend_on_block_size(monkeypatch, case, k):
         assert got[3] == reference[3]
         np.testing.assert_array_equal(got[4], reference[4])
         assert got[5] == reference[5]
+
+
+@pytest.mark.parametrize("source", ["dataset", "file"])
+def test_f32_blocks_are_float64_views_of_one_buffer(tmp_path, monkeypatch, source):
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 5 * 90)
+    ds, cal_map = _dataset(N_CAL, 90, 1), _vector(90)
+    expected = maps.apply_map_dataset(cal_map, ds, "f32").astype(np.float64)
+    path = tmp_path / "data.bin"
+    save_dataset(ds, path)
+    with LogitsFile(path) if source == "file" else contextlib.nullcontext(ds) as src:
+        bases = []
+        for rows, probs in maps.probability_blocks(cal_map, src, "f32"):
+            assert probs.dtype == np.float64
+            bases.append(probs.base)
+            np.testing.assert_array_equal(probs.view(np.uint64), expected[rows].view(np.uint64))
+    assert len(bases) == 5 and all(base is bases[0] for base in bases)
+
+
+@pytest.mark.parametrize("walk", ["calibrate", "predict"])
+def test_f32_walks_check_each_block_as_the_public_entries_do(monkeypatch, walk):
+    # with no tolerance a float32 block's rounding fails the sum check, in
+    # the first block, with the message of the public entries' check
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 5 * 90)
+    ds, cal_map = _dataset(N_CAL, 90, 1), CalibrationMap.temperature(0.5)
+    spec = ScoreSpec(kind="aps", randomized=True, rng_seed=7)
+    threshold = calibrate(ds, cal_map, spec, 0.1)
+    monkeypatch.setattr(scores, "_PROB_SUM_TOL", 0.0)
+    first = maps.apply_map_dataset(cal_map, ds, "f32", slice(0, 5))
+    with pytest.raises(ValidationError, match="^probabilities must sum to 1") as public:
+        scores.set_mask(spec, first, threshold.tau, np.zeros(5))
+    with pytest.raises(ValidationError) as walked:
+        if walk == "calibrate":
+            calibrate(ds, cal_map, spec, 0.1, "f32")
+        else:
+            predict(threshold, ds, "f32")
+    assert str(walked.value) == str(public.value)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_walks_hold_as_many_blocks_at_either_precision(precision):
+    # an f32 block is made in one float32 copy and widened into the f64
+    # walks' buffer, so both precisions hold the same blocks
+    n, k = 4000, 1000
+    ds = generate(SynthSpec(n=n, k=k, seed=0, signal=4.0))
+    cal_map = CalibrationMap.temperature(0.8)
+    spec = ScoreSpec(kind="aps", randomized=True, rng_seed=1)
+    block = 8 * data._BLOCK_CELLS  # the bytes of one float64 row block
+    _, peak = _traced_peak(engine.label_scores, ds, cal_map, spec, precision)
+    assert peak < 2 * block, f"label_scores peaked at {peak / block:.2f} blocks"
+    threshold = calibrate(ds, cal_map, spec, 0.1)
+    _, peak = _traced_peak(lambda: deque(engine._set_blocks(threshold, ds, precision), 0))
+    assert peak < 2.5 * block, f"_set_blocks peaked at {peak / block:.2f} blocks"
 
 
 def _traced_peak(fn, *args):

@@ -20,7 +20,6 @@ from confsets import (
     coverage_and_size,
     generate,
     predict,
-    predict_sets,
     run_pipeline,
 )
 from confsets.data import row_blocks
@@ -81,7 +80,8 @@ def test_threshold_matches_scan_oracle(scores, alpha):
 def _members(th, probs, u=None):
     """The set of one probability row, built through the batched mask."""
     u_arr = None if u is None else np.asarray([u])
-    return np.flatnonzero(predict_sets(th, np.asarray([probs], dtype=float), u_arr)[0]).tolist()
+    mask = set_mask(th.score_spec, np.asarray([probs], dtype=float), th.tau, u_arr)
+    return np.flatnonzero(mask[0]).tolist()
 
 
 def test_predict_set_example():
@@ -149,7 +149,7 @@ def test_predict_matches_bruteforce_oracle(probs, kind, randomized, us, tau):
     th = ConformalThreshold(tau=tau, alpha=0.5, n_cal=1, score_spec=spec,
                             cal_map=CalibrationMap.identity())
     u = np.asarray(us[:probs.shape[0]]) if spec.uses_u else np.ones(probs.shape[0])
-    mask = predict_sets(th, probs, u if spec.uses_u else None)
+    mask = set_mask(th.score_spec, probs, th.tau, u if spec.uses_u else None)
     assert mask.shape == probs.shape and mask.dtype == bool
     for row, u_i, got in zip(probs, u, mask):
         expected = oracle_set(kind, list(row), float(u_i), tau,
@@ -175,7 +175,8 @@ def _threshold(spec, tau):
 
 
 def _assert_mask_is_full_path(spec, probs, u, tau):
-    got = predict_sets(_threshold(spec, tau), probs, u)
+    th = _threshold(spec, tau)
+    got = set_mask(th.score_spec, probs, th.tau, u)
     np.testing.assert_array_equal(got, score_matrix(spec, probs, u) <= tau)
 
 

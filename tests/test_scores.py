@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from confsets.scores import (
     true_label_scores,
 )
 
-from oracles import oracle_order, oracle_score
+from oracles import oracle_draw_u, oracle_order, oracle_score
 
 prob_rows = st.lists(st.integers(1, 50), min_size=2, max_size=10).map(
     lambda ws: (np.asarray(ws, dtype=float) / sum(ws))
@@ -460,6 +461,27 @@ def test_draw_u_order_independent():
     scattered = draw_u_many(11, idx)
     serial = draw_u_many(11, np.arange(100))
     np.testing.assert_array_equal(scattered, serial[idx])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_draw_u_matches_the_python_int_reference(seed):
+    # the extremes of the index range, where (index + 1) * gamma wraps
+    rng = np.random.default_rng(seed % 1000)
+    idx = np.concatenate([[0, 2**53, 2**63 - 1], rng.integers(0, 2**63 - 1, 200)])
+    got = draw_u_many(seed, idx)
+    expected = np.array([oracle_draw_u(seed, int(i)) for i in idx])
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_draw_u_holds_about_two_arrays_of_its_result():
+    idx = np.arange(7500)
+    tracemalloc.start()
+    try:
+        u = draw_u_many(3, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * u.nbytes, f"draw_u_many peaked at {peak / u.nbytes:.2f} results"
 
 
 # ---------------------------------------------------------------------------

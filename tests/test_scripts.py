@@ -51,16 +51,17 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
     assert len(from_csv) == 6
     assert from_csv == {name: digests[f"k10/{name}"] for name in from_csv}
     # the error leg logs each failure: 5 defective files x 6 commands, 5
-    # in-body errors on a clean file and on one with a bad last row, and 4
+    # in-body errors on a clean file and on one with a bad last row, and 5
     # commands under a map that makes every softmax row NaN
     errors = tmp_path / "a" / "errors"
-    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 44
+    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 45
     assert (errors / "nan-first.split.txt").read_text() == \
         "exit 1\nerror: non-finite logit in row 3\n"
     assert (errors / "nan-last.class-count.txt").read_text() == \
         "exit 1\nerror: non-finite logit in row 6999\n"
-    assert (errors / "clean.overflow-calibrate-lac.txt").read_text() == \
-        "exit 1\nerror: probabilities must sum to 1 (row 0 sums to np.float64(nan))\n"
+    nan_rows = "exit 1\nerror: probabilities must sum to 1 (row 0 sums to np.float64(nan))\n"
+    assert (errors / "clean.overflow-calibrate-lac.txt").read_text() == nan_rows
+    assert (errors / "clean.overflow-demo-precision-f32.txt").read_text() == nan_rows
 
 
 def _readme_section(title):

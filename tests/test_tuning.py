@@ -17,11 +17,10 @@ from confsets import (
     calibrate_threshold,
     efficiency_gap_loss,
     generate,
-    predict_sets,
     tune_map,
 )
 from confsets.maps import apply_map_dataset
-from confsets.scores import label_ranks, score_matrix, true_label_scores
+from confsets.scores import label_ranks, score_matrix, set_mask, true_label_scores
 from confsets.tuning import _evaluate, _vector_gradient, split_validation
 
 
@@ -57,7 +56,7 @@ def test_gap_sign_law(weights, tau):
     gap = tau - score_matrix(spec, probs[None, :])[0, label]
     threshold = ConformalThreshold(tau=calibrate_threshold([tau], 0.5), alpha=0.5, n_cal=1,
                                    score_spec=spec, cal_map=CalibrationMap.identity())
-    covered = predict_sets(threshold, probs[None, :])[0, label]
+    covered = set_mask(threshold.score_spec, probs[None, :], threshold.tau)[0, label]
     assert (gap >= 0) == covered
 
 
