@@ -12,6 +12,13 @@ At K = 10, 50 and 1000 the chain runs:
     at alpha 0.1 also without it;
   * demo-precision at f32 and f64.
 
+Under k200flat/, K = 200 rows near chance level (--signal 0.05,
+--overconfidence 1), whose exps mostly sum past 2, go through calibrate,
+predict and evaluate --threshold under the identity map and a tuned
+temperature, with every score, randomized or not, at alpha 0.1.  They
+cover the rows the walk kernels score without the s gate of
+`scores._rank_one`, beside the sharp rows of the other legs, which pass it.
+
 The K = 10 rows then go through the chain once more as CSV files, under
 k10csv/: split, tune temperature, calibrate, predict and evaluate with
 randomized aps at alpha 0.1, and demo-precision at f64.  Apart from the
@@ -61,6 +68,7 @@ MANIFEST = "MANIFEST.sha256"
 SEED = "7"
 KS = (10, 50, 1000)
 CSV_DIR = "k10csv"
+FLAT_DIR = "k200flat"
 SCORES = {
     "aps": ["--score", "aps"],
     "raps": ["--score", "raps", "--lambda", "0.001", "--kreg", "5"],
@@ -102,50 +110,79 @@ for command in json.load(sys.stdin):
 def chain(n: int) -> list:
     """The CLI commands, as argument lists with paths relative to OUT_DIR;
     the error leg's carry their logs (see `_RUN`)."""
-    scores = [(f"{name}-{r}", [*flags, "--randomized", r])
-              for name, flags in SCORES.items() for r in ("false", "true")]
-    scores.append(("lac", ["--score", "lac"]))
     include_all = repr(0.5 / (n + 1))
     commands = []
     for k in KS:
         d, parts = f"k{k}", f"k{k}/parts"
         commands += _synth_and_split(n, k, d, "bin")
         tuned = ["temperature", "platt"] + (["vector"] if k <= 50 else [])
-        commands += [["tune", "--in", f"{parts}/validation.bin", "--alpha", "0.1",
-                      "--map", kind, "--seed", SEED, "--out", f"{d}/{kind}.json"]
-                     for kind in tuned]
+        commands += [_tune(parts, kind, d) for kind in tuned]
         alphas = [("0.1", "0.1"), ("all", include_all)] + ([("0.01", "0.01")] if k == 1000 else [])
         for kind in ["identity"] + tuned:
             params = "identity.json" if kind == "identity" else f"{d}/{kind}.json"
-            for score, flags in scores:
+            for score, flags in _scores():
                 for tag, alpha in alphas:
                     stem = f"{d}/{kind}.{score}.a{tag}"
-                    commands += [
-                        ["calibrate", "--in", f"{parts}/conformal.bin", "--alpha", alpha,
-                         *flags, "--params", params, "--seed", SEED,
-                         "--out", f"{stem}.threshold.json"],
-                        ["predict", "--in", f"{parts}/test.bin", "--threshold",
-                         f"{stem}.threshold.json", "--seed", SEED, "--out", f"{stem}.sets.jsonl"],
-                        ["evaluate", "--sets", f"{stem}.sets.jsonl", "--in", f"{parts}/test.bin",
-                         "--threshold", f"{stem}.threshold.json", "--out", f"{stem}.report.json"],
-                    ]
+                    commands += _sets_steps(parts, params, flags, alpha, stem)
                     if tag == "0.1":
                         commands.append(["evaluate", "--sets", f"{stem}.sets.jsonl", "--in",
                                          f"{parts}/test.bin", "--out", f"{stem}.plain.report.json"])
         commands += [["demo-precision", "--in", f"{parts}/test.bin", "--alpha", "0.1",
                       "--t-grid", "1,0.5,0.25,0.1", "--precision", precision, "--seed", SEED,
                       "--out", f"{d}/demo.{precision}.json"] for precision in ("f32", "f64")]
-    return commands + _csv_leg(n) + _error_leg()
+    return commands + _flat_leg(n) + _csv_leg(n) + _error_leg()
 
 
-def _synth_and_split(n: int, k: int, d: str, ext: str) -> list[list[str]]:
+def _scores() -> list[tuple[str, list[str]]]:
+    """Each score's name and calibrate flags: aps, raps and saps randomized
+    or not, and lac."""
+    scores = [(f"{name}-{r}", [*flags, "--randomized", r])
+              for name, flags in SCORES.items() for r in ("false", "true")]
+    return scores + [("lac", ["--score", "lac"])]
+
+
+def _tune(parts: str, kind: str, d: str) -> list[str]:
+    return ["tune", "--in", f"{parts}/validation.bin", "--alpha", "0.1", "--map", kind,
+            "--seed", SEED, "--out", f"{d}/{kind}.json"]
+
+
+def _sets_steps(parts: str, params: str, flags: list[str], alpha: str,
+                stem: str) -> list[list[str]]:
+    """Calibrate on the conformal part, predict the test part and evaluate
+    its sets with the threshold, into files named after ``stem``."""
     return [
-        ["synth", "--n", str(n), "--k", str(k), "--signal", "4", "--noise", "1",
-         "--overconfidence", "3", "--seed", SEED, "--out", f"{d}/data.{ext}"],
+        ["calibrate", "--in", f"{parts}/conformal.bin", "--alpha", alpha, *flags,
+         "--params", params, "--seed", SEED, "--out", f"{stem}.threshold.json"],
+        ["predict", "--in", f"{parts}/test.bin", "--threshold", f"{stem}.threshold.json",
+         "--seed", SEED, "--out", f"{stem}.sets.jsonl"],
+        ["evaluate", "--sets", f"{stem}.sets.jsonl", "--in", f"{parts}/test.bin",
+         "--threshold", f"{stem}.threshold.json", "--out", f"{stem}.report.json"],
+    ]
+
+
+def _synth_and_split(n: int, k: int, d: str, ext: str,
+                     model: tuple[str, ...] = ("--signal", "4", "--noise", "1",
+                                               "--overconfidence", "3")) -> list[list[str]]:
+    return [
+        ["synth", "--n", str(n), "--k", str(k), *model, "--seed", SEED,
+         "--out", f"{d}/data.{ext}"],
         ["split", "--in", f"{d}/data.{ext}", "--parts",
          "validation:0.5,conformal:0.25,test:0.25", "--shuffle", "true",
          "--seed", SEED, "--out-dir", f"{d}/parts"],
     ]
+
+
+def _flat_leg(n: int) -> list[list[str]]:
+    """K = 200 rows near chance level, under the identity and a tuned
+    temperature, with every score at alpha 0.1."""
+    d, parts = FLAT_DIR, f"{FLAT_DIR}/parts"
+    commands = _synth_and_split(n, 200, d, "bin",
+                                ("--signal", "0.05", "--noise", "1", "--overconfidence", "1"))
+    commands.append(_tune(parts, "temperature", d))
+    for kind, params in (("identity", "identity.json"), ("temperature", f"{d}/temperature.json")):
+        for score, flags in _scores():
+            commands += _sets_steps(parts, params, flags, "0.1", f"{d}/{kind}.{score}.a0.1")
+    return commands
 
 
 def _csv_leg(n: int) -> list[list[str]]:
@@ -296,7 +333,7 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     if out_dir.exists() and any(out_dir.iterdir()):
         ap.error(f"{out_dir} is not empty")
-    for d in [f"k{k}" for k in KS] + [CSV_DIR, ERRORS_DIR]:
+    for d in [f"k{k}" for k in KS] + [FLAT_DIR, CSV_DIR, ERRORS_DIR]:
         (out_dir / d).mkdir(parents=True, exist_ok=True)
     _write_error_inputs(out_dir / ERRORS_DIR)
     (out_dir / "identity.json").write_text('{"kind": "identity", "params": {}}\n', encoding="ascii")

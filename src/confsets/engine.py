@@ -18,6 +18,13 @@ the scores it fills, and hands each block its slice.  At either
 precision a block is a float64 one that `probability_blocks` has
 checked, so both walks give every block straight to the scores module's
 unchecked kernels (its docstring says why such a block needs no check).
+A block comes undivided, as ``(e, s, top)``, and the kernels divide only
+what they read.  Calibrating, that is each label's p_y and, of the rows
+whose label is not provably at rank 1, the top 64 values of a wide row
+(the whole row only when the label ranks below them).  Predicting wide
+rows, it is the top 64 values per row and the rows they leave open.
+Neither walk divides a whole block at K > 64 (lac's sets aside, which
+compare every 1 - p).
 
 The JSONL sets file is written from mask rows and read into per-row
 values, a whole block or chunk at a time.  `_write_sets`, the writer
@@ -177,8 +184,8 @@ def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: 
     """
     scores = np.empty(ds.n)
     u = _draws(spec, 0, ds.n)
-    for rows, probs in probability_blocks(cal_map, ds, precision):
-        scores[rows] = _true_label_scores(spec, probs, ds.labels[rows],
+    for rows, e, s, top in probability_blocks(cal_map, ds, precision):
+        scores[rows] = _true_label_scores(spec, e, s, top, ds.labels[rows],
                                           None if u is None else u[rows])
     return scores
 
@@ -232,8 +239,8 @@ def _set_blocks(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
     `probability_blocks` block at a time, by `scores._set_mask`."""
     spec, tau = threshold.score_spec, threshold.tau
     u = _draws(spec, threshold.n_cal, ds.n)
-    for rows, probs in probability_blocks(threshold.cal_map, ds, precision):
-        yield rows, _set_mask(spec, probs, tau, None if u is None else u[rows],
+    for rows, e, s, top in probability_blocks(threshold.cal_map, ds, precision):
+        yield rows, _set_mask(spec, e, s, top, tau, None if u is None else u[rows],
                               nonnegative=True)
 
 

@@ -10,14 +10,17 @@ Supported kinds:
 Every map ends in a softmax computed with max-subtraction so that small
 temperatures behave identically across platforms.  Probabilities are
 float64 by default; a float32 mode exists for low-precision diagnostics.
-`probability_blocks` yields the probabilities of each `data.row_blocks`
-block, so callers that reduce each block never hold an n-by-K float
-matrix.  At either precision it yields float64 views of one reused buffer:
-a yielded block is overwritten by the next one, so a caller reduces each
-block before it asks for the next.  `apply_map_dataset` reads a dataset's
-logits only through ``logit_rows``, so it takes a `data.LogitsFile` as well
-as a `LogitsDataset`: on a file, a block's logits are read from disk when
-it is made, at f64 into the buffer that then holds its probabilities.
+`probability_blocks` is the one walk of a dataset's `data.row_blocks`
+blocks, so callers that reduce each block never hold an n-by-K float
+matrix.  It yields each block undivided, as ``(rows, e, s, top)``: the
+shifted exps e, their row sums s and each row's first argmax of its
+mapped logits, so that a caller divides only the values it reads.  At either precision e is a
+float64 view of one reused buffer: a yielded block is overwritten by the
+next one, so a caller reduces each block before it asks for the next.
+`apply_map_dataset` reads a dataset's logits only through ``logit_rows``,
+so it takes a `data.LogitsFile` as well as a `LogitsDataset`: on a file, a
+block's logits are read from disk when it is made, at f64 into the buffer
+that then holds its exps.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ class CalibrationMap:
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction, in the dtype of ``z``.
+    """Row-wise softmax of an n-by-K ``z`` with max-subtraction, in its dtype.
 
     The shift, the exp and the division run in place on one buffer, in the
     order (and so with the bits) of ``e = exp(z - max); e / e.sum()``.  The
@@ -162,10 +165,38 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     itself), or a new array; ``z`` is written only when it is ``out``, since
     the identity map passes a dataset's own logits.
     """
-    out = np.subtract(z, np.max(z, axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=-1, keepdims=True)
-    return out
+    e, s, _ = _shifted_exp(z, out)
+    e /= s
+    return e
+
+
+def _shifted_exp(z: np.ndarray, out: np.ndarray | None = None):
+    """``(e, s, top)`` of rescaled logits ``z``: softmax before its division.
+
+    ``top`` is each row's first argmax and the shift ``z[row, top]``, which
+    has the value of the row's maximum; e = exp(z - shift) is made in
+    ``out`` as `softmax` makes it, and ``s`` is its row sums, kept as a
+    column.  A row's maximum that is -0.0 or +0.0 shifts by either to the
+    same e: z - (+-0.0) is z at every other value, and exp(+-0.0) = 1.
+    """
+    top = np.argmax(z, axis=1)
+    e = np.subtract(z, z[np.arange(z.shape[0]), top][:, None], out=out)
+    np.exp(e, out=e)
+    return e, np.sum(e, axis=1, keepdims=True), top
+
+
+def _mapped_logits(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile, precision: str,
+                   rows: slice, out: np.ndarray | None):
+    """``(z, out)``: ``cal_map`` applied to ``ds.logit_rows(rows)`` at
+    ``precision``, and the buffer its softmax is to be made in."""
+    if precision == "f64":
+        z = ds.logit_rows(rows, out=out)
+    elif precision == "f32":
+        z = ds.logit_rows(rows).astype(np.float32)
+        out = z if out is None else out
+    else:
+        raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
+    return cal_map.transform_logits(z, out=out), out
 
 
 def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
@@ -182,44 +213,46 @@ def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
     the map and softmax run on one float32 copy of the logits, in place
     without ``out``.  The bits are the same with or without ``out``.
     """
-    if precision == "f64":
-        z = ds.logit_rows(rows, out=out)
-    elif precision == "f32":
-        z = ds.logit_rows(rows).astype(np.float32)
-        out = z if out is None else out
-    else:
-        raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
-    return softmax(cal_map.transform_logits(z, out=out), out=out)
+    return softmax(*_mapped_logits(cal_map, ds, precision, rows, out))
 
 
 def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
-                       precision: str = "f64") -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, probs)`` for each slice of `data.row_blocks`.
+                       precision: str = "f64"
+                       ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(rows, e, s, top)`` for each slice of `data.row_blocks`: the
+    probabilities of ``apply_map_dataset`` on ``rows`` are ``e / s[:, None]``
+    bit for bit, and ``top`` is a column of each row's largest e.
 
-    ``probs`` is ``apply_map_dataset`` on ``rows``, as float64 in the
-    reused buffer of `data.buffered_row_blocks`: it is overwritten by the
-    next block, so a caller reduces it before it asks for the next.
-    Softmax is row-wise, so every block equals its rows of the whole
-    matrix bit for bit.
+    ``e`` is float64 in the reused buffer of `data.buffered_row_blocks`: it
+    is overwritten by the next block, so a caller reduces it before it asks
+    for the next, and may write it.  Softmax is row-wise, so every block
+    equals its rows of the whole matrix bit for bit.  At f64 ``e`` is
+    softmax's exp of the mapped logits shifted by ``z[row, top]``, with
+    ``top`` their first argmax (`_shifted_exp`), so e[row, top] = 1 (an
+    earlier class's e may round to 1 too), and ``s`` is softmax's row sum;
+    at f32 the block is made, divided, in a float32 copy and widened into
+    the buffer, with ``s`` ones and ``top`` the argmax of the probabilities.
 
     A block that fails `scores._check_normalized` is a ValidationError
     with its message ("probabilities must sum to 1").  At f64 only a NaN
     row can: a map's logits are finite or +-inf, so a softmax row is NaN
     in every entry (its maximum is +inf, or every entry is -inf) or in none
     (its maximum is finite, so every shifted entry is at most 0 and the sum
-    at least 1), and the guard reads only each row's first entry.  At f32
-    the block is made in a float32 copy, widened into the buffer and checked
-    whole: a float32 row sums to 1 within about (log2 K + 1) * 2**-24, by
-    at most 3.3e-7 as measured at K = 10 to 100000 and t = 1 and 0.1.
+    at least 1), and the guard reads only each row's sum, NaN exactly on
+    such a row.  At f32 the block is checked whole: a float32 row sums to 1
+    within about (log2 K + 1) * 2**-24, by at most 3.3e-7 as measured at
+    K = 10 to 100000 and t = 1 and 0.1.
     """
     for rows, buf in buffered_row_blocks(ds.n, ds.k):
         if precision == "f32":
             buf[...] = apply_map_dataset(cal_map, ds, precision, rows)
-        else:
-            apply_map_dataset(cal_map, ds, precision, rows, out=buf)
-        if precision == "f32" or np.isnan(buf[:, 0]).any():
             _check_normalized(buf)
-        yield rows, buf
+            yield rows, buf, np.ones(buf.shape[0]), buf.argmax(axis=1)
+            continue
+        e, s, top = _shifted_exp(_mapped_logits(cal_map, ds, precision, rows, buf)[0], buf)
+        if np.isnan(s).any():
+            _check_normalized(e / s)
+        yield rows, e, s[:, 0], top
 
 
 def save_map(cal_map: CalibrationMap, path) -> None:

@@ -13,7 +13,11 @@ label and averaging set sizes within each bin.
 map off the threshold that made the sets and `truncation_diagnostic`
 takes one; neither takes probabilities: each row block of
 `maps.probability_blocks` is reduced to per-row values before the next
-is made, and every statistic is computed from n-vectors.
+is made, and every statistic is computed from n-vectors.  A block comes
+undivided, as ``(e, s, top)``, and division and rounding are monotone, so
+a row's top-1 confidence is fl(e_top / s) and its smallest probability
+fl(min e / s): only the rows whose label is not provably at rank 1, and
+rows that hold a zero, are divided whole, never a whole block.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .data import LogitsDataset, LogitsFile
 from .engine import ConformalThreshold
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, probability_blocks
-from .scores import label_ranks
+from .scores import _divided_rows, _label_ranks, _row_counts
 
 DEFAULT_ECE_BINS = 15
 
@@ -169,8 +173,10 @@ def truncation_diagnostic(cal_map: CalibrationMap, ds: LogitsDataset,
     """
     if cal_map.kind != "temperature":
         raise ValidationError("truncation diagnostic requires a temperature map")
-    zero_counts = np.concatenate([np.count_nonzero(probs == 0.0, axis=1)
-                                  for _, probs in probability_blocks(cal_map, ds, precision)])
+    zero_counts = np.zeros(ds.n, dtype=np.int64)
+    for rows, e, s, _ in probability_blocks(cal_map, ds, precision):
+        zero = np.flatnonzero(e.min(axis=1) / s == 0.0)
+        zero_counts[rows.start + zero] = _row_counts(_divided_rows(e, s, zero) == 0.0)
     return float((zero_counts > 0).mean()), zero_counts
 
 
@@ -207,10 +213,10 @@ def report_from_sizes(sizes: np.ndarray, covered: np.ndarray,
     conf = np.empty(ds.n)
     ranks = np.empty(ds.n, dtype=np.int64)
     truncated = np.empty(ds.n, dtype=bool)
-    for rows, probs in probability_blocks(cal_map, ds):
-        conf[rows] = probs.max(axis=1)
-        ranks[rows] = label_ranks(probs, ds.labels[rows])
-        truncated[rows] = probs.min(axis=1) == 0.0
+    for rows, e, s, top in probability_blocks(cal_map, ds):
+        conf[rows] = e[np.arange(s.size), top] / s
+        ranks[rows] = _label_ranks(e, s, top, ds.labels[rows])
+        truncated[rows] = e.min(axis=1) / s == 0.0
     return EvaluationReport(
         coverage=cov,
         average_size=avg_size,

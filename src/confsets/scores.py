@@ -16,24 +16,41 @@ A row's rank-1 class is its first largest value, which is what
 first and breaks their ties by ascending class.  So a label equal to its
 row's argmax has rank 1 and its prefix sum is p_y alone; `true_label_scores`
 ranks only the other rows, and so does `label_ranks`.  Both count each such
-row's values at or above p_y (`_at_or_above`), which is the label's rank
-unless another class holds p_y too; only such tied rows are ranked again
-by `_at_or_ahead`.
+row's values at or above p_y (`_at_or_above`, with `_row_counts`), which
+is the label's rank unless another class holds p_y too; only such tied
+rows are ranked again by `_at_or_ahead`.
 
 `score_matrix`, `true_label_scores` and `set_mask` are the public entries.
 Each checks its input with `_checked` (a float64 n-by-K matrix whose rows
 sum to 1 within _PROB_SUM_TOL unless the kind is lac, and one u in [0, 1]
 per row when the score takes u) and then calls a kernel that checks
-nothing: `_full_read`, `_true_label_scores` or `_set_mask`.  `engine` calls
-the kernels itself on every block of `maps.probability_blocks`, with u from
-`draw_u_many`, which lies in [0, 1): such a block passes `_checked` by
-construction.  An f32 block has passed `_check_normalized`; an f64 block
-holds no NaN row, and its rows are softmax rows fl(e_j / S), with
-e_j = exp(z_j - max z) in [0, 1] and e_j = 1 at the maximum, so S >= 1, no
-value is negative and none exceeds 1.  S is a pairwise float64 sum and each
-division rounds once, so a row sums to 1 within about (log2 K + 1) * 2**-53,
-far inside _PROB_SUM_TOL for any K.  With no negative value at either
-precision, `_set_mask` skips `_top_block`'s row-minimum test.
+nothing: `_full_read`, `_true_label_scores` or `_set_mask`.  The last two
+and `_label_ranks` (behind `label_ranks`) read a block as ``(e, s, top)``,
+the shape `maps.probability_blocks` yields: p = e / s, divided only where
+a value is read, and ``top`` a column of each row's largest e (the first
+argmax of the mapped logits); a public entry passes its matrix with s = 1
+and its first argmax (`_as_block`).  Three facts keep every read
+bit for bit the division softmax makes:
+
+* division and rounding are monotone, so p never ranks two classes the
+  other way round from e, the top m values of e divided are p's top m
+  values, and fl(min e / s) and fl(e_top / s) are p's minimum and maximum;
+* a label at ``top`` has rank 1 in p when its row sum is below _S_GATE,
+  or no other e reaches _E_TIE (`_rank_one`): no other class can then
+  divide onto p's maximum;
+* the walk shifts each row by ``z[row, top]``, which has the value of the
+  row's maximum (`maps._shifted_exp`), so e[row, top] = 1.
+
+`engine` calls the kernels itself on every block of
+`maps.probability_blocks`, with u from `draw_u_many`, which lies in
+[0, 1): such a block passes `_checked` by construction.  An f32 block has
+passed `_check_normalized`; an f64 block holds no NaN row, and its rows
+are e_j = exp(z_j - max z) in [0, 1] with e_j = 1 at the maximum, so
+S >= 1, no p is negative and none exceeds 1.  S is a pairwise float64 sum
+and each division rounds once, so a row of p sums to 1 within about
+(log2 K + 1) * 2**-53, far inside _PROB_SUM_TOL for any K.  With no
+negative value at either precision, `_set_mask` skips `_top_block`'s
+row-minimum test.
 `score_matrix` sorts every row with `_descending`, and stays the reference
 `set_mask` is tested against.
 `descending_order` is the one stable sort, which the scalar tuner shares.
@@ -48,8 +65,8 @@ _BLOCK is scored whole and its mask put back in class order.  A wider row
 is read off a block of its top _BLOCK values, with no class indices: one
 floor, the u = 0 score at the block's last rank, certifies that no class
 beyond the block enters the set, and the set is then the classes at or
-above one boundary value per row, the value at its last rank (a tie at
-that value is split by ascending class).  The block is 2 wide instead
+above one boundary value per row, the value at its last rank, compared
+undivided (a tie at that value is split by ascending class).  The block is 2 wide instead
 when K <= _BLOCK and most rows hold a probability above tau (sharp rows,
 whose set is at most their top class).  An uncertified row is read again
 whole.
@@ -68,6 +85,12 @@ from .errors import ValidationError, check_keys, is_int, is_number
 SCORE_KINDS = ("aps", "raps", "saps", "lac")
 
 _PROB_SUM_TOL = 1e-6
+
+# A walk block's row sum below _S_GATE lets `_rank_one` read a label at
+# ``top`` as rank 1 without a look at the row; at or above it, a look for
+# another e at or above _E_TIE.
+_S_GATE = 2.0 - 2.0**-30
+_E_TIE = 1.0 - 2.0**-50
 
 # Values per row that `set_mask` sorts first; rows no wider than this are
 # read whole, or off their top 2 values when most of them are sharp.  On
@@ -191,19 +214,27 @@ def _descending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1-indexed rank of each row's label, without sorting.
+    """1-indexed rank of each row's label, without sorting: `_label_ranks`
+    of the matrix as a block with row sums 1."""
+    return _label_ranks(*_as_block(probs), labels)
 
-    A label at its row's argmax has rank 1; only the other rows are copied
-    and counted (`_at_or_above`).  A row where another class holds the
-    label's value too is counted again by `_at_or_ahead`.
+
+def _label_ranks(e: np.ndarray, s: np.ndarray, top: np.ndarray,
+                 labels: np.ndarray) -> np.ndarray:
+    """`label_ranks` of the probabilities ``e / s[:, None]`` of a block
+    whose largest values sit at ``top`` (`maps.probability_blocks`).
+
+    A `_rank_one` label has rank 1; only the other rows are copied,
+    divided and counted (`_at_or_above`).  A row where another class holds
+    the label's value too is counted again by `_at_or_ahead`.
     """
-    rest = np.flatnonzero(probs.argmax(axis=1) != labels)
+    rest = np.flatnonzero(~_rank_one(e, s, top, labels))
     ranks = np.ones(len(labels), dtype=np.int64)
-    q, y = probs[rest], labels[rest]
+    q, y = _divided_rows(e, s, rest), labels[rest]
     p_y = q[np.arange(rest.size), y]
     level = _at_or_above(q, p_y)
-    tied = np.flatnonzero(np.count_nonzero(q == p_y[:, None], axis=1) > 1)
-    level[tied] = np.count_nonzero(_at_or_ahead(q[tied], y[tied]), axis=1)
+    tied = np.flatnonzero(_row_counts(q == p_y[:, None]) > 1)
+    level[tied] = _row_counts(_at_or_ahead(q[tied], y[tied]))
     ranks[rest] = level
     return ranks
 
@@ -215,7 +246,18 @@ def _at_or_above(q: np.ndarray, p_y: np.ndarray) -> np.ndarray:
     holds p_y; otherwise the tied classes of smaller index are ahead of the
     label and the others behind it, which `_at_or_ahead` tells apart.
     """
-    return np.count_nonzero(q >= p_y[:, None], axis=1)
+    return _row_counts(q >= p_y[:, None])
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Each row's count of True values of a boolean matrix, as int64.
+
+    One ``np.add.reduce`` in the narrowest unsigned type that holds K, which
+    is exact, since no count exceeds K; the int64 result lets ``count - 1``
+    fall below 0 without wrapping.
+    """
+    counts = np.add.reduce(mask, axis=1, dtype=np.min_scalar_type(mask.shape[1]))
+    return counts.astype(np.int64)
 
 
 def _at_or_ahead(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -275,74 +317,134 @@ def score_matrix(spec: ScoreSpec, probs: np.ndarray,
 def true_label_scores(spec: ScoreSpec, probs: np.ndarray, labels: np.ndarray,
                       u: np.ndarray | None = None) -> np.ndarray:
     """Score of each row's true label (the calibration-side quantity):
-    `_checked`, then `_true_label_scores`."""
+    `_checked`, then `_true_label_scores` of the matrix as a block with row
+    sums 1."""
     p, u_eff = _checked(spec, probs, u)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (p.shape[0],):
         raise ValidationError("probs must be n-by-K with one label per row")
-    return _true_label_scores(spec, p, labels, u_eff)
+    return _true_label_scores(spec, *_as_block(p), labels, u_eff)
 
 
-def _true_label_scores(spec: ScoreSpec, p: np.ndarray, labels: np.ndarray,
-                       u: np.ndarray | None) -> np.ndarray:
-    """`true_label_scores` of a matrix that passes `_checked`, with one
-    int64 label and one draw (or, with ``u`` None, none) per row.
+def _as_block(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A probability matrix as the kernels' ``(e, s, top)``: itself, row
+    sums of 1 (a division by 1 is exact) and its first argmax."""
+    return p, np.ones(p.shape[0]), p.argmax(axis=1)
 
-    A label at its row's argmax has rank 1: ``np.argmax`` returns the
-    first largest value, and the stable descending order puts the largest
-    values first with ties by ascending class.  Such a label's prefix sum,
-    its own probability and the row's maximum are then all p_y, the same
-    floats the sort and cumsum give.  Only the other rows are copied and
-    counted (`_at_or_above`).  A label's prefix sum needs the row's values
-    in descending order, not the classes that hold them: tied classes hold
-    equal values, so any descending copy sums the same numbers in the same
-    order as the stable argsort.  When K > _BLOCK and the count is at most
-    _BLOCK, that copy is the row's top _BLOCK values, which one
-    ``np.partition`` of the copied rows, in place, and a sort of the block
-    give; every other row is sorted whole.  `_label_at_level` reads each
-    label's score off its row's values.
+
+def _rank_one(e: np.ndarray, s: np.ndarray, top: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+    """The rows whose label provably has rank 1: the label is ``top``, and
+    no other class divides onto p's maximum.
+
+    ``top`` holds the row's largest e, so p_top = fl(e_top / s) is p's
+    largest value too, since division and rounding are monotone; on a
+    probability matrix, and at f32, ``top`` is p's own first argmax, with
+    s = 1.  Only another class j < top with fl(e_j / s) = p_top could rank
+    ahead of it.  Where s >= _S_GATE, which happens only in an f64 walk
+    block, where e_top = 1 and s >= 1, such a j has e_j >= _E_TIE (an e_j
+    that rounded to 1 included): short of that, e_j / s lies 2**-50 of its
+    value below 1 / s, and two roundings of 2**-53 cannot close the gap.
+    Such a row counts its values at or above _E_TIE.  Below _S_GATE it need
+    not: there e_j <= s - 1 up to the sum's rounding, which is far below
+    2**-30, so e_j < 1 - 2**-31.
     """
-    n, k = p.shape
-    p_y = p[np.arange(n), labels]
+    one = top == labels
+    gated = np.flatnonzero(one & (s >= _S_GATE))
+    if gated.size:
+        # one boolean block, not a copy of the gated rows' floats
+        one[gated] = _row_counts((e >= _E_TIE)[gated]) == 1
+    return one
+
+
+def _divided_rows(e: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A new array of the probabilities of ``rows`` of a block: the bits of
+    softmax's ``e / s``."""
+    q = e[rows]
+    q /= s[rows, None]
+    return q
+
+
+def _probabilities(e: np.ndarray, s: np.ndarray, nonnegative: bool) -> np.ndarray:
+    """A whole block's probabilities: a walk block (``nonnegative``) is
+    divided by its row sums in place, since the walk owns its buffer; any
+    other ``e`` is a checked matrix, with s = 1, and is returned unwritten."""
+    return np.divide(e, s[:, None], out=e) if nonnegative else e
+
+
+def _true_label_scores(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray,
+                       labels: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """`true_label_scores` of the probabilities ``e / s[:, None]`` of a
+    block whose largest values sit at ``top``, with one int64 label and one
+    draw (or, with ``u`` None, none) per row.
+
+    Each label's p_y is divided alone, fl(e_y / s), which is softmax's p_y
+    and lac's whole read.  A `_rank_one` label has rank 1: it holds its
+    row's largest value and no earlier class ties it, and the stable
+    descending order puts the largest values first with ties by ascending
+    class.  Such a label's prefix sum, its own probability and the row's
+    maximum are then all p_y, the same floats the sort and cumsum give.
+    Only the other rows are copied.  A label's prefix sum needs the row's
+    values in descending order, not the classes that hold them: tied
+    classes hold equal values, so any descending copy sums the same numbers
+    in the same order as the stable argsort; and since division is
+    monotone, e's values sorted and then divided are p's values sorted.
+    When K > _BLOCK, one ``np.partition`` of the copied rows, in place, and
+    a sort of the top _BLOCK values give each row's top block, which is
+    divided.  A row whose block ends below p_y holds every value at or
+    above p_y in it, and its label is read off the block; every other row
+    is sorted and divided whole.  A row's level is its count of values at
+    or above p_y; a row the gate of `_rank_one` sent here whose label is
+    its unique largest value counts 1 and scores as at rank 1.
+    `_label_at_level` reads each label's score off its row's values.
+    """
+    n, k = e.shape
+    p_y = e[np.arange(n), labels] / s
     if spec.kind == "lac":
         return 1.0 - p_y
     if u is None:
         u = np.ones(n)
     scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u)
-    rest = np.flatnonzero(p.argmax(axis=1) != labels)
-    q = p[rest]
-    level = _at_or_above(q, p_y[rest])
+    rest = np.flatnonzero(~_rank_one(e, s, top, labels))
+    q, s_rest, p_rest = e[rest], s[rest, None], p_y[rest]
     deep = np.arange(rest.size)
     if k > _BLOCK:
         q.partition(k - _BLOCK, axis=1)
-        near = np.flatnonzero(level <= _BLOCK)
-        top = np.sort(q[near, k - _BLOCK:], axis=1)[:, ::-1]
-        scores[rest[near]] = _label_at_level(spec, p, labels, u, rest[near], top, level[near])
-        deep = np.flatnonzero(level > _BLOCK)
+        block = np.sort(q[:, k - _BLOCK:], axis=1)[:, ::-1] / s_rest
+        near = block[:, -1] < p_rest
+        level = _row_counts(block[near] >= p_rest[near, None])
+        scores[rest[near]] = _label_at_level(spec, e, s, labels, u, rest[near], block[near],
+                                             level)
+        deep = np.flatnonzero(~near)
         q = q[deep]
     q.sort(axis=1)
-    scores[rest[deep]] = _label_at_level(spec, p, labels, u, rest[deep], q[:, ::-1], level[deep])
+    q /= s_rest[deep]
+    level = _row_counts(q >= p_rest[deep, None])
+    scores[rest[deep]] = _label_at_level(spec, e, s, labels, u, rest[deep], q[:, ::-1], level)
     return scores
 
 
-def _label_at_level(spec: ScoreSpec, p: np.ndarray, labels: np.ndarray, u: np.ndarray,
-                    rows: np.ndarray, ordered: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """The scores of the labels of ``rows`` of ``p``, whose labels are not at
-    rank 1.
+def _label_at_level(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, labels: np.ndarray,
+                    u: np.ndarray, rows: np.ndarray, ordered: np.ndarray,
+                    level: np.ndarray) -> np.ndarray:
+    """The scores of the labels of ``rows`` of the block ``(e, s)``.
 
-    ``ordered`` holds each row's largest values in descending order, at
-    least ``level`` of them, the count of its values at or above p_y.  So
+    ``ordered`` holds each row's largest probabilities in descending order,
+    at least ``level`` of them, the count of its values at or above p_y.  So
     p_y sits at rank ``level`` (1-indexed), and at rank level - 1 too when
     another class ties it: only then is the rank not ``level``, and
-    `_at_or_ahead` counts it, which leaves it at most ``level``.  The score
-    is `_cumulative_score` of the values' cumsum at that rank.
+    `_at_or_ahead` counts it, which leaves it at most ``level``.  At level 1
+    the label is its row's unique largest value, and the test reads the
+    row's last value, which lies below it.  The score is
+    `_cumulative_score` of the values' cumsum at that rank.
     """
     at = (np.arange(rows.size), level - 1)
     ranks = level
     tied = np.flatnonzero(ordered[at[0], level - 2] == ordered[at])
     if tied.size:
         ranks = level.copy()
-        ranks[tied] = np.count_nonzero(_at_or_ahead(p[rows[tied]], labels[rows[tied]]), axis=1)
+        ranks[tied] = _row_counts(_at_or_ahead(_divided_rows(e, s, rows[tied]),
+                                               labels[rows[tied]]))
         at = (at[0], ranks - 1)
     return _cumulative_score(spec, np.cumsum(ordered, axis=1)[at], ordered[at], ordered[:, 0],
                              ranks, u[rows])
@@ -400,31 +502,42 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     up to rounding, so the 2-value block certifies it unless it holds a
     negative value.  Wider rows skip the 2-value block: their first read
     takes only ``_BLOCK`` values, and there the count and the copied rows
-    cost about what it would save.
+    cost about what it would save.  ``probs`` is never written.
     """
     p, u_eff = _checked(spec, probs, u)
-    return _set_mask(spec, p, tau, u_eff)
+    return _set_mask(spec, *_as_block(p), tau, u_eff)
 
 
-def _set_mask(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray | None,
-              nonnegative: bool = False) -> np.ndarray:
-    """`set_mask` of a matrix that passes `_checked`, with one draw (or, with
-    ``u`` None, none) per row.  ``nonnegative`` says that no value of ``p``
-    is below 0, as in a softmax block, so `_top_block` need not look."""
+def _set_mask(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, tau: float,
+              u: np.ndarray | None, nonnegative: bool = False) -> np.ndarray:
+    """`set_mask` of the probabilities ``e / s[:, None]`` of a block whose
+    largest values sit at ``top``, with one draw (or, with ``u`` None, none)
+    per row.
+
+    ``nonnegative`` says that ``e`` is a `maps.probability_blocks` block:
+    no value is below 0, so `_top_block` need not look, and the walk owns
+    its buffer, so lac and K <= _BLOCK divide it in place and the 2-value
+    read masks it in place.  Otherwise ``e`` is a checked matrix with
+    s = 1, which is never written.  K > _BLOCK divides only each row's top
+    _BLOCK values, and the rows that block cannot certify or whose boundary
+    splits a tie.
+    """
+    n, k = e.shape
     if spec.kind == "lac":
-        return 1.0 - p <= tau
+        return 1.0 - _probabilities(e, s, nonnegative) <= tau
     if tau == math.inf:
-        return np.ones(p.shape, dtype=bool)
-    n, k = p.shape
+        return np.ones(e.shape, dtype=bool)
     if u is None:
         u = np.ones(n)
-    sharp = k <= _BLOCK and 2 * np.count_nonzero(p > tau) > n
-    m = 2 if sharp else min(_BLOCK, k)
+    m = _BLOCK
+    if k <= _BLOCK:
+        e, s = _probabilities(e, s, nonnegative), np.ones(n)
+        m = 2 if 2 * np.count_nonzero(e > tau) > n else k
     if m == k:
-        return _full_read(spec, p, u, tau)
-    mask, rest = _top_block(spec, p, tau, u, m, nonnegative)
+        return _full_read(spec, e, u, tau)
+    mask, rest = _top_block(spec, e, s, top, tau, u, m, nonnegative)
     if rest.size:
-        mask[rest] = _full_read(spec, p[rest], u[rest], tau)
+        mask[rest] = _full_read(spec, _divided_rows(e, s, rest), u[rest], tau)
     return mask
 
 
@@ -445,23 +558,26 @@ def _full_read(spec: ScoreSpec, p: np.ndarray, u: np.ndarray,
     return out
 
 
-def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
-               m: int, nonnegative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _top_block(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, tau: float,
+               u: np.ndarray, m: int, nonnegative: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``score <= tau`` for aps/raps/saps read off each row's m largest values.
 
-    ``p`` is a checked, normalized n-by-K matrix, ``u`` one draw per row
-    (ones when not randomized) and 2 <= m < K; ``nonnegative`` says that no
-    value of ``p`` is below 0, which is otherwise tested row by row.
+    ``e / s[:, None]`` is a checked, normalized n-by-K matrix p whose largest
+    values sit at ``top``, ``u`` one draw per row (ones when not randomized) and
+    2 <= m < K; ``nonnegative`` says that ``e`` is a walk block, as in
+    `_set_mask`: no value is below 0, which is otherwise tested row by row.
     Returns ``(mask, rest)``:
     every row of ``mask`` not listed in ``rest`` equals the full comparison
     bit for bit; the rows in ``rest`` are all False and need `_full_read`.
 
     The block is the first m values of the row's stable order
-    (`_top_values`).  Tied classes hold equal values, so the block's cumsum
-    adds the same values in the same order as the full row's, and ranks
-    1..m get the same floats from ``_cumulative_score`` whichever tied
-    classes hold them.  A row is accepted when every rank r > m provably
-    scores above tau and its ranks 1..m read as a set size s:
+    (`_top_values`), taken from e and divided: division and rounding are
+    monotone, so they are p's m largest values in order.  Tied classes hold
+    equal values, so the block's cumsum adds the same values in the same
+    order as the full row's, and ranks 1..m get the same floats from
+    ``_cumulative_score`` whichever tied classes hold them.  A row is
+    accepted when every rank r > m provably scores above tau and its ranks
+    1..m read as a set size s:
 
     * the row has no negative value, so its prefix sums c_r never fall;
     * the score at rank r is at least its u = 0 value: fl((1 - u) p_r)
@@ -480,50 +596,59 @@ def _top_block(spec: ScoreSpec, p: np.ndarray, tau: float, u: np.ndarray,
     The set is then ranks 1..s.  With b the value at rank s (b = +inf when
     s = 0), it holds every class of value above b and the first
     s - #(p > b) classes of value b, by ascending class.  That is all the
-    classes at b unless rank s + 1 holds b too, so the mask is one
-    comparison p >= b, and only rows whose boundary splits a tie count
-    their tied classes one by one.
+    classes at b unless rank s + 1 holds b too.  Then the set is the
+    classes whose e is at least e_b, the e at rank s: a class past rank s
+    with that e would divide to b at rank s + 1.  So the mask is one
+    comparison e >= e_b, and only rows whose boundary splits a tie of p
+    (two e that divide to b included) are divided whole and count their
+    tied classes one by one.
     """
-    n = p.shape[0]
-    vals = _top_values(p, m)
+    n = e.shape[0]
+    block = _top_values(e, m, top, nonnegative)
+    vals = block / s[:, None]
     prefix = np.cumsum(vals, axis=1)
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
     floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
     certified = floor > tau
     if not nonnegative:
-        certified &= p.min(axis=1) >= 0.0
-    size = np.count_nonzero(inside, axis=1)
+        certified &= e.min(axis=1) >= 0.0
+    size = _row_counts(inside)
     rows = np.arange(n)
-    bound = np.where(certified & (size > 0), vals[rows, size - 1], np.inf)
-    mask = p >= bound[:, None]
+    read = certified & (size > 0)
+    mask = e >= np.where(read, block[rows, size - 1], np.inf)[:, None]
     # a certified row has s < m; every other row's bound is +inf
+    bound = np.where(read, vals[rows, size - 1], np.inf)
     split = np.flatnonzero(vals[rows, np.minimum(size, m - 1)] == bound)
     if split.size:
-        q, b = p[split], bound[split, None]
+        q, b = _divided_rows(e, s, split), bound[split, None]
         tied = q == b
-        take = size[split] - np.count_nonzero(vals[split] > b, axis=1)
+        take = size[split] - _row_counts(vals[split] > b)
         mask[split] = (q > b) | (tied & (np.cumsum(tied, axis=1) <= take[:, None]))
     return mask, np.flatnonzero(~certified)
 
 
-def _top_values(p: np.ndarray, m: int) -> np.ndarray:
-    """The m largest values of each row of a checked matrix, in descending
-    order (1 < m < K): the first m values of its `descending_order`.
+def _top_values(e: np.ndarray, m: int, top: np.ndarray, owned: bool = False) -> np.ndarray:
+    """The m largest values of each row of a block, in descending order
+    (1 < m < K): the first m values of its `descending_order`.
 
-    At m = 2 that is two argmax passes, the second with the first column
-    masked: -inf is below every value of a checked row.  Otherwise one
-    ``np.partition`` leaves the m largest values at the top of each row,
-    and only they are sorted.
+    At m = 2 that is the value at ``top``, a largest value, and the row's
+    largest value once that column is masked: -inf is below every value of
+    a checked row.  A block the caller ``owned`` is masked in place and
+    then given its values back; any other is masked in a copy.  Otherwise
+    one ``np.partition`` leaves the m largest values at the top of each
+    row, and only they are sorted.
     """
-    n, k = p.shape
+    n, k = e.shape
     if m == 2:
         rows = np.arange(n)
-        top = p.argmax(axis=1)
-        others = p.copy()
+        first = e[rows, top]
+        others = e if owned else e.copy()
         others[rows, top] = -np.inf
-        return np.stack([p[rows, top], others.max(axis=1)], axis=1)
-    return np.sort(np.partition(p, k - m, axis=1)[:, k - m:], axis=1)[:, ::-1]
+        second = others.max(axis=1)
+        others[rows, top] = first
+        return np.stack([first, second], axis=1)
+    return np.sort(np.partition(e, k - m, axis=1)[:, k - m:], axis=1)[:, ::-1]
 
 
 def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:

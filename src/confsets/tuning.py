@@ -73,7 +73,7 @@ from .data import LogitsDataset, LogitsFile, SplitSpec, row_blocks, split_datase
 from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, aps_score_dz, descending_order, true_label_scores
+from .scores import ScoreSpec, _row_counts, aps_score_dz, descending_order, true_label_scores
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -220,8 +220,8 @@ class _Half:
                 np.subtract(z, z_y, out=distance)
             np.abs(distance, out=distance)
             # the label itself is within tol of its own logit
-            near = np.count_nonzero(distance <= tol, axis=1) > 1
-            ahead = np.count_nonzero(z > z_y, axis=1)
+            near = _row_counts(distance <= tol) > 1
+            ahead = _row_counts(z > z_y)
             deep = np.flatnonzero(~near & (ahead > 0))
             width = int(ahead[deep].max(initial=-1)) + 1
             order = descending_order(z[deep])[:, :width]

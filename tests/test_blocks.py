@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsets import (
     CalibrationMap,
@@ -18,6 +20,7 @@ from confsets import (
     SynthSpec,
     TuneConfig,
     ValidationError,
+    apply_map_dataset,
     calibrate,
     efficiency_gap_loss,
     generate,
@@ -100,7 +103,7 @@ def test_outputs_do_not_depend_on_block_size(monkeypatch, case, k):
     results = []
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(data, "_BLOCK_CELLS", rows * k)
-        spans = [r.stop - r.start for r, _ in maps.probability_blocks(cal_map, cal)]
+        spans = [r.stop - r.start for r, *_ in maps.probability_blocks(cal_map, cal)]
         assert spans == [rows] * (N_CAL // rows) + ([N_CAL % rows] if N_CAL % rows else [])
         results.append(_outputs(cal, test, cal_map, spec, alpha, precision))
     if case == "include-all-vector":
@@ -126,11 +129,126 @@ def test_f32_blocks_are_float64_views_of_one_buffer(tmp_path, monkeypatch, sourc
     save_dataset(ds, path)
     with LogitsFile(path) if source == "file" else contextlib.nullcontext(ds) as src:
         bases = []
-        for rows, probs in maps.probability_blocks(cal_map, src, "f32"):
+        for rows, probs, s, top in maps.probability_blocks(cal_map, src, "f32"):
             assert probs.dtype == np.float64
             bases.append(probs.base)
             np.testing.assert_array_equal(probs.view(np.uint64), expected[rows].view(np.uint64))
+            # an f32 block comes divided: row sums 1 and its own argmax
+            assert (s == 1.0).all()
+            np.testing.assert_array_equal(top, probs.argmax(axis=1))
     assert len(bases) == 5 and all(base is bases[0] for base in bases)
+
+
+def _collapsing_logits(rng, n, k):
+    """``(logits, labels)`` whose walk blocks collapse when divided.
+
+    Rows take turns: a class 2**-53 below the largest logit, so its e is
+    1 - 2**-53, on either side of the first argmax; a run of logits one ulp
+    apart; the largest logit held as -0.0 and +0.0, in either order; and
+    plain rows.  Every row also holds logits 744.4 and 800 below its
+    largest, whose e is the least subnormal (0 once divided by S >= 2) and
+    0.  Labels are the first argmax, the class beside it, a class of the
+    run, or any class.
+    """
+    z = rng.standard_normal((n, k))
+    z -= z.max(axis=1, keepdims=True) + 1.0
+    labels = rng.integers(0, k, size=n)
+    for i in range(n):
+        top, other = rng.choice(k, size=2, replace=k > 1)
+        run = rng.choice(k, size=min(k, 5), replace=False)
+        kind = i % 4
+        if kind == 0:
+            z[i, top], z[i, other] = 0.5, 0.5 - 2.0**-53
+        elif kind == 1:
+            c = rng.choice([-1.0, -3.0])
+            z[i, run] = c + np.arange(run.size) * np.spacing(-c)
+        elif kind == 2:
+            z[i, top], z[i, other] = -0.0, 0.0
+        z[i, rng.choice(k, size=max(1, k // 10))] = z[i].max() - rng.choice([744.4, 800.0])
+        labels[i] = rng.choice([top, other, run[0], labels[i]])
+    return z, labels
+
+
+COLLAPSE_KS = (3, 50, scores._BLOCK, scores._BLOCK + 1, 1000)
+# t = 1 keeps the least subnormal e of `_collapsing_logits` for the
+# temperature-only truncation counts
+COLLAPSE_MAPS = (CalibrationMap.identity(), CalibrationMap.temperature(1.0),
+                 CalibrationMap.temperature(0.7), CalibrationMap.temperature(2.0))
+
+
+@pytest.mark.parametrize("k", COLLAPSE_KS)
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), map_index=st.integers(0, len(COLLAPSE_MAPS) - 1),
+       kind=st.sampled_from(["aps", "raps", "saps", "lac"]), randomized=st.booleans())
+def test_walks_equal_the_public_entries_on_collapsing_logits(k, precision, seed, map_index,
+                                                             kind, randomized):
+    """calibrate's scores, predict's sets, the report's confidence, ranks
+    and truncation, and the truncation counts equal, bit for bit, the
+    public entries on `apply_map_dataset`'s probabilities."""
+    rng = np.random.default_rng(seed)
+    ds = LogitsDataset(*_collapsing_logits(rng, 40, k))
+    cal_map = COLLAPSE_MAPS[map_index]
+    spec = ScoreSpec(kind=kind, randomized=randomized and kind != "lac", rng_seed=seed,
+                     raps_lambda=0.01 if kind == "raps" else None,
+                     raps_kreg=3 if kind == "raps" else None,
+                     saps_lambda=0.05 if kind == "saps" else None)
+    probs = apply_map_dataset(cal_map, ds, precision).astype(np.float64)
+    n = ds.n
+    u = scores.draw_u_many(seed, np.arange(n)) if spec.uses_u else None
+    expected = scores.true_label_scores(spec, probs, ds.labels, u)
+    np.testing.assert_array_equal(engine.label_scores(ds, cal_map, spec, precision), expected)
+    for tau in (float(np.sort(expected)[n // 2]), float(np.nextafter(expected.max(), 0.0))):
+        threshold = ConformalThreshold(tau=tau, alpha=0.1, n_cal=n, score_spec=spec,
+                                       cal_map=cal_map, k=k)
+        u_test = scores.draw_u_many(seed, n + np.arange(n)) if spec.uses_u else None
+        mask = predict(threshold, ds, precision)
+        np.testing.assert_array_equal(mask, scores.set_mask(spec, probs, tau, u_test))
+    if precision == "f64":
+        with mock.patch.object(metrics, "_binned_ece", wraps=metrics._binned_ece) as ece, \
+                mock.patch.object(metrics, "_size_by_rank", wraps=metrics._size_by_rank) as bins:
+            report = _report(mask, ds, threshold)
+        np.testing.assert_array_equal(ece.call_args.args[0], probs.max(axis=1))
+        np.testing.assert_array_equal(bins.call_args.args[1], scores.label_ranks(probs, ds.labels))
+        assert report.truncated_row_fraction == float(np.mean(probs.min(axis=1) == 0.0))
+    if cal_map.kind == "temperature":
+        _, zeros = truncation_diagnostic(cal_map, ds, precision)
+        np.testing.assert_array_equal(zeros, np.count_nonzero(probs == 0.0, axis=1))
+
+
+def test_a_zero_shift_of_either_sign_gives_softmax_exps():
+    # a row's largest logit held as -0.0 and +0.0: the walk shifts by the
+    # one at its first argmax, np.max by either, to the same e and S
+    z = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -2.0], [-3.0, -0.0, -0.0], [-1.0, -0.0, 0.0]])
+    e, s, top = maps._shifted_exp(z)
+    reference = np.exp(z - np.max(z, axis=1, keepdims=True))
+    assert e.tobytes() == reference.tobytes()
+    assert s.tobytes() == np.sum(reference, axis=1, keepdims=True).tobytes()
+    np.testing.assert_array_equal(top, [0, 0, 1, 1])
+    assert maps.softmax(z).tobytes() == (reference / reference.sum(axis=1, keepdims=True)).tobytes()
+
+
+# A Platt scale whose a * z overflows at z = 2 but not at z = 0, at each precision.
+@pytest.mark.parametrize("precision, a", [("f64", 1e308), ("f32", 2e38)])
+def test_walks_name_the_first_nan_row_of_a_block_as_the_public_entries_do(monkeypatch,
+                                                                        precision, a):
+    # the map's a * z overflows to +inf on rows holding a logit of 2, whose
+    # softmax row is NaN; the first such row of the second block is its row 3
+    monkeypatch.setattr(data, "_BLOCK_CELLS", 5 * 6)
+    logits = np.zeros((10, 6))
+    logits[[8, 9], 1] = 2.0
+    ds = LogitsDataset(logits, np.zeros(10, dtype=int))
+    cal_map = CalibrationMap.platt(a, 0.0)
+    spec = ScoreSpec(kind="aps")
+    with np.errstate(all="ignore"):
+        block = apply_map_dataset(cal_map, ds, precision, slice(5, 10)).astype(np.float64)
+        with pytest.raises(ValidationError, match=r"^probabilities must sum to 1 \(row 3 ") as public:
+            scores.set_mask(spec, block, 0.5)
+        for walk in (lambda: engine.label_scores(ds, cal_map, spec, precision),
+                     lambda: deque(maps.probability_blocks(cal_map, ds, precision), 0)):
+            with pytest.raises(ValidationError) as walked:
+                walk()
+            assert str(walked.value) == str(public.value)
 
 
 @pytest.mark.parametrize("walk", ["calibrate", "predict"])

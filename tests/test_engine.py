@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from confsets import (
 )
 from confsets.data import row_blocks
 from confsets.engine import conformal_level, load_set_sizes, load_threshold, save_threshold
-from confsets import engine, errors
+from confsets import engine, errors, maps
 from confsets.scores import (_BLOCK, _cumulative_score, _descending, _full_read, _top_block,
                              _top_values, score_matrix, set_mask)
 
@@ -308,7 +309,9 @@ STEEP = _wide_row([0.5, 0.25, 0.12])
 
 def _block(spec, probs, tau, m, u=None):
     """The private m-wide block's ``(mask, rest)``; u defaults to ones, as for a plain score."""
-    return _top_block(spec, probs, tau, np.ones(probs.shape[0]) if u is None else u, m)
+    n = probs.shape[0]
+    return _top_block(spec, probs, np.ones(n), probs.argmax(axis=1), tau,
+                      np.ones(n) if u is None else u, m)
 
 
 def _bf16(x):
@@ -576,7 +579,7 @@ def test_top_values_follow_the_stable_order_through_ties(seed):
     p = weights / weights.sum(axis=1, keepdims=True)
     ordered = _descending(p)[0]
     for m in sorted({2, min(3, k - 1), min(_BLOCK, k - 1)}):
-        np.testing.assert_array_equal(_top_values(p, m), ordered[:, :m])
+        np.testing.assert_array_equal(_top_values(p, m, p.argmax(axis=1)), ordered[:, :m])
 
 
 def test_set_mask_reads_sharp_blocks_off_two_classes_first():
@@ -599,13 +602,58 @@ def test_set_mask_reads_sharp_blocks_off_two_classes_first():
                 with (mock.patch("confsets.scores._top_block", wraps=_top_block) as block,
                       mock.patch("confsets.scores._full_read", wraps=_full_read) as whole):
                     mask = set_mask(spec, probs, tau, u)
-                widths = [c.args[4] for c in block.call_args_list]
+                widths = [c.args[6] for c in block.call_args_list]
                 routed = 2 * np.count_nonzero(probs > tau) > probs.shape[0]
                 assert widths == (([2] if routed else []) if k <= _BLOCK else [_BLOCK])
                 assert whole.call_count == 1 if not widths else whole.call_count in (0, 1)
                 routes.add((routed, k <= _BLOCK))
                 np.testing.assert_array_equal(mask, score_matrix(spec, probs, u) <= tau)
     assert routes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_two_value_read_of_a_walk_block_copies_nothing():
+    # sharp K = 50 rows take the 2-value read; the walk owns its block, so
+    # the read masks each row's top value in place and writes it back
+    # instead of copying the block.  What it holds is the mask, a boolean
+    # temporary and numpy's 8192-value iterator buffers, about half a
+    # block; a copy of the block made it 1.12 blocks
+    ds = generate(SynthSpec(n=1310, k=50, seed=3, signal=9.0))
+    (_, e, s, top), = maps.probability_blocks(CalibrationMap.identity(), ds)
+    spec = _spec("aps", True)
+    u = np.random.default_rng(3).random(ds.n)
+    probs = e / s[:, None]
+    tau = 0.5
+    assert 2 * np.count_nonzero(probs > tau) > ds.n
+    expected = set_mask(spec, probs, tau, u)
+    block = e.copy()
+    tracemalloc.start()
+    try:
+        with mock.patch("confsets.scores._top_block", wraps=_top_block) as read:
+            mask = engine._set_mask(spec, block, s, top, tau, u, nonnegative=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [c.args[6] for c in read.call_args_list] == [2]
+    np.testing.assert_array_equal(mask, expected)
+    # the block is left divided, with every top value back in place
+    assert block.tobytes() == probs.tobytes()
+    assert peak < 0.75 * block.nbytes, (
+        f"the 2-value read peaked at {peak / block.nbytes:.2f} blocks")
+
+
+@pytest.mark.parametrize("k, tau", [(50, 0.5), (50, 0.99), (1000, 0.9), (1000, 0.0)])
+@pytest.mark.parametrize("kind", ["aps", "lac"])
+def test_public_set_mask_never_writes_its_input(k, tau, kind):
+    # the 2-value read, the whole read and the top-64 block on a read-only
+    # matrix, at a tau that sends rows to be read again whole
+    ds = generate(SynthSpec(n=200, k=k, seed=k, signal=4.0, overconfidence=3.0))
+    probs = apply_map_dataset(CalibrationMap.identity(), ds)
+    before = probs.copy()
+    probs.flags.writeable = False
+    spec = _spec(kind, False)
+    mask = set_mask(spec, probs, tau)
+    np.testing.assert_array_equal(mask, score_matrix(spec, before) <= tau)
+    assert probs.tobytes() == before.tobytes()
 
 
 def test_set_mask_compares_lac_and_include_all_directly():

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,13 @@ from confsets import (CalibrationMap, LogitsDataset, ScoreSpec, SynthSpec, Valid
 from confsets.maps import probability_blocks
 from confsets.scores import (
     _BLOCK,
+    _E_TIE,
+    _S_GATE,
     _at_or_ahead,
     _descending,
+    _label_ranks,
+    _rank_one,
+    _row_counts,
     _set_mask,
     _true_label_scores,
     label_ranks,
@@ -266,15 +272,146 @@ def test_kernels_equal_the_public_functions_block_for_block(seed, k, spec, rando
     ds = LogitsDataset(_tied_logits(rng, n, k), rng.integers(0, k, n))
     u = draw_u_many(seed, np.arange(n)) if spec.uses_u else None
     tau = None
-    for rows, probs in probability_blocks(CalibrationMap.temperature(0.7), ds):
-        assert probs.dtype == np.float64
+    for rows, e, s, top in probability_blocks(CalibrationMap.temperature(0.7), ds):
+        assert e.dtype == np.float64
+        probs = e / s[:, None]
         labels, u_rows = ds.labels[rows], None if u is None else u[rows]
         expected = true_label_scores(spec, probs, labels, u_rows)
-        np.testing.assert_array_equal(_true_label_scores(spec, probs, labels, u_rows), expected)
+        np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u_rows),
+                                      expected)
         tau = float(np.quantile(expected, 0.8, method="inverted_cdf")) if tau is None else tau
         for t in (0.0, tau, 1.0, math.inf):
-            np.testing.assert_array_equal(_set_mask(spec, probs, t, u_rows, nonnegative=True),
-                                          set_mask(spec, probs, t, u_rows))
+            np.testing.assert_array_equal(
+                _set_mask(spec, e.copy(), s, top, t, u_rows, nonnegative=True),
+                set_mask(spec, probs, t, u_rows))
+
+
+@pytest.mark.parametrize("k", [2, 255, 256, 1000, 65535, 65536])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_counts_are_count_nonzero(k, seed):
+    # each count in the narrowest unsigned type that holds K, as int64:
+    # all-True rows reach K itself, and count - 1 of an empty row is -1
+    rng = np.random.default_rng(seed)
+    n = max(1, 2**18 // k)
+    mask = rng.random((n, k)) < rng.random((n, 1))
+    mask[0], mask[-1] = True, False
+    counts = _row_counts(mask)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, np.count_nonzero(mask, axis=1))
+    assert counts[0] == k and counts[-1] - 1 == -1
+
+
+# Walk-block values whose division by S can land on one float: e = 1 next
+# to the values _rank_one's tie look reads around _E_TIE, e runs one ulp
+# apart, and exact and underflowing zeros.
+NEAR_ONE = (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-50, 1.0 - 2.0**-49, 1.0 - 2.0**-30)
+COLLAPSE_KS = (3, 50, _BLOCK, _BLOCK + 1, 1000)
+
+
+def _collapsing_block(rng, n, k):
+    """``(e, s, top, labels)`` of a float64 walk block, e = 1 at each row's
+    first argmax ``top``, whose values collapse when divided.
+
+    Rows are flat (S far above 2) or sharp (S below _S_GATE).  A third of
+    them hold a value of `NEAR_ONE` beside ``top``, on either side; a third
+    hold runs of values one ulp apart; some hold 0 and the least subnormal,
+    which divides to 0 once S >= 2.  Each label is ``top``, the class beside
+    it, a class of a run, one within an ulp of another class, or any class.
+    """
+    e = rng.random((n, k)) ** rng.choice([1.0, 8.0, 60.0], size=(n, 1))
+    top = rng.integers(0, k, size=n)
+    labels = rng.integers(0, k, size=n)
+    for i in range(n):
+        other = (top[i] + rng.choice([-1, 1])) % k if k > 1 else top[i]
+        kind = i % 3
+        if kind == 0 and other != top[i]:
+            e[i, other] = rng.choice(NEAR_ONE)
+        elif kind == 1:
+            run = rng.choice(k, size=min(k, 6), replace=False)
+            v = rng.choice([e[i, run[0]], 0.25, 1e-3])
+            e[i, run] = v + np.arange(run.size) * np.spacing(v)
+        zeros = rng.choice(k, size=max(1, k // 8))
+        e[i, zeros] = rng.choice([0.0, 5e-324])
+        e[i, top[i]] = 1.0
+        pick = rng.integers(5)
+        if pick == 0:
+            labels[i] = top[i]
+        elif pick == 1:
+            labels[i] = other
+        elif pick == 2 and kind == 1:
+            labels[i] = rng.choice(run)
+        elif pick == 3:
+            j = rng.integers(k)
+            if j != top[i]:
+                e[i, j] = np.nextafter(e[i, labels[i]], rng.choice([0.0, 2.0]))
+    # no value above e_top = 1, and none equal to it ahead of top
+    np.minimum(e, 1.0, out=e)
+    e[(e == 1.0) & (np.arange(k) < top[:, None])] = 1.0 - 2.0**-53
+    assert (e.argmax(axis=1) == top).all()
+    return e, np.sum(e, axis=1), top, labels
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from(COLLAPSE_KS),
+       precision=st.sampled_from(["f64", "f32"]), spec=spec_strategy(),
+       randomized=st.booleans())
+def test_walk_kernels_equal_the_public_entries_on_collapsing_rows(seed, k, precision, spec,
+                                                                  randomized):
+    """Each kernel that reads a walk block ``(e, s, top)`` gives, bit for
+    bit, what its public entry gives on the block's probabilities e / s:
+    true-label scores, label ranks, sets at taus on score values and one
+    ulp off them, and the report's confidence and truncation flag."""
+    if spec.kind != "lac":
+        spec = ScoreSpec(kind=spec.kind, randomized=randomized, raps_lambda=spec.raps_lambda,
+                         raps_kreg=spec.raps_kreg, saps_lambda=spec.saps_lambda)
+    rng = np.random.default_rng(seed)
+    e, s, top, labels = _collapsing_block(rng, 30, k)
+    probs = e / s[:, None]
+    if precision == "f32":
+        # an f32 walk block comes divided: its widened float32 values, s = 1
+        probs = probs.astype(np.float32).astype(np.float64)
+        e, s, top = probs.copy(), np.ones(len(s)), probs.argmax(axis=1)
+    n = len(labels)
+    rows = np.arange(n)
+    u = draw_u_many(seed, rows) if spec.uses_u else None
+    expected = true_label_scores(spec, probs, labels, u)
+    np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u), expected)
+    np.testing.assert_array_equal(_label_ranks(e, s, top, labels), label_ranks(probs, labels))
+    np.testing.assert_array_equal(e[rows, top] / s, probs.max(axis=1))
+    np.testing.assert_array_equal(e.min(axis=1) / s == 0.0, probs.min(axis=1) == 0.0)
+    full = score_matrix(spec, probs, u)
+    for tau in (*expected[:3], *full[rng.integers(n, size=3), rng.integers(k, size=3)], 0.0):
+        for t in (float(np.nextafter(tau, -math.inf)), float(tau)):
+            np.testing.assert_array_equal(
+                _set_mask(spec, e.copy(), s, top, t, u, nonnegative=True),
+                set_mask(spec, probs, t, u))
+
+
+def test_rank_one_looks_only_past_the_gate():
+    """Below _S_GATE a label at ``top`` is rank 1 without a look; at or
+    above it, a class at or above _E_TIE beside ``top`` sends the row to be
+    divided, and one just below _E_TIE does not, as the division agrees."""
+    k = 4
+    rows = []
+    for near in (_E_TIE, np.nextafter(_E_TIE, 0.0)):
+        for j in (0, 2):
+            row = np.full(k, 0.25)
+            row[1], row[j] = 1.0, near
+            rows.append(row)
+    e = np.array(rows)
+    s = np.sum(e, axis=1)
+    assert (s >= _S_GATE).all()
+    top, labels = e.argmax(axis=1), np.ones(len(e), dtype=np.int64)
+    np.testing.assert_array_equal(_rank_one(e, s, top, labels), [False, False, True, True])
+    probs = e / s[:, None]
+    # where the look sends a row on, the ranks still come out right
+    np.testing.assert_array_equal(_label_ranks(e, s, top, labels), label_ranks(probs, labels))
+    # a sharp row passes the gate without a look
+    sharp = np.array([[1.0, 1.0 - 2.0**-29, 0.0, 0.0]])
+    s = np.sum(sharp, axis=1)
+    assert s[0] < _S_GATE
+    with mock.patch("confsets.scores._row_counts") as counts:
+        assert _rank_one(sharp, s, np.array([0]), np.array([0]))[0]
+    counts.assert_not_called()
 
 
 def _straddling_tie_row(rng, k):

@@ -44,6 +44,7 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
     first, second = ((tmp_path / name / "MANIFEST.sha256").read_text() for name in ("a", "b"))
     assert first == second
     assert "  k1000/identity.aps-false.a0.01.sets.jsonl\n" in first
+    assert "  k200flat/temperature.saps-true.a0.1.report.json\n" in first
     # the K = 10 rows read from CSV files give the bytes they give from binary ones
     digests = dict(line.split("  ")[::-1] for line in first.splitlines())
     from_csv = {name.removeprefix("k10csv/"): digest for name, digest in digests.items()
