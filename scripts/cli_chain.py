@@ -37,8 +37,10 @@ a non-finite last row.  Last, a map whose scaled logits overflow makes
 every softmax row of the clean file NaN: calibrate with lac and with aps,
 and predict and evaluate --threshold with a hand-written lac threshold
 under that map; and so does demo-precision at f32 with --t-grid 1e-300,
-which is 0 as a float32.  Each of these commands must fail; its exit code
-and stderr go to errors/<file>.<case>.txt.
+which is 0 as a float32.  Then calibrate runs raps (--kreg 1) and saps at
+the largest float --lambda on the clean file, whose penalties overflow to
+inf at the conformal level.  Each of these commands must fail; its exit
+code and stderr go to errors/<file>.<case>.txt.
 
 Every command runs in one child process whose PYTHONPATH is --src, so the
 manifests of two source trees show whether their outputs are the same:
@@ -224,6 +226,8 @@ OVERFLOW_MAP = {"kind": "platt", "params": {"a": 1e308, "b": 0.0}}
 OVERFLOW_THRESHOLD = {"tau": 0.5, "alpha": 0.1, "n_cal": 1000,
                       "score": {"kind": "lac", "randomized": False, "rng_seed": int(SEED)},
                       "map": OVERFLOW_MAP, "k": ERR_K}
+# The largest float: a raps or saps penalty of two such steps is inf.
+MAX_LAMBDA = "1.7976931348623157e308"
 
 
 def _write_error_inputs(d: Path) -> None:
@@ -300,6 +304,10 @@ def _error_leg() -> list:
         "overflow-demo-precision-f32": _replaced(_replaced(reads["demo-precision"],
                                                            "--precision", "f32"),
                                                  "--t-grid", "1e-300"),
+        "overflow-lambda-raps": [*_replaced(reads["calibrate"], "--score", "raps"),
+                                 "--lambda", MAX_LAMBDA, "--kreg", "1"],
+        "overflow-lambda-saps": [*_replaced(reads["calibrate"], "--score", "saps"),
+                                 "--lambda", MAX_LAMBDA],
     }
     commands += [[[*argv, "--in", f"{d}/clean.bin"], f"{d}/clean.{case}.txt"]
                  for case, argv in overflow.items()]

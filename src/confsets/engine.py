@@ -7,7 +7,7 @@ When that level exceeds n, tau = +inf and every prediction set is the
 full label set; threshold files spell it "include_all".
 
 A batch of prediction sets is one n-by-K boolean mask: entry (i, k) is
-True when class k is in row i's set; `scores.set_mask` builds it.
+True when class k is in row i's set; `scores._set_mask` builds it.
 `_set_blocks` is the one walk that makes sets: it yields the mask rows
 of one `maps.probability_blocks` block at a time.  `predict` fills the
 whole mask from it; `predict_to_file`, the CLI's predict, writes each
@@ -161,7 +161,9 @@ def calibrate_threshold(cal_scores, alpha: float) -> float:
 
     Returns the smallest observed score s such that the fraction of
     scores <= s reaches ceil((n+1)(1-alpha))/n, or +inf when that level
-    exceeds 1.
+    exceeds 1, as a threshold file's n_cal and alpha say.  A score at the
+    level that is not finite (a raps or saps penalty that overflows, or
+    NaN) is a ValidationError: no threshold file could hold it.
     """
     scores = np.asarray(cal_scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
@@ -172,7 +174,13 @@ def calibrate_threshold(cal_scores, alpha: float) -> float:
     level = conformal_level(n, alpha)
     if level > n:
         return math.inf
-    return float(np.partition(scores, level - 1)[level - 1])
+    tau = float(np.partition(scores, level - 1)[level - 1])
+    if not math.isfinite(tau):
+        raise ValidationError(
+            f"the calibration score at the conformal level (rank {level} of {n}) is "
+            f"{tau!r}, not a finite threshold"
+        )
+    return tau
 
 
 def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: ScoreSpec,
@@ -185,8 +193,7 @@ def label_scores(ds: LogitsDataset | LogitsFile, cal_map: CalibrationMap, spec: 
     scores = np.empty(ds.n)
     u = _draws(spec, 0, ds.n)
     for rows, e, s, top in probability_blocks(cal_map, ds, precision):
-        scores[rows] = _true_label_scores(spec, e, s, top, ds.labels[rows],
-                                          None if u is None else u[rows])
+        scores[rows] = _true_label_scores(spec, e, s, top, ds.labels[rows], u[rows])
     return scores
 
 
@@ -240,15 +247,14 @@ def _set_blocks(threshold: ConformalThreshold, ds: LogitsDataset | LogitsFile,
     spec, tau = threshold.score_spec, threshold.tau
     u = _draws(spec, threshold.n_cal, ds.n)
     for rows, e, s, top in probability_blocks(threshold.cal_map, ds, precision):
-        yield rows, _set_mask(spec, e, s, top, tau, None if u is None else u[rows],
-                              nonnegative=True)
+        yield rows, _set_mask(spec, e, s, top, tau, u[rows])
 
 
-def _draws(spec: ScoreSpec, first: int, n: int) -> np.ndarray | None:
+def _draws(spec: ScoreSpec, first: int, n: int) -> np.ndarray:
     """The u draws of n rows at sample indices first, ..., first + n - 1, or
-    None without u."""
+    ones without u."""
     if not spec.uses_u:
-        return None
+        return np.ones(n)
     return draw_u_many(spec.rng_seed, first + np.arange(n))
 
 

@@ -192,28 +192,22 @@ def _mapped_logits(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile, prec
     if precision == "f64":
         z = ds.logit_rows(rows, out=out)
     elif precision == "f32":
-        z = ds.logit_rows(rows).astype(np.float32)
-        out = z if out is None else out
+        z = out = ds.logit_rows(rows).astype(np.float32)
     else:
         raise ValidationError(f"unknown precision {precision!r} (expected f32 or f64)")
     return cal_map.transform_logits(z, out=out), out
 
 
 def apply_map_dataset(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,
-                      precision: str = "f64", rows: slice = slice(None),
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      precision: str = "f64", rows: slice = slice(None)) -> np.ndarray:
     """Probability matrix of ``ds.logit_rows(rows)``: each row is the softmax of ``cal_map``.
 
-    With ``out``, a C-contiguous array of the rows' shape and the
-    precision's dtype, the probabilities are made there and ``out`` is
-    returned.  No step copies a block at f64: a `LogitsFile` reads the
-    logits into ``out`` and the map and softmax run in place, while a
-    `LogitsDataset`'s rows are read where they are and the map (or, for
-    the identity, softmax's shift) is the first write to ``out``.  At f32
-    the map and softmax run on one float32 copy of the logits, in place
-    without ``out``.  The bits are the same with or without ``out``.
+    The matrix is a new array of the precision's dtype, and a
+    `LogitsDataset`'s logits are never written.  At f32 the map and
+    softmax run in place on one float32 copy of the logits.
+    `probability_blocks` gives the same bits a block at a time.
     """
-    return softmax(*_mapped_logits(cal_map, ds, precision, rows, out))
+    return softmax(*_mapped_logits(cal_map, ds, precision, rows, None))
 
 
 def probability_blocks(cal_map: CalibrationMap, ds: LogitsDataset | LogitsFile,

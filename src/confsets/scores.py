@@ -20,17 +20,23 @@ row's values at or above p_y (`_at_or_above`, with `_row_counts`), which
 is the label's rank unless another class holds p_y too; only such tied
 rows are ranked again by `_at_or_ahead`.
 
-`score_matrix`, `true_label_scores` and `set_mask` are the public entries.
-Each checks its input with `_checked` (a float64 n-by-K matrix whose rows
-sum to 1 within _PROB_SUM_TOL unless the kind is lac, and one u in [0, 1]
-per row when the score takes u) and then calls a kernel that checks
-nothing: `_full_read`, `_true_label_scores` or `_set_mask`.  The last two
-and `_label_ranks` (behind `label_ranks`) read a block as ``(e, s, top)``,
-the shape `maps.probability_blocks` yields: p = e / s, divided only where
-a value is read, and ``top`` a column of each row's largest e (the first
-argmax of the mapped logits); a public entry passes its matrix with s = 1
-and its first argmax (`_as_block`).  Three facts keep every read
-bit for bit the division softmax makes:
+`score_matrix`, `true_label_scores`, `set_mask` and `label_ranks` are the
+public entries.  Each checks its input with `_checked` (a float64 n-by-K
+matrix whose rows sum to 1 within _PROB_SUM_TOL unless the kind is lac,
+and one u in [0, 1] per row when the score takes u) and then calls a
+kernel that checks nothing: `_full_read`, `_true_label_scores`,
+`_set_mask` or `_label_ranks`.  The last three share one contract.  A
+kernel reads a block ``(e, s, top)``, the shape `maps.probability_blocks`
+yields: p = e / s, divided only where a value is read, and ``top`` a
+column of each row's largest e (the first argmax of the mapped logits).
+The block holds no value below 0 (`_set_mask`'s certificate needs that;
+the other two rank any values), and the kernel owns it: `_set_mask`
+divides and masks it in place, the other two write nothing.  A score
+kernel takes one u per row, ones when the score takes none.  The public
+entries are the only adapters: each passes its matrix with s = 1 and its
+first argmax (`_as_block`); `set_mask` passes a copy, and reads a matrix
+that holds a value below 0 whole (`_full_read`) instead.  Three facts
+keep every read bit for bit the division softmax makes:
 
 * division and rounding are monotone, so p never ranks two classes the
   other way round from e, the top m values of e divided are p's top m
@@ -43,14 +49,13 @@ bit for bit the division softmax makes:
 
 `engine` calls the kernels itself on every block of
 `maps.probability_blocks`, with u from `draw_u_many`, which lies in
-[0, 1): such a block passes `_checked` by construction.  An f32 block has
-passed `_check_normalized`; an f64 block holds no NaN row, and its rows
-are e_j = exp(z_j - max z) in [0, 1] with e_j = 1 at the maximum, so
-S >= 1, no p is negative and none exceeds 1.  S is a pairwise float64 sum
-and each division rounds once, so a row of p sums to 1 within about
-(log2 K + 1) * 2**-53, far inside _PROB_SUM_TOL for any K.  With no
-negative value at either precision, `_set_mask` skips `_top_block`'s
-row-minimum test.
+[0, 1), and `tuning` calls `_true_label_scores` on the rows it cannot
+score alone: such a block passes `_checked` by construction.  An f32
+block has passed `_check_normalized`; an f64 block holds no NaN row, and
+its rows are e_j = exp(z_j - max z) in [0, 1] with e_j = 1 at the
+maximum, so S >= 1, no p is negative and none exceeds 1.  S is a pairwise
+float64 sum and each division rounds once, so a row of p sums to 1 within
+about (log2 K + 1) * 2**-53, far inside _PROB_SUM_TOL for any K.
 `score_matrix` sorts every row with `_descending`, and stays the reference
 `set_mask` is tested against.
 `descending_order` is the one stable sort, which the scalar tuner shares.
@@ -365,18 +370,11 @@ def _divided_rows(e: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return q
 
 
-def _probabilities(e: np.ndarray, s: np.ndarray, nonnegative: bool) -> np.ndarray:
-    """A whole block's probabilities: a walk block (``nonnegative``) is
-    divided by its row sums in place, since the walk owns its buffer; any
-    other ``e`` is a checked matrix, with s = 1, and is returned unwritten."""
-    return np.divide(e, s[:, None], out=e) if nonnegative else e
-
-
 def _true_label_scores(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray,
-                       labels: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+                       labels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """`true_label_scores` of the probabilities ``e / s[:, None]`` of a
     block whose largest values sit at ``top``, with one int64 label and one
-    draw (or, with ``u`` None, none) per row.
+    draw per row.
 
     Each label's p_y is divided alone, fl(e_y / s), which is softmax's p_y
     and lac's whole read.  A `_rank_one` label has rank 1: it holds its
@@ -402,8 +400,6 @@ def _true_label_scores(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.nd
     p_y = e[np.arange(n), labels] / s
     if spec.kind == "lac":
         return 1.0 - p_y
-    if u is None:
-        u = np.ones(n)
     scores = _cumulative_score(spec, p_y, p_y, p_y, 1, u)
     rest = np.flatnonzero(~_rank_one(e, s, top, labels))
     q, s_rest, p_rest = e[rest], s[rest, None], p_y[rest]
@@ -499,43 +495,42 @@ def set_mask(spec: ScoreSpec, probs: np.ndarray, tau: float,
     one flat pass, cheaper than a row maximum.  At tau >= 1/2 a row holds
     at most one value above tau, so the count is then the number of rows
     whose top class is above tau.  Such a row's 2-value floor is p_1 > tau
-    up to rounding, so the 2-value block certifies it unless it holds a
-    negative value.  Wider rows skip the 2-value block: their first read
-    takes only ``_BLOCK`` values, and there the count and the copied rows
-    cost about what it would save.  ``probs`` is never written.
+    up to rounding, so the 2-value block certifies it.  Wider rows skip the
+    2-value block: their first read takes only ``_BLOCK`` values, and there
+    the count and the copied rows cost about what it would save.
+
+    ``probs`` is never written: `_set_mask` gets a copy.  A matrix that
+    holds a value below 0 breaks the kernels' contract, so it is read
+    whole instead (its lac and tau = +inf sets need no order).
     """
     p, u_eff = _checked(spec, probs, u)
-    return _set_mask(spec, *_as_block(p), tau, u_eff)
+    if spec.kind != "lac" and tau != math.inf and (p < 0.0).any():
+        return _full_read(spec, p, u_eff, tau)
+    return _set_mask(spec, *_as_block(p.copy()), tau, u_eff)
 
 
 def _set_mask(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, tau: float,
-              u: np.ndarray | None, nonnegative: bool = False) -> np.ndarray:
+              u: np.ndarray) -> np.ndarray:
     """`set_mask` of the probabilities ``e / s[:, None]`` of a block whose
-    largest values sit at ``top``, with one draw (or, with ``u`` None, none)
-    per row.
+    largest values sit at ``top``, with one draw per row.
 
-    ``nonnegative`` says that ``e`` is a `maps.probability_blocks` block:
-    no value is below 0, so `_top_block` need not look, and the walk owns
-    its buffer, so lac and K <= _BLOCK divide it in place and the 2-value
-    read masks it in place.  Otherwise ``e`` is a checked matrix with
-    s = 1, which is never written.  K > _BLOCK divides only each row's top
-    _BLOCK values, and the rows that block cannot certify or whose boundary
-    splits a tie.
+    lac and K <= _BLOCK divide the block in place, and the 2-value read
+    masks it in place.  K > _BLOCK divides only each row's top _BLOCK
+    values, and the rows that block cannot certify or whose boundary splits
+    a tie.
     """
     n, k = e.shape
     if spec.kind == "lac":
-        return 1.0 - _probabilities(e, s, nonnegative) <= tau
+        return 1.0 - np.divide(e, s[:, None], out=e) <= tau
     if tau == math.inf:
         return np.ones(e.shape, dtype=bool)
-    if u is None:
-        u = np.ones(n)
     m = _BLOCK
     if k <= _BLOCK:
-        e, s = _probabilities(e, s, nonnegative), np.ones(n)
+        e, s = np.divide(e, s[:, None], out=e), np.ones(n)
         m = 2 if 2 * np.count_nonzero(e > tau) > n else k
     if m == k:
         return _full_read(spec, e, u, tau)
-    mask, rest = _top_block(spec, e, s, top, tau, u, m, nonnegative)
+    mask, rest = _top_block(spec, e, s, top, tau, u, m)
     if rest.size:
         mask[rest] = _full_read(spec, _divided_rows(e, s, rest), u[rest], tau)
     return mask
@@ -559,14 +554,11 @@ def _full_read(spec: ScoreSpec, p: np.ndarray, u: np.ndarray,
 
 
 def _top_block(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, tau: float,
-               u: np.ndarray, m: int, nonnegative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+               u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``score <= tau`` for aps/raps/saps read off each row's m largest values.
 
-    ``e / s[:, None]`` is a checked, normalized n-by-K matrix p whose largest
-    values sit at ``top``, ``u`` one draw per row (ones when not randomized) and
-    2 <= m < K; ``nonnegative`` says that ``e`` is a walk block, as in
-    `_set_mask`: no value is below 0, which is otherwise tested row by row.
-    Returns ``(mask, rest)``:
+    ``(e, s, top)`` is a kernel's block, ``u`` one draw per row and
+    2 <= m < K.  Returns ``(mask, rest)``:
     every row of ``mask`` not listed in ``rest`` equals the full comparison
     bit for bit; the rows in ``rest`` are all False and need `_full_read`.
 
@@ -579,7 +571,7 @@ def _top_block(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, t
     accepted when every rank r > m provably scores above tau and its ranks
     1..m read as a set size s:
 
-    * the row has no negative value, so its prefix sums c_r never fall;
+    * the block holds no negative value, so its prefix sums c_r never fall;
     * the score at rank r is at least its u = 0 value: fl((1 - u) p_r)
       <= p_r, and on the float values c_r - p_r >= c_{r-1} - p_r >= c_m -
       p_m, so rounding, the raps penalty and the saps rank term, all
@@ -604,15 +596,13 @@ def _top_block(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, t
     tied classes one by one.
     """
     n = e.shape[0]
-    block = _top_values(e, m, top, nonnegative)
+    block = _top_values(e, m, top)
     vals = block / s[:, None]
     prefix = np.cumsum(vals, axis=1)
     inside = _cumulative_score(spec, prefix, vals, vals[:, :1], np.arange(1, m + 1),
                                u[:, None]) <= tau
     floor = _cumulative_score(spec, prefix[:, -1], vals[:, -1], vals[:, 0], m, 0.0)
     certified = floor > tau
-    if not nonnegative:
-        certified &= e.min(axis=1) >= 0.0
     size = _row_counts(inside)
     rows = np.arange(n)
     read = certified & (size > 0)
@@ -628,14 +618,13 @@ def _top_block(spec: ScoreSpec, e: np.ndarray, s: np.ndarray, top: np.ndarray, t
     return mask, np.flatnonzero(~certified)
 
 
-def _top_values(e: np.ndarray, m: int, top: np.ndarray, owned: bool = False) -> np.ndarray:
+def _top_values(e: np.ndarray, m: int, top: np.ndarray) -> np.ndarray:
     """The m largest values of each row of a block, in descending order
     (1 < m < K): the first m values of its `descending_order`.
 
     At m = 2 that is the value at ``top``, a largest value, and the row's
-    largest value once that column is masked: -inf is below every value of
-    a checked row.  A block the caller ``owned`` is masked in place and
-    then given its values back; any other is masked in a copy.  Otherwise
+    largest value once that column is masked, in place: -inf is below every
+    value of a block.  The masked values are then written back.  Otherwise
     one ``np.partition`` leaves the m largest values at the top of each
     row, and only they are sorted.
     """
@@ -643,10 +632,9 @@ def _top_values(e: np.ndarray, m: int, top: np.ndarray, owned: bool = False) -> 
     if m == 2:
         rows = np.arange(n)
         first = e[rows, top]
-        others = e if owned else e.copy()
-        others[rows, top] = -np.inf
-        second = others.max(axis=1)
-        others[rows, top] = first
+        e[rows, top] = -np.inf
+        second = e.max(axis=1)
+        e[rows, top] = first
         return np.stack([first, second], axis=1)
     return np.sort(np.partition(e, k - m, axis=1)[:, k - m:], axis=1)[:, ::-1]
 
@@ -654,15 +642,15 @@ def _top_values(e: np.ndarray, m: int, top: np.ndarray, owned: bool = False) -> 
 def _check_u_array(spec: ScoreSpec, u: np.ndarray | None, n: int) -> np.ndarray:
     if spec.kind == "lac":
         return np.ones(n)
-    if spec.randomized:
-        if u is None:
-            raise ValidationError("randomized score requires uniform draws u")
+    if spec.randomized and u is not None:
         u_arr = np.asarray(u, dtype=np.float64)
         if u_arr.shape != (n,):
             raise ValidationError(f"u must have shape ({n},), got {u_arr.shape}")
         if np.any((u_arr < 0.0) | (u_arr > 1.0)):
             raise ValidationError("u values must be in [0, 1]")
         return u_arr
+    if spec.randomized:
+        raise ValidationError("randomized score requires uniform draws u")
     if u is not None:
         raise ValidationError("u must be absent for a non-randomized score")
     return np.ones(n)

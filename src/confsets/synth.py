@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from .data import LogitsDataset
@@ -31,8 +33,11 @@ class SynthSpec:
             value = getattr(self, name)
             if not (is_int(value) and value >= least):
                 raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.signal <= 0 or self.noise <= 0 or self.overconfidence <= 0:
-            raise ValidationError("signal, noise, and overconfidence must be positive")
+        # the chained comparisons are False for NaN too
+        for name in ("signal", "noise", "overconfidence"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def generate(spec: SynthSpec) -> LogitsDataset:
@@ -42,9 +47,9 @@ def generate(spec: SynthSpec) -> LogitsDataset:
 
 def generate_paired_shifted(spec: SynthSpec, shift: float) -> tuple[LogitsDataset, LogitsDataset]:
     """An in-distribution dataset plus a harder one (signal reduced by shift)."""
-    if shift >= spec.signal:
+    if not -math.inf < shift < spec.signal:
         raise ValidationError(
-            f"shift must be < signal ({spec.signal}), got {shift}"
+            f"shift must be finite and < signal ({spec.signal}), got {shift}"
         )
     child_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
     shifted = _sample(spec, np.random.default_rng(child_seed), spec.signal - shift)

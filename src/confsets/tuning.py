@@ -36,10 +36,14 @@ exp and row sum S.  Why that is exact:
   it and itself: the divisions softmax makes, added in the order of the
   sorted cumsum, which the values confirm when they do not rise.
 
-The exact path, `true_label_scores` on the row's probabilities, scores
-the near-tie rows, any row whose ahead values rise, and every row of a
-block whose S is not finite (so a z/t that overflows raises the same
-error).  On the protocol data no row takes it.
+The exact path, the `scores._true_label_scores` kernel on the rows'
+exps, scores the near-tie rows and any row whose ahead values rise.  Such
+rows are a kernel block as they stand: the shift puts e = exp(0) = 1 at
+the largest logit and e <= 1 everywhere, so ``e.argmax`` is a column of
+each row's largest e, and the loss's score takes no u.  A block whose S
+is not finite is checked as `maps.probability_blocks` checks one, so a
+z/t that overflows raises the same error.  On the protocol data no row
+takes the exact path.
 
 ``tune_map`` is the one tuner for every map kind.  Temperature and Platt
 are the same one-parameter family: softmax ignores a shift shared by all
@@ -73,7 +77,8 @@ from .data import LogitsDataset, LogitsFile, SplitSpec, row_blocks, split_datase
 from .engine import calibrate_threshold, label_scores
 from .errors import ValidationError, is_int, write_json
 from .maps import CalibrationMap, apply_map_dataset
-from .scores import ScoreSpec, _row_counts, aps_score_dz, descending_order, true_label_scores
+from .scores import (ScoreSpec, _check_normalized, _row_counts, _true_label_scores, aps_score_dz,
+                     descending_order)
 
 _LOSS_SPEC = ScoreSpec(kind="aps", randomized=False)
 
@@ -244,9 +249,9 @@ class _Half:
         largest logit and exponentiated, and S is its row sum, as in
         `maps.softmax`.  A label at rank 1 scores fl(1 / S).  Any other
         label scores the cumsum of e/S over the classes ahead of it and
-        itself, provided those values do not rise.  Near-tie rows, rows
-        whose values rise and every row of a block with a non-finite S
-        are scored by `true_label_scores` from their probabilities.
+        itself, provided those values do not rise.  Near-tie rows and rows
+        whose values rise are scored by `scores._true_label_scores`, and a
+        block with a non-finite S is a ValidationError.
         """
         ds = self.ds
         shift = cal_map.transform_logits(self.row_max)
@@ -257,10 +262,8 @@ class _Half:
             e -= shift[b.rows, None]
             np.exp(e, out=e)
             s = np.sum(e, axis=1)
-            labels = ds.labels[b.rows]
             if not np.isfinite(s).all():
-                out[b.rows] = true_label_scores(_LOSS_SPEC, e / s[:, None], labels)
-                continue
+                _check_normalized(e / s[:, None])
             block = np.divide(1.0, s, out=out[b.rows])
             exact = b.exact
             if b.deep.size:
@@ -271,8 +274,9 @@ class _Half:
                 if rising.any():
                     exact = np.concatenate([exact, b.deep[rising]])
             if exact.size:
-                block[exact] = true_label_scores(_LOSS_SPEC, e[exact] / s[exact, None],
-                                                 labels[exact])
+                q = e[exact]
+                block[exact] = _true_label_scores(_LOSS_SPEC, q, s[exact], q.argmax(axis=1),
+                                                  ds.labels[b.rows][exact], np.ones(exact.size))
         return out
 
 

@@ -183,6 +183,25 @@ def test_calibrate_rejects_kreg_beyond_int64(tmp_path, capsys):
     assert "error: raps_kreg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("score", [["raps", "--kreg", "1"], ["saps"]])
+def test_calibrate_rejects_a_penalty_that_overflows_at_the_level(tmp_path, capsys, score):
+    # at the largest lambda a label ranked past kreg (raps) or 2 (saps)
+    # scores inf; a threshold file spells +inf "include_all", which predict
+    # reads as level > n_cal, so calibrate must not write it
+    raw = synth_file(tmp_path, n=400, k=10, signal=0.5, seed=1)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity", "params": {}}\n')
+    out = tmp_path / "t.json"
+    out.write_text("old\n")
+    code = run_cli("calibrate", "--in", str(raw), "--alpha", "0.1", "--score", *score,
+                   "--lambda", "1.7976931348623157e308", "--params", str(params),
+                   "--seed", "0", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: the calibration score at the conformal level "
+                                       "(rank 361 of 400) is inf, not a finite threshold\n")
+    assert out.read_text() == "old\n"
+
+
 def test_raps_requires_lambda(tmp_path):
     raw = synth_file(tmp_path, n=200, k=4, seed=8)
     params = tmp_path / "map.json"

@@ -57,6 +57,17 @@ def test_threshold_rejects_bad_inputs():
         calibrate_threshold([0.5], 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_threshold_rejects_a_score_at_the_level_that_is_not_finite(value):
+    # no threshold file can hold such a tau: "include_all" means level > n
+    with pytest.raises(ValidationError, match="not a finite threshold"):
+        calibrate_threshold(np.full(10, value), 0.1)
+    # past the level the score is never read, and a level past n is +inf
+    scores = np.r_[np.linspace(0.0, 1.0, 99), value]
+    assert calibrate_threshold(scores, 0.1) == np.linspace(0.0, 1.0, 99)[90]
+    assert calibrate_threshold(np.full(5, value), 0.1) == math.inf
+
+
 def test_conformal_level_avoids_float_ceiling_error():
     # naive float evaluation of (n+1)*(1-alpha) overshoots the integer
     assert conformal_level(19, 0.1) == 18
@@ -460,13 +471,40 @@ def test_top_block_sends_tau_one_ulp_below_the_block_sum_to_full_path(crossing):
         _assert_mask_is_full_path(spec, probs, u, tau)
 
 
-def test_top_block_sends_negative_rows_to_full_path():
-    negative = np.stack([STEEP] * 2)
-    negative[1, -2:] += [-1e-3, 1e-3]   # still sums to 1, one value below 0
-    spec = _spec("aps", False)
-    _, rest = _block(spec, negative, 0.5, _BLOCK)
-    assert rest.tolist() == [1]
-    _assert_mask_is_full_path(spec, negative, None, 0.5)
+@pytest.mark.parametrize("k, signal, route", [(50, 9.0, [2]), (50, 0.05, []), (1000, 4.0, [_BLOCK])],
+                         ids=["sharp-k50", "flat-k50", "k1000"])
+@pytest.mark.parametrize("push", [1e-3, 0.5])
+def test_set_mask_reads_a_matrix_with_a_negative_value_whole(k, signal, route, push):
+    # the kernels' certificates hold only on blocks with no value below 0,
+    # so the public entry reads a matrix that holds one whole, on each route
+    # the matrix takes without it: the 2-value read of sharp K = 50 rows,
+    # the whole read of flat ones and the top-64 block at K = 1000.  A push
+    # of 0.5 makes prefix sums past the block fall below the block's
+    ds = generate(SynthSpec(n=200, k=k, seed=k, signal=signal))
+    probs = apply_map_dataset(CalibrationMap.identity(), ds)
+    tau = 0.9 if k > _BLOCK else 0.5
+    assert (2 * np.count_nonzero(probs > tau) > probs.shape[0]) == (route == [2])
+    negative = probs.copy()
+    for row in range(0, probs.shape[0], 7):
+        # still sums to 1: the smallest value moves to another class, past 0
+        low, other = np.argsort(negative[row])[:2]
+        shift = negative[row, low] + push
+        negative[row, [low, other]] += [-shift, shift]
+    for kind in ("aps", "raps", "saps", "lac"):
+        for randomized in (False, True):
+            spec = _spec(kind, randomized)
+            u = np.random.default_rng(k).random(probs.shape[0]) if spec.uses_u else None
+            for matrix in (probs, negative):
+                with (mock.patch("confsets.scores._top_block", wraps=_top_block) as block,
+                      mock.patch("confsets.scores._full_read", wraps=_full_read) as whole):
+                    mask = set_mask(spec, matrix, tau, u)
+                np.testing.assert_array_equal(mask, score_matrix(spec, matrix, u) <= tau)
+                if kind == "lac":
+                    continue
+                if matrix is negative:
+                    assert block.call_count == 0 and whole.call_count == 1
+                else:
+                    assert [c.args[6] for c in block.call_args_list] == route
 
 
 @st.composite
@@ -629,7 +667,7 @@ def test_the_two_value_read_of_a_walk_block_copies_nothing():
     tracemalloc.start()
     try:
         with mock.patch("confsets.scores._top_block", wraps=_top_block) as read:
-            mask = engine._set_mask(spec, block, s, top, tau, u, nonnegative=True)
+            mask = engine._set_mask(spec, block, s, top, tau, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

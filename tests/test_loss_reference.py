@@ -8,6 +8,7 @@ tie them or underflow them to zero; results are compared with ``==``, not
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from confsets import (
 )
 from confsets.engine import conformal_level
 from confsets.maps import apply_map_dataset
+from confsets.scores import _true_label_scores
 from confsets.tuning import (_SCALAR_MAPS, _evaluate, _evaluate_scalar, _Half,
                              split_validation)
 
@@ -241,6 +243,38 @@ def test_scalar_evaluation_raises_like_evaluate_when_scaling_overflows(kind):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError) as want:
             _evaluate(cal_map, d_tau, d_loss, ALPHA)
+        with pytest.raises(ValidationError) as got:
+            _evaluate_scalar(cal_map, *_Half.pair(d_tau, d_loss, 5.0), ALPHA)
+    assert str(got.value) == str(want.value)
+    assert "sum to 1" in str(want.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR_MAPS))
+def test_scalar_evaluation_scores_exact_rows_with_the_walk_kernel(kind):
+    # the near-tie rows of both halves are scored by the walk kernel on
+    # their exps, with e.argmax as the top column and ones as u: the loss
+    # equals efficiency_gap_loss bit for bit; and at a t whose z/t
+    # overflows in a block that holds such rows, both raise one error
+    rng = np.random.default_rng(12)
+    logits, labels = _planted_logits(rng, 80, 7, 1e3)
+    d_tau = LogitsDataset(logits[:40], labels[:40])
+    d_loss = LogitsDataset(logits[40:], labels[40:])
+    tau_half, loss_half = _Half.pair(d_tau, d_loss, 5.0)
+    assert all(b.exact.size >= 5 for half in (tau_half, loss_half) for b in half.blocks)
+    for t in (5.0, 0.7, 0.05, 1e-3):
+        cal_map = _SCALAR_MAPS[kind](t)
+        with mock.patch("confsets.tuning._true_label_scores",
+                        wraps=_true_label_scores) as kernel:
+            got = _evaluate_scalar(cal_map, tau_half, loss_half, ALPHA)
+        assert kernel.call_count == 2
+        assert got.loss == efficiency_gap_loss(cal_map, d_tau, d_loss, ALPHA)
+        _assert_scalar_matches(cal_map, tau_half, loss_half)
+    logits[45, labels[45]] = 1e306  # a loss-half row: the tau half scores first
+    d_loss = LogitsDataset(logits[40:], labels[40:])
+    cal_map = _SCALAR_MAPS[kind](1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as want:
+            efficiency_gap_loss(cal_map, d_tau, d_loss, ALPHA)
         with pytest.raises(ValidationError) as got:
             _evaluate_scalar(cal_map, *_Half.pair(d_tau, d_loss, 5.0), ALPHA)
     assert str(got.value) == str(want.value)

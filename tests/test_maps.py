@@ -14,7 +14,7 @@ from confsets import (
     save_map,
 )
 from confsets.data import LogitsFile, save_dataset
-from confsets.maps import softmax
+from confsets.maps import probability_blocks, softmax
 
 from oracles import oracle_softmax
 
@@ -88,9 +88,13 @@ def test_apply_map_dataset_into_a_buffer_is_bitwise_the_new_array(tmp_path, cal_
         for source in (ds, opened):
             for rows in (slice(None), slice(2, 7)):
                 want = apply_map_dataset(cal_map, source, precision, rows)
-                buf = np.full(want.shape, np.nan, dtype)
-                assert apply_map_dataset(cal_map, source, precision, rows, out=buf) is buf
-                assert buf.tobytes() == want.tobytes()
+                assert want.dtype == dtype
+                assert want.tobytes() == apply_map_dataset(cal_map, ds, precision, rows).tobytes()
+            # the walk makes its blocks in one reused float64 buffer, undivided
+            # at f64; divided, they are the new array's bits
+            want = apply_map_dataset(cal_map, source, precision).astype(np.float64)
+            for rows, e, s, _ in probability_blocks(cal_map, source, precision):
+                assert (e / s[:, None]).tobytes() == want[rows].tobytes()
     assert ds.logits.tobytes() == before.tobytes()
 
 

@@ -276,14 +276,15 @@ def test_kernels_equal_the_public_functions_block_for_block(seed, k, spec, rando
         assert e.dtype == np.float64
         probs = e / s[:, None]
         labels, u_rows = ds.labels[rows], None if u is None else u[rows]
+        # a kernel takes ones where the score takes no u
+        u_kernel = np.ones(len(labels)) if u is None else u_rows
         expected = true_label_scores(spec, probs, labels, u_rows)
-        np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u_rows),
+        np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u_kernel),
                                       expected)
         tau = float(np.quantile(expected, 0.8, method="inverted_cdf")) if tau is None else tau
         for t in (0.0, tau, 1.0, math.inf):
-            np.testing.assert_array_equal(
-                _set_mask(spec, e.copy(), s, top, t, u_rows, nonnegative=True),
-                set_mask(spec, probs, t, u_rows))
+            np.testing.assert_array_equal(_set_mask(spec, e.copy(), s, top, t, u_kernel),
+                                          set_mask(spec, probs, t, u_rows))
 
 
 @pytest.mark.parametrize("k", [2, 255, 256, 1000, 65535, 65536])
@@ -374,7 +375,9 @@ def test_walk_kernels_equal_the_public_entries_on_collapsing_rows(seed, k, preci
     rows = np.arange(n)
     u = draw_u_many(seed, rows) if spec.uses_u else None
     expected = true_label_scores(spec, probs, labels, u)
-    np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u), expected)
+    # a kernel takes ones where the score takes no u
+    u_kernel = np.ones(n) if u is None else u
+    np.testing.assert_array_equal(_true_label_scores(spec, e, s, top, labels, u_kernel), expected)
     np.testing.assert_array_equal(_label_ranks(e, s, top, labels), label_ranks(probs, labels))
     np.testing.assert_array_equal(e[rows, top] / s, probs.max(axis=1))
     np.testing.assert_array_equal(e.min(axis=1) / s == 0.0, probs.min(axis=1) == 0.0)
@@ -382,7 +385,7 @@ def test_walk_kernels_equal_the_public_entries_on_collapsing_rows(seed, k, preci
     for tau in (*expected[:3], *full[rng.integers(n, size=3), rng.integers(k, size=3)], 0.0):
         for t in (float(np.nextafter(tau, -math.inf)), float(tau)):
             np.testing.assert_array_equal(
-                _set_mask(spec, e.copy(), s, top, t, u, nonnegative=True),
+                _set_mask(spec, e.copy(), s, top, t, u_kernel),
                 set_mask(spec, probs, t, u))
 
 

@@ -93,6 +93,23 @@ def test_paired_shift_validates():
         generate_paired_shifted(SynthSpec(n=10, k=3, signal=2.0), shift=2.0)
 
 
+@pytest.mark.parametrize("shift", [float("nan"), float("-inf")])
+def test_paired_shift_must_be_finite(shift):
+    # a NaN shift passes `shift >= signal`, and -inf is below it; either
+    # would make every label's logit non-finite
+    with pytest.raises(ValidationError, match="shift must be finite"):
+        generate_paired_shifted(SynthSpec(n=10, k=3, signal=2.0), shift=shift)
+
+
+@pytest.mark.parametrize("field", ["signal", "noise", "overconfidence"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_synth_spec_takes_only_positive_finite_scales(field, value):
+    # NaN passes `value <= 0`; it and inf would surface later as a
+    # non-finite logit
+    with pytest.raises(ValidationError, match=f"{field} must be positive and finite"):
+        SynthSpec(n=10, k=3, **{field: value})
+
+
 def _nll(ds, t):
     probs = apply_map_dataset(CalibrationMap.temperature(t), ds)
     picked = probs[np.arange(ds.n), ds.labels]
