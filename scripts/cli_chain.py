@@ -30,16 +30,20 @@ calibrate, predict, evaluate and demo-precision) runs on K = 10 binary
 files of 7000 rows, two row blocks, that this script writes with a
 defect: a non-finite row in the first block (and a later one in the last),
 a non-finite row in the last block, a label out of range, both of those,
-and a truncated file.  Then predict, evaluate and calibrate run with an
-error of their own (another class count, a bad sets line, too few sets,
-a misused --lambda, a bad --params) on the clean file and on the one with
-a non-finite last row.  Last, a map whose scaled logits overflow makes
+and a truncated file; and on CSV files of the same rows with a defect in
+row 5: a short row, an unparseable value, a label of 1.5, nan and a label
+out of range.  Then predict, evaluate and calibrate run with an error of
+their own (another class count, a bad sets line, too few sets, a misused
+--lambda, a bad --params) on the clean file and on the one with a
+non-finite last row.  Last, a map whose scaled logits overflow makes
 every softmax row of the clean file NaN: calibrate with lac and with aps,
 and predict and evaluate --threshold with a hand-written lac threshold
 under that map; and so does demo-precision at f32 with --t-grid 1e-300,
 which is 0 as a float32.  Then calibrate runs raps (--kreg 1) and saps at
 the largest float --lambda on the clean file, whose penalties overflow to
-inf at the conformal level.  Each of these commands must fail; its exit
+inf at the conformal level, and evaluate reads sets files in predict's
+spelling with one defect each: an index gap, a member equal to K and a
+non-ASCII digit.  Each of these commands must fail; its exit
 code and stderr go to errors/<file>.<case>.txt.
 
 Every command runs in one child process whose PYTHONPATH is --src, so the
@@ -220,6 +224,24 @@ DEFECTS = {
 }
 
 
+# The defective CSV inputs of the error leg: the clean rows as text, with
+# field (column) of row 5 made text, or dropped when text is None.
+CSV_DEFECTS = {
+    "csv-short-row": (ERR_K, None),
+    "csv-bad-value": (4, "1.0x"),
+    "csv-label-1.5": (0, "1.5"),
+    "csv-nan": (4, "nan"),
+    "csv-label": (0, str(ERR_K)),
+}
+# Sets files in predict's spelling with one defect at line 3: an index gap,
+# a member equal to K, and a non-ASCII (Arabic-Indic) digit.
+SETS_DEFECTS = {
+    "sets-index-gap": '{"index": 4, "set": [3]}',
+    "sets-member-k": f'{{"index": 3, "set": [3, {ERR_K}]}}',
+    "sets-non-ascii": '{"index": 3, "set": [\u0663]}',
+}
+
+
 # A Platt map whose a * z overflows to +inf at every row's largest logit
 # of the error leg's files, and a lac threshold under it.
 OVERFLOW_MAP = {"kind": "platt", "params": {"a": 1e308, "b": 0.0}}
@@ -231,10 +253,10 @@ MAX_LAMBDA = "1.7976931348623157e308"
 
 
 def _write_error_inputs(d: Path) -> None:
-    """Write into ``d`` the binary files of `DEFECTS`, a sets file of three
-    records, one with a bad fourth line, one of an empty set per row, a map
-    file with a bad temperature, and the overflowing map and its
-    threshold."""
+    """Write into ``d`` the binary files of `DEFECTS` and the CSV files of
+    `CSV_DEFECTS`, a sets file of three records, one with a bad fourth line
+    and those of `SETS_DEFECTS`, one of an empty set per row, a map file
+    with a bad temperature, and the overflowing map and its threshold."""
     labels = [i % ERR_K for i in range(ERR_N)]
     logits = [((i * 7 + j * 3) % 11) / 4 for i in range(ERR_N) for j in range(ERR_K)]
     for name, (nan_rows, label_row, cut) in DEFECTS.items():
@@ -247,10 +269,20 @@ def _write_error_inputs(d: Path) -> None:
                 + struct.pack(f"<{ERR_N}I", *row_labels)
                 + struct.pack(f"<{ERR_N * ERR_K}d", *row_logits))
         (d / f"{name}.bin").write_bytes(blob[:len(blob) - cut])
+    rows = [[str(labels[i]), *map(repr, logits[i * ERR_K:(i + 1) * ERR_K])] for i in range(ERR_N)]
+    header = ["label", *(f"logit_{j}" for j in range(ERR_K))]
+    for name, (column, text) in CSV_DEFECTS.items():
+        row = list(rows[5])
+        row[column:column + 1] = [] if text is None else [text]
+        (d / f"{name}.csv").write_text("".join(f"{','.join(fields)}\n" for fields in
+                                               [header, *rows[:5], row, *rows[6:]]),
+                                       encoding="ascii")
     lines = [f'{{"index": {i}, "set": [{i}]}}' for i in range(3)]
     (d / "three-sets.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
     (d / "bad-sets.jsonl").write_text("\n".join([*lines, '{"index": 3, "set": [3, 3]}']) + "\n",
                                       encoding="ascii")
+    for name, line in SETS_DEFECTS.items():
+        (d / f"{name}.jsonl").write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
     (d / "bad-map.json").write_text('{"kind": "temperature", "params": {"t": -1.0}}\n',
                                     encoding="ascii")
     (d / "empty-sets.jsonl").write_text("".join(f'{{"index": {i}, "set": []}}\n'
@@ -289,6 +321,8 @@ def _error_leg() -> list:
     }
     commands = [[[*argv, "--in", f"{d}/{name}.bin"], f"{d}/{name}.{command}.txt"]
                 for name in DEFECTS if name != "clean" for command, argv in reads.items()]
+    commands += [[[*argv, "--in", f"{d}/{name}.csv"], f"{d}/{name}.{command}.txt"]
+                 for name in CSV_DEFECTS for command, argv in reads.items()]
     commands += [[[*argv, "--in", f"{d}/{name}.bin"], f"{d}/{name}.{case}.txt"]
                  for name in ("clean", "nan-last") for case, argv in in_body.items()]
     overflow = {
@@ -311,6 +345,8 @@ def _error_leg() -> list:
     }
     commands += [[[*argv, "--in", f"{d}/clean.bin"], f"{d}/clean.{case}.txt"]
                  for case, argv in overflow.items()]
+    commands += [[[*_replaced(reads["evaluate"], "--sets", f"{d}/{name}.jsonl"), "--in",
+                   f"{d}/clean.bin"], f"{d}/clean.{name}.txt"] for name in SETS_DEFECTS]
     return commands
 
 

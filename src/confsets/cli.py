@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +52,8 @@ def _parse_parts(text: str) -> dict[str, float]:
         name = name.strip()
         if not name or name in parts:
             raise ValidationError(f"--parts has a missing or duplicate name in {item!r}")
+        if name in (".", "..") or os.path.basename(name) != name:
+            raise ValidationError(f"--parts name {name!r} is not a file name in --out-dir")
         try:
             parts[name] = float(frac)
         except ValueError as exc:

@@ -30,12 +30,13 @@ The JSONL sets file is written from mask rows and read into per-row
 values, a whole block or chunk at a time.  `_write_sets`, the writer
 of `predict_to_file`, builds each block's text with one ``"".join``
 (`_format_sets`), and its file changes the output path only once it is
-whole.  `_set_records`, the reader of `load_set_sizes`, yields each
-chunk of lines as its rows and members, taking a chunk that is exactly
-the writer's bytes (`_WRITTEN`) with one C-level parse of its numbers
-and three array checks, any other chunk one ``json.loads`` per line, so
-that other valid JSON spellings read the same and an error names its
-line.  A record holds the keys "index" and "set" once each and no other.
+whole.  The file has one spelling, the writer's bytes: line i is
+{"index": i, "set": [...]} with the members ascending, as `_RECORD`
+spells it out (`errors.line_chunks` reads text, so CRLF line ends read
+as LF).  `_set_records`, the reader of `load_set_sizes`, yields each
+chunk of lines as its rows and members, reading a chunk of the writer's
+bytes (`_WRITTEN`) with one C-level parse of its numbers and three array
+checks; any other chunk is an error that names its first bad line.
 `load_set_sizes`, the CLI's evaluate, keeps only each row's set size
 and whether it holds the label, in one pass over the file.
 
@@ -51,7 +52,6 @@ rejects data with another class count.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -99,10 +99,7 @@ class ConformalThreshold:
         if not isinstance(obj, dict):
             raise ValidationError("threshold JSON must be an object")
         keys = ("tau", "alpha", "n_cal", "score", "map")
-        check_keys(obj, (*keys, "k"), "threshold JSON")
-        for key in keys:
-            if key not in obj:
-                raise ValidationError(f"threshold JSON missing field {key!r}")
+        check_keys(obj, (*keys, "k"), "threshold JSON", keys)
         tau, alpha, n_cal = obj["tau"], obj["alpha"], obj["n_cal"]
         if tau == "include_all":
             tau = math.inf
@@ -281,18 +278,6 @@ def run_pipeline(cal: LogitsDataset, test: LogitsDataset,
 # ---------------------------------------------------------------------------
 # file formats
 
-# The sets-file records `_write_sets` writes, one per line: a decimal
-# without leading zero of at most 18 digits (so below 2**63) for the index and
-# each member, the members ascending, ", " between them and LF after each.
-_DECIMAL = "(?:0|[1-9][0-9]{0,17})"
-_WRITTEN = re.compile(r'(?:\{"index": %s, "set": \[(?:%s(?:, %s)*)?\]\}\n)*'
-                      % (_DECIMAL, _DECIMAL, _DECIMAL))
-# `bytes.translate` arguments that turn `_WRITTEN` text into its numbers with
-# -1 after each record: "{", "," and "[" become blanks, "]}\n" becomes " -1",
-# and the letters, quotes and colons of the keys go.
-_NUMBERS = bytes.maketrans(b'{,[]}\n', b'    -1'), b'"indexst:'
-
-
 def save_threshold(threshold: ConformalThreshold, path) -> None:
     write_json(threshold.to_json_dict(), path)
 
@@ -301,13 +286,27 @@ def load_threshold(path) -> ConformalThreshold:
     return ConformalThreshold.from_json_dict(read_json(path, "threshold file"))
 
 
+# The one spelling of row i's sets-file record, as `_format_sets` writes it:
+# a decimal without leading zero of at most 18 digits (so below 2**63) for
+# the index, i, and each member, ascending and below K, ", " between the
+# members and LF after the record.  `_WRITTEN` matches a run of them.
+_DECIMAL = "(?:0|[1-9][0-9]{0,17})"
+_RECORD = re.compile(r'\{"index": %s, "set": \[(?:%s(?:, %s)*)?\]\}\n'
+                     % (_DECIMAL, _DECIMAL, _DECIMAL))
+_WRITTEN = re.compile(f"(?:{_RECORD.pattern})*")
+# `bytes.translate` arguments that turn `_WRITTEN` text into its numbers with
+# -1 after each record: "{", "," and "[" become blanks, "]}\n" becomes " -1",
+# and the letters, quotes and colons of the keys go.
+_NUMBERS = bytes.maketrans(b'{,[]}\n', b'    -1'), b'"indexst:'
+
+
 def _write_sets(blocks, k: int, path) -> None:
     """Write the sets-file lines of each ``(rows, sets)`` of ``blocks``, mask
     rows of k classes, to ``path`` through `replaced_on_success`: on any
     error ``path`` is left as it was, or absent.
 
     Each row is one {"index": int, "set": [int, ...]} record, the bytes
-    ``json.dumps`` gives it (`_WRITTEN` spells them out).
+    ``json.dumps`` gives it (`_RECORD` spells them out).
     """
     words = _member_words(k)
     with replaced_on_success(path) as fh:
@@ -371,18 +370,17 @@ def _set_records(path, k: int):
     sets file: its records are the file's rows ``rows``, and row owners[j]
     holds class members[j].
 
-    The i-th record (blank lines skipped) must be {"index": i, "set": [...]},
-    with no other key, no key twice, and distinct integer members in
-    [0, k).  A chunk that is exactly what `_write_sets` writes
-    (`_WRITTEN`) is read whole by `_written_members`; any other chunk, and
-    one that breaks a rule, is read by `_read_lines`, one ``json.loads``
-    per line, which gives its members or names the first bad line.
+    Line i must be row i's record as `_format_sets` writes it.  A chunk is
+    read whole by `_written_members` if it matches `_WRITTEN`; else, or if
+    it breaks a rule, `_first_error` names its first bad line.
     """
     row = 0
     for first, lines in line_chunks(path):
         text = "".join(lines)
         found = _WRITTEN.fullmatch(text) and _written_members(text, row, k)
-        count, owners, members = found or _read_lines(first, lines, row, k)
+        if not found:
+            raise _first_error(first, lines, row, k)
+        count, owners, members = found
         yield slice(row, row + count), owners, members
         row += count
 
@@ -410,61 +408,27 @@ def _written_members(text: str, row: int, k: int):
     return len(ends), owners + row, members
 
 
-def _read_lines(first: int, lines: list[str], row: int, k: int):
-    """``(count, owners, members)`` of the records of ``lines``, each read
-    alone, the first at row ``row`` of the file.
+def _first_error(first: int, lines: list[str], row: int, k: int) -> ValidationError:
+    """The error of the first line of ``lines`` (line ``first``, row ``row``
+    of the file) that is not its row's record as `_format_sets` writes it.
 
-    ``first`` is the number of the first line.  Blank lines are skipped,
-    and the first bad line is a ValidationError that names it, counting
-    every line of the file from 0.
+    A line in `_RECORD`'s spelling gets a message for an index that is not
+    its row position, a member not below k and a member twice, in that
+    order; any other line, unsorted members too, breaks the one spelling.
     """
-    owners: list[int] = []
-    members: list[int] = []
-    start = row
     for lineno, line in enumerate(lines, first):
+        message = 'not {"index": N, "set": [M, ...]} as predict writes it, members ascending'
         if not line.isascii():
-            raise ValidationError(f"prediction-sets line {lineno}: non-ASCII byte")
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            value = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"prediction-sets line {lineno}: invalid JSON ({exc})") from exc
-        message = _record_error(value, line, row, k)
-        if message:
-            raise ValidationError(f"prediction-sets line {lineno}: {message}")
-        owners += [row] * len(value["set"])
-        members += value["set"]
-        row += 1
-    return row - start, np.array(owners, dtype=np.int64), np.array(members, dtype=np.int64)
-
-
-def _record_error(value, text: str, row: int, k: int) -> str | None:
-    """The first rule that the record ``value``, parsed from ``text``,
-    breaks as row ``row`` of the file, or None.
-
-    The rules, in order: a record is an object with the keys "index" and
-    "set" and no other; the index is the row position; the set is a list
-    of integers; no key repeats; the members lie in [0, k) with none
-    repeated.
-    """
-    if not (type(value) is dict and "index" in value and "set" in value):
-        return "missing 'index' or 'set'"
-    if len(value) != 2:
-        return f"unknown keys {sorted(set(value) - {'index', 'set'})}"
-    index, members = value["index"], value["set"]
-    # json.loads makes no int subclass but bool, so `type` is int exactly where `is_int` holds
-    if not (type(index) is int and index == row):
-        return f"index {index!r} is not the row position {row}"
-    if not (type(members) is list and set(map(type, members)) <= {int}):
-        return "'set' must be a list of integers"
-    # json.loads keeps a repeated key's last value; each key's string has two
-    # quotes, and the values now hold no string
-    if text.count('"') != 4:
-        return "repeated key"
-    if members and (min(members) < 0 or max(members) >= k):
-        return f"member outside [0, {k})"
-    if len(set(members)) != len(members):
-        return "duplicated member"
-    return None
+            message = "non-ASCII byte"
+        elif _RECORD.fullmatch(line):
+            index, *members = map(int, re.findall("[0-9]+", line))
+            if index != row:
+                message = f"index {index} is not the row position {row}"
+            elif members and max(members) >= k:
+                message = f"member outside [0, {k})"
+            elif len(set(members)) < len(members):
+                message = "duplicated member"
+            elif members == sorted(members):
+                row += 1
+                continue
+        return ValidationError(f"prediction-sets line {lineno}: {message}")

@@ -44,14 +44,16 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_keys(obj: dict, allowed, what: str) -> None:
-    """Reject keys of a JSON object outside ``allowed``.
-
-    A misspelt key would otherwise load as its default without a word.
-    """
+def check_keys(obj: dict, allowed, what: str, required=()) -> None:
+    """Reject keys of a JSON object outside ``allowed``, and a missing one of
+    ``required``: a misspelt or omitted key would otherwise load as its
+    default without a word."""
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValidationError(f"{what} has unknown keys {unknown}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"{what} missing field {key!r}")
 
 
 def line_chunks(path):
@@ -90,9 +92,9 @@ def replaced_on_success(path):
     owner and group, whose mode the new file takes.  Otherwise its bytes
     are copied into ``path``, which keeps its links and owner.  An existing
     file that cannot be written fails at once, naming ``path``.  A ``path``
-    that is not a regular file (a device such as /dev/null, a FIFO), or
-    beside which no file can be made, is opened with ``open(path, "w")`` at
-    once and written as the text comes, as a plain writer would.
+    that is not a regular file (a device such as /dev/null, a FIFO), that
+    ends in a separator, or beside which no file can be made, is opened with
+    ``open(path, "w")`` and written as the text comes, as by a plain writer.
     """
     target = os.path.realpath(path)
     try:
@@ -104,7 +106,10 @@ def replaced_on_success(path):
             os.close(os.open(target, os.O_WRONLY))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    fh = None if old is not None and not stat.S_ISREG(old.st_mode) else _file_beside(target)
+    # realpath drops a trailing separator, which names a directory
+    plain = os.fspath(path).endswith((os.sep, os.altsep or os.sep)) or (
+        old is not None and not stat.S_ISREG(old.st_mode))
+    fh = None if plain else _file_beside(target)
     if fh is None:
         with open(path, "w", encoding="ascii", newline="\n") as out:
             yield out

@@ -124,11 +124,11 @@ class CalibrationMap:
     def from_json_dict(cls, obj: dict) -> "CalibrationMap":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("map JSON must be an object with a 'kind' field")
-        check_keys(obj, ("kind", "params"), "map JSON")
+        check_keys(obj, ("kind", "params"), "map JSON", ("params",))
         kind = obj["kind"]
         if kind not in MAP_KINDS:
             raise ValidationError(f"unknown map kind {kind!r}")
-        params = obj.get("params", {})
+        params = obj["params"]
         if not isinstance(params, dict):
             raise ValidationError("map JSON params must be an object")
         names = _PARAM_NAMES[kind]

@@ -161,7 +161,8 @@ class ScoreSpec:
     def from_json_dict(cls, obj: dict) -> "ScoreSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("score JSON must be an object with a 'kind' field")
-        check_keys(obj, (f.name for f in fields(cls)), "score JSON")
+        # `__post_init__` requires the kind's lambda and kreg, the other keys `to_json_dict` writes
+        check_keys(obj, (f.name for f in fields(cls)), "score JSON", ("randomized", "rng_seed"))
         return cls(**obj)
 
 

@@ -93,12 +93,21 @@ def oracle_aps_cumulative(probs, class_k):
     return oracle_score("aps", probs, class_k, u=1.0)
 
 
+# The message of a sets-file line that is not a record as predict writes it.
+NOT_WRITTEN = 'not {"index": N, "set": [M, ...]} as predict writes it, members ascending'
+
+
 def oracle_load_sets(path, k):
-    """Line-by-line sets-file reader: one ``json.loads`` and every check per line.
+    """Line-by-line sets-file reader with the strict rules: line i must be
+    ``json.dumps({"index": i, "set": members}) + "\n"`` with the members
+    ascending, integers in [0, 10**18) and below k.
 
     Returns the rows as lists of member classes, or raises ValueError with
     the message the package gives for the first bad line (lines counted
-    from 0, blank lines skipped as rows but counted as lines).
+    from 0, a blank line among them).  A line that ``json.dumps`` would
+    spell so, with small integers, gets its own message for an index that
+    is not its line number, a member of k or more and a member twice, in
+    that order; any other line gets `NOT_WRITTEN`.
     """
     sets = []
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -106,28 +115,23 @@ def oracle_load_sets(path, k):
             where = f"prediction-sets line {lineno}"
             if not line.isascii():
                 raise ValueError(f"{where}: non-ASCII byte")
-            line = line.strip()
-            if not line:
-                continue
             try:
                 obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{where}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict) or "index" not in obj or "set" not in obj:
-                raise ValueError(f"{where}: missing 'index' or 'set'")
-            if set(obj) != {"index", "set"}:
-                raise ValueError(f"{where}: unknown keys {sorted(set(obj) - {'index', 'set'})}")
+            except (ValueError, RecursionError):
+                obj = None
+            if not (isinstance(obj, dict) and list(obj) == ["index", "set"]
+                    and isinstance(obj["set"], list)
+                    and all(type(v) is int and 0 <= v < 10**18 for v in [obj["index"], *obj["set"]])
+                    and json.dumps(obj) + "\n" == line):
+                raise ValueError(f"{where}: {NOT_WRITTEN}")
             index, members = obj["index"], obj["set"]
-            if type(index) is not int or index != len(sets):
-                raise ValueError(f"{where}: index {index!r} is not the row position {len(sets)}")
-            if not (isinstance(members, list) and all(type(m) is int for m in members)):
-                raise ValueError(f"{where}: 'set' must be a list of integers")
-            keys = json.loads(line, object_pairs_hook=lambda pairs: [key for key, _ in pairs])
-            if len(keys) != len(set(keys)):
-                raise ValueError(f"{where}: repeated key")
-            if any(m < 0 or m >= k for m in members):
+            if index != lineno:
+                raise ValueError(f"{where}: index {index} is not the row position {lineno}")
+            if any(m >= k for m in members):
                 raise ValueError(f"{where}: member outside [0, {k})")
             if len(set(members)) != len(members):
                 raise ValueError(f"{where}: duplicated member")
+            if members != sorted(members):
+                raise ValueError(f"{where}: {NOT_WRITTEN}")
             sets.append(members)
     return sets

@@ -33,7 +33,7 @@ from confsets.data import LogitsFile, save_dataset
 from confsets.engine import ConformalThreshold, load_set_sizes, predict_to_file, save_threshold
 from confsets.tuning import _evaluate_scalar, _Half, split_validation
 
-from oracles import oracle_load_sets
+from oracles import NOT_WRITTEN, oracle_load_sets
 
 N_CAL, N_TEST = 23, 17
 # Rows per block: one, counts that divide neither N_CAL nor N_TEST, and all rows.
@@ -423,7 +423,7 @@ def _sets_data(n, k, seed):
 # chunk of evaluate's reader: blocks and chunks that straddle each other,
 # and the defaults
 @pytest.mark.parametrize("block, chunk", [(3, 7), (5, 2), (None, None)])
-def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, case,
+def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, capsys, k, case,
                                                      block, chunk):
     if block is not None:
         monkeypatch.setattr(data, "_BLOCK_CELLS", block * k)
@@ -443,8 +443,9 @@ def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, c
         for i, row in enumerate(mask)).encode("ascii")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.jsonl", "test.bin"]
 
-    # evaluate reads the writer's bytes, and the same records spelt otherwise
-    # (line by line), to the report of the mask
+    # evaluate reads the writer's bytes, without the per-line diagnosis, to
+    # the report of the mask; the same records spelt otherwise exit 1, naming
+    # the first line, and write no report
     th_path, report = tmp_path / "threshold.json", tmp_path / "report.json"
     save_threshold(threshold, th_path)
     expected = tmp_path / "expected.json"
@@ -454,15 +455,16 @@ def test_streamed_sets_file_and_report_are_the_masks(tmp_path, monkeypatch, k, c
         json.dumps({"set": np.flatnonzero(row)[::-1].tolist(), "index": i},
                    separators=(",", ":")) + "\n" for i, row in enumerate(mask)))
     chars = 100 * chunk if chunk else errors._CHUNK_CHARS
-    for sets, line_by_line in ((streamed, False), (respelt, True)):
+    for sets, code in ((respelt, 1), (streamed, 0)):
         with mock.patch.object(errors, "_CHUNK_CHARS", chars), \
-                mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
+                mock.patch.object(engine, "_first_error", wraps=engine._first_error) as diagnosis:
             assert main(["evaluate", "--sets", str(sets), "--in", str(test_file),
-                         "--threshold", str(th_path), "--out", str(report)]) == 0
-        assert per_line.called == line_by_line
-        assert report.read_bytes() == expected.read_bytes()
-        assert [sorted(members) for members in oracle_load_sets(sets, k)] == \
-            [np.flatnonzero(row).tolist() for row in mask]
+                         "--threshold", str(th_path), "--out", str(report)]) == code
+        assert diagnosis.called == (code == 1)
+        assert report.exists() == (code == 0)
+    assert capsys.readouterr().err == f"error: prediction-sets line 0: {NOT_WRITTEN}\n"
+    assert report.read_bytes() == expected.read_bytes()
+    assert oracle_load_sets(streamed, k) == [np.flatnonzero(row).tolist() for row in mask]
 
 
 def _wide_calibrated(tmp_path):

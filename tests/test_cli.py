@@ -13,7 +13,7 @@ import pytest
 from confsets import errors
 from confsets.cli import main
 
-from oracles import oracle_load_sets
+from oracles import NOT_WRITTEN, oracle_load_sets
 
 
 def run_cli(*argv):
@@ -113,6 +113,25 @@ def test_split_writes_named_parts(tmp_path):
     a = load_dataset(tmp_path / "out" / "a.bin", "binary")
     b = load_dataset(tmp_path / "out" / "b.bin", "binary")
     assert a.n == 500 and b.n == 500
+
+
+@pytest.mark.parametrize("parts", ["../escaped:0.5,ok:0.5", "ok:0.5,sub/x:0.5", ".:0.5,ok:0.5",
+                                   "..:0.5,ok:0.5"])
+def test_split_rejects_a_part_name_that_leaves_out_dir(tmp_path, parts, capsys):
+    # a name is a file name in --out-dir: it is rejected before any part is
+    # written, and a bad input row is still named first
+    raw = synth_file(tmp_path, n=200, k=4, seed=4)
+    out_dir = tmp_path / "q" / "p"
+    out_dir.mkdir(parents=True)
+    argv = ["split", "--parts", parts, "--shuffle", "false", "--seed", "0",
+            "--out-dir", str(out_dir)]
+    assert run_cli(*argv, "--in", str(raw)) == 1
+    name = [item.split(":")[0] for item in parts.split(",") if item.split(":")[0] != "ok"][0]
+    assert capsys.readouterr().err == \
+        f"error: --parts name {name!r} is not a file name in --out-dir\n"
+    assert run_cli(*argv, "--in", str(_bad_binary(tmp_path, "nan"))) == 1
+    assert capsys.readouterr().err == "error: non-finite logit in row 199\n"
+    assert list(out_dir.iterdir()) == [] and list((tmp_path / "q").iterdir()) == [out_dir]
 
 
 def test_csv_output_format(tmp_path):
@@ -588,6 +607,30 @@ def test_predict_into_a_missing_directory_names_out(tmp_path, predicted, capsys)
     assert code == 2
     assert capsys.readouterr().err == \
         f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("command", ["tune", "calibrate", "predict", "evaluate",
+                                     "demo-precision"])
+def test_an_out_ending_in_a_separator_writes_nothing(tmp_path, predicted, command, capsys):
+    # the separator names a directory: --out is opened as spelt, as by a
+    # plain writer, not as the file its real path would be beside it
+    cal, test, threshold, sets = predicted
+    argv = {
+        "tune": ["tune", "--in", str(cal), "--alpha", "0.1", "--map", "temperature"],
+        "calibrate": ["calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                      "--params", str(tmp_path / "map.json")],
+        "predict": ["predict", "--in", str(test), "--threshold", str(threshold)],
+        "evaluate": ["evaluate", "--sets", str(sets), "--in", str(test),
+                     "--threshold", str(threshold)],
+        "demo-precision": ["demo-precision", "--in", str(test), "--alpha", "0.1",
+                           "--t-grid", "1,0.5", "--precision", "f64"],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    out = f"{tmp_path / 'newdir'}{os.sep}"
+    seed = [] if command == "evaluate" else ["--seed", "7"]
+    assert run_cli(*argv, *seed, "--out", out) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out}'\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_a_json_value_that_cannot_be_written_leaves_the_old_file(tmp_path):
@@ -1073,6 +1116,51 @@ def test_predict_rejects_loose_score_json(tmp_path, predicted, score, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["randomized", "rng_seed", "raps_lambda", "raps_kreg",
+                                 "saps_lambda", "map.params"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_an_omitted_score_or_map_key_is_not_its_default(tmp_path, predicted, key, command,
+                                                         capsys):
+    # a threshold holds every key its score and map write: a randomized aps
+    # score without "randomized" would predict without u against a tau
+    # calibrated with it
+    _, test, threshold, sets = predicted
+    obj = json.loads(threshold.read_text())
+    if key.startswith("raps"):
+        obj["score"].update(kind="raps", raps_lambda=0.01, raps_kreg=2)
+    elif key.startswith("saps"):
+        obj["score"].update(kind="saps", saps_lambda=0.1)
+    if key == "map.params":
+        del obj["map"]["params"]
+        expected = "map JSON missing field 'params'"
+    else:
+        del obj["score"][key]
+        expected = f"score JSON missing field {key!r}"
+    if key in ("raps_lambda", "raps_kreg"):
+        expected = "raps requires raps_lambda and raps_kreg"
+    elif key == "saps_lambda":
+        expected = "saps requires saps_lambda"
+    bad = tmp_path / "bad_threshold.json"
+    bad.write_text(json.dumps(obj))
+    argv = {"predict": ["predict", "--in", str(test), "--threshold", str(bad), "--seed", "7",
+                        "--out", str(tmp_path / "out.jsonl")],
+            "evaluate": ["evaluate", "--sets", str(sets), "--in", str(test), "--threshold",
+                         str(bad), "--out", str(tmp_path / "report.json")]}[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_calibrate_rejects_a_map_without_params(tmp_path, capsys):
+    cal = synth_file(tmp_path, name="cal.bin", n=200, k=5, seed=3)
+    params = tmp_path / "map.json"
+    params.write_text('{"kind": "identity"}\n')
+    out = tmp_path / "threshold.json"
+    assert run_cli("calibrate", "--in", str(cal), "--alpha", "0.1", "--score", "aps",
+                   "--params", str(params), "--seed", "3", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: map JSON missing field 'params'\n"
+    assert not out.exists()
+
+
 def _renumbered(line: str, shift: int) -> str:
     """A sets-file line with each "index": N made "index": N + shift."""
     return re.sub(r'"index": (\d+)', lambda m: f'"index": {int(m[1]) + shift}', line)
@@ -1115,23 +1203,48 @@ def test_evaluate_rejects_malformed_sets_file(tmp_path, predicted, first_line, c
     _, test, threshold, sets = predicted
     lines = sets.read_text().splitlines()
     rows = _rows_past_first_chunk(lines)
-    # the record as row 0, as row 1 after a blank line (line numbers count every
-    # line), and after a blank line past the first chunk; the message is the
-    # line-by-line reader's
-    for row, where in [(0, "line 0:"), (1, "line 2:"), (len(rows), f"line {len(rows) + 1}:")]:
-        body = rows[:row] + [""] * (row > 0) + [_renumbered(first_line, row)] \
+    # a record in predict's spelling keeps its own message; any other line
+    # is not a record as predict writes it
+    message = {'{"index": 0, "set": [10]}': "member outside [0, 10)",
+               '{"index": 0, "set": [99]}': "member outside [0, 10)",
+               '{"index": 0, "set": [3, 3]}': "duplicated member",
+               '{"index": 5, "set": [0]}': "index"}.get(first_line, NOT_WRITTEN)
+    # the record as row 0, as row 1, and past the first chunk; line numbers
+    # count every line from 0, and the message is the line-by-line reader's
+    for row in (0, 1, len(rows)):
+        body = rows[:row] + [_renumbered(first_line, row)] \
             + [_renumbered(line, row) for line in lines[1:3]]
         bad = tmp_path / "bad_sets.jsonl"
         bad.write_text("\n".join(body) + "\n")
         with pytest.raises(ValueError) as expected:
             oracle_load_sets(bad, 10)
+        why = f"index {row + 5} is not the row position {row}" if message == "index" else message
+        assert str(expected.value) == f"prediction-sets line {row}: {why}"
         code = run_cli("evaluate", "--sets", str(bad), "--in", str(test), "--bins", "default",
                        "--ece-bins", "15", "--threshold", str(threshold),
                        "--out", str(tmp_path / "report.json"))
         assert code == 1
-        err = capsys.readouterr().err
-        assert where in err
-        assert err == f"error: {expected.value}\n"
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_reads_a_crlf_copy_of_the_sets_file(tmp_path, predicted, capsys):
+    # the loader reads text, so CRLF line ends read as LF; a blank line and a
+    # last line without its LF are errors at their own line numbers
+    _, test, threshold, sets = predicted
+    argv = ["evaluate", "--in", str(test), "--threshold", str(threshold)]
+    assert run_cli(*argv, "--sets", str(sets), "--out", str(tmp_path / "lf.json")) == 0
+    lines = sets.read_bytes().splitlines(keepends=True)
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(b"".join(line[:-1] + b"\r\n" for line in lines))
+    assert run_cli(*argv, "--sets", str(crlf), "--out", str(tmp_path / "crlf.json")) == 0
+    assert (tmp_path / "crlf.json").read_bytes() == (tmp_path / "lf.json").read_bytes()
+    for body, at in ((lines[:2] + [b"\n"] + lines[2:], 2), ([*lines[:-1], lines[-1][:-1]],
+                                                          len(lines) - 1)):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(body))
+        assert run_cli(*argv, "--sets", str(bad), "--out", str(tmp_path / "bad.json")) == 1
+        assert capsys.readouterr().err == f"error: prediction-sets line {at}: {NOT_WRITTEN}\n"
 
 
 @pytest.mark.parametrize("case", ["threshold-nested", "threshold-n_cal-5000-digits",

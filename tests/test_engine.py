@@ -29,7 +29,7 @@ from confsets import engine, errors, maps
 from confsets.scores import (_BLOCK, _cumulative_score, _descending, _full_read, _top_block,
                              _top_values, score_matrix, set_mask)
 
-from oracles import oracle_load_sets, oracle_quantile, oracle_score, oracle_set
+from oracles import NOT_WRITTEN, oracle_load_sets, oracle_quantile, oracle_score, oracle_set
 
 score_vectors = st.lists(
     st.floats(0.0, 2.0, allow_nan=False).map(lambda v: round(v, 6)),
@@ -902,12 +902,13 @@ def test_prediction_sets_file_is_per_row_json_dumps(tmp_path, n, k, density):
 
 @given(st.integers(0, 2**32 - 1))
 def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
-    # members in any order; empty and full rows
+    # members ascending, the one order a sets file has; empty and full rows
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(0, 20)), int(rng.integers(1, 12))
-    member_lists = [rng.permutation(k)[:rng.integers(0, k + 1)].tolist() for _ in range(n)]
+    member_lists = [sorted(rng.permutation(k)[:rng.integers(0, k + 1)].tolist())
+                    for _ in range(n)]
     if n >= 2:
-        member_lists[0], member_lists[-1] = [], rng.permutation(k).tolist()
+        member_lists[0], member_lists[-1] = [], list(range(k))
     path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
     path.write_text("".join(json.dumps({"index": i, "set": m}) + "\n"
                             for i, m in enumerate(member_lists)))
@@ -918,113 +919,133 @@ def test_loaded_sets_match_per_row_fill(tmp_path_factory, seed):
     assert got.shape == (n, k)
     np.testing.assert_array_equal(got, expected)
     _assert_sizes_are_the_reference(path, k, oracle_load_sets(path, k), rng)
+    # the same records with one row's members in another order: that row's
+    # line is named
+    wide = [i for i, members in enumerate(member_lists) if len(members) > 1]
+    if wide:
+        j = int(rng.choice(wide))
+        member_lists[j] = rng.permutation(member_lists[j][::-1]).tolist()
+        if member_lists[j] == sorted(member_lists[j]):
+            member_lists[j].reverse()
+        path.write_text("".join(json.dumps({"index": i, "set": m}) + "\n"
+                                for i, m in enumerate(member_lists)))
+        _assert_loaders_raise(path, k, f"prediction-sets line {j}: {NOT_WRITTEN}")
 
 
-# Sets-file text the writer never makes but the loader accepts: key order,
-# escaped key names, spacing, whitespace that `str.strip` removes around a
-# record, and blank lines.
+# Spellings of a record other than the writer's: key order, escaped key
+# names, spacing, and whitespace around a record.
 _INDEX_KEYS = ['"index"', r'"\u0069ndex"', r'"inde\u0078"']
 _SET_KEYS = ['"set"', r'"\u0073et"', r'"s\u0065t"']
 _PADS = ["", " ", "\t", "\x0c", "\x1c "]
 _BLANKS = ["", "  ", "\t", "\x0b"]
 # Keys the writer never writes, whose strings hold brackets, quotes and
-# escapes, with nested values and null: each makes a record bad.
+# escapes, with nested values and null.
 _EXTRA_KEYS = {"extra-brackets": '"note": "]["', "extra-escapes": r'"note": "a\\\"[{,"',
                "extra-nested": '"meta": {"a": [1, {"b": []}]}', "extra-null": '"x": null'}
 
 
-def _record_text(rng, index, members) -> str:
-    colon = rng.choice([": ", ":", " : "])
-    items = [f'{rng.choice(_INDEX_KEYS)}{colon}{index}',
-             f'{rng.choice(_SET_KEYS)}{colon}[{rng.choice([", ", ","]).join(members)}]']
-    rng.shuffle(items)
-    return rng.choice(_PADS) + "{" + rng.choice([", ", ",", " ,\t"]).join(items) + "}" \
-        + rng.choice(_PADS)
+def _record_text(rng, index, members, written) -> str:
+    """Row ``index``'s record with ``members`` spelt otherwise than the
+    writer's line ``written``."""
+    while True:
+        colon = rng.choice([": ", ":", " : "])
+        items = [f'{rng.choice(_INDEX_KEYS)}{colon}{index}',
+                 f'{rng.choice(_SET_KEYS)}{colon}[{rng.choice([", ", ","]).join(members)}]']
+        rng.shuffle(items)
+        text = rng.choice(_PADS) + "{" + rng.choice([", ", ",", " ,\t"]).join(items) + "}" \
+            + rng.choice(_PADS)
+        if text != written:
+            return text
 
 
-def _bad_lines(kind, j, k, records):
-    """Row j's line (and for some kinds row j + 1's) made bad in one way."""
-    bad = {
+def _other_lines(kind, j, lines, rng):
+    """Row j's line (and for some kinds row j + 1's) spelt otherwise than
+    the writer's, in one way."""
+    members = [str(c) for c in json.loads(lines[j])["set"]]
+    unsorted = [int(m) for m in members[::-1]] if len(members) > 1 else [1, 0]
+    other = {
+        "respelt": [_record_text(rng, j, members, lines[j])],
+        "blank-line": [rng.choice(_BLANKS), lines[j]],
+        "members-unsorted": [json.dumps({"index": j, "set": unsorted})],
+        "leading-zero": [f'{{"index": {j}, "set": [0{", ".join(members) or "1"}]}}'],
+        "member-19-digits": [f'{{"index": {j}, "set": [{10**18}]}}'],
         "invalid-json": [f'{{"index": {j}, "set": [1,]}}'],
-        "two-records": [records[j] + ", " + records[j + 1]],
+        "two-records": [lines[j] + ", " + lines[j + 1]],
         "split-record": [f'{{"index": {j},', '"set": [1]}'],
-        # as one array the two lines parse as rows j and j + 1, with the right indices
-        "split-across-rows": [records[j] + f', {{"index": {j + 1}, "set": [0', "1]}"],
+        "split-across-rows": [lines[j] + f', {{"index": {j + 1}, "set": [0', "1]}"],
         "missing-key": [f'{{"index": {j}}}'],
-        "index-wrong": [f'{{"index": {j + 1}, "set": []}}'],
         "index-true": ['{"index": true, "set": []}'],
         "index-float": [f'{{"index": {j}.0, "set": []}}'],
         "member-true": [f'{{"index": {j}, "set": [true]}}'],
         "member-float": [f'{{"index": {j}, "set": [1.0]}}'],
         "member-negative": [f'{{"index": {j}, "set": [-1]}}'],
-        "member-k": [f'{{"index": {j}, "set": [{k}]}}'],
         "member-huge": [f'{{"index": {j}, "set": [{2**70}]}}'],
-        "member-twice": [f'{{"index": {j}, "set": [1, 1]}}'],
-        "non-ascii": [f'{{"index": {j}, "set": [], "note": "\xff"}}'],
         "deep-nesting": [f'{{"index": {j}, "set": {"[" * 5000}{"]" * 5000}}}'],
         "member-5000-digits": [f'{{"index": {j}, "set": [{"9" * 5000}]}}'],
-        "repeated-key": [f'{{"set": [1], "index": {j}, "set": [0]}}'],
-        # json.loads keeps a repeated key's last value, so the braces of the first
-        # one hide the split: as one array the lines parse as rows j to j + 2
+        "repeated-key": [f'{{"index": {j}, "set": [0], "set": [1]}}'],
+        # json.loads keeps a repeated key's last value, so the braces of the
+        # first one hide the split
         "duplicate-key-split": ['{"set": [{}', f'{{}}], "index": {j}, "set": [0]}}',
                                 f'{{"index": {j + 1}, "set": []}}, {{"index": {j + 2}, "set": []}}'],
         **{name: [f'{{"index": {j}, {extra}, "set": [1]}}'] for name, extra in _EXTRA_KEYS.items()},
     }[kind]
-    return bad, {"two-records": 2, "split-across-rows": 2, "duplicate-key-split": 3}.get(kind, 1)
+    return other, {"two-records": 2, "split-across-rows": 2, "duplicate-key-split": 3}.get(kind, 1)
 
 
-BAD_KINDS = ["invalid-json", "two-records", "split-record", "split-across-rows", "missing-key",
-             "index-wrong", "index-true", "index-float", "member-true", "member-float",
-             "member-negative", "member-k", "member-huge", "member-twice", "non-ascii",
-             "deep-nesting", "member-5000-digits", "repeated-key", "duplicate-key-split",
-             *_EXTRA_KEYS]
+OTHER_SPELLINGS = ["respelt", "blank-line", "no-final-newline", "members-unsorted",
+                   "leading-zero", "member-19-digits", "invalid-json", "two-records",
+                   "split-record", "split-across-rows", "missing-key", "index-true",
+                   "index-float", "member-true", "member-float", "member-negative",
+                   "member-huge", "deep-nesting", "member-5000-digits", "repeated-key",
+                   "duplicate-key-split", *_EXTRA_KEYS]
 
 
 @pytest.mark.parametrize("k, max_rows", [(2, 300), (50, 200), (1000, 30)])
 @given(seed=st.integers(0, 2**32 - 1),
        chunk=st.sampled_from([1, 100, 2000, errors._CHUNK_CHARS]),
-       bad=st.none() | st.sampled_from(BAD_KINDS))
-@example(seed=0, chunk=errors._CHUNK_CHARS, bad="duplicate-key-split")
+       other=st.none() | st.sampled_from(OTHER_SPELLINGS))
+@example(seed=0, chunk=errors._CHUNK_CHARS, other="duplicate-key-split")
 def test_sets_loader_matches_line_by_line_reference(tmp_path_factory, k, max_rows, seed,
-                                                     chunk, bad):
-    # the chunked loader gives the reference's mask, or its error message
+                                                     chunk, other):
+    # the writer's lines, LF or CRLF ended, with one line (or a few) spelt
+    # otherwise and maybe later ones too: the chunked loader names the first
+    # such line with the reference's message, or gives the reference's mask
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_rows + 1))
     mask = rng.random((n, k)) < rng.random((n, 1)) ** 2
     mask[rng.integers(n)] = True
-    records = [_record_text(rng, i, [str(c) for c in rng.permutation(np.flatnonzero(row))])
-               for i, row in enumerate(mask)]
-    lines = list(records)
-    if bad is not None:
-        j = int(rng.integers(n - 1))
-        replacement, rows = _bad_lines(bad, j, k, records)
-        lines[j:j + rows] = replacement
-    for at in sorted(rng.integers(0, len(lines) + 1, size=rng.integers(0, 4)), reverse=True):
-        lines.insert(at, rng.choice(_BLANKS))
     path = tmp_path_factory.mktemp("sets") / "sets.jsonl"
-    path.write_bytes("".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
-                     .encode("latin-1"))
+    _write_mask(mask, path)
+    lines = path.read_text().splitlines()
+    ends = [rng.choice(["\n", "\r\n"]) for _ in range(n + 3)]
+    at = n - 1 if other == "no-final-newline" else int(rng.integers(n - 1))
+    if other == "no-final-newline":
+        ends[n - 1] = ""
+    elif other is not None:
+        replacement, rows = _other_lines(other, at, lines, rng)
+        lines[at:at + rows] = replacement
+        for i in range(at + len(replacement), len(lines)):
+            if rng.random() < 0.05:
+                lines[i] = _record_text(rng, i, re.findall("[0-9]+", lines[i])[1:], lines[i])
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("latin-1"))
     try:
         expected = oracle_load_sets(path, k)
     except ValueError as exc:
-        assert bad is not None
+        assert str(exc) == f"prediction-sets line {at}: {NOT_WRITTEN}"
         with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
             _assert_loaders_raise(path, k, exc)
         return
-    assert bad is None
+    assert other is None
     with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
         got = _records_mask(path, k)
         _assert_sizes_are_the_reference(path, k, expected, rng)
-    reference = np.zeros((len(expected), k), dtype=bool)
-    for i, members in enumerate(expected):
-        reference[i, members] = True
-    np.testing.assert_array_equal(got, reference)
     np.testing.assert_array_equal(got, mask)
 
 
 def _written_defect(kind, line, j, k, rng):
-    """Row j's written ``line`` with one defect that keeps it looking like
-    the writer's text."""
+    """Row j's written ``line`` with one defect that keeps it in the
+    writer's spelling, and the message that names it; or, for "crlf", the
+    line with a CRLF end, which loads."""
     members = re.fullmatch(r'\{"index": \d+, "set": \[(.*)\]\}\n', line)[1]
     members = members.split(", ") if members else []
     index = j
@@ -1033,17 +1054,22 @@ def _written_defect(kind, line, j, k, rng):
     members = {
         "member-k": members + [str(k)],
         "member-repeated": (members or ["0"]) + (members or ["0"])[-1:],
-        "members-unsorted": members[::-1] if len(members) > 1 else ["1", "0"],
-        "leading-zero": ["0" + m for m in members[:1]] + members[1:] if members else ["01"],
-        "member-19-digits": members + ["1" + "0" * 18],
     }.get(kind, members)
     line = f'{{"index": {index}, "set": [{", ".join(members)}]}}\n'
-    return {"crlf": line[:-1] + "\r\n", "blank-line": line + "\n"}.get(kind, line)
+    if kind == "non-ascii":
+        # Arabic-Indic digits, which int() and a \d pattern would take
+        arabic_indic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66a))))
+        line = line.replace(str(j), str(j).translate(arabic_indic), 1)
+    return {"crlf": line[:-1] + "\r\n"}.get(kind, line), {
+        "index-off-by-one": f"index {index} is not the row position {j}",
+        "member-k": f"member outside [0, {k})",
+        "member-repeated": "duplicated member",
+        "non-ascii": "non-ASCII byte",
+    }.get(kind)
 
 
-WRITTEN_DEFECTS = ["index-off-by-one", "member-k", "member-repeated", "members-unsorted",
-                   "leading-zero", "member-19-digits", "crlf", "blank-line",
-                   "no-final-newline", "record-past-a-chunk"]
+WRITTEN_DEFECTS = ["index-off-by-one", "member-k", "member-repeated", "non-ascii", "crlf",
+                   "crlf-file", "record-past-a-chunk"]
 
 
 @pytest.mark.parametrize("k, max_rows", [(2, 300), (50, 200), (1000, 30)])
@@ -1052,8 +1078,9 @@ WRITTEN_DEFECTS = ["index-off-by-one", "member-k", "member-repeated", "members-u
        defect=st.sampled_from([None, *WRITTEN_DEFECTS]))
 def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, max_rows, seed,
                                                          chunk, defect):
-    # the writer's own bytes, or one defect that still looks like them: the
-    # loader gives the line-by-line reference's mask, or its error message
+    # the writer's own bytes, in chunks of any size, CRLF ended or not, load
+    # to the mask without the per-line diagnosis; one defect that keeps the
+    # writer's spelling gets its own message at its line, as the reference's
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_rows + 1))
     mask = rng.random((n, k)) < rng.random((n, 1)) ** 2
@@ -1063,28 +1090,25 @@ def test_sets_loader_reads_written_files_as_the_reference(tmp_path_factory, k, m
     _write_mask(mask, path)
     lines = path.read_text().splitlines(keepends=True)
     j = int(full if defect == "record-past-a-chunk" else rng.integers(n))
+    message = None
     if defect == "record-past-a-chunk":
         chunk = min(chunk, len(lines[j]) - 1)
-    elif defect == "no-final-newline":
-        lines[-1] = lines[-1][:-1]
+    elif defect == "crlf-file":
+        lines = [line[:-1] + "\r\n" for line in lines]
     elif defect is not None:
-        lines[j] = _written_defect(defect, lines[j], j, k, rng)
-    path.write_text("".join(lines), newline="")
+        lines[j], message = _written_defect(defect, lines[j], j, k, rng)
+    path.write_text("".join(lines), encoding="utf-8", newline="")
     with mock.patch.object(errors, "_CHUNK_CHARS", chunk):
-        try:
-            expected = oracle_load_sets(path, k)
-        except ValueError as exc:
-            _assert_loaders_raise(path, k, exc)
+        if message is not None:
+            with pytest.raises(ValueError) as expected:
+                oracle_load_sets(path, k)
+            assert str(expected.value) == f"prediction-sets line {j}: {message}"
+            _assert_loaders_raise(path, k, expected.value)
             return
-        with mock.patch.object(engine, "_read_lines", wraps=engine._read_lines) as per_line:
+        expected = oracle_load_sets(path, k)
+        with mock.patch.object(engine, "_first_error", wraps=engine._first_error) as diagnosis:
             got = _records_mask(path, k)
             _assert_sizes_are_the_reference(path, k, expected, rng)
-    if defect in (None, "record-past-a-chunk"):
-        # the writer's bytes, in chunks of any size, never go line by line
-        per_line.assert_not_called()
-    reference = np.zeros((len(expected), k), dtype=bool)
-    for i, members in enumerate(expected):
-        reference[i, members] = True
-    np.testing.assert_array_equal(got, reference)
-    if defect != "members-unsorted":
-        np.testing.assert_array_equal(got, mask)
+    diagnosis.assert_not_called()
+    np.testing.assert_array_equal(got, mask)
+    assert expected == [np.flatnonzero(row).tolist() for row in mask]

@@ -51,12 +51,12 @@ def test_cli_chain_writes_the_same_manifest_twice(tmp_path):
                 if name.startswith("k10csv/") and not name.endswith(".csv")}
     assert len(from_csv) == 6
     assert from_csv == {name: digests[f"k10/{name}"] for name in from_csv}
-    # the error leg logs each failure: 5 defective files x 6 commands, 5
-    # in-body errors on a clean file and on one with a bad last row, 5
-    # commands under a map that makes every softmax row NaN, and 2
-    # calibrations whose penalties overflow
+    # the error leg logs each failure: 5 defective binary files and 5 CSV
+    # ones x 6 commands, 5 in-body errors on a clean file and on one with a
+    # bad last row, 5 commands under a map that makes every softmax row NaN,
+    # 2 calibrations whose penalties overflow, and 3 bad sets files
     errors = tmp_path / "a" / "errors"
-    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 47
+    assert sum(name.startswith("errors/") and name.endswith(".txt") for name in digests) == 80
     assert (errors / "nan-first.split.txt").read_text() == \
         "exit 1\nerror: non-finite logit in row 3\n"
     assert (errors / "nan-last.class-count.txt").read_text() == \
